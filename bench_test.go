@@ -427,8 +427,7 @@ func BenchmarkSpyCore(b *testing.B) {
 	// scratch and per-task signal scratch, each of the 2000 traced events
 	// heap-allocated its event, siginfo, and mcontext (~12k allocs per
 	// run). The run sits at ~151 allocs: store, trace buffer, simulation
-	// setup, the absint analysis (content-key cached), and the superblock
-	// region cache (one sbCache slice per machine plus one meta slice per
+	// setup, and the superblock region cache (one sbCache slice per machine plus one meta slice per
 	// distinct region start — a fixed cost per program shape, never per
 	// event or per region re-entry). The ceiling leaves headroom for
 	// those fixed costs but not for any per-event or per-dispatch

@@ -66,10 +66,11 @@ func flopProgram() *fpspy.Program {
 
 // flopSnapshot runs flopProgram under one engine configuration and
 // returns the flop.* counter view.
-func flopSnapshot(t *testing.T, cfg fpspy.Config) map[string]uint64 {
+func flopSnapshot(t *testing.T, opts fpspy.Options) map[string]uint64 {
 	t.Helper()
 	om := obs.New(obs.Options{})
-	run, err := fpspy.Run(flopProgram(), fpspy.Options{Config: cfg, Obs: om})
+	opts.Obs = om
+	run, err := fpspy.Run(flopProgram(), opts)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -88,7 +89,7 @@ func flopSnapshot(t *testing.T, cfg fpspy.Config) map[string]uint64 {
 // TestFlopCountersAnalytic reconciles the SDE-style FLOP counters
 // against the program's analytically known op mix, exactly, and
 // requires the counts to be engine-invariant: the superblock engine,
-// the per-instruction fast path, and the individual-mode trapping run
+// the precise single-step engine, and the individual-mode trapping run
 // must all credit identical FLOPs.
 func TestFlopCountersAnalytic(t *testing.T) {
 	want := map[string]uint64{
@@ -107,15 +108,14 @@ func TestFlopCountersAnalytic(t *testing.T) {
 	}
 	configs := []struct {
 		label string
-		cfg   fpspy.Config
+		opts  fpspy.Options
 	}{
-		{"superblock", fpspy.Config{Mode: fpspy.ModeAggregate}},
-		{"nosuperblock", fpspy.Config{Mode: fpspy.ModeAggregate, NoSuperblock: true}},
-		{"individual", fpspy.Config{Mode: fpspy.ModeIndividual}},
-		{"individual-noprune", fpspy.Config{Mode: fpspy.ModeIndividual, NoPrune: true}},
+		{"superblock", fpspy.Options{Config: fpspy.Config{Mode: fpspy.ModeAggregate}}},
+		{"precise", fpspy.Options{Config: fpspy.Config{Mode: fpspy.ModeAggregate}, NoFastPath: true}},
+		{"individual", fpspy.Options{Config: fpspy.Config{Mode: fpspy.ModeIndividual}}},
 	}
 	for _, c := range configs {
-		got := flopSnapshot(t, c.cfg)
+		got := flopSnapshot(t, c.opts)
 		for name, w := range want {
 			if got[name] != w {
 				t.Errorf("%s: %s = %d, want %d", c.label, name, got[name], w)

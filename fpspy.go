@@ -132,9 +132,10 @@ type Options struct {
 	Env map[string]string
 	// CostModel overrides the kernel cycle cost model.
 	CostModel *kernel.CostModel
-	// NoFastPath forces the precise single-step engine, as the
-	// FPE_NOFASTPATH ablation does (the reproducibility suite runs both
-	// engines and requires identical guest-visible behavior).
+	// NoFastPath forces the precise single-step engine, the reference
+	// the default superblock engine is checked against (the
+	// reproducibility suite and the engine differentials run both and
+	// require identical guest-visible behavior and traces).
 	NoFastPath bool
 	// Inject, when non-nil, perturbs kernel scheduling (seeded shuffle,
 	// quantum jitter, signal delay) without changing guest semantics —

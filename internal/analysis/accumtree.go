@@ -31,7 +31,7 @@ package analysis
 // Probe programs use MULSD and DIVSD forms nowhere else, so opcode plus
 // raised-condition filtering recovers the full f-matrix from any
 // unsampled individual-mode trace, regardless of which execution engine
-// (fast/precise, pruned, superblock, local or cluster-routed) produced
+// (superblock fast path or precise, local or cluster-routed) produced
 // it.
 
 import (

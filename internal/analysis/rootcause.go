@@ -44,8 +44,9 @@ type RootCauseSite struct {
 }
 
 // MergeRootCauseSite folds b into a (same site, e.g. from two threads).
-// The merge is commutative and associative — sums and maxes only — so
-// aggregation order never changes a report.
+// It is commutative (sums and maxes only), but float sums are not
+// associative: folding three or more rows of one site can round
+// differently in another order, so callers fold in a fixed order.
 func MergeRootCauseSite(a, b RootCauseSite) RootCauseSite {
 	a.Count += b.Count
 	a.Diverged += b.Diverged
@@ -99,7 +100,6 @@ func BuildRootCause(prec uint64, sites []RootCauseSite) *RootCauseReport {
 		s.Addr = addr
 		rep.Sites = append(rep.Sites, s)
 		rep.TotalOps += s.Count
-		rep.TotalLocalUlps += s.LocalUlps
 		if s.MaxUlps > rep.MaxUlps {
 			rep.MaxUlps = s.MaxUlps
 		}
@@ -111,6 +111,11 @@ func BuildRootCause(prec uint64, sites []RootCauseSite) *RootCauseReport {
 		}
 		return a.Addr < b.Addr
 	})
+	// Sum in ranked order, not map order: the float total (and the 99%
+	// boundary measured against it) must not depend on iteration order.
+	for _, s := range rep.Sites {
+		rep.TotalLocalUlps += s.LocalUlps
+	}
 	rep.Sites99 = rootCauseCoverage(rep.Sites, rep.TotalLocalUlps, 0.99)
 	return rep
 }

@@ -142,11 +142,11 @@ type SiteVerdict struct {
 	// May is the union of conditions possible at the site; Must the
 	// intersection of conditions raised on every execution reaching it.
 	May, Must softfloat.Flags
-	// Prunable marks sites the spy may skip in individual mode: no
-	// condition is ever raised, the form is plain arithmetic the quiet
-	// interpreter handles, and the program never rewrites the MXCSR
-	// control fields (so native round-to-nearest arithmetic is
-	// bit-identical to the softfloat path).
+	// Prunable marks sites a monitor could skip in individual mode: no
+	// condition is ever raised, the form is plain unmasked arithmetic,
+	// and the program never rewrites the MXCSR control fields (so native
+	// round-to-nearest arithmetic is bit-identical to the softfloat
+	// path). The spy does not act on it; fpscan reports it.
 	Prunable bool
 }
 
@@ -172,8 +172,9 @@ type Result struct {
 	Sites []SiteVerdict
 	// EnvVaries reports that a reachable ldmxcsr forced the analysis to
 	// consider every rounding-mode/FTZ/DAZ combination — which also
-	// disables pruning, since exact results can differ across rounding
-	// modes (x + -x is -0 under round-down) without raising any flag.
+	// makes no site prunable, since exact results can differ across
+	// rounding modes (x + -x is -0 under round-down) without raising any
+	// flag.
 	EnvVaries bool
 
 	siteAt map[uint64]int
@@ -188,7 +189,7 @@ func (r *Result) SiteAt(addr uint64) *SiteVerdict {
 	return nil
 }
 
-// PrunableCount counts sites the spy may skip.
+// PrunableCount counts sites a monitor could skip.
 func (r *Result) PrunableCount() int {
 	n := 0
 	for i := range r.Sites {
@@ -197,18 +198,6 @@ func (r *Result) PrunableCount() int {
 		}
 	}
 	return n
-}
-
-// QuietTable returns a per-instruction-index table marking prunable
-// sites, in the form machine.Machine.QuietFP consumes.
-func (r *Result) QuietTable() []bool {
-	t := make([]bool, len(r.Prog.Insts))
-	for i := range r.Sites {
-		if r.Sites[i].Prunable {
-			t[r.Sites[i].Index] = true
-		}
-	}
-	return t
 }
 
 // Class pairs an exception class name (the FPE_EXCEPT_LIST spelling)
@@ -326,9 +315,9 @@ func envSetFor(cfg *binscan.CFG) []softfloat.Env {
 	return []softfloat.Env{mxcsr.Default.Env()}
 }
 
-// Analysis cache: programs are immutable once built, and both the spy
-// construction path and the benchmarks analyze equivalent programs many
-// times. The key is a content hash rather than the *Program pointer
+// Analysis cache: programs are immutable once built, and fpscan, the
+// soundness validator, and the benchmarks analyze equivalent programs
+// many times. The key is a content hash rather than the *Program pointer
 // because workload builders return a fresh (but byte-identical) program
 // per pass: the study schedules ~3 passes per workload, and pointer
 // keying would re-run the whole analysis for each. Hashing is linear in
@@ -450,8 +439,8 @@ func analyzeProgram(p *isa.Program) *Result {
 			sv.May = v.May
 			sv.Must = v.Must
 		}
-		// Masked forms are excluded: the quiet native path does not
-		// implement merge masking, so pruning them buys nothing.
+		// Masked forms are excluded: skipping them would also need a
+		// native merge-masking path.
 		sv.Prunable = sv.May == 0 && !res.EnvVaries &&
 			sv.Op.Info().Class == isa.ClassFPArith && !sv.Op.Info().Masked
 		res.siteAt[sv.Addr] = len(res.Sites)

@@ -238,7 +238,7 @@ func TestSingles(t *testing.T) {
 		t.Errorf("cvtss2sd of normal: may=%v, want 0", widen.May)
 	}
 	if widen.Prunable {
-		t.Error("converts are not prunable (quiet path handles arith only)")
+		t.Error("converts are not prunable (plain arithmetic only)")
 	}
 	toInt := res.SiteAt(p.AddrOf(7))
 	if toInt.VerdictFor(softfloat.FlagInexact) != MustTrap {
@@ -327,8 +327,8 @@ func TestMemoryInvalidationByStore(t *testing.T) {
 	checkAgainstConcrete(t, res, runConcrete(t, p, 1000))
 }
 
-func TestQuietTableAndCheckSoundness(t *testing.T) {
-	b := isa.NewBuilder("quiet")
+func TestPrunableAndCheckSoundness(t *testing.T) {
+	b := isa.NewBuilder("prunable")
 	consts := b.Float64s(1.0, 2.0)
 	b.Movi(isa.R1, int64(consts))
 	b.Fld(isa.X1, isa.R1, 0)
@@ -339,12 +339,11 @@ func TestQuietTableAndCheckSoundness(t *testing.T) {
 	p := b.Build()
 
 	res := Analyze(p)
-	qt := res.QuietTable()
-	if !qt[3] {
-		t.Error("quiet table should mark the exact addsd")
+	if !res.SiteAt(p.AddrOf(3)).Prunable {
+		t.Error("the exact addsd should be prunable")
 	}
-	if qt[4] {
-		t.Error("quiet table must not mark the sqrt")
+	if res.SiteAt(p.AddrOf(4)).Prunable {
+		t.Error("the sqrt must not be prunable")
 	}
 	if got := res.PrunableCount(); got != 1 {
 		t.Errorf("prunable count = %d, want 1", got)

@@ -9,7 +9,8 @@ import (
 
 // TestChaosSweep is the harness's main entry: every scenario family,
 // across fixed seeds, must (a) preserve guest-visible state across
-// spy-on/spy-off and fast/precise engines, and (b) record exactly the
+// spy-on/spy-off and fast/precise engines, (b) record identical trace
+// records on the fast and precise engines, and (c) record exactly the
 // degradation it was built to induce, with a non-empty typed reason.
 func TestChaosSweep(t *testing.T) {
 	// Six seeds so every seeded sub-variant (aggressive stealer, both

@@ -169,12 +169,42 @@ func Verify(sc Scenario) (*core.Store, error) {
 		}
 	}
 	// The two spy-on runs must also agree on what the monitor observed:
-	// the fast path may not change degradation behavior.
+	// the fast path may change neither a trace record nor degradation
+	// behavior. The precise engine is the reference.
+	d, err := diffRecords(results[0].Store, results[1].Store)
+	if err != nil {
+		return nil, fmt.Errorf("chaos %s (seed %d): %w", sc.Name, sc.Seed, err)
+	}
+	if d != "" {
+		return nil, fmt.Errorf("chaos %s (seed %d): traces differ across engines: %s", sc.Name, sc.Seed, d)
+	}
 	if a, b := eventSummary(results[0].Store), eventSummary(results[1].Store); a != b {
 		return nil, fmt.Errorf("chaos %s (seed %d): monitor events differ across engines:\nfast:    %q\nprecise: %q",
 			sc.Name, sc.Seed, a, b)
 	}
 	return results[0].Store, nil
+}
+
+// diffRecords compares two stores' trace records in thread order and
+// describes the first difference, or returns "" when they are equal.
+func diffRecords(fast, precise *core.Store) (string, error) {
+	fr, err := fast.AllRecords()
+	if err != nil {
+		return "", err
+	}
+	pr, err := precise.AllRecords()
+	if err != nil {
+		return "", err
+	}
+	if len(fr) != len(pr) {
+		return fmt.Sprintf("%d records fast vs %d precise", len(fr), len(pr)), nil
+	}
+	for i := range fr {
+		if fr[i] != pr[i] {
+			return fmt.Sprintf("record %d differs:\nfast:    %+v\nprecise: %+v", i, fr[i], pr[i]), nil
+		}
+	}
+	return "", nil
 }
 
 // eventSummary flattens monitor events to their engine-independent

@@ -5,13 +5,20 @@ import (
 
 	"repro/internal/binscan/absint"
 	"repro/internal/core"
+	"repro/internal/mxcsr"
+	"repro/internal/softfloat"
 )
 
-// TestPruneDifferential runs every chaos family with static trap-site
-// pruning on and off and requires the guest-visible outcome — registers,
-// memory, exit codes, retirement counts — to be bit-identical, plus the
-// recorded traces and monitor events. This is the NoPrune ablation
-// contract: pruning is purely an execution-engine shortcut.
+// TestPruneDifferential prunes the spy's trap set statically: every
+// chaos family runs with every condition unmasked and again with only
+// the conditions the abstract interpreter finds possible at some
+// reachable site, on both engines. A sound analysis makes the pruning
+// invisible: the guest-visible outcome — registers, memory, exit codes,
+// retirement counts — the monitor events and the trace must be
+// identical, except for the exception-mask field of each record's
+// MXCSR, which is the trap set itself. Families whose programs may
+// raise every condition prune nothing, so their two runs share one
+// configuration.
 func TestPruneDifferential(t *testing.T) {
 	for _, f := range Families() {
 		f := f
@@ -20,71 +27,48 @@ func TestPruneDifferential(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
 				sc := Generate(f, seed)
 				sc.Config.Mode = core.ModeIndividual
-
-				sc.Config.NoPrune = false
-				pruned, err := runOnce(sc, true, false)
-				if err != nil {
-					t.Fatalf("seed %d pruned: %v", seed, err)
-				}
-				sc.Config.NoPrune = true
-				plain, err := runOnce(sc, true, false)
-				if err != nil {
-					t.Fatalf("seed %d unpruned: %v", seed, err)
-				}
-				if d := diffSnapshots("pruned", "unpruned", pruned.Snap, plain.Snap); d != "" {
-					t.Fatalf("seed %d: pruning changed guest state: %s", seed, d)
-				}
-				pr, err := pruned.Store.AllRecords()
-				if err != nil {
-					t.Fatalf("seed %d: pruned records: %v", seed, err)
-				}
-				ur, err := plain.Store.AllRecords()
-				if err != nil {
-					t.Fatalf("seed %d: unpruned records: %v", seed, err)
-				}
-				if len(pr) != len(ur) {
-					t.Fatalf("seed %d: %d records pruned vs %d unpruned", seed, len(pr), len(ur))
-				}
-				for i := range pr {
-					if pr[i] != ur[i] {
-						t.Fatalf("seed %d: record %d differs:\npruned:   %+v\nunpruned: %+v", seed, i, pr[i], ur[i])
+				var may softfloat.Flags
+				for _, s := range absint.Analyze(sc.Prog).Sites {
+					if s.Reachable {
+						may |= s.May
 					}
 				}
-				if a, b := eventSummary(pruned.Store), eventSummary(plain.Store); a != b {
-					t.Fatalf("seed %d: monitor events differ:\npruned:   %q\nunpruned: %q", seed, a, b)
-				}
-			}
-		})
-	}
-}
-
-// TestChaosStaticSoundness checks the abstract interpreter's verdicts
-// against the chaos corpus: every condition a scenario dynamically
-// raises must be may-possible at that site. A violation here means the
-// static analysis under-approximated — the hard failure mode.
-func TestChaosStaticSoundness(t *testing.T) {
-	for _, f := range Families() {
-		f := f
-		t.Run(string(f), func(t *testing.T) {
-			t.Parallel()
-			for seed := int64(1); seed <= 3; seed++ {
-				sc := Generate(f, seed)
-				sc.Config.Mode = core.ModeIndividual
-				sc.Config.SampleEvery = 0
-				sc.Config.SampleOnUS, sc.Config.SampleOffUS = 0, 0
-				sc.Config.MaxCount = 0
-				sc.Config.ExceptList = core.AllEvents
-				run, err := runOnce(sc, true, false)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				recs, err := run.Store.AllRecords()
-				if err != nil {
-					t.Fatalf("seed %d: records: %v", seed, err)
-				}
-				res := absint.Analyze(sc.Prog)
-				for _, v := range absint.CheckSoundness(res, recs) {
-					t.Errorf("seed %d: %s", seed, v)
+				for _, noFast := range []bool{false, true} {
+					sc.Config.ExceptList = core.AllEvents
+					full, err := runOnce(sc, true, noFast)
+					if err != nil {
+						t.Fatalf("seed %d precise=%v full: %v", seed, noFast, err)
+					}
+					sc.Config.ExceptList = core.AllEvents & may
+					pruned, err := runOnce(sc, true, noFast)
+					if err != nil {
+						t.Fatalf("seed %d precise=%v pruned: %v", seed, noFast, err)
+					}
+					if d := diffSnapshots("full", "pruned", full.Snap, pruned.Snap); d != "" {
+						t.Fatalf("seed %d precise=%v: pruning changed guest state: %s", seed, noFast, d)
+					}
+					fr, err := full.Store.AllRecords()
+					if err != nil {
+						t.Fatalf("seed %d precise=%v: full records: %v", seed, noFast, err)
+					}
+					pr, err := pruned.Store.AllRecords()
+					if err != nil {
+						t.Fatalf("seed %d precise=%v: pruned records: %v", seed, noFast, err)
+					}
+					if len(fr) != len(pr) {
+						t.Fatalf("seed %d precise=%v: %d records full vs %d pruned", seed, noFast, len(fr), len(pr))
+					}
+					for i := range fr {
+						a, b := fr[i], pr[i]
+						a.MXCSR &^= uint32(mxcsr.MaskBits)
+						b.MXCSR &^= uint32(mxcsr.MaskBits)
+						if a != b {
+							t.Fatalf("seed %d precise=%v: record %d differs:\nfull:   %+v\npruned: %+v", seed, noFast, i, fr[i], pr[i])
+						}
+					}
+					if a, b := eventSummary(full.Store), eventSummary(pruned.Store); a != b {
+						t.Fatalf("seed %d precise=%v: monitor events differ:\nfull:   %q\npruned: %q", seed, noFast, a, b)
+					}
 				}
 			}
 		})

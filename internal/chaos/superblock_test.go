@@ -1,18 +1,21 @@
 package chaos
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// TestSuperblockDifferential runs every chaos family with the superblock
-// region cache on and off (the FPE_NOSUPERBLOCK ablation) and requires
-// the guest-visible outcome — registers, mask registers, memory, exit
-// codes, retirement counts — to be bit-identical, plus the recorded
-// traces and monitor events. The cache is purely a dispatch shortcut:
-// if it ever changes what the guest or the monitor observes, this test
-// is the tripwire.
+// TestSuperblockDifferential runs every chaos family in aggregate mode,
+// where the spy takes no per-instruction traps and superblock regions
+// run longest, on the superblock engine and on the precise single-step
+// reference, and requires the guest-visible outcome — registers, mask
+// registers, memory, exit codes, retirement counts — to be
+// bit-identical, plus the recorded traces, the aggregate records and
+// the monitor events. The
+// engines are interchangeable only if this holds in both modes;
+// TestChaosSweep checks individual mode, the families' own.
 func TestSuperblockDifferential(t *testing.T) {
 	for _, f := range Families() {
 		f := f
@@ -20,39 +23,31 @@ func TestSuperblockDifferential(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 2; seed++ {
 				sc := Generate(f, seed)
-				sc.Config.Mode = core.ModeIndividual
+				sc.Config.Mode = core.ModeAggregate
 
-				sc.Config.NoSuperblock = false
-				cached, err := runOnce(sc, true, false)
+				fast, err := runOnce(sc, true, false)
 				if err != nil {
-					t.Fatalf("seed %d cached: %v", seed, err)
+					t.Fatalf("seed %d fast: %v", seed, err)
 				}
-				sc.Config.NoSuperblock = true
-				plain, err := runOnce(sc, true, false)
+				precise, err := runOnce(sc, true, true)
 				if err != nil {
-					t.Fatalf("seed %d uncached: %v", seed, err)
+					t.Fatalf("seed %d precise: %v", seed, err)
 				}
-				if d := diffSnapshots("superblock", "nosuperblock", cached.Snap, plain.Snap); d != "" {
-					t.Fatalf("seed %d: superblock cache changed guest state: %s", seed, d)
+				if d := diffSnapshots("fast", "precise", fast.Snap, precise.Snap); d != "" {
+					t.Fatalf("seed %d: superblock engine changed guest state: %s", seed, d)
 				}
-				cr, err := cached.Store.AllRecords()
+				d, err := diffRecords(fast.Store, precise.Store)
 				if err != nil {
-					t.Fatalf("seed %d: cached records: %v", seed, err)
+					t.Fatalf("seed %d: %v", seed, err)
 				}
-				ur, err := plain.Store.AllRecords()
-				if err != nil {
-					t.Fatalf("seed %d: uncached records: %v", seed, err)
+				if d != "" {
+					t.Fatalf("seed %d: traces differ across engines: %s", seed, d)
 				}
-				if len(cr) != len(ur) {
-					t.Fatalf("seed %d: %d records cached vs %d uncached", seed, len(cr), len(ur))
+				if a, b := fast.Store.Aggregates(), precise.Store.Aggregates(); !reflect.DeepEqual(a, b) {
+					t.Fatalf("seed %d: aggregate records differ:\nfast:    %+v\nprecise: %+v", seed, a, b)
 				}
-				for i := range cr {
-					if cr[i] != ur[i] {
-						t.Fatalf("seed %d: record %d differs:\ncached:   %+v\nuncached: %+v", seed, i, cr[i], ur[i])
-					}
-				}
-				if a, b := eventSummary(cached.Store), eventSummary(plain.Store); a != b {
-					t.Fatalf("seed %d: monitor events differ:\ncached:   %q\nuncached: %q", seed, a, b)
+				if a, b := eventSummary(fast.Store), eventSummary(precise.Store); a != b {
+					t.Fatalf("seed %d: monitor events differ:\nfast:    %q\nprecise: %q", seed, a, b)
 				}
 			}
 		})

@@ -17,6 +17,8 @@ package cluster_test
 //     and expired leases re-queue on the victim.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"net/http"
@@ -189,7 +191,7 @@ func ownerIndex(t testing.TB, peers []*peerT, j *jobs.Job, cfg fpspy.Config) int
 func jobOwnedBy(t testing.TB, peers []*peerT, want int, cfg fpspy.Config) *jobs.Job {
 	t.Helper()
 	for i := 0; i < 512; i++ {
-		j := cjob(t, fmt.Sprintf("owned-%d-%d", want, i), 1+i%5)
+		j := cjob(t, fmt.Sprintf("owned-%d-%d", want, i), 1+i)
 		if ownerIndex(t, peers, j, cfg) == want {
 			return j
 		}
@@ -522,9 +524,12 @@ func TestClusterStealLeaseExpiry(t *testing.T) {
 
 	// Steal directly over HTTP and never return the outcome: a stealer
 	// that died mid-job.
+	const stealBody = `{"max":1}`
 	hreq, _ := http.NewRequest(http.MethodPost, peers[0].url+"/cluster/v1/steal",
-		jsonBody(`{"max":1}`))
+		jsonBody(stealBody))
 	hreq.Header.Set("Content-Type", "application/json")
+	sum := sha256.Sum256([]byte(stealBody))
+	hreq.Header.Set(cluster.DigestHeader, hex.EncodeToString(sum[:]))
 	hresp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		t.Fatal(err)

@@ -179,12 +179,13 @@ func NewNode(o Options) (*Node, error) {
 	n.mux.HandleFunc("POST /v1/shadowjobs", n.handleShadowSubmit)
 	n.mux.HandleFunc("GET /v1/jobs/{id}", n.handleStatus)
 	n.mux.HandleFunc("GET /v1/jobs/{id}/result", n.handleResult)
-	n.mux.HandleFunc("POST /cluster/v1/run", n.handleRun)
-	n.mux.HandleFunc("GET /cluster/v1/cache/{key}", n.handleCache)
-	n.mux.HandleFunc("GET /cluster/v1/health", n.handleHealth)
-	n.mux.HandleFunc("POST /cluster/v1/steal", n.handleSteal)
-	n.mux.HandleFunc("POST /cluster/v1/complete", n.handleComplete)
-	n.mux.HandleFunc("POST /cluster/v1/join", n.handleJoin)
+	peerRPC := func(pattern string, h http.HandlerFunc) { n.mux.HandleFunc(pattern, verified(h)) }
+	peerRPC("POST /cluster/v1/run", n.handleRun)
+	peerRPC("GET /cluster/v1/cache/{key}", n.handleCache)
+	peerRPC("GET /cluster/v1/health", n.handleHealth)
+	peerRPC("POST /cluster/v1/steal", n.handleSteal)
+	peerRPC("POST /cluster/v1/complete", n.handleComplete)
+	peerRPC("POST /cluster/v1/join", n.handleJoin)
 	n.mux.Handle("/", n.srv) // healthz, metrics, figures pass through
 	if o.ProbeInterval > 0 {
 		n.wg.Add(1)
@@ -219,10 +220,18 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.mux.ServeHTTP(w, r)
 }
 
+// clusterJSON writes v as the JSON reply body with its digest.
 func clusterJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": err.Error()})
+	}
+	body = append(body, '\n')
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(DigestHeader, bodyDigest(body))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone
+	w.Write(body) //nolint:errcheck // client gone
 }
 
 func clusterError(w http.ResponseWriter, status int, format string, args ...any) {

@@ -21,7 +21,7 @@ import (
 
 func TestClusterRoutedProbeFingerprint(t *testing.T) {
 	peers := newTestCluster(t, 3, nil)
-	cfg := study.ProbeConfig(study.ProbeEngine{})
+	cfg := study.ProbeConfig()
 
 	probe, err := workload.BuildProbe(workload.DefaultProbeSpec(workload.ProbeStrided, workload.SizeSmall))
 	if err != nil {

@@ -8,10 +8,17 @@ package cluster
 // the run RPC is idempotent by construction: it is keyed on the content
 // address, so a duplicate arrival is a cache hit on the receiver, never
 // a second study pass.
+//
+// Every request and reply body travels with its SHA-256 digest in
+// DigestHeader. A body whose digest is missing or wrong was corrupted
+// in flight: both ends treat it as a dropped call, never as data, so a
+// flipped bit can only cost a retry — it cannot become a cached result.
 
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -95,9 +102,50 @@ func (e *rpcError) Error() string {
 // ErrNoPeers means the ring has no live replica for the call.
 var ErrNoPeers = errors.New("cluster: no live peers")
 
-// rpcRetryable classifies an attempt error: transport failures, decode
-// failures (a corrupted wire must never be trusted, only retried), and
-// 5xx responses are transient; 4xx responses are permanent.
+// DigestHeader carries the hex SHA-256 of a /cluster/v1/* body.
+const DigestHeader = "X-Fpspy-Digest"
+
+// rpcBodyLimit bounds the bytes read from one request or reply body.
+const rpcBodyLimit = 64 << 20
+
+// errDigest marks a body that failed its digest check.
+var errDigest = errors.New("cluster rpc: body digest mismatch")
+
+func bodyDigest(body []byte) string {
+	sum := sha256.Sum256(body)
+	return hex.EncodeToString(sum[:])
+}
+
+// checkDigest verifies body against the digest its sender put in h.
+func checkDigest(h http.Header, body []byte) error {
+	if h.Get(DigestHeader) != bodyDigest(body) {
+		return errDigest
+	}
+	return nil
+}
+
+// verified admits a /cluster/v1/* request only when its body matches its
+// digest, so no handler ever decodes a corrupted body. A mismatch is
+// answered 502, which the sender retries like a dropped call.
+func verified(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(io.LimitReader(r.Body, rpcBodyLimit))
+		if err == nil {
+			err = checkDigest(r.Header, body)
+		}
+		if err != nil {
+			clusterError(w, http.StatusBadGateway, "%v", err)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		h(w, r)
+	}
+}
+
+// rpcRetryable classifies an attempt error: transport failures, digest
+// and decode failures (a corrupted wire must never be trusted, only
+// retried), and 5xx responses are transient; 4xx responses are
+// permanent.
 func rpcRetryable(err error) bool {
 	var re *rpcError
 	if errors.As(err, &re) {
@@ -131,7 +179,7 @@ func newRPCClient(hc *http.Client, o Options, cm *obs.ClusterMetrics) *rpcClient
 }
 
 // once performs one HTTP exchange against one peer and returns the raw
-// response body on 2xx.
+// response body on 2xx, after checking it against its digest.
 func (r *rpcClient) once(ctx context.Context, peer, method, path string, in any) ([]byte, error) {
 	var body []byte
 	if in != nil {
@@ -147,17 +195,21 @@ func (r *rpcClient) once(ctx context.Context, peer, method, path string, in any)
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	req.Header.Set(DigestHeader, bodyDigest(body))
 	resp, err := r.hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, rpcBodyLimit))
 	if err != nil {
 		return nil, err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		return nil, &rpcError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(data))}
+	}
+	if err := checkDigest(resp.Header, data); err != nil {
+		return nil, fmt.Errorf("%w (%s %s)", err, method, path)
 	}
 	return data, nil
 }

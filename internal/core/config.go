@@ -18,9 +18,6 @@
 //	FPE_TIMER        "real" or "virtual" time for temporal sampling
 //	FPE_STORM        "N:C" trap-storm watchdog: demote to aggregate mode
 //	                 when a thread takes N faults within C cycles
-//	FPE_NOPRUNE      "yes": disable static trap-site pruning (ablation)
-//	FPE_NOSUPERBLOCK "yes": disable the superblock region cache and run
-//	                 the fast path per-instruction (ablation)
 //	FPE_SHADOW       shadow-precision channel: recompute every FP op at
 //	                 N mantissa bits and attribute rounding error per
 //	                 site (0/unset disables)
@@ -91,18 +88,6 @@ type Config struct {
 	// a thread taking StormFaults SIGFPEs within a StormCycles window
 	// demotes the whole process to aggregate mode.
 	StormFaults, StormCycles uint64
-	// NoPrune disables static trap-site pruning in individual mode (the
-	// ablation knob for the abstract-interpretation verdicts; compare
-	// NoFastPath on the kernel side). Pruned and unpruned runs are
-	// bit-identical — this exists for differential testing and for
-	// measuring the pruning speedup.
-	NoPrune bool
-	// NoSuperblock disables the machine's superblock region cache while
-	// keeping the batched fast path (the FPE_NOSUPERBLOCK ablation;
-	// compare NoFastPath, which disables batching entirely). Cached and
-	// uncached runs are bit-identical — this exists for differential
-	// testing and for measuring the superblock speedup.
-	NoSuperblock bool
 	// ShadowPrec, when nonzero, attaches a shadow-precision channel
 	// (internal/shadow) to every monitored thread's machine: each retired
 	// FP instruction is recomputed in ShadowPrec-bit big.Float arithmetic
@@ -150,8 +135,6 @@ func ParseConfig(env map[string]string) (Config, error) {
 	cfg.Aggressive = isYes(env["FPE_AGGRESSIVE"])
 	cfg.Poisson = isYes(env["FPE_POISSON"])
 	cfg.Breakpoints = isYes(env["FPE_BRKPT"])
-	cfg.NoPrune = isYes(env["FPE_NOPRUNE"])
-	cfg.NoSuperblock = isYes(env["FPE_NOSUPERBLOCK"])
 	if v := env["FPE_SHADOW"]; v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil || n < MinShadowPrec || n > MaxShadowPrec {
@@ -244,12 +227,6 @@ func (c Config) EnvVars() map[string]string {
 	}
 	if c.Breakpoints {
 		env["FPE_BRKPT"] = "yes"
-	}
-	if c.NoPrune {
-		env["FPE_NOPRUNE"] = "yes"
-	}
-	if c.NoSuperblock {
-		env["FPE_NOSUPERBLOCK"] = "yes"
 	}
 	if c.ShadowPrec > 0 {
 		env["FPE_SHADOW"] = strconv.FormatUint(c.ShadowPrec, 10)

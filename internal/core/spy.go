@@ -84,7 +84,6 @@ type Spy struct {
 	// counters and the event tracer. Both are nil-safe by construction
 	// and never influence monitoring decisions.
 	om  *obs.SpyMetrics
-	opm *obs.PruneMetrics
 	osh *obs.ShadowMetrics
 	otr *obs.Tracer
 }
@@ -105,7 +104,6 @@ func FactoryObs(store *Store, m *obs.Metrics) kernel.ObjectFactory {
 			threads: make(map[int]*threadState),
 			fights:  make(map[kernel.Signal]uint64),
 			om:      m.SpyMetricsOrNil(),
-			opm:     m.PruneMetricsOrNil(),
 			osh:     m.ShadowMetricsOrNil(),
 			otr:     m.TracerOrNil(),
 		}
@@ -236,9 +234,6 @@ func (s *Spy) threadInit(k *kernel.Kernel, t *kernel.Task) {
 		s.otr.Instant("fpspy", "thread-init", s.proc.PID, t.TID, "state", uint64(s.state))
 	}
 
-	if s.cfg.NoSuperblock {
-		t.M.NoSuperblock = true
-	}
 	if s.cfg.ShadowPrec > 0 {
 		ts.shadow = shadow.Attach(t.M, uint(s.cfg.ShadowPrec), s.osh)
 	}
@@ -246,9 +241,6 @@ func (s *Spy) threadInit(k *kernel.Kernel, t *kernel.Task) {
 	cpu.MXCSR.ClearFlags()
 	if s.state == StateIndividual {
 		cpu.MXCSR.Unmask(s.cfg.ExceptList)
-		if !s.cfg.NoPrune {
-			s.installPruneTable(t)
-		}
 		if s.temporalSampling() {
 			t.SetTimer(s.timerKind(), s.period(ts, s.cfg.SampleOnUS))
 		}

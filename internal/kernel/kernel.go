@@ -120,14 +120,11 @@ type Kernel struct {
 	// longest-running virtual CPU).
 	Cycles uint64
 	// NoFastPath forces the precise per-instruction execution path,
-	// disabling the batched straight-line fast path. Used by equivalence
-	// tests and ablations; the two paths are bit-identical by
-	// construction, so leaving this false is always safe.
+	// disabling the batched straight-line fast path. It is the reference
+	// the engine differentials check the fast path against; the two
+	// paths are bit-identical by construction, so leaving this false is
+	// always safe.
 	NoFastPath bool
-	// NoSuperblock keeps the fast path but disables the superblock
-	// region cache, falling back to the per-instruction Step loop (the
-	// FPE_NOSUPERBLOCK ablation). Bit-identical to the default engine.
-	NoSuperblock bool
 	// Inject, when non-nil, enables seeded chaos perturbations (delayed
 	// signal delivery, adversarial scheduling). Nil for normal runs.
 	Inject *Inject
@@ -214,7 +211,6 @@ func (k *Kernel) addTask(p *Process, m *machine.Machine) *Task {
 		m.Obs = &k.Obs.Machine
 		m.Flops = &k.Obs.Flop
 	}
-	m.NoSuperblock = k.NoSuperblock
 	t := &Task{TID: k.nextTID, Proc: p, M: m}
 	k.nextTID++
 	p.Tasks = append(p.Tasks, t)

@@ -21,19 +21,17 @@ package machine
 // faulting instruction does not retire, and RIP is left exactly where
 // Step would leave it.
 //
-// The default engine dispatches cached superblock regions (see
-// superblock.go); NoSuperblock (the FPE_NOSUPERBLOCK ablation) falls
-// back to a tight per-instruction Step loop. Results are bit-identical
-// either way.
+// RunStraight dispatches cached superblock regions (see superblock.go).
+// While a shadow sink is attached it steps one instruction at a time
+// instead, so every retire gets its PreStep/Retired pair.
 func (m *Machine) RunStraight(max uint64) (uint64, Event) {
 	if m.CPU.TF {
 		return 0, m.Step()
 	}
-	if m.NoSuperblock || m.Shadow != nil {
-		// A shadow sink needs the per-instruction PreStep/Retired pair;
-		// the superblock engine retires whole regions at once, so it
-		// cannot drive one. Falling back reuses the ablation path whose
-		// bit-identity to the superblock engine is proven elsewhere.
+	if m.Shadow != nil {
+		// The superblock engine retires whole regions at once, so it
+		// cannot drive a per-instruction sink; Step is the precise
+		// reference the superblock engine is checked against.
 		var n uint64
 		for n < max {
 			if ev := m.Step(); ev != nil {

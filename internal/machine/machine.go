@@ -134,24 +134,11 @@ type Machine struct {
 	// (guest MXCSR traffic, breakpoint arming). Nil means no
 	// instrumentation; the execution paths are unchanged either way.
 	Obs *obs.MachineMetrics
-	// QuietFP, when non-nil, marks instruction indices statically proven
-	// to never raise any FP exception condition (see
-	// internal/binscan/absint). Marked arithmetic sites retire on native
-	// hardware floating point instead of the softfloat interpreter —
-	// bit-identical results, no flag updates, no trap checks. Nil (the
-	// default) disables pruning entirely. Mutate through SetQuietFP so
-	// cached superblock metadata observes the change.
-	QuietFP []bool
 	// Flops, when non-nil, receives SDE-style FLOP accounting: per-op,
 	// per-precision counts of retired floating point lane operations
 	// (FMA counts 2 per lane, masked-off lanes count as skipped). Nil
 	// means no accounting, same contract as Obs.
 	Flops *obs.FlopMetrics
-	// NoSuperblock disables the superblock region cache: RunStraight
-	// falls back to per-instruction Step dispatch. This is the
-	// FPE_NOSUPERBLOCK ablation knob; results are bit-identical either
-	// way.
-	NoSuperblock bool
 	// Shadow, when non-nil, observes instruction flow for the
 	// shadow-precision channel (internal/shadow): PreStep fires after
 	// instruction resolution with pre-execution state still readable,
@@ -163,8 +150,8 @@ type Machine struct {
 	Shadow ShadowSink
 
 	// codeVersion tags cached superblock regions; anything that changes
-	// how an instruction executes in place (breakpoint stubbing, prune
-	// table swaps) bumps it, invalidating every cached region at once.
+	// how an instruction executes in place (breakpoint stubbing) bumps
+	// it, invalidating every cached region at once.
 	codeVersion uint64
 	// sbCache holds decoded straight-line regions by start instruction
 	// index, allocated lazily on the first superblock dispatch.
@@ -204,14 +191,6 @@ func (m *Machine) SetBreakpoint(addr uint64) {
 // ClearBreakpoint restores the instruction at addr.
 func (m *Machine) ClearBreakpoint(addr uint64) {
 	delete(m.Breakpoints, addr)
-	m.codeVersion++
-}
-
-// SetQuietFP installs (or removes, with nil) the statically-proven-quiet
-// site table, invalidating cached superblock regions whose metadata
-// bakes in the old prune verdicts.
-func (m *Machine) SetQuietFP(table []bool) {
-	m.QuietFP = table
 	m.codeVersion++
 }
 
@@ -422,12 +401,8 @@ func (m *Machine) Step() Event {
 		m.execMask(inst)
 
 	default:
-		// Floating point execute path: statically-proven-quiet sites
-		// retire natively; everything else computes results into a
-		// staging buffer, then either faults (unmasked) or writes back.
-		if m.quietStep(idx, inst, info) {
-			break
-		}
+		// Floating point execute path: compute results into a staging
+		// buffer, then either fault (unmasked) or write back.
 		if ev := m.execFP(inst, info, idx, addr); ev != nil {
 			return ev
 		}

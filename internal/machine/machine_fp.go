@@ -98,7 +98,7 @@ func cvtSingle(kind isa.ConvertKind) bool {
 // countFlops credits the SDE-style FLOP accounting group for one retired
 // floating point instruction. It must only run at retirement (a faulted
 // instruction performed no architectural work), and it is shared by
-// every execution engine — interpreted, quiet, and superblock — so the
+// every execution engine — interpreted and superblock — so the
 // counters are engine-invariant. Callers check m.Flops != nil.
 func (m *Machine) countFlops(inst *isa.Inst, info *isa.OpInfo) {
 	f := m.Flops

@@ -14,10 +14,9 @@ import (
 // from a start index — it ends at the first control transfer (branch,
 // hlt, callc) or stubbed breakpoint address — and its metadata bakes in
 // everything that is static per instruction: the decoded Inst and
-// OpInfo pointers, the retirement kind, and the prune verdict from the
-// absint table. Regions are keyed by (start index, code version); the
-// version bumps whenever in-place execution behavior changes
-// (SetBreakpoint/ClearBreakpoint, SetQuietFP), invalidating every
+// OpInfo pointers and the retirement kind. Regions are keyed by (start
+// index, code version); the version bumps whenever in-place execution
+// behavior changes (SetBreakpoint/ClearBreakpoint), invalidating every
 // cached region at once.
 //
 // Inside a region, RIP, nextIdx, and Retired are not updated per
@@ -32,8 +31,8 @@ import (
 
 // SBKind is the precomputed retirement kind of one instruction inside a
 // superblock region. It collapses the per-Step class switch and the
-// quiet/masked/scalar sub-dispatch into one enum resolved at region
-// build time.
+// masked/scalar sub-dispatch into one enum resolved at region build
+// time.
 type SBKind uint8
 
 const (
@@ -47,10 +46,6 @@ const (
 	SBFPMove
 	// SBMask is a mask-register move (kmov forms).
 	SBMask
-	// SBFPQuiet is arithmetic statically proven to never raise: it
-	// retires on native hardware floats when the live environment is
-	// still the power-on default, else falls back to the interpreter.
-	SBFPQuiet
 	// SBFPScalar64 is unmasked scalar binary64 arithmetic — the hottest
 	// FP shape — retired through an inline fast lane that skips the
 	// full-width staging buffer.
@@ -125,13 +120,8 @@ func (m *Machine) buildRegion(r *sbRegion, idx int) {
 			kind = SBMask
 		default:
 			kind = SBFP
-			if info.Class == isa.ClassFPArith && !info.Masked {
-				switch {
-				case m.QuietFP != nil && j < len(m.QuietFP) && m.QuietFP[j]:
-					kind = SBFPQuiet
-				case info.Prec == isa.F64 && info.Lanes == 1:
-					kind = SBFPScalar64
-				}
+			if info.Class == isa.ClassFPArith && !info.Masked && info.Prec == isa.F64 && info.Lanes == 1 {
+				kind = SBFPScalar64
 			}
 		}
 		r.meta = append(r.meta, sbMeta{
@@ -142,8 +132,8 @@ func (m *Machine) buildRegion(r *sbRegion, idx int) {
 	}
 }
 
-// runSuperblock is RunStraight's cached dispatch loop (TF clear,
-// NoSuperblock off).
+// runSuperblock is RunStraight's cached dispatch loop (TF clear, no
+// shadow sink attached).
 func (m *Machine) runSuperblock(max uint64) (uint64, Event) {
 	var n uint64
 	for n < max {
@@ -272,20 +262,6 @@ func (m *Machine) execMeta(mt *sbMeta, idx int, addr uint64, env softfloat.Env) 
 		m.execMove(mt.inst)
 	case SBMask:
 		m.execMask(mt.inst)
-	case SBFPQuiet:
-		if env == (softfloat.Env{}) {
-			m.execFPQuiet(mt.inst, mt.info)
-			if m.Obs != nil {
-				m.Obs.QuietSteps.Inc()
-			}
-			if m.Flops != nil {
-				m.countFlops(mt.inst, mt.info)
-			}
-			return nil
-		}
-		// Environment moved off the default: the static proof does not
-		// apply, take the interpreted path like quietStep's fallback.
-		return m.execFP(mt.inst, mt.info, idx, addr)
 	case SBFPScalar64:
 		return m.execFPScalar64(mt.inst, mt.info, idx, addr, env)
 	case SBFP:

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/obs"
 	"repro/internal/softfloat"
 )
 
@@ -47,18 +46,22 @@ func wideFPProgram() *isa.Program {
 	return b.Build()
 }
 
-// driveFast drives m with the FPSpy-style mask-then-single-step handler
-// through RunStraight, returning the observed event sequence.
-func driveFast(t *testing.T, m *Machine) []string {
+// drive runs m with the FPSpy-style mask-then-single-step handler,
+// returning the observed event sequence. batched retires through
+// RunStraight's superblocks; otherwise every instruction is a Step.
+func drive(t *testing.T, m *Machine, batched bool) []string {
 	t.Helper()
 	m.CPU.R[isa.SP] = uint64(len(m.Mem))
 	m.CPU.MXCSR.Unmask(softfloat.FlagInexact)
 	var events []string
 	for i := 0; i < 100000; i++ {
 		var ev Event
-		if m.CPU.TF {
+		if m.CPU.TF || !batched {
 			ev = m.Step()
-		} else if _, ev = m.RunStraight(13); ev == nil {
+		} else {
+			_, ev = m.RunStraight(13)
+		}
+		if ev == nil {
 			continue
 		}
 		switch e := ev.(type) {
@@ -82,18 +85,17 @@ func driveFast(t *testing.T, m *Machine) []string {
 	return nil
 }
 
-// TestSuperblockMatchesNoSuperblock is the engine ablation differential:
-// the cached superblock dispatch and the per-instruction fast path must
-// produce bit-identical architectural outcomes — registers, mask
+// TestSuperblockMatchesStep is the engine differential: the cached
+// superblock dispatch and the precise per-instruction Step reference
+// must produce bit-identical architectural outcomes — registers, mask
 // registers, memory, retirement counts, and the event sequence — on a
 // program covering every SBKind.
-func TestSuperblockMatchesNoSuperblock(t *testing.T) {
+func TestSuperblockMatchesStep(t *testing.T) {
 	for _, prog := range []func() *isa.Program{wideFPProgram, eventFPProgram} {
 		cached := New(prog(), 1<<21)
-		evA := driveFast(t, cached)
+		evA := drive(t, cached, true)
 		plain := New(prog(), 1<<21)
-		plain.NoSuperblock = true
-		evB := driveFast(t, plain)
+		evB := drive(t, plain, false)
 
 		if cached.CPU != plain.CPU {
 			t.Errorf("CPU state diverged:\n cached %+v\n plain  %+v", cached.CPU, plain.CPU)
@@ -161,45 +163,6 @@ func TestSuperblockBreakpointInvalidation(t *testing.T) {
 	}
 	if m.CPU.R[isa.R4] != 4 {
 		t.Error("instruction after cleared breakpoint did not execute")
-	}
-}
-
-// TestSuperblockQuietFPInvalidation verifies SetQuietFP bumps the code
-// version: regions cached before the prune table arrives must rebuild
-// so proven-quiet sites take the native path (visible as QuietSteps).
-func TestSuperblockQuietFPInvalidation(t *testing.T) {
-	b := isa.NewBuilder("quiet")
-	b.Movi(isa.R1, int64(math.Float64bits(1)))
-	b.Movqx(isa.X0, isa.R1)
-	b.Movi(isa.R1, int64(math.Float64bits(2)))
-	b.Movqx(isa.X1, isa.R1)
-	b.FP2(isa.OpADDSD, isa.X2, isa.X0, isa.X1) // 1+2: exact, provably quiet
-	b.Hlt()
-	m := New(b.Build(), 64)
-	om := obs.New(obs.Options{})
-	m.Obs = &om.Machine
-
-	// Warm the cache with no quiet table: the add retires interpreted.
-	if n, ev := m.RunStraight(5); ev != nil || n != 5 {
-		t.Fatalf("warmup: n=%d ev=%T (want 5 clean retires)", n, ev)
-	}
-	if got := om.Machine.QuietSteps.Load(); got != 0 {
-		t.Fatalf("QuietSteps = %d before any prune table", got)
-	}
-
-	table := make([]bool, 6)
-	table[4] = true // the ADDSD site
-	m.SetQuietFP(table)
-	m.CPU.RIP = m.Prog.Base
-	m.nextIdx = 0
-	if _, ev := m.RunStraight(100); ev == nil {
-		t.Fatal("no halt on second run")
-	}
-	if got := om.Machine.QuietSteps.Load(); got != 1 {
-		t.Errorf("QuietSteps = %d after SetQuietFP, want 1 (stale region not rebuilt?)", got)
-	}
-	if m.CPU.X[isa.X2][0] != math.Float64bits(3) {
-		t.Errorf("quiet add result %#x", m.CPU.X[isa.X2][0])
 	}
 }
 

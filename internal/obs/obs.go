@@ -39,9 +39,6 @@ type Metrics struct {
 	// Spy instruments FPSpy itself: faults, records, the two-trap
 	// protocol, degradations.
 	Spy SpyMetrics
-	// Prune instruments the static trap-site pruning pipeline
-	// (internal/binscan/absint verdicts applied by the spy).
-	Prune PruneMetrics
 	// Flop holds SDE-style FLOP accounting from internal/machine:
 	// per-op, per-precision retired lane operations.
 	Flop FlopMetrics
@@ -122,15 +119,6 @@ func (m *Metrics) SpyMetricsOrNil() *SpyMetrics {
 		return nil
 	}
 	return &m.Spy
-}
-
-// PruneMetricsOrNil returns the trap-site pruning instrument group, or
-// nil when observability is disabled.
-func (m *Metrics) PruneMetricsOrNil() *PruneMetrics {
-	if m == nil {
-		return nil
-	}
-	return &m.Prune
 }
 
 // FlopMetricsOrNil returns the FLOP accounting group, or nil when
@@ -236,25 +224,6 @@ type MachineMetrics struct {
 	// BreakpointsArmed counts instructions stubbed by the Section 3.8
 	// breakpoint protocol.
 	BreakpointsArmed Counter
-	// QuietSteps counts FP instructions retired on the native quiet path
-	// because the static verifier pruned their trap site.
-	QuietSteps Counter
-}
-
-// PruneMetrics instruments the static trap-site pruning pipeline: how
-// often the abstract interpreter ran, how many sites it proved quiet,
-// and whether a varying FP environment forced pruning off.
-type PruneMetrics struct {
-	// Analyses counts abstract-interpretation runs requested by the spy
-	// (cache hits included; the analysis itself memoizes per program).
-	Analyses Counter
-	// SitesTotal is the FP site count of the last analyzed program.
-	SitesTotal Gauge
-	// SitesPruned is the number of those sites proven quiet and pruned.
-	SitesPruned Gauge
-	// EnvVarying counts analyses that found a reachable ldmxcsr and so
-	// disabled pruning for the whole program.
-	EnvVarying Counter
 }
 
 // FlopPrecisions indexes the per-precision counter pairs of
@@ -269,8 +238,8 @@ const FlopPrecisions = 2
 // and dpps decomposes into its multiplies and adds. Masked-off lanes of
 // write-masked forms credit MaskedSkipped instead — they neither
 // compute nor raise, mirroring SDE's masking awareness. The counters
-// are engine-invariant: interpreted, quiet-pruned, and superblock
-// execution credit identically, and only retired instructions count (a
+// are engine-invariant: stepped and superblock execution credit
+// identically, and only retired instructions count (a
 // faulted instruction performed no architectural work).
 type FlopMetrics struct {
 	// Add through Max count ClassFPArith lane operations by FPOp.

@@ -62,20 +62,22 @@ const (
 	NameServerRateLimited   = "server.rate-limited"
 	NameServerShed          = "server.shed"
 	NameServerQueueDepth    = "server.queue-depth"
-	NameMachineQuietSteps   = "machine.quiet.steps"
 	NameClusterForwards     = "cluster.forwards"
 	NameClusterHedges       = "cluster.hedges"
 	NameClusterEvictions    = "cluster.evictions"
 	NameClusterStealsIn     = "cluster.steals.in"
 	NameClusterPartition    = "cluster.partition-local"
-	NamePruneAnalyses       = "prune.analyses"
-	NamePruneSitesTotal     = "prune.sites-total"
-	NamePruneSitesPruned    = "prune.sites-pruned"
 	NameFlopMaskedSkipped   = "flop.masked-skipped"
 	NameShadowChannels      = "shadow.channels"
 	NameShadowOps           = "shadow.ops"
 	NameShadowSites         = "shadow.sites"
 )
+
+// NameMachineQuietSteps is retired: it counted instructions retired on
+// the native lane of the removed static trap-site pruning, and no
+// snapshot emits it any more. It stays declared so readers of older
+// snapshots keep compiling; a lookup of it reads 0.
+const NameMachineQuietSteps = "machine.quiet.steps"
 
 // flopOpNames orders the FlopMetrics op groups for flattening; the
 // indices match flopOpCounters.
@@ -155,7 +157,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	counter("machine.mxcsr.guest-writes", &mm.GuestMXCSRWrites)
 	counter("machine.mxcsr.guest-reads", &mm.GuestMXCSRReads)
 	counter("machine.breakpoints.armed", &mm.BreakpointsArmed)
-	counter(NameMachineQuietSteps, &mm.QuietSteps)
 
 	fl := &m.Flop
 	for i, ops := range fl.flopOpCounters() {
@@ -167,12 +168,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		}
 	}
 	counter(NameFlopMaskedSkipped, &fl.MaskedSkipped)
-
-	pr := &m.Prune
-	counter(NamePruneAnalyses, &pr.Analyses)
-	counter("prune.env-varying", &pr.EnvVarying)
-	gauge(NamePruneSitesTotal, &pr.SitesTotal)
-	gauge(NamePruneSitesPruned, &pr.SitesPruned)
 
 	sp := &m.Spy
 	counter(NameSpyFaults, &sp.Faults)

@@ -137,6 +137,9 @@ func TestE2ERateLimit429(t *testing.T) {
 	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
 
 	alice := client.New(ts.URL, "alice")
+	// Surface the first 429 instead of sleeping out its Retry-After
+	// (client_test covers retry-on-429).
+	alice.RetryMax = -1
 	if _, err := alice.Submit(job, cfg); err != nil {
 		t.Fatal(err)
 	}

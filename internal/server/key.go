@@ -97,9 +97,7 @@ func hashConfig(w io.Writer, c fpspy.Config) {
 	hashBool(w, c.Breakpoints)
 	hashU64(w, c.StormFaults)
 	hashU64(w, c.StormCycles)
-	// NoPrune/NoSuperblock are deliberately absent: they are proven
-	// bit-identical ablations, so keying on them would only split the
-	// cache. ShadowPrec is keyed — it changes the outcome (attribution
-	// report), and distinct precisions are distinct results.
+	// ShadowPrec is keyed — it changes the outcome (attribution report),
+	// and distinct precisions are distinct results.
 	hashU64(w, c.ShadowPrec)
 }

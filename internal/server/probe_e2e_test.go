@@ -29,7 +29,7 @@ func probeJob(t testing.TB, kind workload.ProbeKind) (*jobs.Job, *workload.Probe
 
 func TestE2EProbeFingerprintInSummary(t *testing.T) {
 	_, ts := newDaemon(t, server.Options{Workers: 2})
-	cfg := study.ProbeConfig(study.ProbeEngine{})
+	cfg := study.ProbeConfig()
 
 	job, probe := probeJob(t, workload.ProbeBlocked)
 	c := client.New(ts.URL, "probe-client")

@@ -23,44 +23,18 @@ import (
 )
 
 // ProbeEngine is one execution-engine configuration of the transparency
-// matrix: {fast, precise} × {prune on/off} × {superblock on/off}.
+// matrix.
 type ProbeEngine struct {
-	// Name is the cell label, e.g. "fast+prune+sb".
+	// Name is the cell label: "fast" or "precise".
 	Name string
 	// NoFastPath forces the precise single-step engine.
 	NoFastPath bool
-	// NoPrune disables absint trap-site pruning.
-	NoPrune bool
-	// NoSuperblock disables the superblock trace cache.
-	NoSuperblock bool
 }
 
-// ProbeEngines enumerates all eight engine configurations.
+// ProbeEngines enumerates the two engines: the default superblock fast
+// path and the precise single-step reference.
 func ProbeEngines() []ProbeEngine {
-	var out []ProbeEngine
-	for _, fast := range []bool{true, false} {
-		for _, prune := range []bool{true, false} {
-			for _, sb := range []bool{true, false} {
-				name := "precise"
-				if fast {
-					name = "fast"
-				}
-				if prune {
-					name += "+prune"
-				}
-				if sb {
-					name += "+sb"
-				}
-				out = append(out, ProbeEngine{
-					Name:         name,
-					NoFastPath:   !fast,
-					NoPrune:      !prune,
-					NoSuperblock: !sb,
-				})
-			}
-		}
-	}
-	return out
+	return []ProbeEngine{{Name: "fast"}, {Name: "precise", NoFastPath: true}}
 }
 
 // ProbeSchedule is one scheduler-perturbation scenario. The zero value
@@ -137,21 +111,22 @@ type ProbeCellResult struct {
 
 // ProbeConfig is the spy configuration every probe cell runs under:
 // unsampled individual mode capturing all events — the only mode whose
-// trace is complete enough to reconstruct from. Engine toggles are
-// layered on top.
-func ProbeConfig(eng ProbeEngine) fpspy.Config {
-	return fpspy.Config{
-		Mode:         fpspy.ModeIndividual,
-		ExceptList:   fpspy.AllEvents,
-		NoPrune:      eng.NoPrune,
-		NoSuperblock: eng.NoSuperblock,
-	}
+// trace is complete enough to reconstruct from.
+func ProbeConfig() fpspy.Config {
+	return fpspy.Config{Mode: fpspy.ModeIndividual, ExceptList: fpspy.AllEvents}
 }
 
 // RunProbeCell executes one cell hermetically: build the probe, run it
 // under the cell's engine and schedule, recover the accumulation tree
 // from the trace, and compare fingerprints.
 func RunProbeCell(cell ProbeCell) ProbeCellResult {
+	res, _, _ := runProbeCell(cell)
+	return res
+}
+
+// runProbeCell is RunProbeCell that also returns the run and its trace
+// records (nil when the cell failed before they existed).
+func runProbeCell(cell ProbeCell) (ProbeCellResult, *fpspy.Result, []fpspy.Record) {
 	res := ProbeCellResult{
 		Kernel:   string(cell.Spec.Kind),
 		N:        cell.Spec.N,
@@ -164,34 +139,34 @@ func RunProbeCell(cell ProbeCell) ProbeCellResult {
 	probe, err := workload.BuildProbe(cell.Spec)
 	if err != nil {
 		res.Err = err.Error()
-		return res
+		return res, nil, nil
 	}
 	res.Param = probe.Spec.Param
 	res.Expected = probe.Expected.Fingerprint()
 	run, err := fpspy.Run(probe.Prog, fpspy.Options{
-		Config:     ProbeConfig(cell.Engine),
+		Config:     ProbeConfig(),
 		NoFastPath: cell.Engine.NoFastPath,
 		Inject:     cell.Sched.inject(cell.Seed),
 	})
 	if _, err = vetPass("probe", run, err); err != nil {
 		res.Err = err.Error()
-		return res
+		return res, nil, nil
 	}
 	recs, err := run.Records()
 	if err != nil {
 		res.Err = err.Error()
-		return res
+		return res, run, nil
 	}
 	tree, err := analysis.RecoverProbeTree(recs)
 	if err != nil {
 		res.Err = err.Error()
-		return res
+		return res, run, recs
 	}
 	res.Fingerprint = tree.Fingerprint()
 	res.Canonical = tree.Canonical()
 	res.Detected = res.Fingerprint != res.Expected
 	res.Pass = res.Detected == res.Negative
-	return res
+	return res, run, recs
 }
 
 // DefaultProbeCells builds the full conformance matrix over every probe
@@ -234,21 +209,12 @@ type ProbeReport struct {
 	Inconsistent []string `json:"inconsistent,omitempty"`
 }
 
-// ProbeMatrix runs the cells on the study's worker pool and assembles
-// the report. Cell results land at their input index, so the report is
-// deterministic at any worker count.
+// ProbeMatrix runs the cells on the study's worker pool, starting them
+// in input order, and assembles the report. Cell results land at their
+// input index, so the report is deterministic at any worker count.
 func (s *Study) ProbeMatrix(cells []ProbeCell) *ProbeReport {
 	results := make([]ProbeCellResult, len(cells))
-	done := make(chan int, len(cells))
-	for i := range cells {
-		go func(i int) {
-			s.Exec(func() { results[i] = RunProbeCell(cells[i]) })
-			done <- i
-		}(i)
-	}
-	for range cells {
-		<-done
-	}
+	s.execInOrder(len(cells), func(i int) { results[i] = RunProbeCell(cells[i]) })
 	return AssembleProbeReport(results)
 }
 
@@ -353,7 +319,7 @@ func WriteProbeTrace(spec workload.ProbeSpec, w io.Writer) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	run, err := fpspy.Run(probe.Prog, fpspy.Options{Config: ProbeConfig(ProbeEngine{})})
+	run, err := fpspy.Run(probe.Prog, fpspy.Options{Config: ProbeConfig()})
 	if _, err = vetPass("probe", run, err); err != nil {
 		return "", err
 	}

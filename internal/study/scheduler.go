@@ -85,12 +85,37 @@ func (s *Study) Workers() int { return cap(s.sem) }
 // study's concurrency budget instead of growing a second pool.
 func (s *Study) Exec(fn func()) {
 	s.sem <- struct{}{}
+	s.occupy(fn)
+}
+
+// occupy runs fn in a worker slot the caller has already taken, counts
+// it like Exec, and frees the slot.
+func (s *Study) occupy(fn func()) {
 	defer func() { <-s.sem }()
 	if s.Obs != nil {
 		s.Obs.Study.WorkersBusy.Add(1)
 		defer s.Obs.Study.WorkersBusy.Add(-1)
 	}
 	fn()
+}
+
+// execInOrder runs fn(0), ..., fn(n-1) on the worker pool, starting
+// them in index order, and returns when all have finished. One
+// goroutine per call racing for a slot would start them in whatever
+// order the Go scheduler picks, and a matrix's wall time depends on
+// when its longest cell starts; taking the slots in order from one
+// goroutine makes that time the same from run to run.
+func (s *Study) execInOrder(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		s.sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			s.occupy(func() { fn(i) })
+		}()
+	}
+	wg.Wait()
 }
 
 // entry returns the cache cell for key, creating it under the lock.

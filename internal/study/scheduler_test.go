@@ -72,6 +72,33 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
+// TestExecInOrder: the matrices' dispatcher runs every call and, on
+// one worker, starts them in index order, not in the order racing
+// goroutines happen to take the slot.
+func TestExecInOrder(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		s := NewWithWorkers(workers)
+		const n = 16
+		var mu sync.Mutex
+		var order []int
+		s.execInOrder(n, func(i int) {
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+		})
+		if len(order) != n {
+			t.Fatalf("%d workers: ran %d of %d calls", workers, len(order), n)
+		}
+		if workers == 1 {
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("1 worker: call %d started at position %d: %v", got, i, order)
+				}
+			}
+		}
+	}
+}
+
 // TestParallelStudyMatchesSerial renders the full study once on a
 // single worker and once on a pool, and requires byte-identical output.
 // Every pass is a hermetic simulation with its own seeded sampler, so

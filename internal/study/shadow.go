@@ -147,21 +147,12 @@ type ShadowReport struct {
 	Failures int `json:"failures"`
 }
 
-// ShadowMatrix runs the cells on the study's worker pool. Results land
-// at their input index, so the report is deterministic at any worker
-// count.
+// ShadowMatrix runs the cells on the study's worker pool, starting them
+// in input order. Results land at their input index, so the report is
+// deterministic at any worker count.
 func (s *Study) ShadowMatrix(cells []ShadowCell) *ShadowReport {
 	results := make([]ShadowCellResult, len(cells))
-	done := make(chan int, len(cells))
-	for i := range cells {
-		go func(i int) {
-			s.Exec(func() { results[i] = RunShadowCell(cells[i]) })
-			done <- i
-		}(i)
-	}
-	for range cells {
-		<-done
-	}
+	s.execInOrder(len(cells), func(i int) { results[i] = RunShadowCell(cells[i]) })
 	r := &ShadowReport{Cells: results}
 	for i := range results {
 		if results[i].Err != "" {
