@@ -14,6 +14,7 @@ package fpspy_test
 
 import (
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -647,10 +648,13 @@ func readU64(mem []byte, off int) uint64 {
 // BenchmarkShadowOverhead measures what the shadow-precision channel
 // (FPE_SHADOW) costs on a rounding-heavy guest, swept across the
 // precisions a root-cause study actually uses: off, binary64-matching
-// 53, binary128 113, and an oversampled 256. Every retired FP
-// instruction is re-executed in big.Float arithmetic, so the slowdown is
-// the per-op price of attribution; the off leg is the baseline the
-// shadow differential suite proves bit-identical.
+// 53, binary128 113, and an oversampled 256. Every shadowed lane is
+// evaluated in the fixed-width number system up to 113 bits and in
+// big.Float above (the 256 leg), so the legs price both paths. Each
+// shadowed leg reports its host ns and heap allocations per shadowed
+// lane; they include the unshadowed run's share, which the off leg
+// shows. The off leg is the baseline the shadow differential suite
+// proves bit-identical.
 func BenchmarkShadowOverhead(b *testing.B) {
 	// 2000 iterations of add/mul/div over values that round on every op.
 	prog := func() *fpspy.Program {
@@ -679,6 +683,9 @@ func BenchmarkShadowOverhead(b *testing.B) {
 			name = "prec" + strconv.FormatUint(prec, 10)
 		}
 		b.Run(name, func(b *testing.B) {
+			var lanes uint64
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
 			for i := 0; i < b.N; i++ {
 				res, err := fpspy.Run(prog, fpspy.Options{
 					Config: fpspy.Config{Mode: fpspy.ModeIndividual, ShadowPrec: prec},
@@ -686,13 +693,21 @@ func BenchmarkShadowOverhead(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sites := res.Store.ShadowSites()
-				if prec == 0 && len(sites) != 0 {
+				rc := res.RootCause(prec)
+				if prec == 0 && rc != nil {
 					b.Fatal("shadow-off run attributed sites")
 				}
-				if prec != 0 && len(sites) == 0 {
+				if prec != 0 && rc == nil {
 					b.Fatal("shadow run attributed nothing")
 				}
+				if rc != nil {
+					lanes += rc.TotalOps
+				}
+			}
+			runtime.ReadMemStats(&ms1)
+			if lanes > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lanes), "ns/lane")
+				b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(lanes), "allocs/lane")
 			}
 		})
 	}

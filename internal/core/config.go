@@ -90,10 +90,12 @@ type Config struct {
 	StormFaults, StormCycles uint64
 	// ShadowPrec, when nonzero, attaches a shadow-precision channel
 	// (internal/shadow) to every monitored thread's machine: each retired
-	// FP instruction is recomputed in ShadowPrec-bit big.Float arithmetic
-	// and its rounding error attributed to the instruction site. 0 (the
-	// default) disables shadowing; the guest's architectural results are
-	// bit-identical either way — the channel only observes.
+	// FP instruction is recomputed at ShadowPrec bits (fixed-width
+	// arithmetic up to 113 bits, big.Float above, with identical
+	// results) and its rounding error attributed to the instruction
+	// site. 0 (the default) disables shadowing; the guest's
+	// architectural results are bit-identical either way — the channel
+	// only observes.
 	ShadowPrec uint64
 }
 

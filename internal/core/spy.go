@@ -283,8 +283,10 @@ func (s *Spy) threadTeardown(k *kernel.Kernel, t *kernel.Task) {
 	}
 	if ts := s.threads[t.TID]; ts != nil && ts.shadow != nil {
 		// Thread exit is the attribution flush point: the channel's
-		// per-site rows fold into the store (the merge is commutative, so
-		// thread exit order never changes a report).
+		// per-site rows fold into the store. Float sums over three or
+		// more threads depend on the order they fold in; reports are
+		// reproducible because the simulator's thread exit order is
+		// deterministic.
 		s.store.mergeShadowSites(ts.shadow.Sites())
 	}
 	if ts := s.threads[t.TID]; ts != nil && s.state == StateIndividual {

@@ -30,6 +30,17 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
+// SetMax raises the gauge to x if x is larger: a high-water mark that
+// concurrent writers can only raise.
+func (g *Gauge) SetMax(x int64) {
+	for {
+		cur := g.v.Load()
+		if x <= cur || g.v.CompareAndSwap(cur, x) {
+			return
+		}
+	}
+}
+
 // histBuckets is the number of power-of-two histogram buckets: bucket i
 // holds values whose bit length is i (bucket 0 holds exactly the value
 // 0), so bucket boundaries are [0], [1], [2,3], [4,7], ...

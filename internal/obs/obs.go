@@ -330,6 +330,9 @@ type ShadowMetrics struct {
 	// MemDrops counts stored shadows discarded because the memory
 	// shadow map was at capacity.
 	MemDrops Counter
+	// Fallbacks counts lanes the fixed-width evaluator could not
+	// certify and re-evaluated in big.Float.
+	Fallbacks Counter
 	// Sites is the high-water count of attributed sites in one channel.
 	Sites Gauge
 	// MemShadows is the high-water size of a channel's memory shadow

@@ -26,6 +26,44 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
+// TestGaugeSetMaxConcurrent: writers racing to raise a high-water mark
+// never lower it, so the gauge ends at the largest value any of them
+// offered; SetMax does not allocate.
+func TestGaugeSetMaxConcurrent(t *testing.T) {
+	const writers, per = 8, 500
+	var g Gauge
+	g.Set(-1)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				// Interleave high and low offers so a lost update
+				// would show as a lowered mark.
+				g.SetMax(int64((i*writers+w)%(writers*per) - i%3*1000))
+			}
+		}(w)
+	}
+	wg.Wait()
+	want := int64(0)
+	for w := 0; w < writers; w++ {
+		for i := 0; i < per; i++ {
+			want = max(want, int64((i*writers+w)%(writers*per)-i%3*1000))
+		}
+	}
+	if got := g.Load(); got != want {
+		t.Fatalf("gauge = %d, want the maximum %d", got, want)
+	}
+	g.SetMax(want - 5)
+	if got := g.Load(); got != want {
+		t.Fatalf("a lower SetMax moved the gauge to %d", got)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { g.SetMax(7) }); allocs != 0 {
+		t.Fatalf("SetMax allocates %.1f objects", allocs)
+	}
+}
+
 func TestHistogram(t *testing.T) {
 	var h Histogram
 	for _, v := range []uint64{0, 1, 2, 3, 100, ^uint64(0)} {

@@ -187,6 +187,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	counter("shadow.nonfinite", &sh.NonFinite)
 	counter("shadow.site-overflow", &sh.SiteOverflow)
 	counter("shadow.mem-drops", &sh.MemDrops)
+	counter("shadow.fallbacks", &sh.Fallbacks)
 	gauge(NameShadowSites, &sh.Sites)
 	gauge("shadow.mem-shadows", &sh.MemShadows)
 	hist("shadow.ulp-divergence", &sh.Divergence)

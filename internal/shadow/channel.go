@@ -1,7 +1,6 @@
 package shadow
 
 import (
-	"math/big"
 	"sort"
 
 	"repro/internal/analysis"
@@ -26,7 +25,7 @@ const (
 // precision, single marking a 4-byte (binary32) slot. A load only
 // consumes a shadow whose width matches.
 type memShadow struct {
-	v      *big.Float
+	v      val
 	single bool
 }
 
@@ -55,7 +54,7 @@ type pend struct {
 	mask  uint64 // live lanes (K-masked forms: masked-off lanes are dead)
 
 	natA, natB, natC [isa.VecWords]uint64
-	shA, shB, shC    [isa.VecWords]*big.Float
+	shA, shB, shC    [isa.VecWords]val
 }
 
 // Channel is the shadow-value channel for one machine. It implements
@@ -67,16 +66,23 @@ type Channel struct {
 	prec uint
 	wide uint
 	om   *obs.ShadowMetrics
+	// fixed selects the number format: the fixed-width evaluator for
+	// precisions up to maxFixedPrec, big.Float above them.
+	fixed bool
 
 	// regs shadows each 64-bit vector word; regs32 shadows the low
 	// binary32 lane of word 0 (scalar-F32 ops write only that half).
-	// nil means "equal to the native value": shadows materialize
-	// lazily from the architectural bits and invalidation is simply a
-	// reset to nil. The two tracks are mutually exclusive per word 0 —
-	// every 64-bit write clears the 32-bit shadow and vice versa.
-	regs   [isa.NumVecRegs][isa.VecWords]*big.Float
-	regs32 [isa.NumVecRegs]*big.Float
+	// An unset val means "equal to the native value": shadows
+	// materialize lazily from the architectural bits and invalidation
+	// is simply a reset. The two tracks are mutually exclusive per word
+	// 0 — every 64-bit write clears the 32-bit shadow and vice versa.
+	regs   [isa.NumVecRegs][isa.VecWords]val
+	regs32 [isa.NumVecRegs]val
 	mem    map[uint64]memShadow
+	// unaligned counts memory shadows at addresses that are not
+	// multiples of 4; while it is 0, clobberMem probes only 4-aligned
+	// addresses.
+	unaligned int
 
 	sites        map[uint64]*siteAgg
 	siteOverflow uint64
@@ -104,17 +110,31 @@ type Stats struct {
 	// LocalUlps is the total fractional-ULP local error accumulated
 	// across all sites.
 	LocalUlps float64
+	// Fallbacks counts lanes the fixed-width evaluator could not
+	// certify and sent to big.Float (always 0 above maxFixedPrec,
+	// where every lane runs in big.Float).
+	Fallbacks uint64
 }
+
+// attachHook, set only by tests, sees every channel Attach builds
+// before it runs.
+var attachHook func(*Channel)
 
 // Attach builds a channel at the given shadow precision and registers
 // it as m's shadow sink. om may be nil (zero-overhead contract).
+// Precisions up to maxFixedPrec evaluate in the fixed-width number
+// system, wider ones in big.Float; the reports are identical.
 func Attach(m *machine.Machine, prec uint, om *obs.ShadowMetrics) *Channel {
 	ch := &Channel{
-		m:    m,
-		prec: prec,
-		wide: widePrec(prec),
-		om:   om,
-		mem:  make(map[uint64]memShadow),
+		m:     m,
+		prec:  prec,
+		wide:  widePrec(prec),
+		om:    om,
+		fixed: prec <= maxFixedPrec,
+		mem:   make(map[uint64]memShadow),
+	}
+	if attachHook != nil {
+		attachHook(ch)
 	}
 	m.Shadow = ch
 	if om != nil {
@@ -255,37 +275,37 @@ func (ch *Channel) Retired() {
 
 // setWord installs (or resets) the shadow of a 64-bit vector word.
 // Word 0 writes clear the binary32 shadow track.
-func (ch *Channel) setWord(r uint8, l int, v *big.Float) {
+func (ch *Channel) setWord(r uint8, l int, v val) {
 	ch.regs[r][l] = v
 	if l == 0 {
-		ch.regs32[r] = nil
+		ch.regs32[r] = val{}
 	}
 }
 
 // set32 installs the shadow of the low binary32 lane; the 64-bit word
 // containing it is no longer coherently shadowed.
-func (ch *Channel) set32(r uint8, v *big.Float) {
+func (ch *Channel) set32(r uint8, v val) {
 	ch.regs32[r] = v
-	ch.regs[r][0] = nil
+	ch.regs[r][0] = val{}
 }
 
 func (ch *Channel) invalidateWord(r uint8, l int) {
-	if ch.regs[r][l] != nil || (l == 0 && ch.regs32[r] != nil) {
+	if ch.regs[r][l].set || (l == 0 && ch.regs32[r].set) {
 		ch.bumpInvalidation()
 	}
-	ch.setWord(r, l, nil)
+	ch.setWord(r, l, val{})
 }
 
 func (ch *Channel) invalidateReg(r uint8) {
 	for l := range ch.regs[r] {
-		if ch.regs[r][l] != nil {
+		if ch.regs[r][l].set {
 			ch.bumpInvalidation()
 		}
-		ch.regs[r][l] = nil
+		ch.regs[r][l] = val{}
 	}
-	if ch.regs32[r] != nil {
+	if ch.regs32[r].set {
 		ch.bumpInvalidation()
-		ch.regs32[r] = nil
+		ch.regs32[r] = val{}
 	}
 }
 
@@ -294,16 +314,6 @@ func (ch *Channel) bumpInvalidation() {
 	if ch.om != nil {
 		ch.om.Invalidations.Inc()
 	}
-}
-
-// laneResult is one shadow-executed lane comparison.
-type laneResult struct {
-	class SampleClass
-	sh    *big.Float
-	local float64
-	rel   float64
-	total float64
-	dist  uint64
 }
 
 // applyArith folds a supported arithmetic/FMA retirement into the
@@ -317,9 +327,13 @@ func (ch *Channel) applyArith(p *pend, inst *isa.Inst, info *isa.OpInfo) {
 		return
 	}
 	agg := ch.site(p.addr, info.Name)
+	ln := lane{fma: info.Class == isa.ClassFMA, fp: info.FP, v: info.FMA}
 	if info.Prec == isa.F32 {
-		natOut := uint32(ch.m.CPU.X[inst.Rd][0])
-		r := ch.evalLane32(p, info, natOut)
+		ln.single = true
+		ln.nat = [3]uint64{p.natA[0], p.natB[0], p.natC[0]}
+		ln.sh = [3]val{p.shA[0], p.shB[0], p.shC[0]}
+		ln.out = ch.m.CPU.X[inst.Rd][0] & 0xFFFFFFFF
+		r := ch.evalLane(&ln)
 		if r.class == SampleNonFinite {
 			ch.invalidateWord(inst.Rd, 0)
 		} else {
@@ -332,8 +346,10 @@ func (ch *Channel) applyArith(p *pend, inst *isa.Inst, info *isa.OpInfo) {
 		if p.mask>>uint(l)&1 == 0 {
 			continue
 		}
-		natOut := ch.m.CPU.X[inst.Rd][l]
-		r := ch.evalLane64(p, info, l, natOut)
+		ln.nat = [3]uint64{p.natA[l], p.natB[l], p.natC[l]}
+		ln.sh = [3]val{p.shA[l], p.shB[l], p.shC[l]}
+		ln.out = ch.m.CPU.X[inst.Rd][l]
+		r := ch.evalLane(&ln)
 		if r.class == SampleNonFinite {
 			ch.invalidateWord(inst.Rd, l)
 		} else {
@@ -341,6 +357,30 @@ func (ch *Channel) applyArith(p *pend, inst *isa.Inst, info *isa.OpInfo) {
 		}
 		ch.account(agg, r)
 	}
+}
+
+// evalLane evaluates one lane in the channel's number format. A lane
+// the fixed-width evaluator cannot certify runs in big.Float instead,
+// counted as a fallback, and its shadow converts back exactly.
+func (ch *Channel) evalLane(ln *lane) laneResult {
+	if !ln.finite() {
+		return laneResult{class: SampleNonFinite}
+	}
+	if !ch.fixed {
+		return evalBig(ln, ch.prec, ch.wide)
+	}
+	if r, ok := evalFixed(ln, ch.prec, ch.wide); ok {
+		return r
+	}
+	ch.stats.Fallbacks++
+	if ch.om != nil {
+		ch.om.Fallbacks.Inc()
+	}
+	r := evalBig(ln, ch.prec, ch.wide)
+	if r.sh.set {
+		r.sh = val{x: fixedOfBig(r.sh.big), set: true}
+	}
+	return r
 }
 
 // account folds one lane comparison into a site row (nil when the site
@@ -388,120 +428,6 @@ func (ch *Channel) account(agg *siteAgg, r laneResult) {
 	}
 }
 
-// evalLane64 runs the local and shadow evaluations for one binary64
-// lane. Local error recomputes the op from the *native* inputs at wide
-// precision against the native output; the shadow result reuses that
-// evaluation unless a shadow operand has drifted from native.
-func (ch *Channel) evalLane64(p *pend, info *isa.OpInfo, l int, natOut uint64) laneResult {
-	natA, natB, natC := p.natA[l], p.natB[l], p.natC[l]
-	fma := info.Class == isa.ClassFMA
-	if !finite64(natA) || !finite64(natB) || (fma && !finite64(natC)) || !finite64(natOut) {
-		return laneResult{class: SampleNonFinite}
-	}
-	aN, bN := bigOf64(natA), bigOf64(natB)
-	var cN *big.Float
-	var rLocal *big.Float
-	var ok bool
-	if fma {
-		cN = bigOf64(natC)
-		rLocal, ok = evalFMA(info.FMA, aN, bN, cN, ch.wide)
-	} else {
-		rLocal, ok = evalArith(info.FP, aN, bN, ch.wide)
-	}
-	if !ok {
-		return laneResult{class: SampleNonFinite}
-	}
-	outB := bigOf64(natOut)
-	diff := new(big.Float).SetPrec(ch.wide).Sub(rLocal, outB)
-	local := fracUlps64(diff, natOut)
-	rel := relErr(diff, rLocal)
-
-	rShadow := rLocal
-	if p.shA[l] != nil || p.shB[l] != nil || (fma && p.shC[l] != nil) {
-		a, b := coalesce(p.shA[l], aN), coalesce(p.shB[l], bN)
-		if fma {
-			rShadow, ok = evalFMA(info.FMA, a, b, coalesce(p.shC[l], cN), ch.wide)
-		} else {
-			rShadow, ok = evalArith(info.FP, a, b, ch.wide)
-		}
-		if !ok {
-			return laneResult{class: SampleNonFinite}
-		}
-	}
-	sh := roundShadow64(rShadow, ch.prec)
-	if sh.IsInf() {
-		return laneResult{class: SampleNonFinite}
-	}
-	total := fracUlps64(new(big.Float).SetPrec(ch.wide).Sub(sh, outB), natOut)
-	dist, _ := Dist64(natOut, nativeBits64(sh))
-	class := SampleExact
-	if dist > 0 {
-		class = SampleDiverged
-	} else if local > 0 {
-		class = SampleRounded
-	}
-	return laneResult{class: class, sh: sh, local: local, rel: rel, total: total, dist: dist}
-}
-
-// evalLane32 is evalLane64 for the scalar binary32 lane.
-func (ch *Channel) evalLane32(p *pend, info *isa.OpInfo, natOut uint32) laneResult {
-	natA, natB, natC := uint32(p.natA[0]), uint32(p.natB[0]), uint32(p.natC[0])
-	fma := info.Class == isa.ClassFMA
-	if !finite32(natA) || !finite32(natB) || (fma && !finite32(natC)) || !finite32(natOut) {
-		return laneResult{class: SampleNonFinite}
-	}
-	aN, bN := bigOf32(natA), bigOf32(natB)
-	var cN *big.Float
-	var rLocal *big.Float
-	var ok bool
-	if fma {
-		cN = bigOf32(natC)
-		rLocal, ok = evalFMA(info.FMA, aN, bN, cN, ch.wide)
-	} else {
-		rLocal, ok = evalArith(info.FP, aN, bN, ch.wide)
-	}
-	if !ok {
-		return laneResult{class: SampleNonFinite}
-	}
-	outB := bigOf32(natOut)
-	diff := new(big.Float).SetPrec(ch.wide).Sub(rLocal, outB)
-	local := fracUlps32(diff, natOut)
-	rel := relErr(diff, rLocal)
-
-	rShadow := rLocal
-	if p.shA[0] != nil || p.shB[0] != nil || (fma && p.shC[0] != nil) {
-		a, b := coalesce(p.shA[0], aN), coalesce(p.shB[0], bN)
-		if fma {
-			rShadow, ok = evalFMA(info.FMA, a, b, coalesce(p.shC[0], cN), ch.wide)
-		} else {
-			rShadow, ok = evalArith(info.FP, a, b, ch.wide)
-		}
-		if !ok {
-			return laneResult{class: SampleNonFinite}
-		}
-	}
-	sh := roundShadow32(rShadow, ch.prec)
-	if sh.IsInf() {
-		return laneResult{class: SampleNonFinite}
-	}
-	total := fracUlps32(new(big.Float).SetPrec(ch.wide).Sub(sh, outB), natOut)
-	dist, _ := Dist32(natOut, nativeBits32(sh))
-	class := SampleExact
-	if dist > 0 {
-		class = SampleDiverged
-	} else if local > 0 {
-		class = SampleRounded
-	}
-	return laneResult{class: class, sh: sh, local: local, rel: rel, total: total, dist: dist}
-}
-
-func coalesce(sh, nat *big.Float) *big.Float {
-	if sh != nil {
-		return sh
-	}
-	return nat
-}
-
 // site returns the aggregation row for an instruction address, nil when
 // the table is at capacity and the address is new.
 func (ch *Channel) site(addr uint64, op string) *siteAgg {
@@ -520,8 +446,8 @@ func (ch *Channel) site(addr uint64, op string) *siteAgg {
 	}
 	agg := &siteAgg{op: op}
 	ch.sites[addr] = agg
-	if ch.om != nil && int64(len(ch.sites)) > ch.om.Sites.Load() {
-		ch.om.Sites.Set(int64(len(ch.sites)))
+	if ch.om != nil {
+		ch.om.Sites.SetMax(int64(len(ch.sites)))
 	}
 	return agg
 }
@@ -538,7 +464,7 @@ func (ch *Channel) applyMove(inst *isa.Inst) {
 		ch.regs[inst.Rd] = ch.regs[inst.Rs1]
 		ch.regs32[inst.Rd] = ch.regs32[inst.Rs1]
 	case isa.OpMOVSS:
-		ch.regs[inst.Rd][0] = nil
+		ch.regs[inst.Rd][0] = val{}
 		ch.regs32[inst.Rd] = ch.regs32[inst.Rs1]
 	case isa.OpMOVQX:
 		ch.invalidateWord(inst.Rd, 0)
@@ -575,28 +501,20 @@ func (ch *Channel) applyMem(inst *isa.Inst) {
 	ea += uint64(inst.Imm)
 	switch inst.Op {
 	case isa.OpFLD:
-		ch.regs32[inst.Rd] = nil
-		if ms, ok := ch.mem[ea]; ok && !ms.single {
-			ch.regs[inst.Rd][0] = ms.v
-		} else {
-			ch.regs[inst.Rd][0] = nil
-		}
+		ch.regs32[inst.Rd] = val{}
+		ch.regs[inst.Rd][0] = ch.load(ea, false)
 	case isa.OpFST:
 		ch.clobberMem(ea, 8)
-		if sv := ch.regs[inst.Rs2][0]; sv != nil {
+		if sv := ch.regs[inst.Rs2][0]; sv.set {
 			ch.putMem(ea, sv, false)
 		}
 	case isa.OpFLDS:
 		// Word 0 is replaced wholesale (upper half zeroed).
-		ch.regs[inst.Rd][0] = nil
-		if ms, ok := ch.mem[ea]; ok && ms.single {
-			ch.regs32[inst.Rd] = ms.v
-		} else {
-			ch.regs32[inst.Rd] = nil
-		}
+		ch.regs[inst.Rd][0] = val{}
+		ch.regs32[inst.Rd] = ch.load(ea, true)
 	case isa.OpFSTS:
 		ch.clobberMem(ea, 4)
-		if sv := ch.regs32[inst.Rs2]; sv != nil {
+		if sv := ch.regs32[inst.Rs2]; sv.set {
 			ch.putMem(ea, sv, true)
 		}
 	case isa.OpFLDV:
@@ -616,21 +534,26 @@ func (ch *Channel) applyMem(inst *isa.Inst) {
 	}
 }
 
+// load returns the shadow stored at ea when its width matches, else
+// the unset val (reset to native).
+func (ch *Channel) load(ea uint64, single bool) val {
+	if ms, ok := ch.mem[ea]; ok && ms.single == single {
+		return ms.v
+	}
+	return val{}
+}
+
 func (ch *Channel) loadVec(rd uint8, ea uint64, lanes int) {
-	ch.regs32[rd] = nil
+	ch.regs32[rd] = val{}
 	for l := 0; l < lanes; l++ {
-		if ms, ok := ch.mem[ea+uint64(8*l)]; ok && !ms.single {
-			ch.regs[rd][l] = ms.v
-		} else {
-			ch.regs[rd][l] = nil
-		}
+		ch.regs[rd][l] = ch.load(ea+uint64(8*l), false)
 	}
 }
 
 func (ch *Channel) storeVec(rs uint8, ea uint64, lanes int) {
 	ch.clobberMem(ea, uint64(8*lanes))
 	for l := 0; l < lanes; l++ {
-		if sv := ch.regs[rs][l]; sv != nil {
+		if sv := ch.regs[rs][l]; sv.set {
 			ch.putMem(ea+uint64(8*l), sv, false)
 		}
 	}
@@ -642,11 +565,14 @@ func (ch *Channel) clobberMem(ea, size uint64) {
 	if len(ch.mem) == 0 {
 		return
 	}
-	start := ea - 7
+	start, step := ea-7, uint64(1)
 	if ea < 7 {
 		start = 0
 	}
-	for a := start; a < ea+size; a++ {
+	if ch.unaligned == 0 {
+		start, step = (start+3)&^3, 4
+	}
+	for a := start; a < ea+size; a += step {
 		ms, ok := ch.mem[a]
 		if !ok {
 			continue
@@ -657,20 +583,27 @@ func (ch *Channel) clobberMem(ea, size uint64) {
 		}
 		if a+w > ea {
 			delete(ch.mem, a)
+			if a%4 != 0 {
+				ch.unaligned--
+			}
 		}
 	}
 }
 
-func (ch *Channel) putMem(ea uint64, v *big.Float, single bool) {
-	if _, ok := ch.mem[ea]; !ok && len(ch.mem) >= maxMemShadows {
+func (ch *Channel) putMem(ea uint64, v val, single bool) {
+	_, ok := ch.mem[ea]
+	if !ok && len(ch.mem) >= maxMemShadows {
 		ch.memDrops++
 		if ch.om != nil {
 			ch.om.MemDrops.Inc()
 		}
 		return
 	}
+	if !ok && ea%4 != 0 {
+		ch.unaligned++
+	}
 	ch.mem[ea] = memShadow{v: v, single: single}
-	if ch.om != nil && int64(len(ch.mem)) > ch.om.MemShadows.Load() {
-		ch.om.MemShadows.Set(int64(len(ch.mem)))
+	if ch.om != nil {
+		ch.om.MemShadows.SetMax(int64(len(ch.mem)))
 	}
 }

@@ -259,3 +259,49 @@ func TestSiteTableBounded(t *testing.T) {
 		t.Errorf("overflow count = %d, want 100", ch.siteOverflow)
 	}
 }
+
+// TestClobberMemOverlaps: a store removes exactly the memory shadows it
+// overlaps, whether or not every shadow sits at a 4-aligned address
+// (the aligned-only probe is a shortcut, not a different rule).
+func TestClobberMemOverlaps(t *testing.T) {
+	type entry struct {
+		ea     uint64
+		single bool
+	}
+	for _, tc := range []struct {
+		name     string
+		entries  []entry
+		ea, size uint64
+		want     []uint64
+	}{
+		{"aligned", []entry{{96, false}, {104, false}, {112, true}, {116, true}}, 100, 8, []uint64{112, 116}},
+		{"aligned narrow", []entry{{96, false}, {104, true}, {108, true}}, 107, 1, []uint64{96, 108}},
+		{"unaligned entry", []entry{{96, false}, {121, false}, {132, true}}, 128, 4, []uint64{96, 132}},
+		{"unaligned store", []entry{{96, false}, {104, false}}, 103, 2, nil},
+	} {
+		ch := &Channel{mem: map[uint64]memShadow{}}
+		for _, e := range tc.entries {
+			ch.putMem(e.ea, val{set: true}, e.single)
+		}
+		ch.clobberMem(tc.ea, tc.size)
+		var got []uint64
+		for a := uint64(0); a < 256; a++ {
+			if _, ok := ch.mem[a]; ok {
+				got = append(got, a)
+			}
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: shadows left at %v, want %v", tc.name, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: shadows left at %v, want %v", tc.name, got, tc.want)
+				break
+			}
+		}
+		if ch.unaligned != 0 {
+			t.Errorf("%s: unaligned count %d after the unaligned shadows were clobbered", tc.name, ch.unaligned)
+		}
+	}
+}

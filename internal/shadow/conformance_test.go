@@ -10,9 +10,10 @@ import (
 )
 
 // The conformance property behind the prec-53/24 shadow modes: for every
-// supported operation, evaluating at wide precision from the native
-// inputs and rounding once through float64/float32 reproduces the
-// softfloat FPU bit-exactly, signed zeros included. Lanes the policy
+// supported operation, evaluating from the native inputs and rounding
+// once through float64/float32 reproduces the softfloat FPU bit-exactly,
+// signed zeros included, on both evaluators — big.Float at wide
+// precision and the fixed-width system. Lanes the policy
 // skips (non-finite operands or results) are exactly the lanes softfloat
 // resolves with NaN/Inf special cases, so everything that shadow-executes
 // must agree to the last bit.
@@ -70,177 +71,152 @@ func corpus32() []uint32 {
 	return c
 }
 
-func TestConformance64Arith(t *testing.T) {
-	ops := []struct {
-		fp   isa.FPOp
-		name string
-		soft func(a, b uint64) uint64
-	}{
-		{isa.FPAdd, "add", func(a, b uint64) uint64 { r, _ := softfloat.Add64(a, b, rnEnv); return r }},
-		{isa.FPSub, "sub", func(a, b uint64) uint64 { r, _ := softfloat.Sub64(a, b, rnEnv); return r }},
-		{isa.FPMul, "mul", func(a, b uint64) uint64 { r, _ := softfloat.Mul64(a, b, rnEnv); return r }},
-		{isa.FPDiv, "div", func(a, b uint64) uint64 { r, _ := softfloat.Div64(a, b, rnEnv); return r }},
-		{isa.FPMin, "min", func(a, b uint64) uint64 { r, _ := softfloat.Min64(a, b, rnEnv); return r }},
-		{isa.FPMax, "max", func(a, b uint64) uint64 { r, _ := softfloat.Max64(a, b, rnEnv); return r }},
+// evaluator is one of the two lane evaluators the conformance suite
+// runs against; ok=false marks a lane the fixed-width one sends to
+// big.Float.
+type evaluator struct {
+	name string
+	eval func(ln *lane, prec uint) (laneResult, bool)
+}
+
+var evaluators = []evaluator{
+	{"big", func(ln *lane, prec uint) (laneResult, bool) { return evalBig(ln, prec, widePrec(prec)), true }},
+	{"fixed", func(ln *lane, prec uint) (laneResult, bool) { return evalFixed(ln, prec, widePrec(prec)) }},
+}
+
+// forEachEvaluator runs a conformance property once per evaluator.
+func forEachEvaluator(t *testing.T, run func(t *testing.T, ev evaluator)) {
+	for _, ev := range evaluators {
+		t.Run(ev.name, func(t *testing.T) { run(t, ev) })
 	}
-	corpus := corpus64()
-	wide := widePrec(53)
-	compared := 0
-	for _, op := range ops {
-		for _, a := range corpus {
-			for _, b := range corpus {
-				want := op.soft(a, b)
-				if !finite64(a) || !finite64(b) || !finite64(want) {
-					continue // policy: skipped, never shadow-executed
+}
+
+// conforms evaluates a native lane (no shadow operands) at the native
+// precision and fails unless its shadow rounds to the softfloat result
+// ln.out bit for bit. Lanes the policy skips (non-finite operands or
+// results) are not compared; it reports whether the lane was.
+func conforms(t *testing.T, ev evaluator, f form, ln lane) bool {
+	t.Helper()
+	if !ln.finite() {
+		return false // policy: skipped, never shadow-executed
+	}
+	prec := uint(53)
+	if ln.single {
+		prec = 24
+	}
+	r, ok := ev.eval(&ln, prec)
+	if !ok {
+		return false
+	}
+	if r.class == SampleNonFinite {
+		t.Fatalf("%s(%#x): eval refused a finite-result op", f.name, ln.nat[:ln.arity()])
+	}
+	got := uint64(nativeBits32(r.sh.bigVal()))
+	if !ln.single {
+		got = nativeBits64(r.sh.bigVal())
+	}
+	if got != ln.out {
+		t.Fatalf("%s(%#x) = %#x, softfloat %#x", f.name, ln.nat[:ln.arity()], got, ln.out)
+	}
+	return true
+}
+
+// arithForms are the two-operand forms: add, sub, mul, div, min, max.
+func arithForms() []form {
+	return []form{laneForms[0], laneForms[1], laneForms[2], laneForms[3], laneForms[5], laneForms[6]}
+}
+
+func TestConformance64Arith(t *testing.T) {
+	forEachEvaluator(t, func(t *testing.T, ev evaluator) {
+		corpus := corpus64()
+		compared := 0
+		for _, f := range arithForms() {
+			for _, a := range corpus {
+				for _, b := range corpus {
+					if conforms(t, ev, f, nativeLane(f, false, a, b, 0)) {
+						compared++
+					}
 				}
-				r, ok := evalArith(op.fp, bigOf64(a), bigOf64(b), wide)
-				if !ok {
-					t.Fatalf("%s(%#x,%#x): eval refused a finite-result op", op.name, a, b)
-				}
-				got := nativeBits64(roundShadow64(r, 53))
-				if got != want {
-					t.Fatalf("%s(%#x,%#x) = %#x, softfloat %#x", op.name, a, b, got, want)
-				}
-				compared++
 			}
 		}
-	}
-	if compared < 10000 {
-		t.Fatalf("only %d comparisons ran; corpus too thin", compared)
-	}
+		if compared < 10000 {
+			t.Fatalf("only %d comparisons ran; corpus too thin", compared)
+		}
+	})
 }
 
 func TestConformance64Sqrt(t *testing.T) {
-	wide := widePrec(53)
-	zero := bigOf64(0)
-	compared := 0
-	for _, a := range corpus64() {
-		want, _ := softfloat.Sqrt64(a, rnEnv)
-		if !finite64(a) || !finite64(want) {
-			continue
+	forEachEvaluator(t, func(t *testing.T, ev evaluator) {
+		compared := 0
+		for _, a := range corpus64() {
+			if conforms(t, ev, laneForms[4], nativeLane(laneForms[4], false, a, 0, 0)) {
+				compared++
+			}
 		}
-		r, ok := evalArith(isa.FPSqrt, bigOf64(a), zero, wide)
-		if !ok {
-			t.Fatalf("sqrt(%#x): eval refused a finite-result op", a)
+		if compared < 30 {
+			t.Fatalf("only %d comparisons ran", compared)
 		}
-		if got := nativeBits64(roundShadow64(r, 53)); got != want {
-			t.Fatalf("sqrt(%#x) = %#x, softfloat %#x", a, got, want)
-		}
-		compared++
-	}
-	if compared < 30 {
-		t.Fatalf("only %d comparisons ran", compared)
-	}
+	})
 }
 
 func TestConformance64FMA(t *testing.T) {
-	variants := []struct {
-		v    isa.FMAVariant
-		name string
-		soft func(a, b, c uint64) uint64
-	}{
-		{isa.FMAdd, "fmadd", func(a, b, c uint64) uint64 { r, _ := softfloat.FMA64(a, b, c, rnEnv); return r }},
-		{isa.FMSub, "fmsub", func(a, b, c uint64) uint64 {
-			r, _ := softfloat.FMA64(a, b, c^sign64, rnEnv)
-			return r
-		}},
-	}
-	// A reduced corpus keeps the triple loop tractable.
-	corpus := corpus64()[:32]
-	wide := widePrec(53)
-	compared := 0
-	for _, v := range variants {
-		for _, a := range corpus {
-			for _, b := range corpus {
-				for _, c := range corpus {
-					want := v.soft(a, b, c)
-					if !finite64(a) || !finite64(b) || !finite64(c) || !finite64(want) {
-						continue
+	forEachEvaluator(t, func(t *testing.T, ev evaluator) {
+		// A reduced corpus keeps the triple loop tractable.
+		corpus := corpus64()[:32]
+		compared := 0
+		for _, f := range []form{laneForms[7], laneForms[8]} {
+			for _, a := range corpus {
+				for _, b := range corpus {
+					for _, c := range corpus {
+						if conforms(t, ev, f, nativeLane(f, false, a, b, c)) {
+							compared++
+						}
 					}
-					r, ok := evalFMA(v.v, bigOf64(a), bigOf64(b), bigOf64(c), wide)
-					if !ok {
-						t.Fatalf("%s(%#x,%#x,%#x): eval refused", v.name, a, b, c)
-					}
-					got := nativeBits64(roundShadow64(r, 53))
-					if got != want {
-						t.Fatalf("%s(%#x,%#x,%#x) = %#x, softfloat %#x", v.name, a, b, c, got, want)
-					}
-					compared++
 				}
 			}
 		}
-	}
-	if compared < 10000 {
-		t.Fatalf("only %d comparisons ran; corpus too thin", compared)
-	}
+		if compared < 10000 {
+			t.Fatalf("only %d comparisons ran; corpus too thin", compared)
+		}
+	})
 }
 
 func TestConformance32Arith(t *testing.T) {
-	ops := []struct {
-		fp   isa.FPOp
-		name string
-		soft func(a, b uint32) uint32
-	}{
-		{isa.FPAdd, "add", func(a, b uint32) uint32 { r, _ := softfloat.Add32(a, b, rnEnv); return r }},
-		{isa.FPSub, "sub", func(a, b uint32) uint32 { r, _ := softfloat.Sub32(a, b, rnEnv); return r }},
-		{isa.FPMul, "mul", func(a, b uint32) uint32 { r, _ := softfloat.Mul32(a, b, rnEnv); return r }},
-		{isa.FPDiv, "div", func(a, b uint32) uint32 { r, _ := softfloat.Div32(a, b, rnEnv); return r }},
-		{isa.FPMin, "min", func(a, b uint32) uint32 { r, _ := softfloat.Min32(a, b, rnEnv); return r }},
-		{isa.FPMax, "max", func(a, b uint32) uint32 { r, _ := softfloat.Max32(a, b, rnEnv); return r }},
-	}
-	corpus := corpus32()
-	wide := widePrec(24)
-	compared := 0
-	for _, op := range ops {
-		for _, a := range corpus {
-			for _, b := range corpus {
-				want := op.soft(a, b)
-				if !finite32(a) || !finite32(b) || !finite32(want) {
-					continue
+	forEachEvaluator(t, func(t *testing.T, ev evaluator) {
+		corpus := corpus32()
+		compared := 0
+		for _, f := range arithForms() {
+			for _, a := range corpus {
+				for _, b := range corpus {
+					if conforms(t, ev, f, nativeLane(f, true, uint64(a), uint64(b), 0)) {
+						compared++
+					}
 				}
-				r, ok := evalArith(op.fp, bigOf32(a), bigOf32(b), wide)
-				if !ok {
-					t.Fatalf("%s(%#x,%#x): eval refused a finite-result op", op.name, a, b)
-				}
-				got := nativeBits32(roundShadow32(r, 24))
-				if got != want {
-					t.Fatalf("%s(%#x,%#x) = %#x, softfloat %#x", op.name, a, b, got, want)
-				}
-				compared++
 			}
 		}
-	}
-	if compared < 10000 {
-		t.Fatalf("only %d comparisons ran; corpus too thin", compared)
-	}
+		if compared < 10000 {
+			t.Fatalf("only %d comparisons ran; corpus too thin", compared)
+		}
+	})
 }
 
 func TestConformance32FMA(t *testing.T) {
-	corpus := corpus32()[:32]
-	wide := widePrec(24)
-	compared := 0
-	for _, a := range corpus {
-		for _, b := range corpus {
-			for _, c := range corpus {
-				want, _ := softfloat.FMA32(a, b, c, rnEnv)
-				if !finite32(a) || !finite32(b) || !finite32(c) || !finite32(want) {
-					continue
+	forEachEvaluator(t, func(t *testing.T, ev evaluator) {
+		corpus := corpus32()[:32]
+		compared := 0
+		for _, a := range corpus {
+			for _, b := range corpus {
+				for _, c := range corpus {
+					if conforms(t, ev, laneForms[7], nativeLane(laneForms[7], true, uint64(a), uint64(b), uint64(c))) {
+						compared++
+					}
 				}
-				r, ok := evalFMA(isa.FMAdd, bigOf32(a), bigOf32(b), bigOf32(c), wide)
-				if !ok {
-					t.Fatalf("fmadd(%#x,%#x,%#x): eval refused", a, b, c)
-				}
-				got := nativeBits32(roundShadow32(r, 24))
-				if got != want {
-					t.Fatalf("fmadd(%#x,%#x,%#x) = %#x, softfloat %#x", a, b, c, got, want)
-				}
-				compared++
 			}
 		}
-	}
-	if compared < 5000 {
-		t.Fatalf("only %d comparisons ran; corpus too thin", compared)
-	}
+		if compared < 5000 {
+			t.Fatalf("only %d comparisons ran; corpus too thin", compared)
+		}
+	})
 }
 
 func TestSupportedForms(t *testing.T) {

@@ -1,10 +1,18 @@
 // Package shadow implements the shadow-precision value channel behind
 // the root-cause attribution study (ROADMAP item 1, the paper's Section
 // 6/7 mitigation direction): every retired floating point instruction
-// carries its native (softfloat) result alongside a math/big.Float
-// result computed at a configurable higher precision, and the
-// divergence between the two is attributed to the instruction site that
-// introduced it, Herbgrind-style.
+// carries its native (softfloat) result alongside a result computed at
+// a configurable higher precision, and the divergence between the two
+// is attributed to the instruction site that introduced it,
+// Herbgrind-style.
+//
+// Number formats. Precisions up to 113 bits evaluate in a fixed-width
+// binary float (a 128-bit significand on two uint64s, fixed.go) whose
+// values the channel holds by value, so a shadowed lane allocates
+// nothing; every result is bit-identical to the math/big.Float
+// evaluation at W = max(3p+8, 256) bits, which remains the path for
+// wider precisions, for the rare lane the fixed-width code cannot
+// certify (counted in Stats.Fallbacks), and the test oracle.
 //
 // The channel is a pure observer. It registers as the machine's
 // ShadowSink and reads architectural state before execution (PreStep)
@@ -37,9 +45,9 @@
 // executing under a non-default environment — directed rounding, FTZ,
 // or DAZ — are not shadow-executed; their destinations reset to the
 // native value and the site is skipped. Likewise NaN or Inf operands
-// and results: big.Float has no NaN, so non-finite lanes invalidate
-// their destination shadow and count as NonFinite rather than
-// accumulate.
+// and results: the shadow number systems have no NaN, so non-finite
+// lanes invalidate their destination shadow and count as NonFinite
+// rather than accumulate.
 package shadow
 
 import "repro/internal/isa"

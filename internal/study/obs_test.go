@@ -245,3 +245,35 @@ func TestTraceFlushFailureFailsPass(t *testing.T) {
 		t.Fatalf("vetPass error %q does not identify the trace flush failure", verr)
 	}
 }
+
+// TestShadowMatrixUnderObs: the shadow and probe matrices report to
+// Study.Obs like every other pass — the shadow.ops counter equals the
+// shadowed lanes of the matrix's cells, and the site gauge is set.
+func TestShadowMatrixUnderObs(t *testing.T) {
+	s := NewWithWorkers(2)
+	om := obs.New(obs.Options{})
+	s.Obs = om
+	rep := s.ShadowMatrix(DefaultShadowCells([]string{"wrf", "enzo"}, 113, 0, workload.SizeSmall))
+	if rep.Failures != 0 {
+		t.Fatalf("%d cells failed", rep.Failures)
+	}
+	var ops uint64
+	for _, c := range rep.Cells {
+		ops += c.Ops
+	}
+	snap := om.Snapshot()
+	if ops == 0 || snap.Counters[obs.NameShadowOps] != ops {
+		t.Fatalf("shadow.ops = %d, cells shadowed %d lanes", snap.Counters[obs.NameShadowOps], ops)
+	}
+	if snap.Gauges[obs.NameShadowSites] == 0 {
+		t.Fatal("shadow.sites gauge never set")
+	}
+	before := om.Snapshot().Counters[obs.NameSpyFaults]
+	probe := s.ProbeMatrix(DefaultProbeCells(workload.SizeSmall, []int64{1}))
+	if len(probe.Cells) == 0 {
+		t.Fatal("empty probe matrix")
+	}
+	if om.Snapshot().Counters[obs.NameSpyFaults] == before {
+		t.Fatal("probe matrix recorded no spy faults under Obs")
+	}
+}

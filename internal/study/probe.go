@@ -18,6 +18,7 @@ import (
 	fpspy "repro"
 	"repro/internal/analysis"
 	"repro/internal/kernel"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -120,13 +121,14 @@ func ProbeConfig() fpspy.Config {
 // under the cell's engine and schedule, recover the accumulation tree
 // from the trace, and compare fingerprints.
 func RunProbeCell(cell ProbeCell) ProbeCellResult {
-	res, _, _ := runProbeCell(cell)
+	res, _, _ := runProbeCell(cell, nil)
 	return res
 }
 
-// runProbeCell is RunProbeCell that also returns the run and its trace
-// records (nil when the cell failed before they existed).
-func runProbeCell(cell ProbeCell) (ProbeCellResult, *fpspy.Result, []fpspy.Record) {
+// runProbeCell is RunProbeCell reporting to om (nil for none) that also
+// returns the run and its trace records (nil when the cell failed
+// before they existed).
+func runProbeCell(cell ProbeCell, om *obs.Metrics) (ProbeCellResult, *fpspy.Result, []fpspy.Record) {
 	res := ProbeCellResult{
 		Kernel:   string(cell.Spec.Kind),
 		N:        cell.Spec.N,
@@ -147,6 +149,7 @@ func runProbeCell(cell ProbeCell) (ProbeCellResult, *fpspy.Result, []fpspy.Recor
 		Config:     ProbeConfig(),
 		NoFastPath: cell.Engine.NoFastPath,
 		Inject:     cell.Sched.inject(cell.Seed),
+		Obs:        om,
 	})
 	if _, err = vetPass("probe", run, err); err != nil {
 		res.Err = err.Error()
@@ -214,7 +217,9 @@ type ProbeReport struct {
 // input index, so the report is deterministic at any worker count.
 func (s *Study) ProbeMatrix(cells []ProbeCell) *ProbeReport {
 	results := make([]ProbeCellResult, len(cells))
-	s.execInOrder(len(cells), func(i int) { results[i] = RunProbeCell(cells[i]) })
+	s.execInOrder(len(cells), func(i int) {
+		results[i], _, _ = runProbeCell(cells[i], s.Obs)
+	})
 	return AssembleProbeReport(results)
 }
 

@@ -16,6 +16,7 @@ import (
 
 	fpspy "repro"
 	"repro/internal/analysis"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -81,6 +82,12 @@ type ShadowCellResult struct {
 // machine per leg), like RunProbeCell: callers provide concurrency via
 // Study.Exec, and the cell touches no shared state.
 func RunShadowCell(cell ShadowCell) ShadowCellResult {
+	return runShadowCell(cell, nil)
+}
+
+// runShadowCell is RunShadowCell reporting both legs to om (nil for
+// none).
+func runShadowCell(cell ShadowCell, om *obs.Metrics) ShadowCellResult {
 	prec := cell.Prec
 	if prec == 0 {
 		prec = DefaultShadowPrec
@@ -92,7 +99,7 @@ func RunShadowCell(cell ShadowCell) ShadowCellResult {
 		res.Err = err.Error()
 		return res
 	}
-	run, err := fpspy.Run(w.Build(size), fpspy.Options{Config: ShadowConfig(prec)})
+	run, err := fpspy.Run(w.Build(size), fpspy.Options{Config: ShadowConfig(prec), Obs: om})
 	if _, err = vetPass(cell.Workload, run, err); err != nil {
 		res.Err = err.Error()
 		return res
@@ -112,7 +119,7 @@ func RunShadowCell(cell ShadowCell) ShadowCellResult {
 		}
 	}
 	if cell.MitPrec > 0 {
-		_, stats, err := fpspy.RunMitigated(w.Build(size), cell.MitPrec, fpspy.Options{})
+		_, stats, err := fpspy.RunMitigated(w.Build(size), cell.MitPrec, fpspy.Options{Obs: om})
 		if err != nil {
 			res.Err = fmt.Sprintf("mitigated leg: %v", err)
 			return res
@@ -152,7 +159,7 @@ type ShadowReport struct {
 // deterministic at any worker count.
 func (s *Study) ShadowMatrix(cells []ShadowCell) *ShadowReport {
 	results := make([]ShadowCellResult, len(cells))
-	s.execInOrder(len(cells), func(i int) { results[i] = RunShadowCell(cells[i]) })
+	s.execInOrder(len(cells), func(i int) { results[i] = runShadowCell(cells[i], s.Obs) })
 	r := &ShadowReport{Cells: results}
 	for i := range results {
 		if results[i].Err != "" {

@@ -38,9 +38,11 @@ func checkPackage(fset *token.FileSet, p *pkg) []diagnostic {
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			sw, ok := n.(*ast.SwitchStmt)
-			if ok {
-				diags = append(diags, checkExhaustive(fset, p, sw)...)
+			switch n := n.(type) {
+			case *ast.SwitchStmt:
+				diags = append(diags, checkExhaustive(fset, p, n)...)
+			case *ast.RangeStmt:
+				diags = append(diags, checkMapRangeFloat(fset, p, n)...)
 			}
 			return true
 		})
@@ -325,4 +327,81 @@ func enumValues(tn *types.TypeName) map[string]string {
 		}
 	}
 	return vals
+}
+
+// --- check 3: float accumulation in a range over a map -----------------
+
+// checkMapRangeFloat flags +=, -=, *= and /= on a floating-point lvalue
+// inside a for-range over a map. Go randomizes map iteration order and
+// float arithmetic is not associative, so such an accumulation can
+// differ in its last bits from run to run. An lvalue indexed by the
+// range key is exempt: each key updates its own slot once. Nested
+// ranges over maps are checked on their own.
+func checkMapRangeFloat(fset *token.FileSet, p *pkg, rs *ast.RangeStmt) []diagnostic {
+	if !isMap(p, rs.X) {
+		return nil
+	}
+	var key types.Object
+	if id, ok := rs.Key.(*ast.Ident); ok && id.Name != "_" {
+		key = p.info.ObjectOf(id)
+	}
+	var diags []diagnostic
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		if inner, ok := n.(*ast.RangeStmt); ok && isMap(p, inner.X) {
+			return false
+		}
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		switch as.Tok {
+		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+		default:
+			return true
+		}
+		for _, lhs := range as.Lhs {
+			b, ok := p.info.TypeOf(lhs).Underlying().(*types.Basic)
+			if !ok || b.Info()&types.IsFloat == 0 || (key != nil && indexedBy(lhs, p, key)) {
+				continue
+			}
+			diags = append(diags, diagnostic{
+				pos:   fset.Position(as.Pos()),
+				check: "maprangefloat",
+				msg:   fmt.Sprintf("floating-point %s inside a range over a map: the result depends on iteration order", as.Tok),
+			})
+		}
+		return true
+	})
+	return diags
+}
+
+func isMap(p *pkg, e ast.Expr) bool {
+	t := p.info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// indexedBy reports whether some index expression on the lvalue's
+// access path (m[k], m[k].f, (*p)[k]) is the range key itself.
+func indexedBy(e ast.Expr, p *pkg, key types.Object) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.IndexExpr:
+			if id, ok := x.Index.(*ast.Ident); ok && p.info.ObjectOf(id) == key {
+				return true
+			}
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return false
+		}
+	}
 }

@@ -1,5 +1,5 @@
 // Command vetfp is the repository's custom static checker. It enforces
-// two invariants the standard toolchain cannot express:
+// three invariants the standard toolchain cannot express:
 //
 //  1. nil-receiver safety: every pointer-receiver method on a type whose
 //     name ends in "Metrics" must be safe to call on a nil receiver —
@@ -13,6 +13,11 @@
 //     trace.MonitorEventKind must either cover all declared constants of
 //     the type or carry a default clause, so adding an abort reason or a
 //     monitor event kind cannot silently fall through existing handling.
+//
+//  3. order-free map ranges: no +=, -=, *= or /= on a floating-point
+//     lvalue inside a for-range over a map (map order is random, float
+//     sums are not associative), unless the lvalue is indexed by the
+//     range key.
 //
 // The tool is deliberately standard-library only (x/tools is not
 // vendored), so instead of speaking `go vet -vettool`'s unitchecker
@@ -190,6 +195,9 @@ func packageDirs(root string) ([]string, error) {
 		name := d.Name()
 		if path != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "tools") {
 			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); path != root && err == nil {
+			return filepath.SkipDir // a nested module, as go vet ./... skips it
 		}
 		entries, err := os.ReadDir(path)
 		if err != nil {

@@ -193,3 +193,100 @@ func TestModulePath(t *testing.T) {
 		t.Fatalf("modulePath = %q, want testmod", mod)
 	}
 }
+
+func TestMapRangeFloatCheck(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"sums/sums.go": `package sums
+
+type agg struct{ sum float64 }
+
+// Flagged: the total depends on map iteration order.
+func Total(m map[string]float64) float64 {
+	var s float64
+	for _, v := range m {
+		s += v
+	}
+	return s
+}
+
+// Flagged: products and quotients too, float32 included.
+func Scale(m map[int]float32) (p, q float32) {
+	p, q = 1, 1
+	for k := range m {
+		p *= m[k]
+		q /= m[k]
+	}
+	return p, q
+}
+
+// Exempt: each key updates its own slot.
+func PerKey(m map[string]float64, out map[string]float64, rows map[string]*agg) {
+	for k, v := range m {
+		out[k] += v
+		rows[k].sum -= v
+	}
+}
+
+// Not flagged: integer sums are exact in any order.
+func Count(m map[string]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
+	}
+	return n
+}
+
+// Not flagged: a float sum over a slice has a fixed order.
+func Slice(xs []float64) float64 {
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+// Flagged once, by the inner range: the lvalue is indexed by the
+// outer key but accumulates over the inner map's order.
+func Nested(m map[string]map[string]float64, out map[string]float64) {
+	for k, inner := range m {
+		for _, v := range inner {
+			out[k] += v
+		}
+	}
+}
+`,
+	})
+	diags := runChecks(t, root, "testmod/sums")
+	var lines []int
+	for _, d := range diags {
+		if d.check != "maprangefloat" {
+			t.Errorf("unexpected check %q: %s", d.check, d.msg)
+		}
+		lines = append(lines, d.pos.Line)
+	}
+	want := []int{9, 18, 19, 55}
+	if len(lines) != len(want) {
+		t.Fatalf("diagnostics at lines %v, want %v", lines, want)
+	}
+	for i := range want {
+		if lines[i] != want[i] {
+			t.Fatalf("diagnostics at lines %v, want %v", lines, want)
+		}
+	}
+}
+
+func TestPackageDirsSkipsNestedModules(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"a/a.go":          "package a\n",
+		"nested/go.mod":   "module nested\n\ngo 1.22\n",
+		"nested/n.go":     "package nested\n",
+		"nested/sub/s.go": "package sub\n",
+	})
+	dirs, err := packageDirs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) != 1 || dirs[0] != filepath.Join(root, "a") {
+		t.Fatalf("packageDirs = %v, want only %s", dirs, filepath.Join(root, "a"))
+	}
+}
