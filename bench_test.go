@@ -21,9 +21,9 @@ import (
 	"testing"
 
 	fpspy "repro"
-	"repro/internal/adaptive"
 	"repro/internal/isa"
 	"repro/internal/kernel"
+	"repro/internal/shadow"
 	"repro/internal/softfloat"
 	"repro/internal/study"
 	"repro/internal/trace"
@@ -576,7 +576,10 @@ func BenchmarkSection37Scaling(b *testing.B) {
 // prediction empirically: the binary-patching mitigator (one kernel
 // crossing per rounding event, no FP unmasking) beats the
 // trap-and-emulate mitigator (SIGFPE per event) on the same kernel,
-// with identical numerical results.
+// with identical numerical results. The p113 leg runs the software FPU
+// in the fixed-width number system, the p256 leg in big.Float; each
+// reports its host ns and heap allocations per emulated instruction,
+// both flavors' runs included.
 func BenchmarkSection6MitigationFlavors(b *testing.B) {
 	const n = 20000
 	prog := func() *fpspy.Program {
@@ -596,44 +599,54 @@ func BenchmarkSection6MitigationFlavors(b *testing.B) {
 		pb.Hlt()
 		return pb.Build()
 	}
-	var trapWall, patchWall float64
-	var trapRes, patchRes uint64
-	for i := 0; i < b.N; i++ {
-		res, stats, err := fpspy.RunMitigated(prog(), 256, fpspy.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if stats.Emulated == 0 {
-			b.Fatal("trap flavor emulated nothing")
-		}
-		trapWall = float64(res.WallCycles)
-		trapRes = readU64(res.Proc.Mem, 128)
+	sites, err := shadow.ProfileRoundingSites(prog(), 1<<21, 1_000_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, prec := range []uint{113, 256} {
+		b.Run("p"+strconv.FormatUint(uint64(prec), 10), func(b *testing.B) {
+			var trapWall, patchWall float64
+			var trapRes, patchRes, emulated uint64
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			for i := 0; i < b.N; i++ {
+				res, stats, err := fpspy.RunMitigated(prog(), prec, fpspy.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if stats.Emulated == 0 {
+					b.Fatal("trap flavor emulated nothing")
+				}
+				trapWall = float64(res.WallCycles)
+				trapRes = readU64(res.Proc.Mem, 128)
 
-		sites, err := adaptive.ProfileRoundingSites(prog(), 1<<21, 1_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		k := kernel.New()
-		pstats := &adaptive.Stats{}
-		k.RegisterPreload(adaptive.PatchedPreloadName, adaptive.PatchedFactory(256, sites, pstats))
-		p, err := k.Spawn(prog(), 1<<21, map[string]string{"LD_PRELOAD": adaptive.PatchedPreloadName})
-		if err != nil {
-			b.Fatal(err)
-		}
-		k.Run(100_000_000)
-		if !p.Exited {
-			b.Fatal("patched run stuck")
-		}
-		patchWall = float64(k.Cycles)
-		patchRes = readU64(p.Mem, 128)
-	}
-	if trapRes != patchRes {
-		b.Errorf("flavors disagree: %#x vs %#x", trapRes, patchRes)
-	}
-	speedup := trapWall / patchWall
-	b.ReportMetric(speedup, "patch-speedup-x")
-	if speedup <= 1.0 {
-		b.Errorf("patching did not win: %.3f", speedup)
+				k := kernel.New()
+				pstats := &shadow.MitigationStats{}
+				k.RegisterPreload(shadow.PatchedPreloadName, shadow.PatchedFactory(prec, sites, pstats))
+				p, err := k.Spawn(prog(), 1<<21, map[string]string{"LD_PRELOAD": shadow.PatchedPreloadName})
+				if err != nil {
+					b.Fatal(err)
+				}
+				k.Run(100_000_000)
+				if !p.Exited {
+					b.Fatal("patched run stuck")
+				}
+				patchWall = float64(k.Cycles)
+				patchRes = readU64(p.Mem, 128)
+				emulated += stats.Emulated + pstats.Emulated
+			}
+			runtime.ReadMemStats(&ms1)
+			if trapRes != patchRes {
+				b.Errorf("flavors disagree: %#x vs %#x", trapRes, patchRes)
+			}
+			speedup := trapWall / patchWall
+			b.ReportMetric(speedup, "patch-speedup-x")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(emulated), "ns/emulated")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(emulated), "allocs/emulated")
+			if speedup <= 1.0 {
+				b.Errorf("patching did not win: %.3f", speedup)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,10 @@
 // Rounding mitigation: the paper's Section 6 prospect, made concrete.
 // First, FPSpy traces establish the locality of rounding instructions
-// (few sites, few forms); then the trap-and-emulate prototype executes a
-// guest kernel against an arbitrary-precision software FPU (math/big in
-// place of MPFR) and reports how much accuracy higher precision
-// recovers.
+// (few sites, few forms); then the shadow-precision channel re-executes
+// a guest kernel at higher precision and measures the rounding error
+// the hardware accumulates; finally the trap-and-emulate mitigator runs
+// the same kernel against that software FPU (in place of MPFR) and
+// reports how much accuracy it recovers.
 package main
 
 import (
@@ -14,7 +15,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/isa"
 	"repro/internal/machine"
-	"repro/internal/mitigate"
+	"repro/internal/shadow"
 	"repro/internal/workload"
 )
 
@@ -56,24 +57,25 @@ func main() {
 	recs := res.MustRecords()
 	byAddr := analysis.RankByAddress(recs)
 	byForm := analysis.RankByForm(recs)
-	rep := mitigate.Feasibility(byAddr, byForm, 50_000, 150, 4_000)
+	rep := analysis.Feasibility(byAddr, byForm, 50_000, 150, 4_000)
 	fmt.Printf("moose rounding locality: %d sites (%d cover 99%%), %d forms (%d cover 99%%)\n",
 		rep.Sites, rep.Sites99, rep.Forms, rep.Forms99)
 	fmt.Printf("mitigation cost: %.0f cycles/event patched vs %.0f trapped — patch wins: %v\n\n",
 		rep.PatchCyclesPerEvent, rep.TrapCyclesPerEvent, rep.PatchWins)
 
-	// Step 2 — trap-and-emulate execution at increasing precision.
+	// Step 2 — shadow execution at increasing precision.
 	const n = 100_000
 	exact := float64(n) * 0.1
 	for _, prec := range []uint{53, 113, 256} {
 		m := machine.New(buildNaiveSum(n), 4096)
-		sh := mitigate.NewShadowExecutor(m, prec)
-		if ev := sh.Run(10_000_000); ev == nil {
+		ch := shadow.Attach(m, prec, nil)
+		if _, ev := m.RunStraight(10_000_000); ev == nil {
 			panic("did not halt")
 		}
+		st := ch.Stats()
 		hw := math.Float64frombits(m.CPU.X[isa.X0][0])
 		fmt.Printf("precision %3d bits: hardware err %.3e, hw-vs-shadow divergence %d ulps (%d ops emulated)\n",
-			prec, math.Abs(hw-exact)/exact, sh.MaxUlps(), sh.Emulated())
+			prec, math.Abs(hw-exact)/exact, st.MaxUlps, st.Ops)
 	}
 	fmt.Println("\nhigher shadow precision exposes exactly the rounding error the")
 	fmt.Println("hardware accumulates; at 53 bits the shadow reproduces it bit-for-bit.")

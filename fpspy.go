@@ -30,12 +30,12 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/adaptive"
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/kernel"
 	"repro/internal/obs"
+	"repro/internal/shadow"
 	"repro/internal/softfloat"
 	"repro/internal/trace"
 )
@@ -237,15 +237,15 @@ func (r *Result) RootCause(prec uint64) *RootCauseReport {
 	return analysis.BuildRootCause(prec, sites)
 }
 
-// MitigationStats aggregates what adaptive precision did during a
+// MitigationStats aggregates what the Section 6 mitigator did during a
 // mitigated run.
-type MitigationStats = adaptive.Stats
+type MitigationStats = shadow.MitigationStats
 
-// RunMitigated executes prog with the Section 6 adaptive-precision
-// object in LD_PRELOAD instead of FPSpy: scalar binary64 rounding
-// instructions are trap-and-emulated against a software FPU of the
-// given mantissa precision, with results written back through the
-// signal context.
+// RunMitigated executes prog with the Section 6 mitigator's
+// trap-and-emulate flavor in LD_PRELOAD instead of FPSpy: rounding
+// instructions in its repertoire (shadow.Emulable) are emulated by a
+// software FPU of the given mantissa precision, with results written
+// back through the signal context.
 func RunMitigated(prog *Program, prec uint, opts Options) (*Result, *MitigationStats, error) {
 	if opts.MemBytes == 0 {
 		opts.MemBytes = 16 << 20
@@ -258,8 +258,8 @@ func RunMitigated(prog *Program, prec uint, opts Options) (*Result, *MitigationS
 		k.Cost = *opts.CostModel
 	}
 	stats := &MitigationStats{}
-	k.RegisterPreload(adaptive.PreloadName, adaptive.Factory(prec, stats))
-	env := map[string]string{"LD_PRELOAD": adaptive.PreloadName}
+	k.RegisterPreload(shadow.TrapPreloadName, shadow.TrapFactory(prec, stats))
+	env := map[string]string{"LD_PRELOAD": shadow.TrapPreloadName}
 	for key, v := range opts.Env {
 		env[key] = v
 	}

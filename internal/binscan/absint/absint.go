@@ -980,8 +980,7 @@ func (an *analyzer) execFPAbs(st *state, inst *isa.Inst, info *isa.OpInfo) (may,
 		}
 
 	case isa.ClassFMA:
-		negProd := info.FMA == isa.FNMAdd || info.FMA == isa.FNMSub
-		negAdd := info.FMA == isa.FMSub || info.FMA == isa.FNMSub
+		negProd, negAdd := info.FMA.NegProduct(), info.FMA.NegAddend()
 		if info.Prec == isa.F64 {
 			res := make([]Val, info.Lanes)
 			for l := 0; l < info.Lanes; l++ {

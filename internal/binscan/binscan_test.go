@@ -260,3 +260,29 @@ func TestEmptyProgram(t *testing.T) {
 		t.Errorf("empty validation = %v", v)
 	}
 }
+
+func TestSiteEmulableMatchesMitigator(t *testing.T) {
+	// Emulable marks exactly the forms the Section 6 mitigator emulates:
+	// scalar binary64 arithmetic and cvtsi2sdq, not packed or binary32
+	// forms and not min/max, which it would refuse at a patched site.
+	b := isa.NewBuilder("emulable")
+	b.FP2(isa.OpADDSD, isa.X0, isa.X1, isa.X2)
+	b.FP2(isa.OpADDPD, isa.X0, isa.X1, isa.X2)
+	b.FP2(isa.OpADDSS, isa.X0, isa.X1, isa.X2)
+	b.FP2(isa.OpMINSD, isa.X0, isa.X1, isa.X2)
+	b.Cvt(isa.OpCVTSI2SDQ, isa.X3, isa.R1)
+	b.Hlt()
+	s := ScanProgram(b.Build())
+	want := map[isa.Opcode]bool{
+		isa.OpADDSD: true, isa.OpADDPD: false, isa.OpADDSS: false,
+		isa.OpMINSD: false, isa.OpCVTSI2SDQ: true,
+	}
+	if len(s.Sites) != len(want) {
+		t.Fatalf("Sites = %d, want %d", len(s.Sites), len(want))
+	}
+	for _, site := range s.Sites {
+		if site.Emulable != want[site.Op] {
+			t.Errorf("%v: Emulable = %v, want %v", site.Op, site.Emulable, want[site.Op])
+		}
+	}
+}

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/isa"
-	"repro/internal/mitigate"
+	"repro/internal/shadow"
 )
 
 // Site is one statically discovered floating point instruction site: an
@@ -21,8 +21,9 @@ type Site struct {
 	// Reachable marks sites in blocks reachable from the entry or an
 	// address-taken root.
 	Reachable bool
-	// Emulable marks forms the Section 6 mitigation prototype
-	// (mitigate.ShadowExecutor) can re-execute at high precision.
+	// Emulable marks forms the Section 6 mitigator emulates at high
+	// precision (shadow.Emulable); a patched site holding any other form
+	// would be unpatched on its first visit.
 	Emulable bool
 }
 
@@ -85,7 +86,7 @@ func ScanProgram(p *isa.Program) *Scan {
 				Addr:      p.AddrOf(i),
 				Op:        inst.Op,
 				Reachable: reach,
-				Emulable:  mitigate.ShadowSupported(inst.Op),
+				Emulable:  shadow.Emulable(inst.Op),
 			})
 		}
 		if inst.Op == isa.OpCALLC {

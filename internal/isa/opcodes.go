@@ -82,6 +82,12 @@ const (
 	FNMSub
 )
 
+// NegProduct reports whether the variant negates the product a*b.
+func (v FMAVariant) NegProduct() bool { return v == FNMAdd || v == FNMSub }
+
+// NegAddend reports whether the variant negates the addend c.
+func (v FMAVariant) NegAddend() bool { return v == FMSub || v == FNMSub }
+
 // ConvertKind identifies a conversion form.
 type ConvertKind uint8
 

@@ -285,8 +285,7 @@ func negSign32(x uint32) uint32 { return x ^ 1<<31 }
 func (m *Machine) execFMA(inst *isa.Inst, info *isa.OpInfo, env softfloat.Env, st *fpStage) {
 	c := &m.CPU
 	st.vecSet = true
-	negProd := info.FMA == isa.FNMAdd || info.FMA == isa.FNMSub
-	negAdd := info.FMA == isa.FMSub || info.FMA == isa.FNMSub
+	negProd, negAdd := info.FMA.NegProduct(), info.FMA.NegAddend()
 	if info.Prec == isa.F64 {
 		a := c.X[inst.Rs1][:info.Lanes]
 		b := c.X[inst.Rs2][:info.Lanes]

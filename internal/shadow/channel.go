@@ -62,13 +62,9 @@ type pend struct {
 // kernel simulation drives each machine single-threadedly), so the
 // channel needs no locking.
 type Channel struct {
-	m    *machine.Machine
-	prec uint
-	wide uint
-	om   *obs.ShadowMetrics
-	// fixed selects the number format: the fixed-width evaluator for
-	// precisions up to maxFixedPrec, big.Float above them.
-	fixed bool
+	m  *machine.Machine
+	om *obs.ShadowMetrics
+	format
 
 	// regs shadows each 64-bit vector word; regs32 shadows the low
 	// binary32 lane of word 0 (scalar-F32 ops write only that half).
@@ -92,8 +88,8 @@ type Channel struct {
 	pend  pend
 }
 
-// Stats is the channel's scalar accounting, for the mitigation
-// executor and benchmarks.
+// Stats is the channel's scalar accounting, for reports, tests and
+// benchmarks.
 type Stats struct {
 	// Ops counts shadow-executed lane operations (comparison points).
 	Ops uint64
@@ -126,12 +122,10 @@ var attachHook func(*Channel)
 // system, wider ones in big.Float; the reports are identical.
 func Attach(m *machine.Machine, prec uint, om *obs.ShadowMetrics) *Channel {
 	ch := &Channel{
-		m:     m,
-		prec:  prec,
-		wide:  widePrec(prec),
-		om:    om,
-		fixed: prec <= maxFixedPrec,
-		mem:   make(map[uint64]memShadow),
+		m:      m,
+		om:     om,
+		format: newFormat(prec),
+		mem:    make(map[uint64]memShadow),
 	}
 	if attachHook != nil {
 		attachHook(ch)

@@ -248,7 +248,7 @@ func TestMemoryShadowThreading(t *testing.T) {
 // TestSiteTableBounded: the per-site map stops growing at maxSites and
 // counts the overflow instead of accumulating unboundedly.
 func TestSiteTableBounded(t *testing.T) {
-	ch := &Channel{prec: 53, wide: widePrec(53)}
+	ch := &Channel{format: newFormat(53)}
 	for i := 0; i < maxSites+100; i++ {
 		ch.site(uint64(i)*8, "addsd")
 	}
@@ -303,5 +303,158 @@ func TestClobberMemOverlaps(t *testing.T) {
 		if ch.unaligned != 0 {
 			t.Errorf("%s: unaligned count %d after the unaligned shadows were clobbered", tc.name, ch.unaligned)
 		}
+	}
+}
+
+// buildSummation builds a program that sums 0.1 N times into x0 and
+// stores the result — a classic error-accumulation kernel.
+func buildSummation(n int64) *isa.Program {
+	b := isa.NewBuilder("summation")
+	b.Movi(isa.R6, int64(math.Float64bits(0.1)))
+	b.Movqx(isa.X1, isa.R6)
+	b.Movi(isa.R6, 0)
+	b.Movqx(isa.X0, isa.R6)
+	b.Movi(isa.R8, 0)
+	b.Movi(isa.R9, n)
+	top := b.Label("top")
+	b.Bind(top)
+	b.FP2(isa.OpADDSD, isa.X0, isa.X0, isa.X1)
+	b.Addi(isa.R8, isa.R8, 1)
+	b.Blt(isa.R8, isa.R9, top)
+	b.Movi(isa.R10, 64)
+	b.Fst(isa.R10, 0, isa.X0)
+	b.Hlt()
+	return b.Build()
+}
+
+func TestShadowExecutorMeasuresAccumulatedError(t *testing.T) {
+	const n = 100000
+	m := machine.New(buildSummation(n), 4096)
+	ch := Attach(m, 256, nil)
+	drive(t, m)
+	st := ch.Stats()
+	if st.Ops < n {
+		t.Errorf("emulated = %d, want >= %d", st.Ops, n)
+	}
+	// Hardware result drifts from the shadow: 0.1 is not representable,
+	// and n additions accumulate noticeable error.
+	hw := math.Float64frombits(m.CPU.X[isa.X0][0])
+	if math.Abs(hw-n*0.1) < 1e-12 {
+		t.Log("hardware summation unexpectedly accurate") // not fatal
+	}
+	if st.MaxUlps == 0 || st.Diverged == 0 {
+		t.Errorf("maxUlps = %d, diverged = %d, want accumulated divergence", st.MaxUlps, st.Diverged)
+	}
+	// The true drift of a 100k-term sum is thousands of ulps, not
+	// billions; an absurd distance would mean the metric is broken.
+	if st.MaxUlps > 1<<32 {
+		t.Errorf("maxUlps = %d, implausibly large", st.MaxUlps)
+	}
+	// The attribution must charge the one rounding site.
+	sites := ch.Sites()
+	if len(sites) != 1 || sites[0].Op != "addsd" || sites[0].LocalUlps <= 0 {
+		t.Errorf("sites = %+v, want one addsd site with local error", sites)
+	}
+}
+
+func TestShadowPrecision53MatchesHardware(t *testing.T) {
+	// At 53-bit shadow precision the software FPU rounds exactly like
+	// the hardware, so no divergence can appear.
+	m := machine.New(buildSummation(5000), 4096)
+	ch := Attach(m, 53, nil)
+	drive(t, m)
+	if got := ch.Stats().MaxUlps; got != 0 {
+		t.Errorf("53-bit shadow diverged: %d ulps", got)
+	}
+}
+
+// buildFMAChain exercises every shadowed instruction class: FMA variants,
+// min/max, movsd, sqrt.
+func buildFMAChain() *isa.Program {
+	b := isa.NewBuilder("fmachain")
+	b.Movi(isa.R6, int64(math.Float64bits(0.3)))
+	b.Movqx(isa.X0, isa.R6)
+	b.Movi(isa.R6, int64(math.Float64bits(0.7)))
+	b.Movqx(isa.X1, isa.R6)
+	b.Movi(isa.R6, int64(math.Float64bits(1.1)))
+	b.Movqx(isa.X2, isa.R6)
+	b.FMA(isa.OpVFMADDSD, isa.X3, isa.X0, isa.X1, isa.X2)  // 0.3*0.7+1.1
+	b.FMA(isa.OpVFNMSUBSD, isa.X4, isa.X0, isa.X1, isa.X3) // -(ab)-c
+	b.FP2(isa.OpMINSD, isa.X5, isa.X3, isa.X4)
+	b.FP2(isa.OpMAXSD, isa.X6, isa.X3, isa.X4)
+	b.Movsd(isa.X7, isa.X3)
+	b.FP1(isa.OpSQRTSD, isa.X8, isa.X2)
+	b.FP2(isa.OpDIVSD, isa.X9, isa.X3, isa.X1)
+	b.Movi(isa.R10, 128)
+	b.Fst(isa.R10, 0, isa.X9)
+	b.Hlt()
+	return b.Build()
+}
+
+func TestShadowCoversFMAAndSelects(t *testing.T) {
+	m := machine.New(buildFMAChain(), 4096)
+	ch := Attach(m, 256, nil)
+	drive(t, m)
+	st := ch.Stats()
+	if st.Ops < 4 {
+		t.Errorf("emulated = %d", st.Ops)
+	}
+	// Hardware and shadow agree on the well-conditioned chain within
+	// float64 rounding.
+	want := (0.3*0.7 + 1.1) / 0.7 // approximately; FMA differences are sub-ulp here
+	got := math.Float64frombits(m.CPU.X[isa.X9][0])
+	if math.Abs(got-want) > 1e-12 {
+		t.Errorf("chain result %v, want ~%v", got, want)
+	}
+	if st.MaxUlps > 1 {
+		t.Errorf("divergence %d ulps on a 7-op chain", st.MaxUlps)
+	}
+}
+
+func TestShadowInvalidation(t *testing.T) {
+	// A register overwritten by an unshadowed op (an integer-to-vector
+	// move) must not keep a stale shadow. Packed adds no longer qualify:
+	// the channel shadow-executes those too.
+	b := isa.NewBuilder("inval")
+	b.Movi(isa.R6, int64(math.Float64bits(0.1)))
+	b.Movqx(isa.X0, isa.R6)
+	b.Movi(isa.R6, int64(math.Float64bits(0.2)))
+	b.Movqx(isa.X1, isa.R6)
+	b.FP2(isa.OpADDSD, isa.X2, isa.X0, isa.X1) // shadow for x2
+	b.Movi(isa.R7, int64(math.Float64bits(0.4)))
+	b.Movqx(isa.X2, isa.R7)                    // unshadowed overwrite: invalidates
+	b.FP2(isa.OpMULSD, isa.X3, isa.X2, isa.X1) // re-derives from hw
+	b.Movi(isa.R10, 128)
+	b.Fst(isa.R10, 0, isa.X3)
+	b.Hlt()
+	m := machine.New(b.Build(), 4096)
+	ch := Attach(m, 256, nil)
+	drive(t, m)
+	x, y := 0.4, 0.2 // force float64 rounding; the constant product is exact
+	want := x * y
+	got := math.Float64frombits(m.CPU.X[isa.X3][0])
+	if got != want {
+		t.Errorf("result %v, want %v", got, want)
+	}
+	if ch.Stats().Invalidations == 0 {
+		t.Error("overwrite of a shadowed register was not counted as an invalidation")
+	}
+	if got := ch.Stats().MaxUlps; got != 0 {
+		// The re-derived shadow starts from the hardware value, so the
+		// single multiply cannot diverge.
+		t.Errorf("divergence %d ulps after invalidation", got)
+	}
+}
+
+func TestShadowRunStopsOnFault(t *testing.T) {
+	b := isa.NewBuilder("fault")
+	b.Movi(isa.R1, 1<<40)
+	b.Ld(isa.R2, isa.R1, 0)
+	b.Hlt()
+	m := machine.New(b.Build(), 256)
+	Attach(m, 64, nil)
+	_, ev := m.RunStraight(100)
+	if _, ok := ev.(*machine.FaultEvent); !ok {
+		t.Fatalf("ended with %T, want fault", ev)
 	}
 }

@@ -99,16 +99,11 @@ func evalFMA(v isa.FMAVariant, a, b, c *big.Float, prec uint) (*big.Float, bool)
 		pp = prec
 	}
 	p := new(big.Float).SetPrec(pp).Mul(a, b)
-	switch v {
-	case isa.FMAdd, isa.FMSub:
-	case isa.FNMAdd, isa.FNMSub:
+	if v.NegProduct() {
 		p.Neg(p)
-	default:
-		return nil, false
 	}
-	neg := v == isa.FMSub || v == isa.FNMSub
 	z := new(big.Float).SetPrec(prec).SetMode(big.ToZero)
-	if neg {
+	if v.NegAddend() {
 		z.Sub(p, c)
 	} else {
 		z.Add(p, c)

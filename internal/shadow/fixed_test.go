@@ -200,6 +200,120 @@ func (tl *tally) add(t testing.TB, ln lane, prec uint) {
 	if checkLane(t, &ln, prec) {
 		tl.fallbacks++
 	}
+	checkEmulated(t, &ln)
+}
+
+// emulatedPrecs are the mitigator precisions the lane differential
+// checks, on both sides of maxFixedPrec.
+var emulatedPrecs = []uint{53, 80, 113, 128, 256}
+
+// checkEmulated is the mitigator's property over a lane: for a binary64
+// form in its repertoire with finite native operands, the software
+// FPU's value at each of emulatedPrecs is the big.Float result of the
+// exact op on its p-bit operands rounded once to p, bit for bit, and it
+// has no value exactly where the op has no finite result. The operands
+// are what the mitigator holds: the lane's shadows rounded to p, else
+// the native values.
+func checkEmulated(t testing.TB, ln *lane) {
+	t.Helper()
+	n := 2
+	switch {
+	case ln.single || !ln.fma && (ln.fp == isa.FPMin || ln.fp == isa.FPMax):
+		return
+	case ln.fma:
+		n = 3
+	case ln.fp == isa.FPSqrt:
+		n = 1
+	}
+	for i := 0; i < n; i++ {
+		if !finite64(ln.nat[i]) {
+			return
+		}
+	}
+	for _, p := range emulatedPrecs {
+		e := newFormat(p)
+		var ops [3]val
+		ref := [3]*big.Float{new(big.Float), new(big.Float), new(big.Float)}
+		for i := 0; i < n; i++ {
+			x := bigOf64(ln.nat[i])
+			if ln.sh[i].set {
+				x = ln.sh[i].bigVal()
+			}
+			ref[i].SetPrec(p).Set(x)
+			ops[i] = val{big: ref[i], set: true}
+			if e.fixed {
+				ops[i] = val{x: fixedOfBig(ref[i]), set: true}
+			}
+		}
+		got, ok := e.result(ln, ops)
+		want, wok := roundOnce(ln, ref, p)
+		if ok != wok || ok && (got.bigVal().Cmp(want) != 0 || got.bigVal().Signbit() != want.Signbit()) {
+			t.Fatalf("p %d lane %+v: emulated %s (ok %v), want %x (ok %v)",
+				p, *ln, shText(got), ok, want, wok)
+		}
+	}
+}
+
+// roundOnce is the mitigator's reference semantics: the exact op over
+// o rounded once to p bits by big.Float, or ok false when there is no
+// finite result.
+func roundOnce(ln *lane, o [3]*big.Float, p uint) (*big.Float, bool) {
+	a, b, c := o[0], o[1], o[2]
+	z := new(big.Float).SetPrec(p)
+	if ln.fma {
+		ab := new(big.Float).SetPrec(a.Prec()+b.Prec()).Mul(a, b)
+		if ln.v == isa.FNMAdd || ln.v == isa.FNMSub {
+			ab.Neg(ab)
+		}
+		if ln.v == isa.FMSub || ln.v == isa.FNMSub {
+			return z.Sub(ab, c), true
+		}
+		return z.Add(ab, c), true
+	}
+	switch ln.fp {
+	case isa.FPAdd:
+		z.Add(a, b)
+	case isa.FPSub:
+		z.Sub(a, b)
+	case isa.FPMul:
+		z.Mul(a, b)
+	case isa.FPDiv:
+		if b.Sign() == 0 {
+			return nil, false
+		}
+		z.Quo(a, b)
+	case isa.FPSqrt:
+		if a.Sign() < 0 {
+			return nil, false
+		}
+		z.Sqrt(a)
+	}
+	return z, true
+}
+
+// TestMitigatorFMARoundsOnce pins an FMA whose two-step evaluation
+// rounds differently. With u = 2^(1−p), a = b = 1 + u and c = u/2:
+// RN(RN(a·b) + c) = RN(1 + 2.5u) ties to even at 1 + 2u, while the
+// exact a·b + c = 1 + 2.5u + u² rounds up to 1 + 3u.
+func TestMitigatorFMARoundsOnce(t *testing.T) {
+	for _, p := range []uint{113, 256} {
+		u := new(big.Float).SetMantExp(big.NewFloat(1), 1-int(p))
+		a := new(big.Float).SetPrec(p).Add(big.NewFloat(1), u)
+		c := new(big.Float).SetMantExp(big.NewFloat(1), -int(p))
+		want := new(big.Float).SetPrec(p).Add(a, u)
+		want.Add(want, u)
+		e := newFormat(p)
+		ops := [3]val{{big: a, set: true}, {big: a, set: true}, {big: c, set: true}}
+		if e.fixed {
+			for i := range ops {
+				ops[i] = val{x: fixedOfBig(ops[i].big), set: true}
+			}
+		}
+		got, ok := e.result(&lane{fma: true, v: isa.FMAdd}, ops)
+		if !ok || got.bigVal().Cmp(want) != 0 {
+			t.Errorf("p %d: fmadd = %s, want %s", p, shText(got), want.Text('p', 0))
+		}
+	}
 }
 
 // drift returns ln with operand i's shadow drifted by seed, unchanged
@@ -379,6 +493,7 @@ func FuzzShadowLane(f *testing.F) {
 			}
 		}
 		checkLane(t, &ln, p)
+		checkEmulated(t, &ln)
 	})
 }
 
@@ -419,7 +534,7 @@ func TestShadowLaneAllocs(t *testing.T) {
 		drift(nativeLane(laneForms[4], false, math.Float64bits(2), 0, 0), 0, 113, 3),
 		drift(nativeLane(laneForms[7], true, uint64(math.Float32bits(0.1)), uint64(math.Float32bits(3)), uint64(math.Float32bits(1))), 2, 113, 4),
 	}
-	ch := &Channel{prec: 113, wide: widePrec(113), fixed: true}
+	ch := &Channel{format: newFormat(113)}
 	for i := range lanes {
 		ln := &lanes[i]
 		if allocs := testing.AllocsPerRun(100, func() { ch.evalLane(ln) }); allocs >= 1 {

@@ -25,6 +25,18 @@ func (v val) bigVal() *big.Float {
 	return v.x.big()
 }
 
+// format is a shadow number system at prec bits: the fixed-width one up
+// to maxFixedPrec, big.Float above, whose evaluation runs at the
+// working precision wide. The precision alone selects it.
+type format struct {
+	prec, wide uint
+	fixed      bool
+}
+
+func newFormat(prec uint) format {
+	return format{prec: prec, wide: widePrec(prec), fixed: prec <= maxFixedPrec}
+}
+
 // lane is one shadow-executed lane: the op, the native operand and
 // result bits (binary32 patterns in the low half when single), and the
 // operands' shadows.
@@ -253,11 +265,11 @@ func evalOp(ln *lane, o [3]fixed, wide uint) (x acc, finite, ok bool) {
 	a, b := o[0], o[1]
 	if ln.fma {
 		p := mul(a, b)
-		if ln.v == isa.FNMAdd || ln.v == isa.FNMSub {
+		if ln.v.NegProduct() {
 			p = p.negate()
 		}
 		c := o[2].acc()
-		if ln.v == isa.FMSub || ln.v == isa.FNMSub {
+		if ln.v.NegAddend() {
 			c = c.negate()
 		}
 		return add(&p, &c), true, true

@@ -1,10 +1,11 @@
-// Package shadow implements the shadow-precision value channel behind
-// the root-cause attribution study (ROADMAP item 1, the paper's Section
-// 6/7 mitigation direction): every retired floating point instruction
-// carries its native (softfloat) result alongside a result computed at
-// a configurable higher precision, and the divergence between the two
-// is attributed to the instruction site that introduced it,
-// Herbgrind-style.
+// Package shadow is the repository's one precision-escalation core: a
+// high-precision evaluator and its two users. The first is the
+// shadow-precision value channel behind the root-cause attribution
+// study (the paper's Section 6/7 mitigation direction): every retired
+// floating point instruction carries its native (softfloat) result
+// alongside a result computed at a configurable higher precision, and
+// the divergence between the two is attributed to the instruction site
+// that introduced it, Herbgrind-style.
 //
 // Number formats. Precisions up to 113 bits evaluate in a fixed-width
 // binary float (a 128-bit significand on two uint64s, fixed.go) whose
@@ -35,8 +36,7 @@
 // this is the total rounding the site injected, which is what the
 // RootCauseReport ranks. The integer ULP distance (Dist64/Dist32) is
 // used where whole-result divergence is the question: the max-ULP
-// per-site statistic, the observability histogram, and the mitigation
-// executor's headline metric.
+// per-site statistic, the observability histogram, and Stats.MaxUlps.
 //
 // Environment policy. Shadow arithmetic is round-to-nearest-even with
 // an unbounded exponent (except at prec 53/24, where results are
@@ -48,6 +48,10 @@
 // and results: the shadow number systems have no NaN, so non-finite
 // lanes invalidate their destination shadow and count as NonFinite
 // rather than accumulate.
+//
+// The second user is the Section 6 mitigator (mitigator.go), which
+// writes the evaluator's results back into the guest instead of
+// observing.
 package shadow
 
 import "repro/internal/isa"
@@ -57,9 +61,8 @@ import "repro/internal/isa"
 // z-forms including the K-masked variants — masked-off lanes never
 // shadow-execute), plus scalar binary32 arithmetic and FMA. Packed
 // binary32, conversion, compare, round, and dot forms reset their
-// destinations to the native value instead. Static analysis
-// (internal/binscan) uses this predicate to mark which discovered sites
-// the Section 6 mitigation could patch.
+// destinations to the native value instead. The mitigator's narrower
+// repertoire is Emulable.
 func Supported(op isa.Opcode) bool {
 	info := op.Info()
 	switch info.Class {

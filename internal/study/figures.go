@@ -8,7 +8,6 @@ import (
 	fpspy "repro"
 	"repro/internal/analysis"
 	"repro/internal/binscan"
-	"repro/internal/mitigate"
 	"repro/internal/softfloat"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -656,7 +655,7 @@ func (s *Study) Section6() (*Table, error) {
 		if len(recs) == 0 {
 			continue
 		}
-		rep := mitigate.Feasibility(
+		rep := analysis.Feasibility(
 			analysis.RankByAddress(recs), analysis.RankByForm(recs),
 			50_000, 150, 4_000)
 		t.Rows = append(t.Rows, []string{

@@ -31,6 +31,7 @@ var enumTypes = map[string]bool{
 func checkPackage(fset *token.FileSet, p *pkg) []diagnostic {
 	var diags []diagnostic
 	for _, f := range p.files {
+		diags = append(diags, checkBigFloat(fset, p, f)...)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if ok && fd.Recv != nil && fd.Body != nil {
@@ -404,4 +405,30 @@ func indexedBy(e ast.Expr, p *pkg, key types.Object) bool {
 			return false
 		}
 	}
+}
+
+// --- check 4: one arbitrary-precision core -----------------------------
+
+// bigFloatHome is the one package, relative to the module root, whose
+// production code may import math/big: the shadow evaluator every
+// high-precision re-execution goes through.
+const bigFloatHome = "internal/shadow"
+
+// checkBigFloat flags a math/big import in any other package's
+// production code. Tests are exempt: big.Float is their oracle.
+func checkBigFloat(fset *token.FileSet, p *pkg, f *ast.File) []diagnostic {
+	if p.rel == bigFloatHome {
+		return nil
+	}
+	var diags []diagnostic
+	for _, spec := range f.Imports {
+		if spec.Path.Value == `"math/big"` {
+			diags = append(diags, diagnostic{
+				pos:   fset.Position(spec.Pos()),
+				check: "bigfloat",
+				msg:   fmt.Sprintf("math/big imported outside %s: high-precision arithmetic belongs to the shadow evaluator", bigFloatHome),
+			})
+		}
+	}
+	return diags
 }

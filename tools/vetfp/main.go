@@ -1,5 +1,5 @@
 // Command vetfp is the repository's custom static checker. It enforces
-// three invariants the standard toolchain cannot express:
+// four invariants the standard toolchain cannot express:
 //
 //  1. nil-receiver safety: every pointer-receiver method on a type whose
 //     name ends in "Metrics" must be safe to call on a nil receiver —
@@ -18,6 +18,11 @@
 //     lvalue inside a for-range over a map (map order is random, float
 //     sums are not associative), unless the lvalue is indexed by the
 //     range key.
+//
+//  4. one arbitrary-precision core: no production code outside
+//     internal/shadow imports math/big, so every high-precision
+//     re-execution (the root-cause channel and the Section 6 mitigator)
+//     goes through the one conformance-tested evaluator.
 //
 // The tool is deliberately standard-library only (x/tools is not
 // vendored), so instead of speaking `go vet -vettool`'s unitchecker
@@ -65,6 +70,7 @@ func modulePath(root string) (string, error) {
 // need to inspect it.
 type pkg struct {
 	path  string
+	rel   string // path relative to the module root ("" for the root)
 	files []*ast.File
 	types *types.Package
 	info  *types.Info
@@ -174,7 +180,8 @@ func (l *loader) load(path string) (*pkg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)
 	}
-	p := &pkg{path: path, files: files, types: tp, info: info}
+	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.mod), "/")
+	p := &pkg{path: path, rel: rel, files: files, types: tp, info: info}
 	l.pkgs[path] = p
 	l.done[path] = tp
 	return p, nil

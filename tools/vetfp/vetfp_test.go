@@ -290,3 +290,46 @@ func TestPackageDirsSkipsNestedModules(t *testing.T) {
 		t.Fatalf("packageDirs = %v, want only %s", dirs, filepath.Join(root, "a"))
 	}
 }
+
+func TestBigFloatCheck(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/shadow/eval.go": `package shadow
+
+import "math/big"
+
+func Wide() *big.Float { return new(big.Float) }
+`,
+		"internal/other/other.go": `package other
+
+import (
+	"fmt"
+	"math/big"
+)
+
+func Show() string { return fmt.Sprint(new(big.Float)) }
+`,
+		"internal/other/other_test.go": `package other
+
+import (
+	"math/big"
+	"testing"
+)
+
+func TestOracle(t *testing.T) { _ = new(big.Int) }
+`,
+		"internal/clean/clean.go": `package clean
+
+import "math/bits"
+
+func Len(x uint64) int { return bits.Len64(x) }
+`,
+	})
+	diags := runChecks(t, root, "testmod/internal/shadow", "testmod/internal/other", "testmod/internal/clean")
+	if len(diags) != 1 {
+		t.Fatalf("want 1 diagnostic, got %d: %v", len(diags), diags)
+	}
+	d := diags[0]
+	if d.check != "bigfloat" || filepath.Base(d.pos.Filename) != "other.go" || d.pos.Line != 5 {
+		t.Errorf("diagnostic = %s:%d %s: %s, want bigfloat at other.go:5", d.pos.Filename, d.pos.Line, d.check, d.msg)
+	}
+}
