@@ -53,8 +53,8 @@ func main() {
 	absintSize := flag.String("size", "large", "problem size for -absint: small or large")
 	accumTree := flag.Bool("accumtree", false, "reconstruct an FPRev-style probe's accumulation tree from the trace")
 	rootCauseW := flag.String("rootcause", "", "run this workload under the shadow-precision channel and rank sites by introduced rounding error")
-	rcPrec := flag.Uint64("rcprec", 113, "shadow precision in mantissa bits (with -rootcause)")
-	rcMitPrec := flag.Uint("rcmitprec", 113, "adaptive-mitigation precision for the comparison figure (with -rootcause; 0 skips)")
+	rcPrec := flag.Uint64("rcprec", study.DefaultShadowPrec, "shadow precision in mantissa bits (with -rootcause)")
+	rcMitPrec := flag.Uint("rcmitprec", study.DefaultShadowPrec, "adaptive-mitigation precision for the comparison figure (with -rootcause; 0 skips)")
 	rcTop := flag.Int("rctop", 20, "sites to print (with -rootcause; 0 = all)")
 	pprofAddr := flag.String("pprof", "", "serve pprof on this address while analyzing")
 	flag.Parse()

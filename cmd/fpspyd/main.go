@@ -1,9 +1,9 @@
 // Command fpspyd is the study-as-a-service daemon: it serves the
-// fpspy HTTP/JSON API (POST /v1/jobs, GET /v1/jobs/{id},
-// GET /v1/jobs/{id}/result, GET /v1/figures, GET /metrics) backed by a
-// sharded bounded job queue, a content-addressed result cache, and
-// per-client rate limiting, replaying submission clones on the study
-// scheduler's worker pool.
+// fpspy HTTP/JSON API (POST /v1/jobs, POST /v1/shadowjobs,
+// GET /v1/jobs/{id}, GET /v1/jobs/{id}/result, GET /v1/figures,
+// GET /metrics) backed by a sharded bounded job queue, a
+// content-addressed result cache, and per-client rate limiting,
+// replaying submission clones on the study scheduler's worker pool.
 //
 // Usage:
 //
@@ -14,15 +14,18 @@
 // Clustering: -peers (a comma-separated seed membership), -join (an
 // existing member to introduce ourselves to), or -advertise (our own
 // URL as peers should dial it) turn the daemon into a cluster node.
-// Submissions route by content address on a consistent-hash ring, so
-// identical clones study once cluster-wide and the settled outcome is
-// cached on every node that routed it. Without -advertise the node
+// Every node serves the same client API from its own daemon; a
+// submission that starts a new cache entry is placed at admission on
+// the member that owns its content address on a consistent-hash ring,
+// so identical clones study once cluster-wide and the settled outcome
+// is cached on every node that placed it. Without -advertise the node
 // advertises http://<bound address>, which works when peers share a
 // network namespace with us; behind NAT or containers pass -advertise
 // explicitly.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight passes complete, queued
-// jobs persist to -state, and a restarted daemon resumes them.
+// jobs (and jobs whose forward to their owner was cut short) persist to
+// -state, and a restarted daemon resumes them.
 package main
 
 import (
@@ -81,8 +84,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "fpspyd: serving on http://%s\n", bound)
 
 	// Clustering: wrap the daemon in a cluster node when any cluster
-	// flag is set. The node serves the same client API on the same
-	// listener, plus the /cluster/v1/* peer RPCs.
+	// flag is set. The node passes the client API through to the daemon,
+	// places new passes on their owners, and serves the /cluster/v1/*
+	// peer RPCs on the same listener.
 	var node *cluster.Node
 	handler := http.Handler(srv)
 	if *peers != "" || *join != "" || *advertise != "" {
@@ -126,6 +130,9 @@ func main() {
 		fatal(err)
 	}
 
+	// Closing the node first stops placement and hands forwards still in
+	// flight back to the daemon's queue; the drain treats them like any
+	// queued job.
 	if node != nil {
 		node.Close()
 	}

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -175,8 +176,26 @@ type Result struct {
 }
 
 // Run executes prog to completion under the simulated kernel, with FPSpy
-// attached via LD_PRELOAD unless opts.NoSpy is set.
+// attached via LD_PRELOAD unless opts.NoSpy is set. The Config's FPE_*
+// variables override same-named entries of opts.Env.
 func Run(prog *Program, opts Options) (*Result, error) {
+	store := opts.Store
+	if store == nil {
+		store = core.NewStore()
+	}
+	env := map[string]string{}
+	maps.Copy(env, opts.Env)
+	if opts.NoSpy {
+		return launch(prog, opts, store, env, "", nil)
+	}
+	maps.Copy(env, opts.Config.EnvVars())
+	return launch(prog, opts, store, env, core.PreloadName, core.FactoryObs(store, opts.Obs))
+}
+
+// launch is the set-up Run and RunMitigated share: a kernel configured
+// from opts, preload registered under name when non-nil, and prog
+// spawned with env and run to completion, its traces going to store.
+func launch(prog *Program, opts Options, store *Store, env map[string]string, name string, preload kernel.ObjectFactory) (*Result, error) {
 	if opts.MemBytes == 0 {
 		opts.MemBytes = 16 << 20
 	}
@@ -190,19 +209,8 @@ func Run(prog *Program, opts Options) (*Result, error) {
 	k.NoFastPath = opts.NoFastPath
 	k.Inject = opts.Inject
 	k.Obs = opts.Obs
-	store := opts.Store
-	if store == nil {
-		store = core.NewStore()
-	}
-	env := map[string]string{}
-	for key, v := range opts.Env {
-		env[key] = v
-	}
-	if !opts.NoSpy {
-		k.RegisterPreload(core.PreloadName, core.FactoryObs(store, opts.Obs))
-		for key, v := range opts.Config.EnvVars() {
-			env[key] = v
-		}
+	if preload != nil {
+		k.RegisterPreload(name, preload)
 	}
 	p, err := k.Spawn(prog, opts.MemBytes, env)
 	if err != nil {
@@ -245,43 +253,21 @@ type MitigationStats = shadow.MitigationStats
 // trap-and-emulate flavor in LD_PRELOAD instead of FPSpy: rounding
 // instructions in its repertoire (shadow.Emulable) are emulated by a
 // software FPU of the given mantissa precision, with results written
-// back through the signal context.
+// back through the signal context. opts applies as in Run (Config and
+// NoSpy aside), and opts.Env overrides the mitigator's LD_PRELOAD.
 func RunMitigated(prog *Program, prec uint, opts Options) (*Result, *MitigationStats, error) {
-	if opts.MemBytes == 0 {
-		opts.MemBytes = 16 << 20
+	store := opts.Store
+	if store == nil {
+		store = core.NewStore()
 	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 500_000_000
-	}
-	k := kernel.New()
-	if opts.CostModel != nil {
-		k.Cost = *opts.CostModel
-	}
-	stats := &MitigationStats{}
-	k.RegisterPreload(shadow.TrapPreloadName, shadow.TrapFactory(prec, stats))
 	env := map[string]string{"LD_PRELOAD": shadow.TrapPreloadName}
-	for key, v := range opts.Env {
-		env[key] = v
-	}
-	p, err := k.Spawn(prog, opts.MemBytes, env)
+	maps.Copy(env, opts.Env)
+	stats := &MitigationStats{}
+	res, err := launch(prog, opts, store, env, shadow.TrapPreloadName, shadow.TrapFactory(prec, stats))
 	if err != nil {
 		return nil, nil, err
 	}
-	steps := k.Run(opts.MaxSteps)
-	if !p.Exited {
-		return nil, nil, fmt.Errorf("fpspy: %s did not finish within %d steps", prog.Name, opts.MaxSteps)
-	}
-	user, sys := p.ProcessTimes()
-	return &Result{
-		Store:      core.NewStore(),
-		Steps:      steps,
-		UserCycles: user,
-		SysCycles:  sys,
-		WallCycles: k.Cycles,
-		ExitCode:   p.ExitCode,
-		Kern:       k,
-		Proc:       p,
-	}, stats, nil
+	return res, stats, nil
 }
 
 // Aggregates returns the aggregate-mode records.

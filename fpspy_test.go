@@ -6,6 +6,8 @@ import (
 
 	fpspy "repro"
 	"repro/internal/isa"
+	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // buildEventProgram returns a program that performs, in order:
@@ -467,5 +469,26 @@ func TestDisableMakesFPSpyInert(t *testing.T) {
 	}
 	if res.Store.Faults != 0 || len(res.MustRecords()) != 0 {
 		t.Error("disabled FPSpy still captured events")
+	}
+}
+
+// TestRunMitigatedRecordsObs: a mitigated run reports to Options.Obs the
+// way Run does, so a study's mitigated leg shows up in the kernel and
+// FLOP counters next to its shadowed leg.
+func TestRunMitigatedRecordsObs(t *testing.T) {
+	w, err := workload.ByName("wrf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	om := obs.New(obs.Options{})
+	_, stats, err := fpspy.RunMitigated(w.Build(workload.SizeSmall), 113, fpspy.Options{Obs: om})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Emulated == 0 {
+		t.Fatal("mitigator emulated nothing; the check below would prove nothing")
+	}
+	if om.Kernel.FastSteps.Load() == 0 {
+		t.Fatal("mitigated run under obs recorded no kernel steps")
 	}
 }

@@ -292,6 +292,8 @@ func TestClusterCacheEverywhere(t *testing.T) {
 	settle(peers[2].url)
 	// And again via the first: its local install from the forward makes
 	// this a zero-RPC local hit.
+	fwdBefore := peers[0].cm().Forwards.Load()
+	hitsBefore := peers[0].om.Server.CacheHits.Load()
 	st := settle(peers[0].url)
 	if !st.CacheHit {
 		t.Fatal("resubmission via the forwarding peer should be a cache hit")
@@ -302,7 +304,7 @@ func TestClusterCacheEverywhere(t *testing.T) {
 	if c := peers[0].cm(); c.Forwards.Load() == 0 {
 		t.Fatal("peer 0 never recorded a forward")
 	}
-	if c := peers[0].cm(); c.ForwardsLocal.Load() == 0 {
+	if peers[0].cm().Forwards.Load() != fwdBefore || peers[0].om.Server.CacheHits.Load() != hitsBefore+1 {
 		t.Fatal("peer 0 never recorded a local cache serve")
 	}
 }

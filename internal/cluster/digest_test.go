@@ -64,23 +64,22 @@ func TestCorruptReplyNeverInstalled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	// The clone does not decode, so the degraded local fallback fails
-	// fast and can install nothing under key either.
-	req := runRequest{Name: "flip", Client: "c", Clone: []byte("not a clone"), Key: key}
-	forward := func() *proxyJob {
-		pj := n.newProxyJob(req.Name, req.Client, key)
+	// The job as Place hands it over. The daemon holds no entry under
+	// key, so the local fallback after a rejected reply (RequeuePending)
+	// has nothing to run and can install nothing under key either.
+	job := server.PendingJob{ID: "job-000001", Name: "flip", Client: "c", Key: key, Blob: []byte("not a clone")}
+	forward := func() {
 		n.wg.Add(1)
-		n.forward(pj, req)
-		return pj
+		n.forward(job)
+	}
+	installed := func() bool {
+		_, _, ok := srv.CachedOutcome(key)
+		return ok
 	}
 
-	installed := func(pj *proxyJob) bool {
-		_, _, ok := srv.CachedOutcome(key)
-		return ok || pj.out != nil
-	}
 	bits := len(rt.body) * 8
 	for rt.flip = 0; rt.flip < bits; rt.flip++ {
-		if installed(forward()) {
+		if forward(); installed() {
 			t.Fatalf("bit %d: corrupted reply was installed", rt.flip)
 		}
 		if got := om.Cluster.RPCErrors.Load(); got != uint64(rt.flip+1) {
@@ -89,7 +88,7 @@ func TestCorruptReplyNeverInstalled(t *testing.T) {
 	}
 	// A reply with no digest at all is rejected the same way.
 	rt.flip, rt.noDigest = -1, true
-	if installed(forward()) {
+	if forward(); installed() {
 		t.Fatal("reply without a digest was installed")
 	}
 	if got := om.Cluster.RPCErrors.Load(); got != uint64(bits+1) {
@@ -97,9 +96,7 @@ func TestCorruptReplyNeverInstalled(t *testing.T) {
 	}
 
 	rt.noDigest = false
-	if pj := forward(); pj.out == nil || pj.out.Steps != 7 {
-		t.Fatalf("intact reply not accepted: %+v (%s)", pj.out, pj.errMsg)
-	}
+	forward()
 	if out, _, ok := srv.CachedOutcome(key); !ok || out.Steps != 7 {
 		t.Fatalf("intact reply not installed: %+v", out)
 	}

@@ -165,7 +165,7 @@ func (n *Node) StealOnce() {
 // the victim. A failed return is not retried beyond the RPC policy: the
 // victim's lease janitor re-queues the job, and first-writer-wins
 // settling makes the duplicate pass harmless.
-func (n *Node) runStolen(victim string, sj server.StolenJob) {
+func (n *Node) runStolen(victim string, sj server.PendingJob) {
 	defer n.wg.Done()
 	var out *server.Outcome
 	var errMsg string

@@ -1,33 +1,32 @@
 package cluster
 
 // Node is one cluster member: a daemon plus the routing, health, and
-// stealing fabric. It serves the same client API the daemon does —
-// fpctl pointed at any peer sees the whole cluster — and the
-// /cluster/v1/* peer RPCs on the same listener.
+// stealing fabric. The daemon's own handlers are the only client API
+// and its job table the only job table — fpctl pointed at any peer sees
+// the whole cluster — and the node adds the /cluster/v1/* peer RPCs on
+// the same listener.
 //
-// Routing: a submission's content address picks its owner on the ring.
-// Owned (or unroutable) clones run locally through the wrapped daemon.
-// Foreign clones become proxy jobs ("cjob-" IDs): the node answers the
-// submit immediately and forwards the clone to the owner in the
-// background over the robust RPC path; the settled outcome is installed
-// in the local cache on return (cache-everywhere), so the next local
-// submission of the same clone is a pure cache hit. When every replica
-// is unreachable — a full partition — the node degrades to local
-// execution instead of failing the job: availability wins, and the
-// cluster-wide singleflight guarantee narrows to per-partition until
-// the ring heals.
+// Routing happens at admission: the node is the daemon's Placer. A
+// client submission that starts a new cache entry is offered to it,
+// and when the entry's content address is owned by another live
+// member, the node forwards the clone there in the background over the
+// robust RPC path. Meanwhile the job sits in the daemon's table, held
+// like a stolen job, so identical submissions attach to it. The settled
+// outcome is installed in the local cache on return (cache-everywhere),
+// so the next local submission of the same clone is a pure cache hit.
+// When every replica is unreachable — a full partition — the job goes
+// back to the local queue instead of failing: availability wins, and
+// the cluster-wide singleflight guarantee narrows to per-partition
+// until the ring heals.
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
-	fpspy "repro"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -115,16 +114,6 @@ func (o *Options) defaults() {
 	}
 }
 
-// proxyJob is a forwarded submission as seen by this node's clients.
-type proxyJob struct {
-	id, name, client, key string
-	state                 server.State
-	cacheHit              bool
-	out                   *server.Outcome
-	errMsg                string
-	done                  chan struct{}
-}
-
 // Node is one cluster member.
 type Node struct {
 	opts Options
@@ -136,8 +125,6 @@ type Node struct {
 	hc   *http.Client
 
 	mu     sync.Mutex
-	seq    int
-	proxy  map[string]*proxyJob // cjob-* table
 	load   map[string]int       // gossiped queue length per peer
 	fails  map[string]int       // consecutive probe failures
 	leases map[string]time.Time // stolen-from-us key -> expiry
@@ -148,8 +135,9 @@ type Node struct {
 	closed bool
 }
 
-// NewNode builds and starts a node around a running daemon. Background
-// probe/steal loops start unless ProbeInterval < 0.
+// NewNode builds and starts a node around a running daemon and installs
+// it as the daemon's Placer. Background probe/steal loops start unless
+// ProbeInterval < 0.
 func NewNode(o Options) (*Node, error) {
 	if o.Server == nil {
 		return nil, fmt.Errorf("cluster: Options.Server is required")
@@ -166,7 +154,6 @@ func NewNode(o Options) (*Node, error) {
 	n := &Node{
 		opts: o, srv: o.Server, om: o.Obs, hc: hc,
 		ring:   NewRing(o.VNodes, members...),
-		proxy:  make(map[string]*proxyJob),
 		load:   make(map[string]int),
 		fails:  make(map[string]int),
 		leases: make(map[string]time.Time),
@@ -175,10 +162,6 @@ func NewNode(o Options) (*Node, error) {
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	n.rpc = newRPCClient(hc, o, n.cm())
 	n.mux = http.NewServeMux()
-	n.mux.HandleFunc("POST /v1/jobs", n.handleSubmit)
-	n.mux.HandleFunc("POST /v1/shadowjobs", n.handleShadowSubmit)
-	n.mux.HandleFunc("GET /v1/jobs/{id}", n.handleStatus)
-	n.mux.HandleFunc("GET /v1/jobs/{id}/result", n.handleResult)
 	peerRPC := func(pattern string, h http.HandlerFunc) { n.mux.HandleFunc(pattern, verified(h)) }
 	peerRPC("POST /cluster/v1/run", n.handleRun)
 	peerRPC("GET /cluster/v1/cache/{key}", n.handleCache)
@@ -186,7 +169,8 @@ func NewNode(o Options) (*Node, error) {
 	peerRPC("POST /cluster/v1/steal", n.handleSteal)
 	peerRPC("POST /cluster/v1/complete", n.handleComplete)
 	peerRPC("POST /cluster/v1/join", n.handleJoin)
-	n.mux.Handle("/", n.srv) // healthz, metrics, figures pass through
+	n.mux.Handle("/", n.srv) // the client API is the daemon's
+	n.srv.SetPlacer(n)
 	if o.ProbeInterval > 0 {
 		n.wg.Add(1)
 		go n.healthLoop()
@@ -200,8 +184,9 @@ func (n *Node) cm() *obs.ClusterMetrics { return n.om.ClusterMetricsOrNil() }
 // Ring exposes the membership view (tests and fpmon).
 func (n *Node) Ring() *Ring { return n.ring }
 
-// Close stops the background loops (the wrapped daemon is the caller's
-// to shut down).
+// Close stops placement and the background loops (the wrapped daemon
+// is the caller's to shut down). Forwards still in flight are cancelled
+// and hand their jobs back to the daemon's queue.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -210,6 +195,7 @@ func (n *Node) Close() {
 	}
 	n.closed = true
 	n.mu.Unlock()
+	n.srv.SetPlacer(nil) // no Place call, hence no new forward, after this
 	n.cancel()
 	close(n.stopc)
 	n.wg.Wait()
@@ -243,152 +229,36 @@ func (n *Node) replicasFor(key string) []string {
 	return n.ring.Replicas(key, 2)
 }
 
-// handleSubmit routes one submission by content address.
-func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req server.SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		clusterError(w, http.StatusBadRequest, "bad submit body: %v", err)
-		return
-	}
-	n.routeSubmission(w, r, req.Name, req.Clone, req.Config)
-}
-
-// handleShadowSubmit routes a shadow-attribution submission. The shadow
-// precision is folded into the config before the content address is
-// computed, so the same shadow job submitted through any two peers
-// routes to the same owner and runs exactly one pass cluster-wide.
-func (n *Node) handleShadowSubmit(w http.ResponseWriter, r *http.Request) {
-	var req server.ShadowSubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		clusterError(w, http.StatusBadRequest, "bad submit body: %v", err)
-		return
-	}
-	cfg, err := server.NormalizeShadowConfig(req.Config, req.Prec)
-	if err != nil {
-		clusterError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	n.routeSubmission(w, r, req.Name, req.Clone, cfg)
-}
-
-// routeSubmission is the shared tail of the submit routes: admission on
-// the node the client connected to, then content-addressed routing.
-func (n *Node) routeSubmission(w http.ResponseWriter, r *http.Request, name string, clone []byte, cfg fpspy.Config) {
-	j, err := jobs.Decode(clone)
-	if err != nil {
-		clusterError(w, http.StatusBadRequest, "bad clone: %v", err)
-		return
-	}
-	if name == "" {
-		name = j.Name
-	}
-	clientID := r.Header.Get(server.ClientHeader)
-	if clientID == "" {
-		clientID = "anonymous"
-	}
-	// The forwarding node applies admission: rate limiting happens where
-	// the client connects, not on the owner.
-	if ok, wait := n.srv.Allow(clientID); !ok {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(wait.Seconds())+1))
-		clusterError(w, http.StatusTooManyRequests, "client %q rate limited", clientID)
-		return
-	}
-	key := server.CacheKey(j, cfg)
-
-	owner := n.ring.Owner(key)
-	if owner == "" || owner == n.opts.Self {
-		n.submitLocal(w, clientID, name, clone, cfg, false)
-		return
-	}
-
-	// Cache-everywhere fast path: a clone studied anywhere and routed
-	// through here before is served locally with zero RPCs.
-	if out, errMsg, ok := n.srv.CachedOutcome(key); ok {
-		if c := n.cm(); c != nil {
+// Place is the daemon's placement hook: a new pass whose content
+// address another live member owns is forwarded there, and every other
+// pass stays here. It runs under the daemon's lock, so it only starts
+// the forward.
+func (n *Node) Place(job server.PendingJob) bool {
+	c := n.cm()
+	if owner := n.ring.Owner(job.Key); owner == "" || owner == n.opts.Self {
+		if c != nil {
 			c.ForwardsLocal.Inc()
 		}
-		pj := n.newProxyJob(name, clientID, key)
-		n.settleProxy(pj, true, out, errMsg)
-		clusterJSON(w, http.StatusOK, server.SubmitResponse{ID: pj.id, State: pj.state, CacheHit: true})
-		return
+		return false
 	}
-
-	pj := n.newProxyJob(name, clientID, key)
 	n.wg.Add(1)
-	go n.forward(pj, runRequest{
-		Name: name, Client: clientID, Clone: clone, Config: cfg, Key: key,
-	})
-	clusterJSON(w, http.StatusAccepted, server.SubmitResponse{ID: pj.id, State: server.StateQueued})
+	go n.forward(job)
+	return true
 }
 
-// submitLocal admits a clone on the wrapped daemon and answers in the
-// daemon's own response shape (real "job-" ID: status and results are
-// served by the pass-through routes).
-func (n *Node) submitLocal(w http.ResponseWriter, clientID, name string, blob []byte, cfg fpspy.Config, degraded bool) {
-	if c := n.cm(); c != nil {
-		if degraded {
-			c.PartitionLocal.Inc()
-		} else {
-			c.ForwardsLocal.Inc()
-		}
-	}
-	res, err := n.srv.Submit(clientID, name, blob, cfg)
-	switch {
-	case err == nil:
-	case errors.Is(err, server.ErrDraining), errors.Is(err, server.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		clusterError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	default:
-		clusterError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	status := http.StatusAccepted
-	if res.State == server.StateDone || res.State == server.StateFailed {
-		status = http.StatusOK
-	}
-	clusterJSON(w, status, server.SubmitResponse{ID: res.ID, State: res.State, CacheHit: res.CacheHit})
-}
-
-func (n *Node) newProxyJob(name, clientID, key string) *proxyJob {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.seq++
-	pj := &proxyJob{
-		id: fmt.Sprintf("cjob-%06d", n.seq), name: name, client: clientID,
-		key: key, state: server.StateQueued, done: make(chan struct{}),
-	}
-	n.proxy[pj.id] = pj
-	return pj
-}
-
-func (n *Node) settleProxy(pj *proxyJob, cacheHit bool, out *server.Outcome, errMsg string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if pj.state == server.StateDone || pj.state == server.StateFailed {
-		return
-	}
-	pj.cacheHit = cacheHit
-	pj.out, pj.errMsg = out, errMsg
-	if errMsg != "" {
-		pj.state = server.StateFailed
-	} else {
-		pj.state = server.StateDone
-	}
-	close(pj.done)
-}
-
-// forward ships one proxy job to its owner over the robust RPC path,
-// installing the outcome locally on return. Exhausted retries mean the
-// owner's side of the ring is unreachable: the node degrades to a local
-// pass rather than failing the job.
-func (n *Node) forward(pj *proxyJob, req runRequest) {
+// forward ships one placed job to its owner over the robust RPC path
+// and installs the settled outcome locally (cache-everywhere), which
+// settles the job and everything attached to it. Exhausted retries mean
+// the owner's side of the ring is unreachable: the job goes back to the
+// local queue rather than failing.
+func (n *Node) forward(job server.PendingJob) {
 	defer n.wg.Done()
 	c := n.cm()
 	if c != nil {
 		c.Forwards.Inc()
 	}
 	start := time.Now()
+	req := runRequest{Name: job.Name, Client: job.Client, Clone: job.Blob, Config: job.Config, Key: job.Key}
 	var resp runResponse
 	err := n.rpc.invoke(n.ctx, func() []string {
 		reps := n.replicasFor(req.Key)
@@ -409,84 +279,13 @@ func (n *Node) forward(pj *proxyJob, req runRequest) {
 		err = fmt.Errorf("cluster: owner settled %q under wrong key %q", req.Key, resp.Key)
 	}
 	if err != nil {
-		n.runDegraded(pj, req)
+		if c != nil {
+			c.PartitionLocal.Inc()
+		}
+		n.srv.RequeuePending(req.Key)
 		return
 	}
-	// Cache-everywhere: the peer's settled outcome becomes a local cache
-	// entry, so the next submission of this clone here is a pure hit.
-	n.srv.InstallOutcome(req.Key, resp.Outcome, resp.Error)
-	n.settleProxy(pj, resp.CacheHit, resp.Outcome, resp.Error)
-}
-
-// runDegraded executes a forwarded job locally under a full partition.
-func (n *Node) runDegraded(pj *proxyJob, req runRequest) {
-	if c := n.cm(); c != nil {
-		c.PartitionLocal.Inc()
-	}
-	res, err := n.srv.Submit(req.Client, req.Name, req.Clone, req.Config)
-	if err != nil {
-		n.settleProxy(pj, false, nil, fmt.Sprintf("degraded local run: %v", err))
-		return
-	}
-	out, err := n.srv.WaitOutcome(n.ctx, res.ID)
-	if err != nil {
-		n.settleProxy(pj, res.CacheHit, nil, err.Error())
-		return
-	}
-	n.settleProxy(pj, res.CacheHit, out, "")
-}
-
-func (n *Node) lookupProxy(id string) (*proxyJob, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	pj, ok := n.proxy[id]
-	return pj, ok
-}
-
-func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !strings.HasPrefix(id, "cjob-") {
-		n.srv.ServeHTTP(w, r)
-		return
-	}
-	pj, ok := n.lookupProxy(id)
-	if !ok {
-		clusterError(w, http.StatusNotFound, "unknown job %q", id)
-		return
-	}
-	n.mu.Lock()
-	st := server.StatusResponse{
-		ID: pj.id, Name: pj.name, Client: pj.client, State: pj.state,
-		CacheHit: pj.cacheHit, Key: pj.key, Error: pj.errMsg,
-	}
-	n.mu.Unlock()
-	clusterJSON(w, http.StatusOK, st)
-}
-
-func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !strings.HasPrefix(id, "cjob-") {
-		n.srv.ServeHTTP(w, r)
-		return
-	}
-	pj, ok := n.lookupProxy(id)
-	if !ok {
-		clusterError(w, http.StatusNotFound, "unknown job %q", id)
-		return
-	}
-	select {
-	case <-pj.done:
-	case <-r.Context().Done():
-		return
-	}
-	n.mu.Lock()
-	out, errMsg, cacheHit, name := pj.out, pj.errMsg, pj.cacheHit, pj.name
-	n.mu.Unlock()
-	if errMsg != "" {
-		clusterError(w, http.StatusInternalServerError, "job %s failed: %s", id, errMsg)
-		return
-	}
-	server.WriteResultStream(w, id, name, cacheHit, out)
+	n.srv.InstallOutcome(req.Key, resp.Outcome, resp.Error, resp.CacheHit)
 }
 
 // handleRun is the owner side of a forward: study the clone locally
@@ -591,7 +390,7 @@ func (n *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
 		clusterError(w, http.StatusBadRequest, "complete without outcome or error")
 		return
 	}
-	n.srv.InstallOutcome(req.Key, req.Outcome, req.Error)
+	n.srv.InstallOutcome(req.Key, req.Outcome, req.Error, false)
 	n.mu.Lock()
 	delete(n.leases, req.Key)
 	n.mu.Unlock()

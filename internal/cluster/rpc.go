@@ -71,7 +71,7 @@ type stealRequest struct {
 }
 
 type stealResponse struct {
-	Jobs []server.StolenJob `json:"jobs"`
+	Jobs []server.PendingJob `json:"jobs"`
 }
 
 // completeRequest returns a stolen job's outcome to its victim.

@@ -175,9 +175,9 @@ func (m *Machine) runSuperblock(max uint64) (uint64, Event) {
 			mt := &meta[k]
 			if mt.kind == SBFPScalar64 {
 				// Inline hot lane: unmasked scalar binary64 arithmetic,
-				// dispatched on the flattened meta fields. Mirrors
-				// execFPScalar64 exactly; duplicated here because the
-				// call (and the execMeta switch in front of it) costs as
+				// dispatched on the flattened meta fields and computed on
+				// lane 0 alone. It lives here, not behind execMeta,
+				// because the call and the switch in front of it cost as
 				// much as the arithmetic for the cheap ops.
 				a := c.X[mt.rs1][0]
 				b := c.X[mt.rs2][0]
@@ -212,7 +212,7 @@ func (m *Machine) runSuperblock(max uint64) (uint64, Event) {
 				k++
 				continue
 			}
-			ev = m.execMeta(mt, idx+k, startAddr+uint64(k)*isa.InstBytes, env)
+			ev = m.execMeta(mt, idx+k, startAddr+uint64(k)*isa.InstBytes)
 			if ev != nil {
 				break
 			}
@@ -248,10 +248,9 @@ func (m *Machine) runSuperblock(max uint64) (uint64, Event) {
 // Retired — the dispatch loop batches those — and a non-nil event means
 // the instruction did not retire (except events Step-paths also deliver
 // post-retire, which cannot occur here: those are branch/sys kinds,
-// never cached in meta). env is the caller's hoisted copy of
-// m.CPU.MXCSR.Env(), valid because the dispatch loop refreshes it after
-// every instruction that can rewrite MXCSR control bits.
-func (m *Machine) execMeta(mt *sbMeta, idx int, addr uint64, env softfloat.Env) Event {
+// never cached in meta). The dispatch loop retires SBFPScalar64 entries
+// inline and never passes one here; execFP would retire it correctly.
+func (m *Machine) execMeta(mt *sbMeta, idx int, addr uint64) Event {
 	switch mt.kind {
 	case SBNop:
 	case SBInt:
@@ -262,47 +261,8 @@ func (m *Machine) execMeta(mt *sbMeta, idx int, addr uint64, env softfloat.Env) 
 		m.execMove(mt.inst)
 	case SBMask:
 		m.execMask(mt.inst)
-	case SBFPScalar64:
-		return m.execFPScalar64(mt.inst, mt.info, idx, addr, env)
-	case SBFP:
+	case SBFP, SBFPScalar64:
 		return m.execFP(mt.inst, mt.info, idx, addr)
-	}
-	return nil
-}
-
-// execFPScalar64 retires unmasked scalar binary64 arithmetic without
-// staging a full vector: lane 0 is computed, flags settle, and on a
-// clean retire the single lane writes back directly.
-func (m *Machine) execFPScalar64(inst *isa.Inst, info *isa.OpInfo, idx int, addr uint64, env softfloat.Env) Event {
-	c := &m.CPU
-	a := c.X[inst.Rs1][0]
-	b := c.X[inst.Rs2][0]
-	var z uint64
-	var fl softfloat.Flags
-	switch info.FP {
-	case isa.FPAdd:
-		z, fl = softfloat.Add64(a, b, env)
-	case isa.FPSub:
-		z, fl = softfloat.Sub64(a, b, env)
-	case isa.FPMul:
-		z, fl = softfloat.Mul64(a, b, env)
-	case isa.FPDiv:
-		z, fl = softfloat.Div64(a, b, env)
-	case isa.FPSqrt:
-		z, fl = softfloat.Sqrt64(a, env)
-	case isa.FPMin:
-		z, fl = softfloat.Min64(a, b, env)
-	case isa.FPMax:
-		z, fl = softfloat.Max64(a, b, env)
-	}
-	unmasked := c.MXCSR.Unmasked(fl)
-	c.MXCSR.SetFlags(fl)
-	if unmasked != 0 {
-		return m.fpEventAt(addr, idx, fl, unmasked)
-	}
-	c.X[inst.Rd][0] = z
-	if m.Flops != nil {
-		m.countFlops(inst, info)
 	}
 	return nil
 }

@@ -366,14 +366,16 @@ type StudyMetrics struct {
 // submission path, the content-addressed result cache, backpressure
 // decisions, and per-endpoint request latency.
 type ServerMetrics struct {
-	// Submissions counts POST /v1/jobs requests that passed admission
-	// (rate limiting and drain checks).
+	// Submissions counts admitted jobs: client submissions that passed
+	// rate limiting and the drain check, jobs a peer submits (a forward's
+	// owner side, a stealer), and persisted jobs re-admitted at start.
 	Submissions Counter
 	// CacheHits counts submissions answered by the content-addressed
 	// result cache — including attaches to an identical in-flight pass.
 	CacheHits Counter
-	// CacheMisses counts submissions that scheduled a new study pass.
-	// Every miss corresponds to exactly one executed pass.
+	// CacheMisses counts submissions that started a new cache entry.
+	// Each one runs exactly one pass here, or is placed on the owning
+	// cluster member, which admits (and counts) it again.
 	CacheMisses Counter
 	// RateLimited counts submissions rejected 429 by the per-client
 	// token bucket.
@@ -398,10 +400,12 @@ type ServerMetrics struct {
 // hedges), ring membership churn, and work stealing. Like every group,
 // the zero value is ready and a nil *Metrics records nothing.
 type ClusterMetrics struct {
-	// ForwardsLocal counts submissions whose content address this node
-	// owns (or already holds settled) and served without a peer RPC.
+	// ForwardsLocal counts new passes this node keeps because it owns
+	// their content address (or no other member is live). Submissions
+	// served from the local cache count in ServerMetrics.CacheHits only.
 	ForwardsLocal Counter
-	// Forwards counts submissions routed to the owning peer.
+	// Forwards counts new passes forwarded to their owning peer: one per
+	// content address, however many identical submissions attach to it.
 	Forwards Counter
 	// Retries counts peer RPC attempts beyond the first, across all
 	// call kinds (run, steal, complete, health).
@@ -426,8 +430,8 @@ type ClusterMetrics struct {
 	// StealRequeues counts stolen jobs re-admitted locally after the
 	// stealer's lease expired without a returned outcome.
 	StealRequeues Counter
-	// PartitionLocal counts submissions served by a degraded local pass
-	// because the owning peer (and every replica) was unreachable.
+	// PartitionLocal counts forwarded passes taken back to the local
+	// queue because the owning peer (and every replica) was unreachable.
 	PartitionLocal Counter
 	// ForwardNS is the latency distribution of settled forwards, in
 	// host nanoseconds (owner RPC including retries and hedges).

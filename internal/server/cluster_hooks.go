@@ -3,15 +3,15 @@ package server
 // The cluster surface: the small set of exported hooks internal/cluster
 // builds its peer fabric on. Everything here reuses the daemon's
 // existing job table, content-addressed cache, and singleflight
-// discipline — a peer-computed outcome enters through the same settle
-// path a local pass does, so cluster-wide dedup inherits the
-// single-node invariants instead of re-implementing them.
+// discipline — a job placed on a peer stays in this job table, and a
+// peer-computed outcome enters through the same settle path a local
+// pass does, so cluster-wide dedup inherits the single-node invariants
+// instead of re-implementing them.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	fpspy "repro"
 )
@@ -30,23 +30,18 @@ type SubmitResult struct {
 	Key string
 }
 
-// Submit admits one submission programmatically — the same path the
-// HTTP handler takes, minus rate limiting (callers gate with Allow).
+// Submit admits one submission on behalf of a peer — the owner side of
+// a forward, or a stealer — through the same admission path the HTTP
+// handlers take, minus rate limiting and placement: a job admitted here
+// runs here, so a forwarded pass is never forwarded again.
 func (s *Server) Submit(client, name string, blob []byte, cfg fpspy.Config) (SubmitResult, error) {
-	rec, err := s.submit(client, name, blob, cfg)
+	rec, err := s.submit(client, name, blob, cfg, false)
 	if err != nil {
 		return SubmitResult{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return SubmitResult{ID: rec.id, State: rec.state, CacheHit: rec.cacheHit, Key: rec.key}, nil
-}
-
-// Allow consults the per-client rate limiter: callers that bypass the
-// HTTP submission handler (the cluster router) apply the same admission
-// policy. The returned duration is the suggested wait on denial.
-func (s *Server) Allow(client string) (bool, time.Duration) {
-	return s.lim.allow(client)
 }
 
 // WaitOutcome blocks until the job's pass settles and returns its
@@ -113,31 +108,38 @@ func (s *Server) CachedOutcome(key string) (out *Outcome, errMsg string, ok bool
 // queue — settles immediately, finalizing its waiters; the dispatcher
 // skips settled primaries, so the local pass never double-runs. With no
 // entry present, a settled one is created so future submissions hit.
-func (s *Server) InstallOutcome(key string, out *Outcome, errMsg string) bool {
+// cacheHit reports that the peer served the outcome from its own cache:
+// the local primary then reads as a cache hit too, since no pass ran
+// for it anywhere.
+func (s *Server) InstallOutcome(key string, out *Outcome, errMsg string, cacheHit bool) bool {
 	var err error
 	if errMsg != "" {
 		err = errors.New(errMsg)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, exists := s.cache[key]
-	if exists && e.settled {
-		s.mu.Unlock()
-		return false
-	}
 	if !exists {
 		e = &cacheEntry{key: key, done: make(chan struct{})}
 		s.cache[key] = e
 	}
-	s.mu.Unlock()
-	s.settle(e, out, err)
+	if e.settled {
+		return false
+	}
+	if cacheHit && e.primary != nil {
+		e.primary.cacheHit = true
+	}
+	s.settleLocked(e, out, err)
 	return true
 }
 
-// StolenJob is one queued-but-unstarted primary handed to a peer by
-// StealPending. The stealer replays the clone and returns the outcome
-// via InstallOutcome on the victim.
-type StolenJob struct {
-	// ID, Name, and Client identify the job on the victim.
+// PendingJob is one unstarted primary handed to a peer: a stealer takes
+// it from the shard queues via StealPending, and the Placer is offered
+// it at admission. The peer replays the clone and the outcome comes
+// back through InstallOutcome; RequeuePending takes back a job whose
+// peer never answered.
+type PendingJob struct {
+	// ID, Name, and Client identify the job on this node.
 	ID, Name, Client string
 	// Key is the content address the outcome must settle under.
 	Key string
@@ -147,16 +149,48 @@ type StolenJob struct {
 	Config fpspy.Config
 }
 
+// pending is rec's PendingJob view.
+func (rec *jobRec) pending() PendingJob {
+	return PendingJob{
+		ID: rec.id, Name: rec.name, Client: rec.client,
+		Key: rec.key, Blob: rec.blob, Config: rec.cfg,
+	}
+}
+
+// Placer places new passes on other cluster members; a cluster node is
+// one. The daemon offers it each client submission that starts a new
+// cache entry, and none that arrive through Submit. A true return means
+// the placer took the job: it stays registered (identical submissions
+// attach to it) and the placer must settle it through InstallOutcome or
+// hand it back through RequeuePending. False leaves the pass to this
+// node, whose full queue then still answers 503.
+//
+// Place runs under the daemon's lock, so that the cache lookup, the
+// placement decision and the entry's registration are one step; it
+// must return promptly and must not call into the daemon before it
+// returns.
+type Placer interface {
+	Place(job PendingJob) bool
+}
+
+// SetPlacer installs the placement hook (nil removes it). Once a
+// SetPlacer(nil) returns, no further Place call starts.
+func (s *Server) SetPlacer(p Placer) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.placer = p
+}
+
 // StealPending removes up to max queued-but-unstarted primaries from
 // the shard queues for execution elsewhere. The cache entries stay
 // registered (waiters keep waiting); each stolen entry settles when the
 // stealer's outcome arrives via InstallOutcome, or re-enters the queue
 // via RequeuePending when the caller's lease on it expires.
-func (s *Server) StealPending(max int) []StolenJob {
+func (s *Server) StealPending(max int) []PendingJob {
 	if max <= 0 {
 		return nil
 	}
-	var out []StolenJob
+	var out []PendingJob
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sv := s.obs.ServerMetricsOrNil()
@@ -171,11 +205,8 @@ func (s *Server) StealPending(max int) []StolenJob {
 				if rec.entry.settled {
 					continue // already finalized; nothing to hand out
 				}
-				rec.entry.stolen = true
-				out = append(out, StolenJob{
-					ID: rec.id, Name: rec.name, Client: rec.client,
-					Key: rec.key, Blob: rec.blob, Config: rec.cfg,
-				})
+				rec.entry.held = true
+				out = append(out, rec.pending())
 			default:
 				break drain
 			}
@@ -187,28 +218,39 @@ func (s *Server) StealPending(max int) []StolenJob {
 	return out
 }
 
-// RequeuePending re-admits a stolen job whose stealer never returned:
-// the primary goes back to its shard queue for local execution. It
-// reports whether a re-enqueue happened (false when the entry settled
-// in the meantime, is not stolen, or the queue is full — in the last
-// case the job stays stolen and the caller retries later).
+// RequeuePending takes back a held job — stolen by a peer whose lease
+// expired, or placed on a peer that could not be reached — and puts its
+// primary back in its shard queue for a local pass. It reports whether
+// a re-enqueue happened: false when the entry settled in the meantime,
+// is not held, or the queue is full. On a full queue a stolen job stays
+// held, for the lease janitor to retry; a placed job has no lease, so
+// it fails with ErrQueueFull and leaves the cache, and the next
+// identical submission starts afresh.
 func (s *Server) RequeuePending(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.cache[key]
-	if !ok || e.settled || !e.stolen || e.primary == nil {
+	if !ok || e.settled || !e.held || e.primary == nil {
 		return false
 	}
+	sv := s.obs.ServerMetricsOrNil()
 	select {
 	case s.shardOf(key) <- e.primary:
-		e.stolen = false
-		if sv := s.obs.ServerMetricsOrNil(); sv != nil {
+		e.held, e.placed = false, false
+		if sv != nil {
 			sv.QueueDepth.Add(1)
 		}
 		return true
 	default:
-		return false
 	}
+	if e.placed {
+		if sv != nil {
+			sv.Shed.Inc()
+		}
+		delete(s.cache, key)
+		s.settleLocked(e, nil, ErrQueueFull)
+	}
+	return false
 }
 
 // QueueLen is the number of jobs currently waiting in shard queues —

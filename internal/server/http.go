@@ -30,12 +30,6 @@ type SubmitRequest struct {
 	Config fpspy.Config `json:"config"`
 }
 
-// DefaultShadowPrec is the shadow precision a /v1/shadowjobs submission
-// runs at when it names none: binary128's 113-bit mantissa, enough to
-// separate local from propagated error for any binary64 guest while
-// staying cheap to evaluate.
-const DefaultShadowPrec = 113
-
 // ShadowSubmitRequest is the POST /v1/shadowjobs body: a job submission
 // that runs with the shadow-precision channel attached and streams the
 // ranked root-cause attribution alongside the usual result.
@@ -47,7 +41,7 @@ type ShadowSubmitRequest struct {
 	// Config is the FPSpy configuration to replay under.
 	Config fpspy.Config `json:"config"`
 	// Prec is the shadow precision in mantissa bits; 0 means
-	// Config.ShadowPrec, or DefaultShadowPrec if that is also 0.
+	// Config.ShadowPrec, or study.DefaultShadowPrec if that is also 0.
 	Prec uint64 `json:"prec,omitempty"`
 }
 
@@ -134,8 +128,8 @@ const maxSubmitBytes = 64 << 20
 
 func (s *Server) buildMux() {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("POST /v1/shadowjobs", s.handleShadowSubmit)
+	mux.HandleFunc("POST /v1/jobs", s.handleSubmit(false))
+	mux.HandleFunc("POST /v1/shadowjobs", s.handleSubmit(true))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/figures", s.handleFigures)
@@ -192,111 +186,80 @@ func (s *Server) observeNS(h *obs.Histogram, start time.Time) {
 	}
 }
 
-// admitClient applies per-client rate limiting; on rejection the 429
-// (with Retry-After) has been written and ok is false.
-func (s *Server) admitClient(w http.ResponseWriter, r *http.Request) (client string, ok bool) {
-	client = clientID(r)
-	if ok, wait := s.lim.allow(client); !ok {
-		if sv := s.obs.ServerMetricsOrNil(); sv != nil {
-			sv.RateLimited.Inc()
+// handleSubmit serves POST /v1/jobs and, with shadow set, POST
+// /v1/shadowjobs: the same submission flow with the shadow-precision
+// channel forced on. The precision is folded into the config before
+// the cache key is computed, so a shadow job and the plain job over the
+// same clone are distinct cache entries (and distinct precisions are
+// too), while resubmitting the same shadow job — to any peer in a
+// cluster — hits the cache. Every client submission, on a lone daemon
+// or a cluster node, is admitted here.
+func (s *Server) handleSubmit(shadow bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		sv := s.obs.ServerMetricsOrNil()
+		if sv != nil {
+			defer s.observeNS(&sv.SubmitNS, start)
 		}
-		w.Header().Set("Retry-After", retryAfterSeconds(wait))
-		writeError(w, http.StatusTooManyRequests, "client %s rate limited", client)
-		return client, false
-	}
-	return client, true
-}
 
-// acceptSubmission runs the shared submit tail — enqueue (or cache-hit)
-// and respond — for the plain and shadow submit handlers.
-func (s *Server) acceptSubmission(w http.ResponseWriter, client, name string, clone []byte, cfg fpspy.Config) {
-	rec, err := s.submit(client, name, clone, cfg)
-	switch {
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	s.mu.Lock()
-	resp := SubmitResponse{ID: rec.id, State: rec.state, CacheHit: rec.cacheHit}
-	s.mu.Unlock()
-	status := http.StatusAccepted
-	if resp.State == StateDone || resp.State == StateFailed {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, resp)
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() {
-		if sv := s.obs.ServerMetricsOrNil(); sv != nil {
-			s.observeNS(&sv.SubmitNS, start)
+		client := clientID(r)
+		if ok, wait := s.lim.allow(client); !ok {
+			if sv != nil {
+				sv.RateLimited.Inc()
+			}
+			w.Header().Set("Retry-After", retryAfterSeconds(wait))
+			writeError(w, http.StatusTooManyRequests, "client %s rate limited", client)
+			return
 		}
-	}()
 
-	client, ok := s.admitClient(w, r)
-	if !ok {
-		return
-	}
-
-	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad submission body: %v", err)
-		return
-	}
-	s.acceptSubmission(w, client, req.Name, req.Clone, req.Config)
-}
-
-// handleShadowSubmit accepts POST /v1/shadowjobs: the same submission
-// flow as /v1/jobs, with the shadow-precision channel forced on. The
-// precision is folded into the config before the cache key is computed,
-// so a shadow job and the plain job over the same clone are distinct
-// cache entries (and distinct precisions are too), while resubmitting
-// the same shadow job — to any peer in a cluster — hits the cache.
-func (s *Server) handleShadowSubmit(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() {
-		if sv := s.obs.ServerMetricsOrNil(); sv != nil {
-			s.observeNS(&sv.SubmitNS, start)
+		// The /v1/jobs body is the shadow body without Prec.
+		var req ShadowSubmitRequest
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+		if err := dec.Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, "bad submission body: %v", err)
+			return
 		}
-	}()
+		cfg := req.Config
+		if shadow {
+			var err error
+			if cfg, err = NormalizeShadowConfig(cfg, req.Prec); err != nil {
+				writeError(w, http.StatusBadRequest, "%v", err)
+				return
+			}
+		}
 
-	client, ok := s.admitClient(w, r)
-	if !ok {
-		return
+		rec, err := s.submit(client, req.Name, req.Clone, cfg, true)
+		switch {
+		case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull):
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			return
+		case err != nil:
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		s.mu.Lock()
+		resp := SubmitResponse{ID: rec.id, State: rec.state, CacheHit: rec.cacheHit}
+		s.mu.Unlock()
+		status := http.StatusAccepted
+		if resp.State == StateDone || resp.State == StateFailed {
+			status = http.StatusOK
+		}
+		writeJSON(w, status, resp)
 	}
-
-	var req ShadowSubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad submission body: %v", err)
-		return
-	}
-	cfg, err := NormalizeShadowConfig(req.Config, req.Prec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.acceptSubmission(w, client, req.Name, req.Clone, cfg)
 }
 
 // NormalizeShadowConfig resolves a shadow submission's effective config:
 // an explicit request precision wins, then Config.ShadowPrec, then
-// DefaultShadowPrec. Normalizing before the cache key is computed is
-// what makes "default precision" and "explicit 113" the same cache
-// entry. The cluster router shares this so routing and execution agree.
+// study.DefaultShadowPrec. Normalizing before the cache key is computed
+// is what makes "default precision" and "explicit 113" the same cache
+// entry, and what a client computes to find the entry's owner.
 func NormalizeShadowConfig(cfg fpspy.Config, prec uint64) (fpspy.Config, error) {
 	if prec != 0 {
 		cfg.ShadowPrec = prec
 	}
 	if cfg.ShadowPrec == 0 {
-		cfg.ShadowPrec = DefaultShadowPrec
+		cfg.ShadowPrec = study.DefaultShadowPrec
 	}
 	if cfg.ShadowPrec < fpspy.MinShadowPrec || cfg.ShadowPrec > fpspy.MaxShadowPrec {
 		return cfg, fmt.Errorf("shadow precision %d out of range [%d,%d]",
@@ -375,15 +338,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	WriteResultStream(w, rec.id, rec.name, cacheHit, out)
+	writeResultStream(w, rec.id, rec.name, cacheHit, out)
 }
 
-// WriteResultStream renders one settled outcome as the NDJSON result
-// stream: every monitor-log event line in order, then exactly one
-// summary line. The daemon's result handler and the cluster router's
-// proxy-job handler share it so forwarded results are byte-identical to
-// locally served ones.
-func WriteResultStream(w http.ResponseWriter, id, name string, cacheHit bool, out *Outcome) {
+// writeResultStream renders one settled outcome as the NDJSON result
+// stream: every monitor-log event line in order, then (for shadow jobs)
+// the ranked sites, then exactly one summary line.
+func writeResultStream(w http.ResponseWriter, id, name string, cacheHit bool, out *Outcome) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)

@@ -81,8 +81,8 @@ func (s *Server) saveState(pend []*jobRec) error {
 // loadState re-admits a persisted queue during New. Each clone passes
 // through jobs.Decode (so a corrupted state file cannot smuggle an
 // invalid program past validation), keeps its original job ID, and is
-// re-enqueued through the normal cache/singleflight path. The state
-// file is consumed: it is removed once its jobs are re-admitted.
+// re-admitted through admitLocked like any submission. The state file
+// is consumed: it is removed once its jobs are re-admitted.
 func (s *Server) loadState() error {
 	// A leftover temp file is a torn write from a crashed save: it is
 	// never loaded, only swept, so a partial state can't masquerade as
@@ -99,6 +99,8 @@ func (s *Server) loadState() error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&list); err != nil {
 		return fmt.Errorf("server: decode queue state %s: %w", filepath.Base(s.opts.StateFile), err)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, p := range list {
 		j, err := jobs.Decode(p.Blob)
 		if err != nil {
@@ -106,29 +108,13 @@ func (s *Server) loadState() error {
 		}
 		rec := &jobRec{
 			id: p.ID, name: p.Name, client: p.Client, key: CacheKey(j, p.Config),
-			blob: p.Blob, cfg: p.Config, job: j, submitted: s.now(), state: StateQueued,
+			blob: p.Blob, cfg: p.Config, job: j, submitted: s.now(),
 		}
 		var seq int
 		if n, _ := fmt.Sscanf(p.ID, "job-%06d", &seq); n == 1 && seq > s.seq {
 			s.seq = seq
 		}
-		if e, ok := s.cache[rec.key]; ok {
-			rec.cacheHit = true
-			rec.entry = e
-			e.waiters = append(e.waiters, rec)
-			s.jobs[rec.id] = rec
-			continue
-		}
-		e := &cacheEntry{key: rec.key, done: make(chan struct{}), primary: rec}
-		rec.entry = e
-		select {
-		case s.shardOf(rec.key) <- rec:
-			s.cache[rec.key] = e
-			s.jobs[rec.id] = rec
-			if sv := s.obs.ServerMetricsOrNil(); sv != nil {
-				sv.QueueDepth.Add(1)
-			}
-		default:
+		if err := s.admitLocked(rec, false); err != nil {
 			return fmt.Errorf("server: queue depth %d too small for persisted state (%d jobs)",
 				s.opts.QueueDepth, len(list))
 		}

@@ -108,6 +108,7 @@ type Server struct {
 	cache    map[string]*cacheEntry
 	seq      int
 	draining bool
+	placer   Placer // cluster placement hook; nil on a lone daemon
 
 	// testBeforeRun, when set, is called by a dispatcher after a job
 	// enters StateRunning and before its pass executes (tests gate here
@@ -122,11 +123,15 @@ type jobRec struct {
 	name      string
 	client    string
 	key       string
-	blob      []byte // encoded clone, for persistence
 	cfg       fpspy.Config
-	job       *jobs.Job
 	cacheHit  bool
 	submitted time.Time
+
+	// blob (the encoded clone) and job (its decoding) serve persisting,
+	// stealing, placing, and running an unsettled job; both are dropped
+	// once it settles.
+	blob []byte
+	job  *jobs.Job
 
 	state State
 	errs  string
@@ -142,7 +147,8 @@ type cacheEntry struct {
 	done    chan struct{}
 	started bool // a dispatcher picked the primary up (guarded by mu)
 	settled bool // out/err valid (guarded by mu)
-	stolen  bool // primary handed to a peer via StealPending (guarded by mu)
+	held    bool // primary is with a peer, in no shard queue (guarded by mu)
+	placed  bool // held by the Placer, not by a stealer (guarded by mu)
 	out     *Outcome
 	err     error
 	primary *jobRec
@@ -248,17 +254,16 @@ func (s *Server) shardOf(key string) chan *jobRec {
 }
 
 // ErrDraining and ErrQueueFull classify submission rejections for the
-// HTTP layer and for cluster routers deciding how to degrade.
+// HTTP layer and for peers submitting through Submit.
 var (
 	ErrDraining  = errors.New("server: draining, not accepting submissions")
 	ErrQueueFull = errors.New("server: shard queue full")
 )
 
-// submit admits one submission: validate the clone, consult the cache,
-// and either finalize immediately (hit on a settled entry), attach to
-// an in-flight identical pass, or enqueue a new pass. It returns the
-// job record and whether the submission was served from cache.
-func (s *Server) submit(client, name string, blob []byte, cfg fpspy.Config) (*jobRec, error) {
+// submit admits one submission: validate the clone, then hand it to
+// admitLocked under a fresh job ID. offer lets a new pass be placed on
+// another cluster member; only client-API submissions set it.
+func (s *Server) submit(client, name string, blob []byte, cfg fpspy.Config, offer bool) (*jobRec, error) {
 	// Drain check first: a draining daemon answers 503 regardless of
 	// what the submission contains. Re-checked under the lock below.
 	if s.Draining() {
@@ -274,7 +279,6 @@ func (s *Server) submit(client, name string, blob []byte, cfg fpspy.Config) (*jo
 	if name == "" {
 		name = j.Name
 	}
-	key := CacheKey(j, cfg)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -286,53 +290,66 @@ func (s *Server) submit(client, name string, blob []byte, cfg fpspy.Config) (*jo
 	}
 	s.seq++
 	rec := &jobRec{
-		id:        fmt.Sprintf("job-%06d", s.seq),
-		name:      name,
-		client:    client,
-		key:       key,
-		blob:      blob,
-		cfg:       cfg,
-		job:       j,
-		submitted: s.now(),
-		state:     StateQueued,
+		id: fmt.Sprintf("job-%06d", s.seq), name: name, client: client,
+		key: CacheKey(j, cfg), blob: blob, cfg: cfg, job: j, submitted: s.now(),
 	}
+	if err := s.admitLocked(rec, offer); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// admitLocked is the one admission path — client submissions, Submit,
+// and persisted jobs reloaded by New all enter here. A cache hit
+// finalizes rec at once (settled entry) or attaches it as a waiter (in
+// flight, queued, or held); a miss makes rec the primary of a new
+// entry, which the Placer may take when offer is set and which
+// otherwise joins its shard queue. A full queue sheds the submission
+// with ErrQueueFull and leaves no trace. Caller holds s.mu.
+func (s *Server) admitLocked(rec *jobRec, offer bool) error {
+	rec.state = StateQueued
 	sv := s.obs.ServerMetricsOrNil()
-	if e, ok := s.cache[key]; ok {
-		// Cache hit: the pass is settled, in flight, or queued. Either
-		// way this submission never runs.
+	if e, ok := s.cache[rec.key]; ok {
+		// Cache hit: this submission never runs a pass of its own.
 		rec.cacheHit = true
 		rec.entry = e
-		if sv != nil {
-			sv.Submissions.Inc()
-			sv.CacheHits.Inc()
-		}
 		if e.settled {
 			finalizeLocked(rec, e, sv)
 		} else {
 			e.waiters = append(e.waiters, rec)
 		}
 		s.jobs[rec.id] = rec
-		return rec, nil
-	}
-
-	e := &cacheEntry{key: key, done: make(chan struct{}), primary: rec}
-	rec.entry = e
-	select {
-	case s.shardOf(key) <- rec:
-		s.cache[key] = e
-		s.jobs[rec.id] = rec
 		if sv != nil {
 			sv.Submissions.Inc()
-			sv.CacheMisses.Inc()
-			sv.QueueDepth.Add(1)
+			sv.CacheHits.Inc()
 		}
-		return rec, nil
-	default:
-		if sv != nil {
-			sv.Shed.Inc()
-		}
-		return nil, ErrQueueFull
+		return nil
 	}
+
+	e := &cacheEntry{key: rec.key, done: make(chan struct{}), primary: rec}
+	if offer && s.placer != nil && s.placer.Place(rec.pending()) {
+		e.held, e.placed = true, true
+	} else {
+		select {
+		case s.shardOf(rec.key) <- rec:
+			if sv != nil {
+				sv.QueueDepth.Add(1)
+			}
+		default:
+			if sv != nil {
+				sv.Shed.Inc()
+			}
+			return ErrQueueFull
+		}
+	}
+	rec.entry = e
+	s.cache[rec.key] = e
+	s.jobs[rec.id] = rec
+	if sv != nil {
+		sv.Submissions.Inc()
+		sv.CacheMisses.Inc()
+	}
+	return nil
 }
 
 // dispatch is one shard's dispatcher: it pulls jobs in FIFO order and
@@ -372,7 +389,7 @@ func (s *Server) runJob(rec *jobRec) {
 	}
 	rec.state = StateRunning
 	rec.entry.started = true
-	hook := s.testBeforeRun
+	j, hook := rec.job, s.testBeforeRun
 	s.mu.Unlock()
 	if hook != nil {
 		hook(rec)
@@ -380,7 +397,7 @@ func (s *Server) runJob(rec *jobRec) {
 	var out *Outcome
 	var err error
 	s.study.Exec(func() {
-		out, err = executePass(rec.job, rec.cfg, s.obs)
+		out, err = executePass(j, rec.cfg, s.obs)
 	})
 	s.settle(rec.entry, out, err)
 }
@@ -428,8 +445,13 @@ func executePass(j *jobs.Job, cfg fpspy.Config, m *obs.Metrics) (*Outcome, error
 // first result in place and discards the second.
 func (s *Server) settle(e *cacheEntry, out *Outcome, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.settleLocked(e, out, err)
+}
+
+// settleLocked is settle with s.mu held.
+func (s *Server) settleLocked(e *cacheEntry, out *Outcome, err error) {
 	if e.settled {
-		s.mu.Unlock()
 		return
 	}
 	e.out, e.err = out, err
@@ -440,17 +462,18 @@ func (s *Server) settle(e *cacheEntry, out *Outcome, err error) {
 		finalizeLocked(w, e, sv)
 	}
 	e.waiters = nil
-	s.mu.Unlock()
 	close(e.done)
 }
 
-// finalizeLocked moves rec to its terminal state from a settled entry.
-// Caller holds s.mu. A nil rec is an entry with no local primary — a
-// peer-installed outcome that no local submission attached to yet.
+// finalizeLocked moves rec to its terminal state from a settled entry
+// and drops its clone, which nothing reads after settling. Caller holds
+// s.mu. A nil rec is an entry with no local primary — a peer-installed
+// outcome that no local submission attached to yet.
 func finalizeLocked(rec *jobRec, e *cacheEntry, sv *obs.ServerMetrics) {
 	if rec == nil {
 		return
 	}
+	rec.blob, rec.job = nil, nil
 	if e.err != nil {
 		rec.state = StateFailed
 		rec.errs = e.err.Error()
@@ -468,9 +491,9 @@ func finalizeLocked(rec *jobRec, e *cacheEntry, sv *obs.ServerMetrics) {
 // Shutdown drains the daemon: new submissions are rejected 503 with
 // Retry-After, dispatchers stop pulling work, every in-flight pass runs
 // to completion, and queued-but-unstarted jobs (primaries still in
-// shard queues plus waiters attached to them) are persisted to
-// Options.StateFile via their encoded clones. It returns the number of
-// jobs persisted.
+// shard queues or held by a peer, plus waiters attached to them) are
+// persisted to Options.StateFile via their encoded clones. It returns
+// the number of jobs persisted.
 func (s *Server) Shutdown() (int, error) {
 	s.mu.Lock()
 	if s.draining {
@@ -493,8 +516,10 @@ func (s *Server) Shutdown() (int, error) {
 		for {
 			select {
 			case rec := <-q:
-				pend = append(pend, rec)
 				drained++
+				if !rec.entry.settled { // a peer's outcome may have settled it
+					pend = append(pend, rec)
+				}
 			default:
 				break drain
 			}
@@ -502,12 +527,13 @@ func (s *Server) Shutdown() (int, error) {
 	}
 	// Waiters attached to a never-started entry are queued-but-unstarted
 	// submissions too; their entry is removed so a restarted daemon
-	// re-creates it. A stolen primary is not in any shard queue, so it
-	// is captured here as well — the stealer's late outcome has nowhere
-	// to land after shutdown, and the job must not be lost.
+	// re-creates it. A held primary (stolen, or placed on a peer whose
+	// forward is still in flight) is not in any shard queue, so it is
+	// captured here as well — the peer's late outcome has nowhere to
+	// land after shutdown, and the job must not be lost.
 	for key, e := range s.cache {
 		if !e.started && !e.settled {
-			if e.stolen && e.primary != nil {
+			if e.held && e.primary != nil {
 				pend = append(pend, e.primary)
 			}
 			pend = append(pend, e.waiters...)

@@ -148,7 +148,7 @@ func TestGracefulShutdownPersistRestart(t *testing.T) {
 
 	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
 	submit := func(name string, divs int) *jobRec {
-		rec, err := s.submit("tester", name, encode(t, testJob(t, name, divs, nil)), cfg)
+		rec, err := s.submit("tester", name, encode(t, testJob(t, name, divs, nil)), cfg, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestGracefulShutdownPersistRestart(t *testing.T) {
 	recB := submit("job-b", 2)
 	recC := submit("job-c", 3)
 	// A duplicate of a queued job rides as a waiter and must persist too.
-	recB2, err := s.submit("tester2", "job-b-dup", encode(t, testJob(t, "job-b", 2, nil)), cfg)
+	recB2, err := s.submit("tester2", "job-b-dup", encode(t, testJob(t, "job-b", 2, nil)), cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,15 +253,15 @@ func TestShedOnFullQueue(t *testing.T) {
 	}
 	s.mu.Unlock()
 	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
-	if _, err := s.submit("c", "a", encode(t, testJob(t, "a", 1, nil)), cfg); err != nil {
+	if _, err := s.submit("c", "a", encode(t, testJob(t, "a", 1, nil)), cfg, false); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	if _, err := s.submit("c", "b", encode(t, testJob(t, "b", 2, nil)), cfg); err != nil {
+	if _, err := s.submit("c", "b", encode(t, testJob(t, "b", 2, nil)), cfg, false); err != nil {
 		t.Fatal(err) // fills the depth-1 queue
 	}
 	shedJob := testJob(t, "c", 3, nil)
-	if _, err := s.submit("c", "c", encode(t, shedJob), cfg); err != ErrQueueFull {
+	if _, err := s.submit("c", "c", encode(t, shedJob), cfg, false); err != ErrQueueFull {
 		t.Fatalf("overflow submit err = %v, want ErrQueueFull", err)
 	}
 	if got := om.Server.Shed.Load(); got != 1 {

@@ -20,9 +20,11 @@ import (
 	"repro/internal/workload"
 )
 
-// DefaultShadowPrec is the precision the shadow study runs at when the
-// cell names none: binary128's 113-bit mantissa (matching the fpspyd
-// /v1/shadowjobs default).
+// DefaultShadowPrec is the shadow precision used when none is named — by
+// a shadow cell, a /v1/shadowjobs submission, and fpstudy's and
+// fpanalyze's precision flags: binary128's 113-bit mantissa, enough to
+// separate local from propagated error for any binary64 guest while
+// staying cheap to evaluate.
 const DefaultShadowPrec = 113
 
 // ShadowConfig is the spy configuration a shadow cell runs under:
