@@ -23,6 +23,7 @@ import (
 	fpspy "repro"
 	"repro/internal/isa"
 	"repro/internal/kernel"
+	"repro/internal/machine"
 	"repro/internal/shadow"
 	"repro/internal/softfloat"
 	"repro/internal/study"
@@ -650,11 +651,8 @@ func BenchmarkSection6MitigationFlavors(b *testing.B) {
 	}
 }
 
-func readU64(mem []byte, off int) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(mem[off+i]) << (8 * i)
-	}
+func readU64(mem *machine.Memory, off uint64) uint64 {
+	v, _ := mem.Load64(off)
 	return v
 }
 

@@ -94,10 +94,7 @@ func main() {
 		panic(err)
 	}
 	read := func(r *fpspy.Result) float64 {
-		var v uint64
-		for i := 0; i < 8; i++ {
-			v |= uint64(r.Proc.Mem[128+i]) << (8 * i)
-		}
+		v, _ := r.Proc.Mem.Load64(128)
 		return math.Float64frombits(v)
 	}
 	fmt.Printf("trap-and-emulate under LD_PRELOAD (naive %d-term sum of 0.1):\n", n)

@@ -125,7 +125,9 @@ type Options struct {
 	Config Config
 	// NoSpy runs without FPSpy in LD_PRELOAD at all.
 	NoSpy bool
-	// MemBytes sizes guest memory (default 16 MiB).
+	// MemBytes is the logical size of guest memory (default 16 MiB):
+	// every address below it is valid and every address at or above it
+	// faults. Pages are allocated only when the guest first writes them.
 	MemBytes int
 	// MaxSteps bounds execution (default 500M instructions).
 	MaxSteps uint64
@@ -286,16 +288,11 @@ func (r *Result) MustRecords() []Record {
 }
 
 // EventSet ORs all condition codes observed, from whichever mode ran.
+// It scans the in-memory traces in place; it decodes no record.
 func (r *Result) EventSet() Flags {
-	var f Flags
+	f := r.Store.Raised()
 	for _, a := range r.Store.Aggregates() {
 		f |= a.Flags
-	}
-	recs, err := r.Records()
-	if err == nil {
-		for i := range recs {
-			f |= recs[i].Raised
-		}
 	}
 	return f
 }

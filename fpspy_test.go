@@ -2,6 +2,7 @@ package fpspy_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	fpspy "repro"
@@ -31,6 +32,31 @@ func buildEventProgram(nInexact int) *fpspy.Program {
 	b.FP2(isa.OpDIVSD, isa.X5, isa.X3, isa.X3) // 0/0: invalid
 	b.Hlt()
 	return b.Build()
+}
+
+// TestIndividualRunAllocationCeiling gates allocation as a layer: an
+// individual-mode run of the 2000-event program allocates under 2 MiB
+// in all. Guest memory allocates a page on its first write and the
+// trace store grows one fixed-size chunk at a time, so a flat 16 MiB
+// guest or a doubling trace buffer coming back fails it.
+func TestIndividualRunAllocationCeiling(t *testing.T) {
+	prog := buildEventProgram(2000)
+	run := func() {
+		if _, err := fpspy.Run(prog, fpspy.Options{
+			Config: fpspy.Config{Mode: fpspy.ModeIndividual},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // build lazily initialized tables outside the measurement
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	const ceiling = 2 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= ceiling {
+		t.Fatalf("an individual-mode run allocated %d bytes, ceiling %d", got, ceiling)
+	}
 }
 
 func TestAggregateModeCapturesStickySet(t *testing.T) {

@@ -1,13 +1,16 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/kernel"
+	"repro/internal/machine"
 	"repro/internal/trace"
 )
 
@@ -93,9 +96,23 @@ func snapshot(k *kernel.Kernel) Snapshot {
 	return snap
 }
 
-func memSum(mem []byte) uint64 {
+// memSum hashes a memory's contents: its size and every page holding a
+// nonzero byte, with the page's address. A page that was written but
+// holds only zeros reads like one never written, so it is skipped too;
+// equal contents hash equal however the pages came to be allocated.
+func memSum(mem *machine.Memory) uint64 {
 	h := fnv.New64a()
-	h.Write(mem)
+	var word [8]byte
+	binary.LittleEndian.PutUint64(word[:], mem.Size())
+	h.Write(word[:])
+	mem.EachPage(func(addr uint64, data []byte) {
+		if !slices.ContainsFunc(data, func(b byte) bool { return b != 0 }) {
+			return
+		}
+		binary.LittleEndian.PutUint64(word[:], addr)
+		h.Write(word[:])
+		h.Write(data)
+	})
 	return h.Sum64()
 }
 

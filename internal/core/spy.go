@@ -53,6 +53,11 @@ type threadState struct {
 	// when shadowing is off.
 	shadow *shadow.Channel
 	rng    *rand.Rand
+	// w is the thread's trace writer, fetched from the store on the
+	// first record or at teardown; appendFailed is set once an Append
+	// error has been recorded in the store.
+	w            *trace.Writer
+	appendFailed bool
 }
 
 // Spy is one process's FPSpy instance.
@@ -313,11 +318,24 @@ func (s *Spy) threadTeardown(k *kernel.Kernel, t *kernel.Task) {
 		// before the demotion still need to reach the trace.
 	}
 	if ts := s.threads[t.TID]; ts != nil {
-		key := ThreadKey{PID: s.proc.PID, TID: t.TID}
-		if err := s.store.writer(key).Flush(); err != nil {
-			s.store.recordFlushErr(key, err)
+		if err := s.traceWriter(ts).Flush(); err != nil {
+			s.store.recordFlushErr(s.traceKey(ts), err)
 		}
 	}
+}
+
+// traceKey names a thread's trace in the store.
+func (s *Spy) traceKey(ts *threadState) ThreadKey {
+	return ThreadKey{PID: s.proc.PID, TID: ts.task.TID}
+}
+
+// traceWriter returns the thread's trace writer, fetching it from the
+// store the first time.
+func (s *Spy) traceWriter(ts *threadState) *trace.Writer {
+	if ts.w == nil {
+		ts.w = s.store.writer(s.traceKey(ts))
+	}
+	return ts.w
 }
 
 // destruct runs after the last task exits; all per-thread teardown has
@@ -592,8 +610,12 @@ func (s *Spy) onSIGFPE(k *kernel.Kernel, t *kernel.Task, info *kernel.SigInfo, m
 			copy(rec.InstrWord[:], enc[:])
 			rec.Opcode = uint16(t.M.Prog.Insts[idx].Op)
 		}
-		key := ThreadKey{PID: s.proc.PID, TID: t.TID}
-		_ = s.store.writer(key).Append(&rec)
+		if err := s.traceWriter(ts).Append(&rec); err != nil && !ts.appendFailed {
+			// The writer dropped its buffered records; one error per
+			// thread is enough to fail the run's TraceErr.
+			ts.appendFailed = true
+			s.store.recordFlushErr(s.traceKey(ts), err)
+		}
 		ts.seq++
 		ts.recorded++
 		s.store.Recorded++

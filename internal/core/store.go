@@ -1,12 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
 
 	"repro/internal/analysis"
+	"repro/internal/softfloat"
 	"repro/internal/trace"
 )
 
@@ -23,8 +23,7 @@ func (k ThreadKey) String() string { return fmt.Sprintf("%d.%d.fpemon", k.PID, k
 // thread and one aggregate record per thread. It stands in for the
 // per-thread log files of the real tool.
 type Store struct {
-	buffers    map[ThreadKey]*bytes.Buffer
-	writers    map[ThreadKey]*trace.Writer
+	traces     map[ThreadKey]*threadTrace
 	sink       func(ThreadKey) io.Writer
 	aggregates []trace.Aggregate
 	events     []trace.MonitorEvent
@@ -40,18 +39,70 @@ type Store struct {
 	StepAsides int
 }
 
+// threadTrace is one thread's individual-mode trace: the writer the spy
+// appends through and, unless the store has a sink, the in-memory
+// chunks the writer flushes into.
+type threadTrace struct {
+	w   *trace.Writer
+	mem *chunks
+}
+
+// chunkBytes is the size of one in-memory trace chunk: 1,024 records.
+const chunkBytes = 1024 * trace.RecordSize
+
+// chunks holds an in-memory trace, in the paper's on-disk format, as
+// fixed-size chunks that are all full except the last. Growing the trace
+// allocates a new chunk and never copies an old one. The trace writer
+// flushes whole records, and a chunk holds a whole number of them, so
+// no record straddles two chunks.
+type chunks [][]byte
+
+// Write appends p to the trace; it never fails.
+func (c *chunks) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		if len(*c) == 0 || len((*c)[len(*c)-1]) == chunkBytes {
+			*c = append(*c, make([]byte, 0, chunkBytes))
+		}
+		last := &(*c)[len(*c)-1]
+		k := min(len(p), chunkBytes-len(*last))
+		*last = append(*last, p[:k]...)
+		p = p[k:]
+	}
+	return n, nil
+}
+
+// records counts the records the chunks hold.
+func (c chunks) records() int {
+	n := 0
+	for _, b := range c {
+		n += len(b) / trace.RecordSize
+	}
+	return n
+}
+
+// decodeInto decodes every record into the front of dst, which holds
+// at least c.records() entries, and returns how many it decoded.
+func (c chunks) decodeInto(dst []trace.Record) int {
+	i := 0
+	for _, b := range c {
+		for off := 0; off < len(b); off += trace.RecordSize {
+			dst[i].Decode(b[off:])
+			i++
+		}
+	}
+	return i
+}
+
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{
-		buffers: make(map[ThreadKey]*bytes.Buffer),
-		writers: make(map[ThreadKey]*trace.Writer),
-	}
+	return &Store{traces: make(map[ThreadKey]*threadTrace)}
 }
 
 // NewStoreWithSink creates a store whose per-thread trace bytes go to
-// writers produced by sink instead of in-memory buffers. Used to model
-// trace files on failing media; Records/RawTrace are unavailable for
-// sink-backed threads.
+// writers produced by sink instead of in-memory chunks. Used to model
+// trace files on failing media; Records/RawTrace return an error for
+// sink-backed threads, and Threads does not list them.
 func NewStoreWithSink(sink func(ThreadKey) io.Writer) *Store {
 	s := NewStore()
 	s.sink = sink
@@ -59,20 +110,21 @@ func NewStoreWithSink(sink func(ThreadKey) io.Writer) *Store {
 }
 
 // writer returns (creating if needed) the trace writer for a thread.
+// The spy keeps it in its thread state, so the map is consulted once
+// per thread rather than once per record.
 func (s *Store) writer(key ThreadKey) *trace.Writer {
-	if w, ok := s.writers[key]; ok {
-		return w
+	if tt, ok := s.traces[key]; ok {
+		return tt.w
 	}
-	var w *trace.Writer
+	tt := &threadTrace{}
 	if s.sink != nil {
-		w = trace.NewWriter(s.sink(key))
+		tt.w = trace.NewWriter(s.sink(key))
 	} else {
-		buf := &bytes.Buffer{}
-		s.buffers[key] = buf
-		w = trace.NewWriter(buf)
+		tt.mem = &chunks{}
+		tt.w = trace.NewWriter(tt.mem)
 	}
-	s.writers[key] = w
-	return w
+	s.traces[key] = tt
+	return tt.w
 }
 
 // recordFlushErr remembers a trace flush failure so the run result can
@@ -150,11 +202,13 @@ func (s *Store) Aggregates() []trace.Aggregate {
 	return out
 }
 
-// Threads lists the threads with individual-mode traces.
+// Threads lists the threads with in-memory individual-mode traces.
 func (s *Store) Threads() []ThreadKey {
-	keys := make([]ThreadKey, 0, len(s.buffers))
-	for k := range s.buffers {
-		keys = append(keys, k)
+	keys := make([]ThreadKey, 0, len(s.traces))
+	for k, tt := range s.traces {
+		if tt.mem != nil {
+			keys = append(keys, k)
+		}
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].PID != keys[j].PID {
@@ -165,40 +219,81 @@ func (s *Store) Threads() []ThreadKey {
 	return keys
 }
 
-// Records decodes the trace of one thread.
-func (s *Store) Records(key ThreadKey) ([]trace.Record, error) {
-	w, ok := s.writers[key]
+// flushed returns one thread's in-memory trace with every appended
+// record flushed into it.
+func (s *Store) flushed(key ThreadKey) (chunks, error) {
+	tt, ok := s.traces[key]
 	if !ok {
 		return nil, fmt.Errorf("fpspy: no trace for %v", key)
 	}
-	if err := w.Flush(); err != nil {
+	if tt.mem == nil {
+		return nil, fmt.Errorf("fpspy: trace %v went to the store's sink; its records are not kept", key)
+	}
+	if err := tt.w.Flush(); err != nil {
 		return nil, err
 	}
-	return trace.Decode(s.buffers[key].Bytes())
+	return *tt.mem, nil
 }
 
-// AllRecords decodes and concatenates every thread's trace.
+// Records decodes the trace of one thread.
+func (s *Store) Records(key ThreadKey) ([]trace.Record, error) {
+	c, err := s.flushed(key)
+	if err != nil {
+		return nil, err
+	}
+	recs := make([]trace.Record, c.records())
+	c.decodeInto(recs)
+	return recs, nil
+}
+
+// AllRecords decodes every thread's trace, in Threads order, into one
+// slice sized to the total record count.
 func (s *Store) AllRecords() ([]trace.Record, error) {
-	var out []trace.Record
-	for _, key := range s.Threads() {
-		recs, err := s.Records(key)
+	keys := s.Threads()
+	all := make([]chunks, len(keys))
+	n := 0
+	for i, key := range keys {
+		c, err := s.flushed(key)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, recs...)
+		all[i] = c
+		n += c.records()
 	}
-	return out, nil
+	recs := make([]trace.Record, n)
+	n = 0
+	for _, c := range all {
+		n += c.decodeInto(recs[n:])
+	}
+	return recs, nil
+}
+
+// Raised ORs the Raised condition codes of every in-memory record,
+// scanning the chunks in place instead of decoding them.
+func (s *Store) Raised() softfloat.Flags {
+	var f softfloat.Flags
+	for _, tt := range s.traces {
+		if tt.mem == nil {
+			continue
+		}
+		_ = tt.w.Flush() // flushes into chunks, which never fail a write
+		for _, b := range *tt.mem {
+			f |= trace.RaisedUnion(b)
+		}
+	}
+	return f
 }
 
 // RawTrace returns the encoded bytes of one thread's trace (what would
 // be the on-disk file).
 func (s *Store) RawTrace(key ThreadKey) ([]byte, error) {
-	w, ok := s.writers[key]
-	if !ok {
-		return nil, fmt.Errorf("fpspy: no trace for %v", key)
-	}
-	if err := w.Flush(); err != nil {
+	c, err := s.flushed(key)
+	if err != nil {
 		return nil, err
 	}
-	return s.buffers[key].Bytes(), nil
+	raw := make([]byte, 0, c.records()*trace.RecordSize)
+	for _, b := range c {
+		raw = append(raw, b...)
+	}
+	return raw, nil
 }

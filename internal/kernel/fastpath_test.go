@@ -119,10 +119,10 @@ func TestFastPathMatchesPrecise(t *testing.T) {
 		if fk.Cycles != pk.Cycles {
 			t.Errorf("timer %d: wall cycles fast=%d precise=%d", kind, fk.Cycles, pk.Cycles)
 		}
-		if fp.Mem[512] != pp.Mem[512] {
-			t.Errorf("timer %d: timer firings fast=%d precise=%d", kind, fp.Mem[512], pp.Mem[512])
+		if memByte(fp, 512) != memByte(pp, 512) {
+			t.Errorf("timer %d: timer firings fast=%d precise=%d", kind, memByte(fp, 512), memByte(pp, 512))
 		}
-		if fp.Mem[512] == 0 {
+		if memByte(fp, 512) == 0 {
 			t.Errorf("timer %d: timer never fired", kind)
 		}
 		if fp.Tasks[0].M.CPU != pp.Tasks[0].M.CPU {

@@ -45,7 +45,7 @@ func TestDelayedTimerSignalStillDelivered(t *testing.T) {
 	if !p.Exited {
 		t.Fatal("process did not exit")
 	}
-	if p.Mem[512] != 1 {
+	if memByte(p, 512) != 1 {
 		t.Error("delayed timer handler never ran")
 	}
 }
@@ -104,7 +104,7 @@ func runChaos(t *testing.T, seed int64) string {
 		fp += fmt.Sprintf("tid=%d retired=%d cycles=%d\n", tk.TID, tk.M.Retired, tk.UserCycles+tk.SysCycles)
 	}
 	for i := 0; i < 3; i++ {
-		fp += fmt.Sprintf("slot%d=%d\n", i, p.Mem[512+8*i])
+		fp += fmt.Sprintf("slot%d=%d\n", i, memByte(p, uint64(512+8*i)))
 	}
 	return fp
 }

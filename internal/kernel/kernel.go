@@ -91,8 +91,8 @@ type Process struct {
 	PID int
 	// Tasks are the member threads (index 0 is the initial thread).
 	Tasks []*Task
-	// Mem is the shared memory image.
-	Mem []byte
+	// Mem is the memory every task of the process shares.
+	Mem *machine.Memory
 	// Env is the process environment (FPSpy's whole interface).
 	Env map[string]string
 	// Handlers maps signals to dispositions.
@@ -230,9 +230,10 @@ func (k *Kernel) SpawnThread(p *Process, entry uint64, arg uint64) *Task {
 	return t
 }
 
-// Fork duplicates the calling task's process: memory is copied, the
-// calling thread alone is replicated, and the child resumes at the same
-// RIP with R1 = 0 while the parent sees the child pid.
+// Fork duplicates the calling task's process: memory is cloned
+// copy-on-write, the calling thread alone is replicated, and the child
+// resumes at the same RIP with R1 = 0 while the parent sees the child
+// pid.
 func (k *Kernel) Fork(t *Task) *Process {
 	parent := t.Proc
 	child := &Process{
@@ -240,7 +241,7 @@ func (k *Kernel) Fork(t *Task) *Process {
 		Env:      copyEnv(parent.Env),
 		Handlers: make(map[Signal]*SigAction),
 		Prog:     parent.Prog,
-		Mem:      t.M.CloneMemory(),
+		Mem:      parent.Mem.Clone(),
 		stackTop: parent.stackTop,
 	}
 	k.nextPID++

@@ -106,8 +106,8 @@ func TestForkDuplicatesMemory(t *testing.T) {
 	if childProc == nil || !childProc.Exited || !p.Exited {
 		t.Fatal("both processes should exit")
 	}
-	pv := uint64(p.Mem[64])
-	cv := uint64(childProc.Mem[64])
+	pv := uint64(memByte(p, 64))
+	cv := uint64(memByte(childProc, 64))
 	if pv != 1 || cv != 2 {
 		t.Errorf("parent mem 64 = %d (want 1), child = %d (want 2)", pv, cv)
 	}
@@ -140,7 +140,7 @@ func TestGuestSignalHandlerAndSigreturn(t *testing.T) {
 	if cpu.R[isa.R9] != 77 {
 		t.Error("execution did not resume after guest handler")
 	}
-	if p.Mem[512] != 1 {
+	if memByte(p, 512) != 1 {
 		t.Error("guest handler did not run")
 	}
 }
@@ -217,7 +217,7 @@ func TestVirtualTimerDeliversSIGVTALRM(t *testing.T) {
 	b.St(isa.R3, 0, isa.R4)
 	b.CallC("rt_sigreturn")
 	_, p := spawnAndRun(t, b.Build(), nil, 100000)
-	if p.Mem[512] != 1 {
+	if memByte(p, 512) != 1 {
 		t.Error("timer handler never ran")
 	}
 }
@@ -384,5 +384,42 @@ func TestKillAndStrings(t *testing.T) {
 	}
 	if !fatalIfIgnored(SIGFPE) || fatalIfIgnored(SIGALRM) {
 		t.Error("fatalIfIgnored classification")
+	}
+}
+
+// memByte reads the byte at addr of p's memory, where the test guests
+// keep their small counters.
+func memByte(p *Process, addr uint64) byte {
+	v, _ := p.Mem.Load32(addr)
+	return byte(v)
+}
+
+// TestLibcFEEnvWildPointers is the regression test for libc's
+// environment accessors on guest pointers near 2^64: addr+8 wrapped, the
+// bounds check passed, and the slice expression panicked the host. A
+// wild pointer must leave memory untouched and the guest running.
+func TestLibcFEEnvWildPointers(t *testing.T) {
+	syms := []string{"fegetenv", "fesetenv", "feholdexcept", "feupdateenv", "fegetexceptflag", "fesetexceptflag"}
+	ptrs := []uint64{^uint64(0), ^uint64(0) - 3, ^uint64(0) - 6, ^uint64(0) - 7, 1<<20 - 4}
+	for _, sym := range syms {
+		for _, ptr := range ptrs {
+			b := isa.NewBuilder("wild-" + sym)
+			b.Movi(isa.R1, int64(ptr))
+			b.Movi(isa.R2, 0x3F)
+			b.CallC(sym)
+			b.Movi(isa.R9, 77)
+			b.Hlt()
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s(%#x) panicked the host: %v", sym, ptr, r)
+					}
+				}()
+				_, p := spawnAndRun(t, b.Build(), nil, 1000)
+				if task := p.Tasks[0]; task.State != TaskExited || task.M.CPU.R[isa.R9] != 77 {
+					t.Errorf("%s(%#x): guest did not run to hlt (state %v)", sym, ptr, task.State)
+				}
+			}()
+		}
 	}
 }

@@ -116,13 +116,13 @@ func libcObject(p *Process) *Object {
 		// fegetexceptflag(ptr, mask): store flags&mask at ptr.
 		ptr := arg(t, 1)
 		mask := softfloat.Flags(arg(t, 2))
-		storeU64(t, ptr, uint64(t.M.CPU.MXCSR.Flags()&mask))
+		t.M.Mem.Store64(ptr, uint64(t.M.CPU.MXCSR.Flags()&mask))
 		ret(t, 0)
 	}
 	s["fesetexceptflag"] = func(k *Kernel, t *Task) {
 		ptr := arg(t, 1)
 		mask := softfloat.Flags(arg(t, 2))
-		v, _ := loadU64(t, ptr)
+		v, _ := t.M.Mem.Load64(ptr)
 		cur := t.M.CPU.MXCSR.Flags()
 		t.M.CPU.MXCSR.ClearFlags()
 		t.M.CPU.MXCSR.SetFlags((cur &^ mask) | (softfloat.Flags(v) & mask))
@@ -146,7 +146,7 @@ func libcObject(p *Process) *Object {
 		ret(t, 0)
 	}
 	s["fegetenv"] = func(k *Kernel, t *Task) {
-		storeU64(t, arg(t, 1), uint64(t.M.CPU.MXCSR))
+		t.M.Mem.Store64(arg(t, 1), uint64(t.M.CPU.MXCSR))
 		ret(t, 0)
 	}
 	s["fesetenv"] = func(k *Kernel, t *Task) {
@@ -154,20 +154,20 @@ func libcObject(p *Process) *Object {
 		if ptr == 0 {
 			// FE_DFL_ENV
 			t.M.CPU.MXCSR = mxcsr.Default
-		} else if v, ok := loadU64(t, ptr); ok {
+		} else if v, ok := t.M.Mem.Load64(ptr); ok {
 			t.M.CPU.MXCSR = mxReg(v)
 		}
 		ret(t, 0)
 	}
 	s["feholdexcept"] = func(k *Kernel, t *Task) {
-		storeU64(t, arg(t, 1), uint64(t.M.CPU.MXCSR))
+		t.M.Mem.Store64(arg(t, 1), uint64(t.M.CPU.MXCSR))
 		t.M.CPU.MXCSR.ClearFlags()
 		t.M.CPU.MXCSR.Mask(softfloat.Flags(0x3F))
 		ret(t, 0)
 	}
 	s["feupdateenv"] = func(k *Kernel, t *Task) {
 		raised := t.M.CPU.MXCSR.Flags()
-		if v, ok := loadU64(t, arg(t, 1)); ok {
+		if v, ok := t.M.Mem.Load64(arg(t, 1)); ok {
 			t.M.CPU.MXCSR = mxReg(v)
 		}
 		t.M.CPU.MXCSR.SetFlags(raised)
@@ -202,26 +202,4 @@ func encodeGuestAction(a *SigAction) uint64 {
 	default:
 		return a.Guest
 	}
-}
-
-func loadU64(t *Task, addr uint64) (uint64, bool) {
-	m := t.M.Mem
-	if addr+8 > uint64(len(m)) {
-		return 0, false
-	}
-	b := m[addr:]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56, true
-}
-
-func storeU64(t *Task, addr, v uint64) bool {
-	m := t.M.Mem
-	if addr+8 > uint64(len(m)) {
-		return false
-	}
-	b := m[addr:]
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	return true
 }

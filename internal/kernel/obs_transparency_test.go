@@ -39,8 +39,8 @@ func TestFastPathMatchesPreciseUnderObs(t *testing.T) {
 			if bk.Cycles != ok.Cycles {
 				t.Errorf("wall cycles bare=%d instrumented=%d", bk.Cycles, ok.Cycles)
 			}
-			if bp.Mem[512] != op.Mem[512] {
-				t.Errorf("timer firings bare=%d instrumented=%d", bp.Mem[512], op.Mem[512])
+			if memByte(bp, 512) != memByte(op, 512) {
+				t.Errorf("timer firings bare=%d instrumented=%d", memByte(bp, 512), memByte(op, 512))
 			}
 			if bp.Tasks[0].M.CPU != op.Tasks[0].M.CPU {
 				t.Errorf("final CPU state diverged under obs")
@@ -64,8 +64,8 @@ func TestFastPathMatchesPreciseUnderObs(t *testing.T) {
 			if got := km.MCtxTF.Load(); got != uint64(2*oev) {
 				t.Errorf("mcontext TF mutations %d, want %d", got, 2*oev)
 			}
-			if got := km.TimerFires[TimerVirtual].Load(); got != uint64(op.Mem[512]) {
-				t.Errorf("timer-fire counter %d, want %d firings", got, op.Mem[512])
+			if got := km.TimerFires[TimerVirtual].Load(); got != uint64(memByte(op, 512)) {
+				t.Errorf("timer-fire counter %d, want %d firings", got, memByte(op, 512))
 			}
 			// PreciseSteps counts step attempts: an unmasked FP fault
 			// aborts its instruction (re-executed after the handler) and

@@ -36,16 +36,16 @@ func TestBoundsCheckOverflow(t *testing.T) {
 	// The primitive accessors themselves must reject wrapping addresses.
 	m := New(isa.NewBuilder("prim").Build(), 64)
 	for _, addr := range []uint64{^uint64(0), ^uint64(0) - 3, ^uint64(0) - 7} {
-		if _, ok := m.load64(addr); ok {
+		if _, ok := m.Mem.Load64(addr); ok {
 			t.Errorf("load64(%#x) passed bounds check", addr)
 		}
-		if m.store64(addr, 1) {
+		if m.Mem.Store64(addr, 1) {
 			t.Errorf("store64(%#x) passed bounds check", addr)
 		}
-		if _, ok := m.load32(addr); ok {
+		if _, ok := m.Mem.Load32(addr); ok {
 			t.Errorf("load32(%#x) passed bounds check", addr)
 		}
-		if m.store32(addr, 1) {
+		if m.Mem.Store32(addr, 1) {
 			t.Errorf("store32(%#x) passed bounds check", addr)
 		}
 	}

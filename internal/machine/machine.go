@@ -115,14 +115,14 @@ type FaultEvent struct {
 
 func (*FaultEvent) isEvent() {}
 
-// Machine couples CPU state with a program and flat data memory.
+// Machine couples CPU state with a program and data memory.
 type Machine struct {
 	// CPU is the architectural state.
 	CPU CPU
 	// Prog is the executing program.
 	Prog *isa.Program
-	// Mem is flat little-endian data memory.
-	Mem []byte
+	// Mem is the data memory, shared by every thread of a process.
+	Mem *Memory
 	// Retired counts retired instructions (the virtual clock).
 	Retired uint64
 	// Breakpoints marks instruction addresses stubbed with an invalid
@@ -198,13 +198,9 @@ func (m *Machine) ClearBreakpoint(addr uint64) {
 // the data segment loaded, RIP at the program entry, and MXCSR at its
 // power-on default.
 func New(prog *isa.Program, memSize int) *Machine {
-	m := &Machine{Prog: prog, Mem: make([]byte, memSize)}
+	m := &Machine{Prog: prog, Mem: NewMemory(memSize)}
 	if len(prog.Data) > 0 {
-		if prog.DataBase+uint64(len(prog.Data)) > uint64(memSize) {
-			panic(fmt.Sprintf("machine: data segment (%d bytes at %#x) exceeds memory (%d bytes)",
-				len(prog.Data), prog.DataBase, memSize))
-		}
-		copy(m.Mem[prog.DataBase:], prog.Data)
+		m.Mem.loadSegment(prog.DataBase, prog.Data)
 	}
 	m.CPU.RIP = prog.Base
 	m.CPU.MXCSR = mxcsr.Default
@@ -220,58 +216,6 @@ func (m *Machine) fpEventAt(addr uint64, idx int, raised, unmasked softfloat.Fla
 func (m *Machine) faultEvent(reason string, addr uint64) Event {
 	m.evFault = FaultEvent{Reason: reason, Addr: addr}
 	return &m.evFault
-}
-
-// CloneMemory deep-copies machine memory (used by fork).
-func (m *Machine) CloneMemory() []byte {
-	dup := make([]byte, len(m.Mem))
-	copy(dup, m.Mem)
-	return dup
-}
-
-// inBounds reports whether [addr, addr+n) lies inside memory. The
-// comparison is overflow-safe: addr+n can wrap for addresses near 2^64,
-// so the check subtracts from the memory size instead of adding to the
-// address.
-func (m *Machine) inBounds(addr, n uint64) bool {
-	size := uint64(len(m.Mem))
-	return addr <= size && size-addr >= n
-}
-
-func (m *Machine) load64(addr uint64) (uint64, bool) {
-	if !m.inBounds(addr, 8) {
-		return 0, false
-	}
-	b := m.Mem[addr:]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56, true
-}
-
-func (m *Machine) store64(addr, v uint64) bool {
-	if !m.inBounds(addr, 8) {
-		return false
-	}
-	b := m.Mem[addr:]
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
-	return true
-}
-
-func (m *Machine) load32(addr uint64) (uint32, bool) {
-	if !m.inBounds(addr, 4) {
-		return 0, false
-	}
-	b := m.Mem[addr:]
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, true
-}
-
-func (m *Machine) store32(addr uint64, v uint32) bool {
-	if !m.inBounds(addr, 4) {
-		return false
-	}
-	b := m.Mem[addr:]
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	return true
 }
 
 // reg reads an integer register (R0 is hardwired zero).
@@ -367,14 +311,14 @@ func (m *Machine) Step() Event {
 		case isa.OpCALL:
 			// Push the return address on the stack.
 			sp := c.reg(isa.SP) - 8
-			if !m.store64(sp, next) {
+			if !m.Mem.Store64(sp, next) {
 				return m.faultEvent(fmt.Sprintf("stack overflow at %#x", sp), addr)
 			}
 			c.setReg(isa.SP, sp)
 			taken = true
 		case isa.OpRET:
 			sp := c.reg(isa.SP)
-			ra, ok := m.load64(sp)
+			ra, ok := m.Mem.Load64(sp)
 			if !ok {
 				return m.faultEvent(fmt.Sprintf("stack underflow at %#x", sp), addr)
 			}
@@ -464,38 +408,38 @@ func (m *Machine) execMem(inst *isa.Inst, addr uint64) Event {
 	ea := c.reg(inst.Rs1) + uint64(inst.Imm)
 	switch inst.Op {
 	case isa.OpLD:
-		v, ok := m.load64(ea)
+		v, ok := m.Mem.Load64(ea)
 		if !ok {
 			return m.memFault(addr, ea)
 		}
 		c.setReg(inst.Rd, v)
 	case isa.OpST:
-		if !m.store64(ea, c.reg(inst.Rs2)) {
+		if !m.Mem.Store64(ea, c.reg(inst.Rs2)) {
 			return m.memFault(addr, ea)
 		}
 	case isa.OpFLD:
-		v, ok := m.load64(ea)
+		v, ok := m.Mem.Load64(ea)
 		if !ok {
 			return m.memFault(addr, ea)
 		}
 		c.X[inst.Rd][0] = v
 	case isa.OpFST:
-		if !m.store64(ea, c.X[inst.Rs2][0]) {
+		if !m.Mem.Store64(ea, c.X[inst.Rs2][0]) {
 			return m.memFault(addr, ea)
 		}
 	case isa.OpFLDS:
-		v, ok := m.load32(ea)
+		v, ok := m.Mem.Load32(ea)
 		if !ok {
 			return m.memFault(addr, ea)
 		}
 		c.X[inst.Rd][0] = uint64(v) // upper bits zeroed, movss load semantics
 	case isa.OpFSTS:
-		if !m.store32(ea, uint32(c.X[inst.Rs2][0])) {
+		if !m.Mem.Store32(ea, uint32(c.X[inst.Rs2][0])) {
 			return m.memFault(addr, ea)
 		}
 	case isa.OpFLDV:
 		for l := 0; l < 4; l++ {
-			v, ok := m.load64(ea + uint64(l)*8)
+			v, ok := m.Mem.Load64(ea + uint64(l)*8)
 			if !ok {
 				return m.memFault(addr, ea)
 			}
@@ -503,13 +447,13 @@ func (m *Machine) execMem(inst *isa.Inst, addr uint64) Event {
 		}
 	case isa.OpFSTV:
 		for l := 0; l < 4; l++ {
-			if !m.store64(ea+uint64(l)*8, c.X[inst.Rs2][l]) {
+			if !m.Mem.Store64(ea+uint64(l)*8, c.X[inst.Rs2][l]) {
 				return m.memFault(addr, ea)
 			}
 		}
 	case isa.OpFLDVZ:
 		for l := 0; l < isa.VecWords; l++ {
-			v, ok := m.load64(ea + uint64(l)*8)
+			v, ok := m.Mem.Load64(ea + uint64(l)*8)
 			if !ok {
 				return m.memFault(addr, ea)
 			}
@@ -517,12 +461,12 @@ func (m *Machine) execMem(inst *isa.Inst, addr uint64) Event {
 		}
 	case isa.OpFSTVZ:
 		for l := 0; l < isa.VecWords; l++ {
-			if !m.store64(ea+uint64(l)*8, c.X[inst.Rs2][l]) {
+			if !m.Mem.Store64(ea+uint64(l)*8, c.X[inst.Rs2][l]) {
 				return m.memFault(addr, ea)
 			}
 		}
 	case isa.OpLDMXCSR:
-		v, ok := m.load32(ea)
+		v, ok := m.Mem.Load32(ea)
 		if !ok {
 			return m.memFault(addr, ea)
 		}
@@ -531,7 +475,7 @@ func (m *Machine) execMem(inst *isa.Inst, addr uint64) Event {
 			m.Obs.GuestMXCSRWrites.Inc()
 		}
 	case isa.OpSTMXCSR:
-		if !m.store32(ea, uint32(c.MXCSR)) {
+		if !m.Mem.Store32(ea, uint32(c.MXCSR)) {
 			return m.memFault(addr, ea)
 		}
 		if m.Obs != nil {

@@ -202,8 +202,8 @@ func TestMachineDeterminism(t *testing.T) {
 	if m1.CPU != m2.CPU {
 		t.Error("CPU state diverged between identical runs")
 	}
-	for i := range m1.Mem {
-		if m1.Mem[i] != m2.Mem[i] {
+	for i := uint64(0); i < m1.Mem.Size(); i++ {
+		if m1.Mem.byteAt(i) != m2.Mem.byteAt(i) {
 			t.Fatalf("memory diverged at %#x", i)
 		}
 	}
@@ -273,11 +273,11 @@ func TestCloneMemoryIsDeep(t *testing.T) {
 	b := isa.NewBuilder("clone")
 	b.Hlt()
 	m := New(b.Build(), 256)
-	m.Mem[10] = 42
-	dup := m.CloneMemory()
-	dup[10] = 7
-	if m.Mem[10] != 42 {
-		t.Error("CloneMemory aliases the original")
+	m.Mem.Store32(10, 42)
+	dup := m.Mem.Clone()
+	dup.Store32(10, 7)
+	if v, _ := m.Mem.Load32(10); v != 42 {
+		t.Error("Clone aliases the original")
 	}
 }
 

@@ -62,7 +62,7 @@ func TestBasicLoopAndArith(t *testing.T) {
 	if got := m.CPU.R[isa.R1]; got != 55 {
 		t.Errorf("sum = %d, want 55", got)
 	}
-	v, _ := m.load64(0)
+	v, _ := m.Mem.Load64(0)
 	if f := math.Float64frombits(v); f != 1.0/3.0 {
 		t.Errorf("stored %v, want 1/3", f)
 	}

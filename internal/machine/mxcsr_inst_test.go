@@ -35,11 +35,11 @@ func TestStmxcsrLdmxcsrRoundTrip(t *testing.T) {
 	if _, ok := ev.(*HaltEvent); !ok {
 		t.Fatalf("event = %T (%v)", ev, ev)
 	}
-	saved, _ := m.load32(0x8000)
+	saved, _ := m.Mem.Load32(0x8000)
 	if mxcsr.Reg(saved) != mxcsr.Default {
 		t.Errorf("stmxcsr saved %#x, want power-on %#x", saved, uint32(mxcsr.Default))
 	}
-	stomped, _ := m.load32(0x8008)
+	stomped, _ := m.Mem.Load32(0x8008)
 	if got := mxcsr.Reg(stomped).Masks(); got&softfloat.FlagDivideByZero != 0 {
 		t.Errorf("ldmxcsr did not unmask ZE: masks=%v", got)
 	}

@@ -51,7 +51,7 @@ func wideFPProgram() *isa.Program {
 // RunStraight's superblocks; otherwise every instruction is a Step.
 func drive(t *testing.T, m *Machine, batched bool) []string {
 	t.Helper()
-	m.CPU.R[isa.SP] = uint64(len(m.Mem))
+	m.CPU.R[isa.SP] = m.Mem.Size()
 	m.CPU.MXCSR.Unmask(softfloat.FlagInexact)
 	var events []string
 	for i := 0; i < 100000; i++ {
@@ -103,8 +103,8 @@ func TestSuperblockMatchesStep(t *testing.T) {
 		if cached.Retired != plain.Retired {
 			t.Errorf("retired: cached %d, plain %d", cached.Retired, plain.Retired)
 		}
-		for i := range cached.Mem {
-			if cached.Mem[i] != plain.Mem[i] {
+		for i := uint64(0); i < cached.Mem.Size(); i++ {
+			if cached.Mem.byteAt(i) != plain.Mem.byteAt(i) {
 				t.Fatalf("memory diverged at %#x", i)
 			}
 		}
@@ -244,7 +244,7 @@ func TestZFormFullWidth(t *testing.T) {
 		if got := m.CPU.X[isa.X1][l]; got != want {
 			t.Errorf("lane %d = %#x, want %#x", l, got, want)
 		}
-		gotMem, _ := m.load64(dst + uint64(l)*8)
+		gotMem, _ := m.Mem.Load64(dst + uint64(l)*8)
 		if gotMem != want {
 			t.Errorf("stored lane %d = %#x, want %#x", l, gotMem, want)
 		}

@@ -8,6 +8,7 @@ import (
 	fpspy "repro"
 	"repro/internal/isa"
 	"repro/internal/kernel"
+	"repro/internal/machine"
 	"repro/internal/mxcsr"
 	"repro/internal/shadow"
 	"repro/internal/softfloat"
@@ -34,12 +35,7 @@ func buildNaiveSum(n int64, inc float64) *fpspy.Program {
 }
 
 func sumAt128(res *fpspy.Result) float64 {
-	b := res.Proc.Mem[128 : 128+8]
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return math.Float64frombits(v)
+	return math.Float64frombits(readF64(res.Proc.Mem, 128))
 }
 
 func TestMitigatedSummationIsMoreAccurate(t *testing.T) {
@@ -101,13 +97,8 @@ func TestMitigationValueThroughMemoryStaysCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := res.Proc.Mem
-	read := func(off int) float64 {
-		var v uint64
-		for i := 0; i < 8; i++ {
-			v |= uint64(mem[off+i]) << (8 * i)
-		}
-		return math.Float64frombits(v)
+	read := func(off uint64) float64 {
+		return math.Float64frombits(readF64(res.Proc.Mem, off))
 	}
 	third := read(128)
 	product := read(136)
@@ -267,11 +258,7 @@ func TestPatchedMitigatorEmulatesAtSites(t *testing.T) {
 		t.Errorf("emulated = %d, want ~%d", stats.Emulated, n)
 	}
 	// The patched run's result is the correctly rounded 256-bit sum.
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(p.Mem[128+i]) << (8 * i)
-	}
-	got := math.Float64frombits(v)
+	got := math.Float64frombits(readF64(p.Mem, 128))
 	exact := float64(n) * 0.1
 	if math.Abs(got-exact) > exact*1e-15 {
 		t.Errorf("patched result %v, exact %v", got, exact)
@@ -318,11 +305,8 @@ func TestPatchedMitigatorSelfHealsUnsupportedSites(t *testing.T) {
 }
 
 // readF64 reads the binary64 word at off of a guest's memory.
-func readF64(mem []byte, off uint64) uint64 {
-	var v uint64
-	for i := uint64(0); i < 8; i++ {
-		v |= uint64(mem[off+i]) << (8 * i)
-	}
+func readF64(mem *machine.Memory, off uint64) uint64 {
+	v, _ := mem.Load64(off)
 	return v
 }
 

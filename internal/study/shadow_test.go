@@ -49,7 +49,10 @@ func outcomeOf(t *testing.T, name string, prec uint64) runOutcome {
 		traceErr: res.TraceErr != nil,
 	}
 	h := fnv.New64a()
-	h.Write(res.Proc.Mem)
+	res.Proc.Mem.EachPage(func(addr uint64, data []byte) {
+		fmt.Fprintf(h, "%#x:", addr)
+		h.Write(data)
+	})
 	out.memSum = h.Sum64()
 	recs, err := res.Store.AllRecords()
 	if err != nil {

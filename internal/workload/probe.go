@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/isa"
+	"repro/internal/machine"
 )
 
 // SuiteProbe marks the FPRev-style accumulation-order probes.
@@ -450,17 +451,14 @@ func BuildProbe(spec ProbeSpec) (*Probe, error) {
 }
 
 // ProbeOut decodes the memory-channel f-matrix from a finished guest's
-// flat memory image: the out[] array of per-trial final sums.
-func ProbeOut(mem []byte, outAddr uint64, trials int) ([]float64, error) {
-	end := outAddr + uint64(trials)*8
-	if end > uint64(len(mem)) {
-		return nil, fmt.Errorf("probe: out array [%#x,%#x) outside %d-byte memory", outAddr, end, len(mem))
-	}
+// memory: the out[] array of per-trial final sums.
+func ProbeOut(mem *machine.Memory, outAddr uint64, trials int) ([]float64, error) {
 	out := make([]float64, trials)
 	for t := range out {
-		var bits uint64
-		for i := 0; i < 8; i++ {
-			bits |= uint64(mem[outAddr+uint64(8*t+i)]) << (8 * i)
+		bits, ok := mem.Load64(outAddr + uint64(8*t))
+		if !ok {
+			return nil, fmt.Errorf("probe: out array [%#x,%#x) outside %d-byte memory",
+				outAddr, outAddr+uint64(trials)*8, mem.Size())
 		}
 		out[t] = math.Float64frombits(bits)
 	}

@@ -156,6 +156,91 @@ func TestFlushErrorsSurfaceInResult(t *testing.T) {
 	}
 }
 
+// onceFailingWriter fails its first write and accepts every later one: a
+// transient media error in the middle of a run.
+type onceFailingWriter struct {
+	failed    bool
+	delivered int // bytes accepted
+}
+
+func (w *onceFailingWriter) Write(p []byte) (int, error) {
+	if !w.failed {
+		w.failed = true
+		return 0, errors.New("transient I/O error")
+	}
+	w.delivered += len(p)
+	return len(p), nil
+}
+
+// TestMidRunAppendErrorSurfacesInResult: a sink that fails once mid-run
+// makes the trace writer drop a buffer of records, and the flush at
+// teardown then succeeds. The Append error must reach Result.TraceErr,
+// or the run reads as complete with records missing.
+func TestMidRunAppendErrorSurfacesInResult(t *testing.T) {
+	sink := &onceFailingWriter{}
+	store := fpspy.NewStoreWithSink(func(fpspy.ThreadKey) io.Writer { return sink })
+	b := fpspy.NewProgram("append-fail")
+	divConsts(b)
+	divBurst(b, 600)
+	b.Hlt()
+	res, err := fpspy.Run(b.Build(), fpspy.Options{
+		Config: fpspy.Config{Mode: fpspy.ModeIndividual},
+		Store:  store,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delivered := uint64(sink.delivered / trace.RecordSize); delivered >= store.Recorded {
+		t.Fatalf("scenario lost no records: %d delivered of %d recorded", delivered, store.Recorded)
+	}
+	if res.TraceErr == nil {
+		t.Fatal("records were lost mid-run but Result.TraceErr is nil")
+	}
+	if !strings.Contains(res.TraceErr.Error(), "transient I/O error") {
+		t.Errorf("TraceErr %q does not carry the sink error", res.TraceErr)
+	}
+}
+
+// TestSinkBackedTraceReadsAreErrors: a sink-backed store keeps no trace
+// bytes, so reading a thread's trace back is an error, not a host panic.
+func TestSinkBackedTraceReadsAreErrors(t *testing.T) {
+	var keys []fpspy.ThreadKey
+	store := fpspy.NewStoreWithSink(func(key fpspy.ThreadKey) io.Writer {
+		keys = append(keys, key)
+		return io.Discard
+	})
+	b := fpspy.NewProgram("sink-read")
+	divConsts(b)
+	divBurst(b, 5)
+	b.Hlt()
+	if _, err := fpspy.Run(b.Build(), fpspy.Options{
+		Config: fpspy.Config{Mode: fpspy.ModeIndividual},
+		Store:  store,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) == 0 {
+		t.Fatal("the spy opened no trace")
+	}
+	for _, key := range keys {
+		for name, read := range map[string]func() error{
+			"Records":  func() error { _, err := store.Records(key); return err },
+			"RawTrace": func() error { _, err := store.RawTrace(key); return err },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s(%v) panicked: %v", name, key, r)
+					}
+				}()
+				if read() == nil {
+					t.Errorf("%s(%v) on a sink-backed thread returned no error", name, key)
+				}
+			}()
+		}
+	}
+}
+
 // buildSignalFighter registers a SIGFPE handler n times between faults.
 func buildSignalFighter(n int) *fpspy.Program {
 	b := fpspy.NewProgram("signal-fighter")

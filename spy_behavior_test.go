@@ -209,7 +209,7 @@ func TestAppHandlerWorksAfterStepAside(t *testing.T) {
 	if res.Store.StepAsides != 1 {
 		t.Errorf("step-asides = %d", res.Store.StepAsides)
 	}
-	if res.Proc.Mem[700] != 1 {
+	if v, _ := res.Proc.Mem.Load64(700); byte(v) != 1 {
 		t.Error("app handler did not run after step-aside")
 	}
 	if res.Proc.Tasks[0].M.CPU.R[isa.R9] != 55 {
