@@ -428,10 +428,11 @@ func BenchmarkSpyCore(b *testing.B) {
 	// Regression gate for the fast-path engine: before per-machine event
 	// scratch and per-task signal scratch, each of the 2000 traced events
 	// heap-allocated its event, siginfo, and mcontext (~12k allocs per
-	// run). The run sits at ~151 allocs: store, trace buffer, simulation
+	// run). The run sits at ~141 allocs: store, trace buffer, simulation
 	// setup, and the superblock region cache (one sbCache slice per machine plus one meta slice per
-	// distinct region start — a fixed cost per program shape, never per
-	// event or per region re-entry). The ceiling leaves headroom for
+	// distinct region start, regions that start at a branch included — a
+	// fixed cost per program shape, never per event, per region re-entry
+	// or per chained branch). The ceiling leaves headroom for
 	// those fixed costs but not for any per-event or per-dispatch
 	// allocation creeping back in.
 	if allocs := testing.AllocsPerRun(1, spy); allocs > 500 {

@@ -135,39 +135,35 @@ func (t *AccumTree) Fingerprint() string {
 }
 
 // LCASize returns the number of leaves under the lowest common ancestor
-// of inputs i and j — the quantity a probe trial measures as n-f(i,j).
+// of inputs i and j — the quantity a probe trial measures as n-f(i,j) —
+// or 0 when either is absent. It is one walk of the tree.
 func (t *AccumTree) LCASize(i, j int) int {
-	lca := t.lca(i, j)
-	if lca == nil {
-		return 0
-	}
-	return lca.LeafCount()
+	_, _, _, size := t.lcaWalk(i, j)
+	return size
 }
 
-// lca returns the smallest subtree containing both i and j, or nil when
-// either is absent.
-func (t *AccumTree) lca(i, j int) *AccumTree {
-	if !t.contains(i) || !t.contains(j) {
-		return nil
-	}
-	for _, k := range t.Kids {
-		if sub := k.lca(i, j); sub != nil {
-			return sub
-		}
-	}
-	return t
-}
-
-func (t *AccumTree) contains(i int) bool {
+// lcaWalk reports whether t holds inputs i and j, its leaf count, and
+// the leaf count of the smallest subtree holding both, or 0 when t
+// lacks either. Where several kids hold both, the first one's counts.
+func (t *AccumTree) lcaWalk(i, j int) (hasI, hasJ bool, leaves, lca int) {
 	if t.IsLeaf() {
-		return t.Leaf == i
+		hasI, hasJ = t.Leaf == i, t.Leaf == j
+		if hasI && hasJ {
+			lca = 1
+		}
+		return hasI, hasJ, 1, lca
 	}
 	for _, k := range t.Kids {
-		if k.contains(i) {
-			return true
+		ki, kj, kl, klca := k.lcaWalk(i, j)
+		hasI, hasJ, leaves = hasI || ki, hasJ || kj, leaves+kl
+		if lca == 0 {
+			lca = klca
 		}
 	}
-	return false
+	if lca == 0 && hasI && hasJ {
+		lca = leaves
+	}
+	return hasI, hasJ, leaves, lca
 }
 
 // RecoverAccumTree reconstructs the accumulation tree of an n-input
@@ -181,11 +177,24 @@ func RecoverAccumTree(n int, sub func(i, j int) int) (*AccumTree, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("accumtree: no inputs")
 	}
+	sizes := make([]int, n*n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			sizes[i*n+j] = sub(i, j)
+		}
+	}
+	return recoverSizes(n, sizes)
+}
+
+// recoverSizes is RecoverAccumTree over the LCA sizes already queried:
+// sizes[i*n+j] is |leaves(LCA(i,j))| for i < j. Each level of the
+// recursion reads the pairs of its own leaf set from the matrix.
+func recoverSizes(n int, sizes []int) (*AccumTree, error) {
 	leaves := make([]int, n)
 	for i := range leaves {
 		leaves[i] = i
 	}
-	return recoverSet(leaves, sub)
+	return recoverSet(leaves, func(i, j int) int { return sizes[i*n+j] })
 }
 
 func recoverSet(set []int, sub func(i, j int) int) (*AccumTree, error) {
@@ -342,16 +351,13 @@ func RecoverProbeTree(recs []trace.Record) (*AccumTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	sizes := make([][]int, n)
-	for i := range sizes {
-		sizes[i] = make([]int, n)
-	}
+	sizes := make([]int, n*n)
 	for t, pr := range ProbePairs(n) {
 		f := counts[t]
 		if f > n-2 {
 			return nil, fmt.Errorf("accumtree: trial (%d,%d) reports %d survivors of %d ones", pr[0], pr[1], f, n-2)
 		}
-		sizes[pr[0]][pr[1]] = n - f
+		sizes[pr[0]*n+pr[1]] = n - f
 	}
-	return RecoverAccumTree(n, func(i, j int) int { return sizes[i][j] })
+	return recoverSizes(n, sizes)
 }

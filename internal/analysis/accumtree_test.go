@@ -293,3 +293,19 @@ func itoa(n int) string {
 	}
 	return itoa(n/10) + digits[n%10:n%10+1]
 }
+
+// TestLCASizeTable pins LCASize on a hand-built tree, including absent
+// inputs and i == j.
+func TestLCASizeTable(t *testing.T) {
+	L := analysis.AccumLeaf
+	tree := analysis.AccumJoin(analysis.AccumJoin(L(0), L(1)), analysis.AccumJoin(L(2), analysis.AccumJoin(L(3), L(4))))
+	want := map[[2]int]int{
+		{0, 1}: 2, {0, 2}: 5, {1, 4}: 5, {2, 3}: 3, {2, 4}: 3, {3, 4}: 2,
+		{4, 3}: 2, {2, 2}: 1, {0, 7}: 0, {-1, 3}: 0,
+	}
+	for pair, size := range want {
+		if got := tree.LCASize(pair[0], pair[1]); got != size {
+			t.Errorf("LCASize%v = %d, want %d", pair, got, size)
+		}
+	}
+}

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	fpspy "repro"
+	"repro/internal/isa"
 	"repro/internal/jobs"
+	"repro/internal/kernel"
 	"repro/internal/workload"
 )
 
@@ -92,5 +94,52 @@ func TestCloneReplayAggressive(t *testing.T) {
 	}
 	if len(res.MustRecords()) == 0 {
 		t.Error("no records from aggressive replay")
+	}
+}
+
+// TestCloneWithWildBranchSegfaults: Validate does not check branch
+// targets, so a submitted clone can branch outside its program. Through
+// Decode and RunProduction such a clone must exit by SIGSEGV, not
+// panic the host.
+func TestCloneWithWildBranchSegfaults(t *testing.T) {
+	retTo := func(addr uint64) []isa.Inst {
+		return []isa.Inst{
+			{Op: isa.OpMOVI, Rd: isa.R4, Imm: int64(addr)},
+			{Op: isa.OpADDI, Rd: isa.SP, Rs1: isa.SP, Imm: -8},
+			{Op: isa.OpST, Rs1: isa.SP, Rs2: isa.R4},
+			{Op: isa.OpRET},
+		}
+	}
+	for name, tail := range map[string][]isa.Inst{
+		"jmp-negative":  {{Op: isa.OpJMP, Imm: -1}},
+		"beq-beyond":    {{Op: isa.OpBEQ, Rs1: isa.R1, Rs2: isa.R1, Imm: 1 << 20}},
+		"ret-unaligned": retTo(isa.DefaultCodeBase + 2),
+	} {
+		b := isa.NewBuilder(name)
+		top := b.Label("top")
+		b.Movi(isa.R1, 0)
+		b.Movi(isa.R2, 50)
+		b.Bind(top)
+		b.Addi(isa.R1, isa.R1, 1)
+		b.Blt(isa.R1, isa.R2, top)
+		for _, inst := range tail {
+			b.Raw(inst)
+		}
+		b.Hlt()
+		blob, err := jobs.Capture(name, b.Build(), nil, 1<<20).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone, err := jobs.Decode(blob)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		res, err := clone.RunProduction()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := 128 + int(kernel.SIGSEGV); res.ExitCode != want {
+			t.Errorf("%s: exit code %d, want %d (SIGSEGV)", name, res.ExitCode, want)
+		}
 	}
 }

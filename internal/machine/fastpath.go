@@ -22,6 +22,10 @@ package machine
 // Step would leave it.
 //
 // RunStraight dispatches cached superblock regions (see superblock.go).
+// A region retires the branch that ends it and continues with the
+// region at the branch's target, so a loop runs without leaving the
+// dispatch loop; hlt, callc and breakpoint stubs still retire through
+// Step. A branch counts against max like any other instruction.
 // While a shadow sink is attached it steps one instruction at a time
 // instead, so every retire gets its PreStep/Retired pair.
 func (m *Machine) RunStraight(max uint64) (uint64, Event) {

@@ -270,7 +270,6 @@ func (m *Machine) Step() Event {
 	if m.Shadow != nil {
 		m.Shadow.PreStep(addr, inst, info)
 	}
-	c := &m.CPU
 
 	switch info.Class {
 	case isa.ClassSys:
@@ -290,48 +289,11 @@ func (m *Machine) Step() Event {
 		}
 
 	case isa.ClassBranch:
-		a := int64(c.reg(inst.Rs1))
-		b := int64(c.reg(inst.Rs2))
-		taken := false
-		switch inst.Op {
-		case isa.OpJMP:
-			taken = true
-		case isa.OpBEQ:
-			taken = a == b
-		case isa.OpBNE:
-			taken = a != b
-		case isa.OpBLT:
-			taken = a < b
-		case isa.OpBGE:
-			taken = a >= b
-		case isa.OpBLE:
-			taken = a <= b
-		case isa.OpBGT:
-			taken = a > b
-		case isa.OpCALL:
-			// Push the return address on the stack.
-			sp := c.reg(isa.SP) - 8
-			if !m.Mem.Store64(sp, next) {
-				return m.faultEvent(fmt.Sprintf("stack overflow at %#x", sp), addr)
-			}
-			c.setReg(isa.SP, sp)
-			taken = true
-		case isa.OpRET:
-			sp := c.reg(isa.SP)
-			ra, ok := m.Mem.Load64(sp)
-			if !ok {
-				return m.faultEvent(fmt.Sprintf("stack underflow at %#x", sp), addr)
-			}
-			c.setReg(isa.SP, sp+8)
-			// Indirect target: the next index is unknown until fetch.
-			return m.retireTo(addr, ra, -1)
+		target, targetIdx, ev := m.execBranch(inst, addr, idx)
+		if ev != nil {
+			return ev
 		}
-		if taken {
-			// Direct branches carry their target as an instruction index,
-			// so the next fetch needs no IndexOf either.
-			ti := int(inst.Imm)
-			return m.retireTo(addr, m.Prog.AddrOf(ti), ti)
-		}
+		return m.retireTo(addr, target, targetIdx)
 
 	case isa.ClassMem:
 		if ev := m.execMem(inst, addr); ev != nil {
@@ -353,6 +315,58 @@ func (m *Machine) Step() Event {
 	}
 
 	return m.retireTo(addr, next, idx+1)
+}
+
+// execBranch executes the branch at addr (instruction index idx): it
+// evaluates the condition and moves the stack for call and ret. It
+// returns the address of the next instruction and its index, -1 when a
+// ret makes it unknown until fetch. A non-nil event (stack fault) means
+// the branch did not retire. Step and the region loop both retire
+// branches here.
+func (m *Machine) execBranch(inst *isa.Inst, addr uint64, idx int) (uint64, int, Event) {
+	c := &m.CPU
+	a := int64(c.reg(inst.Rs1))
+	b := int64(c.reg(inst.Rs2))
+	taken := false
+	switch inst.Op {
+	case isa.OpJMP:
+		taken = true
+	case isa.OpBEQ:
+		taken = a == b
+	case isa.OpBNE:
+		taken = a != b
+	case isa.OpBLT:
+		taken = a < b
+	case isa.OpBGE:
+		taken = a >= b
+	case isa.OpBLE:
+		taken = a <= b
+	case isa.OpBGT:
+		taken = a > b
+	case isa.OpCALL:
+		// Push the return address on the stack.
+		sp := c.reg(isa.SP) - 8
+		if !m.Mem.Store64(sp, addr+isa.InstBytes) {
+			return 0, 0, m.faultEvent(fmt.Sprintf("stack overflow at %#x", sp), addr)
+		}
+		c.setReg(isa.SP, sp)
+		taken = true
+	case isa.OpRET:
+		sp := c.reg(isa.SP)
+		ra, ok := m.Mem.Load64(sp)
+		if !ok {
+			return 0, 0, m.faultEvent(fmt.Sprintf("stack underflow at %#x", sp), addr)
+		}
+		c.setReg(isa.SP, sp+8)
+		return ra, -1, nil
+	}
+	if taken {
+		// Direct branches carry their target as an instruction index,
+		// so the next fetch needs no IndexOf either.
+		ti := int(inst.Imm)
+		return m.Prog.AddrOf(ti), ti, nil
+	}
+	return addr + isa.InstBytes, idx + 1, nil
 }
 
 // execInt executes an integer ALU instruction. A non-nil event (divide

@@ -41,17 +41,30 @@ func (m *Machine) execFP(inst *isa.Inst, info *isa.OpInfo, idx int, addr uint64)
 		m.execDot(inst, info, env, &st)
 	}
 
-	// Sticky flags are updated whether or not the exception is masked.
-	unmasked := c.MXCSR.Unmasked(st.raised)
-	c.MXCSR.SetFlags(st.raised)
-	if unmasked != 0 {
-		return m.fpEventAt(addr, idx, st.raised, unmasked)
+	if ev := m.fpRetire(inst, info, idx, addr, st.raised); ev != nil {
+		return ev
 	}
 	if st.vecSet {
 		c.X[inst.Rd] = st.vec
 	}
 	if st.intSet {
 		c.setReg(inst.Rd, st.intVal)
+	}
+	return nil
+}
+
+// fpRetire is the work every floating point instruction shares once its
+// arithmetic has produced raised: the sticky flags update whether or
+// not a condition is masked, and an unmasked one faults before
+// write-back (the returned event). Otherwise the retiring instruction's
+// FLOPs are counted and the caller writes its result back. execFP and
+// the region loop's scalar binary64 lane both end here.
+func (m *Machine) fpRetire(inst *isa.Inst, info *isa.OpInfo, idx int, addr uint64, raised softfloat.Flags) Event {
+	c := &m.CPU
+	unmasked := c.MXCSR.Unmasked(raised)
+	c.MXCSR.SetFlags(raised)
+	if unmasked != 0 {
+		return m.fpEventAt(addr, idx, raised, unmasked)
 	}
 	if m.Flops != nil {
 		m.countFlops(inst, info)

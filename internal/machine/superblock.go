@@ -8,16 +8,17 @@ import (
 )
 
 // Superblock execution engine: RunStraight dispatches whole decoded
-// straight-line regions from a per-machine cache instead of re-resolving
-// RIP, re-checking breakpoints, and re-branching on the opcode class for
+// regions from a per-machine cache instead of re-resolving RIP,
+// re-checking breakpoints, and re-branching on the opcode class for
 // every Step. A region is the maximal run of straight-line instructions
-// from a start index — it ends at the first control transfer (branch,
-// hlt, callc) or stubbed breakpoint address — and its metadata bakes in
-// everything that is static per instruction: the decoded Inst and
-// OpInfo pointers and the retirement kind. Regions are keyed by (start
-// index, code version); the version bumps whenever in-place execution
-// behavior changes (SetBreakpoint/ClearBreakpoint), invalidating every
-// cached region at once.
+// from a start index together with the branch (jmp, a conditional
+// branch, call, or ret) that ends it; it ends before hlt, callc, or a
+// stubbed breakpoint address, which retire through Step. Its metadata
+// bakes in everything that is static per instruction: the decoded Inst
+// and OpInfo pointers and the retirement kind. Regions are keyed by
+// (start index, code version); the version bumps whenever in-place
+// execution behavior changes (SetBreakpoint/ClearBreakpoint),
+// invalidating every cached region at once.
 //
 // Inside a region, RIP, nextIdx, and Retired are not updated per
 // instruction: the dispatch loop tracks progress locally and flushes
@@ -25,9 +26,13 @@ import (
 // state bit-identical to what per-instruction Step would produce —
 // including on mid-region faults, where the flush credits exactly the
 // cleanly retired prefix and leaves RIP on the faulting instruction.
-// Nothing inside a straight run can set TF, arm a breakpoint, or
-// deliver a signal (those happen in kernel event handling, outside
-// RunStraight), so the entry checks hold for the whole run.
+// A retired branch flushes RIP and nextIdx to its target, and the loop
+// continues with the region there through the same RIP-to-index check
+// Step makes, so a target outside the program faults as "bad rip"
+// exactly as it would under Step. Nothing inside a straight run can set
+// TF, arm a breakpoint, or deliver a signal (those happen in kernel
+// event handling, outside RunStraight), so the entry checks hold for
+// the whole run.
 
 // SBKind is the precomputed retirement kind of one instruction inside a
 // superblock region. It collapses the per-Step class switch and the
@@ -53,6 +58,9 @@ const (
 	// SBFP is any other floating point form, retired through the same
 	// execFP path Step uses.
 	SBFP
+	// SBBranch is the jmp, conditional branch, call, or ret that ends a
+	// region (may fault on a call's push or a ret's pop).
+	SBBranch
 )
 
 // sbMeta is the cached per-instruction metadata of a region entry. For
@@ -68,9 +76,9 @@ type sbMeta struct {
 	info         *isa.OpInfo
 }
 
-// sbRegion is one cached straight-line region. meta is empty when the
-// start instruction is itself a terminator (branch, hlt, callc, or a
-// stubbed address); dispatch then falls back to Step for it.
+// sbRegion is one cached region. meta is empty when the start
+// instruction is hlt, callc, or a stubbed address; dispatch then falls
+// back to Step for it.
 type sbRegion struct {
 	version uint64
 	built   bool
@@ -90,7 +98,8 @@ func (m *Machine) regionFor(idx int) *sbRegion {
 	return r
 }
 
-// buildRegion decodes the maximal straight-line region from idx.
+// buildRegion decodes the region from idx: straight-line instructions
+// up to and including the first branch.
 func (m *Machine) buildRegion(r *sbRegion, idx int) {
 	r.version = m.codeVersion
 	r.built = true
@@ -105,11 +114,11 @@ func (m *Machine) buildRegion(r *sbRegion, idx int) {
 		switch info.Class {
 		case isa.ClassSys:
 			if inst.Op != isa.OpNOP {
-				return // hlt and callc terminate the region
+				return // hlt and callc end the region before them
 			}
 			kind = SBNop
 		case isa.ClassBranch:
-			return
+			kind = SBBranch
 		case isa.ClassInt:
 			kind = SBInt
 		case isa.ClassMem:
@@ -129,15 +138,24 @@ func (m *Machine) buildRegion(r *sbRegion, idx int) {
 			rd: inst.Rd, rs1: inst.Rs1, rs2: inst.Rs2,
 			inst: inst, info: info,
 		})
+		if kind == SBBranch {
+			return
+		}
 	}
 }
 
 // runSuperblock is RunStraight's cached dispatch loop (TF clear, no
 // shadow sink attached).
 func (m *Machine) runSuperblock(max uint64) (uint64, Event) {
+	c := &m.CPU
 	var n uint64
+regions:
 	for n < max {
-		// Resolve the start index exactly as Step does.
+		// Resolve the start index exactly as Step does. This is also
+		// the only check on a chained branch's target, which nothing
+		// validates before a guest runs: an index outside the program,
+		// or a ret's address, resolves from RIP or faults as bad rip, so
+		// the region cache is never indexed out of range.
 		idx := m.nextIdx
 		if idx < 0 || idx >= len(m.Prog.Insts) || m.Prog.Base+uint64(idx)*isa.InstBytes != m.CPU.RIP {
 			idx = m.Prog.IndexOf(m.CPU.RIP)
@@ -149,8 +167,8 @@ func (m *Machine) runSuperblock(max uint64) (uint64, Event) {
 		r := m.regionFor(idx)
 		meta := r.meta
 		if len(meta) == 0 {
-			// The region starts at a terminator: one stepped instruction
-			// handles the branch/hlt/callc/breakpoint precisely.
+			// The region starts at hlt, callc, or a breakpoint stub: one
+			// stepped instruction handles it precisely.
 			ev := m.Step()
 			if ev != nil {
 				return n, ev
@@ -158,27 +176,37 @@ func (m *Machine) runSuperblock(max uint64) (uint64, Event) {
 			n++
 			continue
 		}
+		// A branch counts against max like any other instruction; one
+		// beyond the budget is left for the next call.
 		limit := len(meta)
 		if rem := max - n; uint64(limit) > rem {
 			limit = int(rem)
 		}
 		startAddr := m.CPU.RIP
-		// The softfloat environment is derived from MXCSR control bits,
-		// which nothing inside a region mutates except a memory-class
-		// instruction (ldmxcsr): derive it once and refresh after each
-		// SBMem retire instead of re-deriving per FP instruction.
-		env := m.CPU.MXCSR.Env()
-		c := &m.CPU
 		var ev Event
 		k := 0
-		for k < limit {
+		for ; k < limit; k++ {
 			mt := &meta[k]
-			if mt.kind == SBFPScalar64 {
+			addr := startAddr + uint64(k)*isa.InstBytes
+			switch mt.kind {
+			case SBNop:
+			case SBInt:
+				ev = m.execInt(mt.inst, addr)
+			case SBMem:
+				ev = m.execMem(mt.inst, addr)
+			case SBFPMove:
+				m.execMove(mt.inst)
+			case SBMask:
+				m.execMask(mt.inst)
+			case SBFPScalar64:
 				// Inline hot lane: unmasked scalar binary64 arithmetic,
 				// dispatched on the flattened meta fields and computed on
-				// lane 0 alone. It lives here, not behind execMeta,
-				// because the call and the switch in front of it cost as
-				// much as the arithmetic for the cheap ops.
+				// lane 0 alone, because a call and a class switch in
+				// front of it cost as much as the arithmetic for the
+				// cheap ops. The environment is derived here, not kept
+				// across iterations: a value live across the loop's
+				// calls is spilled and reloaded on every instruction.
+				env := c.MXCSR.Env()
 				a := c.X[mt.rs1][0]
 				b := c.X[mt.rs2][0]
 				var z uint64
@@ -199,27 +227,27 @@ func (m *Machine) runSuperblock(max uint64) (uint64, Event) {
 				case isa.FPMax:
 					z, fl = softfloat.Max64(a, b, env)
 				}
-				unmasked := c.MXCSR.Unmasked(fl)
-				c.MXCSR.SetFlags(fl)
-				if unmasked != 0 {
-					ev = m.fpEventAt(startAddr+uint64(k)*isa.InstBytes, idx+k, fl, unmasked)
-					break
+				if ev = m.fpRetire(mt.inst, mt.info, idx+k, addr, fl); ev == nil {
+					c.X[mt.rd][0] = z
 				}
-				c.X[mt.rd][0] = z
-				if m.Flops != nil {
-					m.countFlops(mt.inst, mt.info)
+			case SBFP:
+				ev = m.execFP(mt.inst, mt.info, idx+k, addr)
+			case SBBranch:
+				// The region's last entry: retire it and chain to the
+				// region at its target.
+				var next uint64
+				var nextIdx int
+				if next, nextIdx, ev = m.execBranch(mt.inst, addr, idx+k); ev == nil {
+					m.CPU.RIP = next
+					m.nextIdx = nextIdx
+					m.Retired += uint64(k + 1)
+					n += uint64(k + 1)
+					continue regions
 				}
-				k++
-				continue
 			}
-			ev = m.execMeta(mt, idx+k, startAddr+uint64(k)*isa.InstBytes)
 			if ev != nil {
 				break
 			}
-			if mt.kind == SBMem {
-				env = m.CPU.MXCSR.Env()
-			}
-			k++
 		}
 		// Flush the batched retirement state: k instructions retired
 		// cleanly, and on an event RIP must address the eventful
@@ -233,7 +261,8 @@ func (m *Machine) runSuperblock(max uint64) (uint64, Event) {
 			return n, ev
 		}
 		if k == len(meta) && n < max {
-			// The region's terminator.
+			// The region ends before hlt, callc, a breakpoint stub, or
+			// the end of the program.
 			ev := m.Step()
 			if ev != nil {
 				return n, ev
@@ -242,27 +271,4 @@ func (m *Machine) runSuperblock(max uint64) (uint64, Event) {
 		}
 	}
 	return n, nil
-}
-
-// execMeta retires one region entry. It must not touch RIP, nextIdx, or
-// Retired — the dispatch loop batches those — and a non-nil event means
-// the instruction did not retire (except events Step-paths also deliver
-// post-retire, which cannot occur here: those are branch/sys kinds,
-// never cached in meta). The dispatch loop retires SBFPScalar64 entries
-// inline and never passes one here; execFP would retire it correctly.
-func (m *Machine) execMeta(mt *sbMeta, idx int, addr uint64) Event {
-	switch mt.kind {
-	case SBNop:
-	case SBInt:
-		return m.execInt(mt.inst, addr)
-	case SBMem:
-		return m.execMem(mt.inst, addr)
-	case SBFPMove:
-		m.execMove(mt.inst)
-	case SBMask:
-		m.execMask(mt.inst)
-	case SBFP, SBFPScalar64:
-		return m.execFP(mt.inst, mt.info, idx, addr)
-	}
-	return nil
 }

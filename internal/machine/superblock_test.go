@@ -1,7 +1,10 @@
 package machine
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -46,76 +49,273 @@ func wideFPProgram() *isa.Program {
 	return b.Build()
 }
 
-// drive runs m with the FPSpy-style mask-then-single-step handler,
-// returning the observed event sequence. batched retires through
-// RunStraight's superblocks; otherwise every instruction is a Step.
-func drive(t *testing.T, m *Machine, batched bool) []string {
+// branchProgram emits a loop that takes and falls through every
+// conditional branch, calls two levels deep, and raises Inexact both in
+// the loop and in the innermost call, so the FPSpy-style handler
+// single-steps across region boundaries. R10 records each conditional
+// branch's outcome as one bit, and R11/R12 count the calls. The program
+// ends in a stack fault: a ret on the empty stack when underflow is set,
+// else a call with SP at zero.
+func branchProgram(underflow bool) *isa.Program {
+	b := isa.NewBuilder("branches")
+	top, done := b.Label("top"), b.Label("done")
+	f1, f2 := b.Label("f1"), b.Label("f2")
+	b.Movi(isa.R1, int64(math.Float64bits(1)))
+	b.Movqx(isa.X0, isa.R1)
+	b.Movi(isa.R1, int64(math.Float64bits(3)))
+	b.Movqx(isa.X1, isa.R1)
+	b.Movi(isa.R2, 0) // loop counter
+	b.Movi(isa.R3, 5) // trip count
+	b.Movi(isa.R7, 2) // pivot the conditions compare the counter with
+	b.Bind(top)
+	for _, br := range []func(rs1, rs2 int, l *isa.Label){b.Beq, b.Bne, b.Blt, b.Bge, b.Ble, b.Bgt} {
+		skip := b.Label("skip")
+		b.Shli(isa.R10, isa.R10, 1)
+		br(isa.R2, isa.R7, skip)
+		b.Addi(isa.R10, isa.R10, 1) // fall-through sets the bit
+		b.Bind(skip)
+	}
+	b.FP2(isa.OpDIVSD, isa.X2, isa.X0, isa.X1) // inexact every iteration
+	b.Call(f1)
+	b.Addi(isa.R2, isa.R2, 1)
+	b.Blt(isa.R2, isa.R3, top)
+	b.Jmp(done)
+	b.Bind(f1)
+	b.Addi(isa.R11, isa.R11, 1)
+	b.Call(f2)
+	b.Ret()
+	b.Bind(f2)
+	b.Addi(isa.R12, isa.R12, 1)
+	b.FP2(isa.OpADDSD, isa.X3, isa.X2, isa.X0) // inexact in the nested call
+	b.Ret()
+	b.Bind(done)
+	if underflow {
+		b.Ret() // SP is at the top of memory: the pop is out of bounds
+	} else {
+		b.Movi(isa.SP, 0)
+		b.Call(f1) // the push wraps below zero
+	}
+	b.Hlt()
+	return b.Build()
+}
+
+// branchSignature is the R10 that branchProgram leaves: one bit per
+// conditional branch per iteration, set when the branch falls through.
+func branchSignature() uint64 {
+	var sig uint64
+	for i := int64(0); i < 5; i++ {
+		for _, taken := range []bool{i == 2, i != 2, i < 2, i >= 2, i <= 2, i > 2} {
+			sig <<= 1
+			if !taken {
+				sig++
+			}
+		}
+	}
+	return sig
+}
+
+// diffMem is the memory size of the engine differentials: the data
+// segment loads at 1 MiB, and the stack starts at the top.
+const diffMem = 1 << 21
+
+// drive runs m under the FPSpy-style handler until it halts, faults, or
+// has retired limit instructions, and returns the events it saw. The
+// handler masks the unmasked conditions of an FP fault and sets TF, then
+// at the trap clears the sticky flags and unmasks them again. With no
+// budgets every instruction is a Step; otherwise RunStraight retires the
+// straight runs, its successive calls cycling through budgets, and each
+// call must retire (and credit to Retired) exactly the n it reports, no
+// more than its budget. Programs driven here make no libc calls.
+func drive(t *testing.T, m *Machine, budgets []uint64, limit uint64) []string {
 	t.Helper()
 	m.CPU.R[isa.SP] = m.Mem.Size()
 	m.CPU.MXCSR.Unmask(softfloat.FlagInexact)
 	var events []string
-	for i := 0; i < 100000; i++ {
+	pending := softfloat.FlagInexact
+	for i := 0; m.Retired < limit; i++ {
 		var ev Event
-		if m.CPU.TF || !batched {
+		if m.CPU.TF || len(budgets) == 0 {
 			ev = m.Step()
 		} else {
-			_, ev = m.RunStraight(13)
-		}
-		if ev == nil {
-			continue
+			budget := min(budgets[i%len(budgets)], limit-m.Retired)
+			before := m.Retired
+			var n uint64
+			n, ev = m.RunStraight(budget)
+			if n > budget || m.Retired-before != n {
+				t.Fatalf("RunStraight(%d) reported %d retires and credited %d", budget, n, m.Retired-before)
+			}
 		}
 		switch e := ev.(type) {
+		case nil:
 		case *FPEvent:
-			events = append(events, "fp")
-			_ = e
-			m.CPU.MXCSR.Mask(softfloat.FlagInexact)
+			events = append(events, fmt.Sprintf("fp %#x %v", e.Addr, e.Unmasked))
+			pending |= e.Unmasked
+			m.CPU.MXCSR.Mask(e.Unmasked)
 			m.CPU.TF = true
 		case *TrapEvent:
-			events = append(events, "trap")
+			events = append(events, fmt.Sprintf("trap %#x", e.Addr))
 			m.CPU.MXCSR.ClearFlags()
-			m.CPU.MXCSR.Unmask(softfloat.FlagInexact)
+			m.CPU.MXCSR.Unmask(pending)
 			m.CPU.TF = false
 		case *HaltEvent:
 			return append(events, "halt")
+		case *FaultEvent:
+			return append(events, fmt.Sprintf("fault %s at %#x", e.Reason, e.Addr))
+		case *BreakpointEvent:
+			return append(events, fmt.Sprintf("breakpoint %#x", e.Addr))
 		default:
 			t.Fatalf("unexpected event %T", ev)
 		}
 	}
-	t.Fatal("program did not halt")
-	return nil
+	return events
+}
+
+// diffMachines describes the first difference in architectural state
+// between two machines — CPU, Retired, or a memory byte — or returns "".
+func diffMachines(a, b *Machine) string {
+	if a.CPU != b.CPU {
+		return fmt.Sprintf("CPU state diverged:\n %+v\n %+v", a.CPU, b.CPU)
+	}
+	if a.Retired != b.Retired {
+		return fmt.Sprintf("retired %d and %d", a.Retired, b.Retired)
+	}
+	diff := ""
+	for _, pair := range [2][2]*Memory{{a.Mem, b.Mem}, {b.Mem, a.Mem}} {
+		pair[0].EachPage(func(base uint64, data []byte) {
+			for i, v := range data {
+				if diff == "" && pair[1].byteAt(base+uint64(i)) != v {
+					diff = fmt.Sprintf("memory diverged at %#x", base+uint64(i))
+				}
+			}
+		})
+	}
+	return diff
+}
+
+// checkEngines is the engine differential: it drives prog through Step
+// and then, once per budget sequence, through RunStraight, and fails t
+// unless every run leaves the same CPU state, Retired, memory and event
+// sequence. It returns the Step reference machine and its events.
+func checkEngines(t *testing.T, prog *isa.Program, limit uint64, budgets ...[]uint64) (*Machine, []string) {
+	t.Helper()
+	ref := New(prog, diffMem)
+	want := drive(t, ref, nil, limit)
+	for _, seq := range budgets {
+		m := New(prog, diffMem)
+		got := drive(t, m, seq, limit)
+		if d := diffMachines(m, ref); d != "" {
+			t.Fatalf("%s, budgets %v: %s", prog.Name, seq, d)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s, budgets %v: events\n %q\nwant (Step)\n %q", prog.Name, seq, got, want)
+		}
+	}
+	return ref, want
+}
+
+// everyBudget returns the budget sequences {1}, {2}, ..., {n}.
+func everyBudget(n int) [][]uint64 {
+	seqs := make([][]uint64, n)
+	for i := range seqs {
+		seqs[i] = []uint64{uint64(i + 1)}
+	}
+	return seqs
 }
 
 // TestSuperblockMatchesStep is the engine differential: the cached
 // superblock dispatch and the precise per-instruction Step reference
 // must produce bit-identical architectural outcomes — registers, mask
-// registers, memory, retirement counts, and the event sequence — on a
-// program covering every SBKind.
+// registers, memory, retirement counts, and the event sequence — on
+// programs covering every SBKind, every branch opcode taken and not
+// taken, nested calls and both stack faults, at every RunStraight
+// budget from 1 to the program's length.
 func TestSuperblockMatchesStep(t *testing.T) {
-	for _, prog := range []func() *isa.Program{wideFPProgram, eventFPProgram} {
-		cached := New(prog(), 1<<21)
-		evA := drive(t, cached, true)
-		plain := New(prog(), 1<<21)
-		evB := drive(t, plain, false)
+	// Agreement alone would pass a fault or a runaway loop in semantics
+	// the two engines share, so each program's outcome is also pinned.
+	for _, prog := range []*isa.Program{wideFPProgram(), eventFPProgram()} {
+		_, events := checkEngines(t, prog, 1<<20, everyBudget(len(prog.Insts))...)
+		if len(events) == 0 || events[len(events)-1] != "halt" {
+			t.Errorf("%s: events %q, want a halt at the end", prog.Name, events)
+		}
+	}
+	for _, underflow := range []bool{true, false} {
+		prog := branchProgram(underflow)
+		ref, events := checkEngines(t, prog, 1<<20, everyBudget(len(prog.Insts))...)
+		last := len(prog.Insts) - 2 // the ret, or the call after the movi
+		want := fmt.Sprintf("fault stack overflow at %#x at %#x", ^uint64(7), prog.AddrOf(last))
+		if underflow {
+			want = fmt.Sprintf("fault stack underflow at %#x at %#x", uint64(diffMem), prog.AddrOf(last))
+		}
+		if len(events) == 0 || events[len(events)-1] != want {
+			t.Errorf("underflow=%v: events %q, want %q at the end", underflow, events, want)
+		}
+		r := &ref.CPU.R
+		if r[isa.R10] != branchSignature() || r[isa.R2] != 5 || r[isa.R11] != 5 || r[isa.R12] != 5 {
+			t.Errorf("underflow=%v: signature %#x (want %#x), counter %d, calls %d and %d (want 5)",
+				underflow, r[isa.R10], branchSignature(), r[isa.R2], r[isa.R11], r[isa.R12])
+		}
+	}
+}
 
-		if cached.CPU != plain.CPU {
-			t.Errorf("CPU state diverged:\n cached %+v\n plain  %+v", cached.CPU, plain.CPU)
+// TestBranchTargetsOutsideProgram guards the chained dispatch: a branch
+// to an instruction index outside the program, or a ret to an address
+// outside it or off the instruction grid, must end in a "bad rip" fault
+// with the same state under Step and under RunStraight at every budget.
+// Nothing validates branch targets before a submitted program runs.
+func TestBranchTargetsOutsideProgram(t *testing.T) {
+	const n = 9 // instructions in each program below
+	const base uint64 = isa.DefaultCodeBase
+	retTo := func(addr uint64) []isa.Inst {
+		return []isa.Inst{
+			{Op: isa.OpMOVI, Rd: isa.R4, Imm: int64(addr)},
+			{Op: isa.OpADDI, Rd: isa.SP, Rs1: isa.SP, Imm: -8},
+			{Op: isa.OpST, Rs1: isa.SP, Rs2: isa.R4},
+			{Op: isa.OpRET},
 		}
-		if cached.Retired != plain.Retired {
-			t.Errorf("retired: cached %d, plain %d", cached.Retired, plain.Retired)
-		}
-		for i := uint64(0); i < cached.Mem.Size(); i++ {
-			if cached.Mem.byteAt(i) != plain.Mem.byteAt(i) {
-				t.Fatalf("memory diverged at %#x", i)
+	}
+	jump := func(op isa.Opcode, target int64) []isa.Inst {
+		return []isa.Inst{{Op: isa.OpNOP}, {Op: isa.OpNOP}, {Op: isa.OpNOP}, {Op: op, Rs1: isa.R1, Rs2: isa.R2, Imm: target}}
+	}
+	cases := []struct {
+		name string
+		tail []isa.Inst
+		rip  uint64 // the address the fault reports
+	}{
+		{"jmp-negative", jump(isa.OpJMP, -1), base - 4},
+		{"jmp-far-negative", jump(isa.OpJMP, -1000), base - 4000},
+		{"jmp-len", jump(isa.OpJMP, n), base + 4*n},
+		{"jmp-beyond", jump(isa.OpJMP, 1<<20), base + 4<<20},
+		{"beq-negative", jump(isa.OpBEQ, -3), base - 12},
+		{"beq-len", jump(isa.OpBEQ, n), base + 4*n},
+		{"beq-beyond", jump(isa.OpBEQ, n+7), base + 4*(n+7)},
+		{"ret-below", retTo(0x10), 0x10},
+		{"ret-past-end", retTo(base + 4*n), base + 4*n},
+		{"ret-far", retTo(1 << 40), 1 << 40},
+		{"ret-unaligned", retTo(base + 6), base + 6},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := isa.NewBuilder(tc.name)
+			top := b.Label("top")
+			b.Movi(isa.R1, 7)
+			b.Movi(isa.R2, 7)
+			b.Movi(isa.R3, 0)
+			b.Bind(top)
+			b.Addi(isa.R3, isa.R3, 1)
+			b.Blt(isa.R3, isa.R2, top) // chain through a loop first
+			for _, inst := range tc.tail {
+				b.Raw(inst)
 			}
-		}
-		if len(evA) != len(evB) {
-			t.Fatalf("event counts: cached %d, plain %d", len(evA), len(evB))
-		}
-		for i := range evA {
-			if evA[i] != evB[i] {
-				t.Errorf("event %d: cached %s, plain %s", i, evA[i], evB[i])
+			prog := b.Build()
+			if len(prog.Insts) != n {
+				t.Fatalf("program has %d instructions, want %d", len(prog.Insts), n)
 			}
-		}
+			_, events := checkEngines(t, prog, 1<<20, everyBudget(n+2)...)
+			want := fmt.Sprintf("fault bad rip %#x at %#x", tc.rip, tc.rip)
+			if len(events) == 0 || events[len(events)-1] != want {
+				t.Errorf("events %q, want %q at the end", events, want)
+			}
+		})
 	}
 }
 
@@ -163,6 +363,36 @@ func TestSuperblockBreakpointInvalidation(t *testing.T) {
 	}
 	if m.CPU.R[isa.R4] != 4 {
 		t.Error("instruction after cleared breakpoint did not execute")
+	}
+
+	// A loop head reached through a chained branch: warm-up chains
+	// around the loop and stops on the back branch; the breakpoint armed
+	// on the head must stop the branch's successor, not run through the
+	// region cached for it.
+	lb := isa.NewBuilder("bploop")
+	head := lb.Label("head")
+	lb.Movi(isa.R1, 0)   // idx 0
+	lb.Movi(isa.R2, 100) // idx 1
+	lb.Bind(head)
+	lb.Addi(isa.R1, isa.R1, 1)   // idx 2
+	lb.Blt(isa.R1, isa.R2, head) // idx 3
+	lb.Hlt()
+	m = New(lb.Build(), 64)
+	if n, ev := m.RunStraight(9); n != 9 || ev != nil {
+		t.Fatalf("loop warmup ran %d, ev %T", n, ev)
+	}
+	if m.CPU.RIP != m.Prog.AddrOf(3) || m.CPU.R[isa.R1] != 4 {
+		t.Fatalf("loop warmup stopped at %#x with R1 = %d", m.CPU.RIP, m.CPU.R[isa.R1])
+	}
+	headAddr := m.Prog.AddrOf(2)
+	m.SetBreakpoint(headAddr)
+	n, ev = m.RunStraight(100)
+	if bp, ok := ev.(*BreakpointEvent); !ok || bp.Addr != headAddr {
+		t.Fatalf("after arming the loop head: ran %d, event %#v, want a breakpoint at %#x", n, ev, headAddr)
+	}
+	if n != 1 || m.Retired != 10 || m.CPU.R[isa.R1] != 4 || m.CPU.RIP != headAddr {
+		t.Errorf("breakpoint after %d retires (%d total), R1 = %d, RIP %#x; want 1, 10, 4, %#x",
+			n, m.Retired, m.CPU.R[isa.R1], m.CPU.RIP, headAddr)
 	}
 }
 
@@ -249,4 +479,85 @@ func TestZFormFullWidth(t *testing.T) {
 			t.Errorf("stored lane %d = %#x, want %#x", l, gotMem, want)
 		}
 	}
+}
+
+// fuzzOps is the instruction alphabet of FuzzSuperblockMatchesStep:
+// integer ALU ops (divq and remq fault on a zero divisor), every branch,
+// scalar, packed and masked FP, moves, loads and stores, MXCSR access,
+// and hlt. It holds every opcode of the differential programs, so they
+// seed the corpus exactly.
+var fuzzOps = []isa.Opcode{
+	isa.OpNOP, isa.OpHLT,
+	isa.OpMOVI, isa.OpMOV, isa.OpADD, isa.OpADDI, isa.OpSUB, isa.OpMULQ, isa.OpDIVQ, isa.OpREMQ,
+	isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpSHLI, isa.OpSHRI,
+	isa.OpJMP, isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLE, isa.OpBGT, isa.OpCALL, isa.OpRET,
+	isa.OpADDSD, isa.OpSUBSD, isa.OpMULSD, isa.OpDIVSD, isa.OpSQRTSD, isa.OpMINSD, isa.OpMAXSD,
+	isa.OpADDSS, isa.OpADDPD, isa.OpMULPS, isa.OpCMPSD, isa.OpUCOMISD, isa.OpCVTSD2SI, isa.OpROUNDSD,
+	isa.OpVADDPDZ, isa.OpVSUBPSZ, isa.OpVMULPDKZ, isa.OpVSQRTPDKZ, isa.OpVFMADDPDZ,
+	isa.OpMOVSD, isa.OpMOVQX, isa.OpMOVXQ, isa.OpKMOVQ, isa.OpKMOVRQ,
+	isa.OpLD, isa.OpST, isa.OpFLD, isa.OpFST, isa.OpFLDVZ, isa.OpFSTVZ, isa.OpLDMXCSR, isa.OpSTMXCSR,
+}
+
+// fuzzInstBytes is the size of one encoded fuzz instruction: an
+// alphabet index, the four register nibbles, and a little-endian
+// immediate. A branch keeps only the low byte of its immediate, as a
+// signed target index, so targets land inside the program, before it,
+// and past its end.
+const fuzzInstBytes = 11
+
+// fuzzProgram decodes a fuzz input into a program of at most 64
+// instructions with data as its data segment.
+func fuzzProgram(data, code []byte) *isa.Program {
+	p := &isa.Program{Name: "fuzz", Base: isa.DefaultCodeBase, Data: data[:min(len(data), 4096)], DataBase: isa.DefaultDataBase}
+	for ; len(code) >= fuzzInstBytes && len(p.Insts) < 64; code = code[fuzzInstBytes:] {
+		inst := isa.Inst{
+			Op: fuzzOps[int(code[0])%len(fuzzOps)],
+			Rd: code[1] >> 4, Rs1: code[1] & 15, Rs2: code[2] >> 4, Rs3: code[2] & 15,
+			Imm: int64(binary.LittleEndian.Uint64(code[3:fuzzInstBytes])),
+		}
+		if inst.Op.Info().Class == isa.ClassBranch {
+			inst.Imm = int64(int8(inst.Imm))
+		}
+		p.Insts = append(p.Insts, inst)
+	}
+	return p
+}
+
+// fuzzEncode is fuzzProgram's inverse for programs within the alphabet.
+func fuzzEncode(f *testing.F, p *isa.Program) []byte {
+	var code []byte
+	for _, inst := range p.Insts {
+		op := slices.Index(fuzzOps, inst.Op)
+		if op < 0 {
+			f.Fatalf("%s: %v is outside the fuzz alphabet", p.Name, inst.Op)
+		}
+		code = append(code, byte(op), inst.Rd<<4|inst.Rs1, inst.Rs2<<4|inst.Rs3)
+		code = binary.LittleEndian.AppendUint64(code, uint64(inst.Imm))
+	}
+	if back := fuzzProgram(p.Data, code); !slices.Equal(back.Insts, p.Insts) {
+		f.Fatalf("%s does not survive the fuzz encoding", p.Name)
+	}
+	return code
+}
+
+// FuzzSuperblockMatchesStep feeds fuzzed programs to the engine
+// differential: within 2,000 retired instructions, so programs that
+// never halt are valid inputs, RunStraight under a fuzzed sequence of
+// budgets must leave the same CPU state, Retired, memory and events as
+// Step, and neither may panic.
+func FuzzSuperblockMatchesStep(f *testing.F) {
+	for _, p := range []*isa.Program{wideFPProgram(), eventFPProgram(), branchProgram(true), branchProgram(false)} {
+		f.Add([]byte{12}, p.Data, fuzzEncode(f, p))
+		f.Add([]byte{0, 6, 2, 40}, p.Data, fuzzEncode(f, p))
+	}
+	f.Fuzz(func(t *testing.T, budgets, data, code []byte) {
+		var seq []uint64
+		for _, b := range budgets[:min(len(budgets), 16)] {
+			seq = append(seq, 1+uint64(b))
+		}
+		if len(seq) == 0 {
+			seq = []uint64{13}
+		}
+		checkEngines(t, fuzzProgram(data, code), 2000, seq)
+	})
 }
