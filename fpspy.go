@@ -118,6 +118,10 @@ const (
 // NewProgram returns a builder for a guest program.
 func NewProgram(name string) *Builder { return isa.NewBuilder(name) }
 
+// DefaultMemBytes is the guest memory size a Run gets when
+// Options.MemBytes is zero: 16 MiB.
+const DefaultMemBytes = 16 << 20
+
 // Options configures a Run.
 type Options struct {
 	// Config is FPSpy's configuration. Leave Disable set and Mode zero
@@ -125,9 +129,10 @@ type Options struct {
 	Config Config
 	// NoSpy runs without FPSpy in LD_PRELOAD at all.
 	NoSpy bool
-	// MemBytes is the logical size of guest memory (default 16 MiB):
-	// every address below it is valid and every address at or above it
-	// faults. Pages are allocated only when the guest first writes them.
+	// MemBytes is the logical size of guest memory (DefaultMemBytes
+	// when zero): every address below it is valid and every address at
+	// or above it faults. Pages are allocated only when the guest first
+	// writes them.
 	MemBytes int
 	// MaxSteps bounds execution (default 500M instructions).
 	MaxSteps uint64
@@ -199,7 +204,7 @@ func Run(prog *Program, opts Options) (*Result, error) {
 // spawned with env and run to completion, its traces going to store.
 func launch(prog *Program, opts Options, store *Store, env map[string]string, name string, preload kernel.ObjectFactory) (*Result, error) {
 	if opts.MemBytes == 0 {
-		opts.MemBytes = 16 << 20
+		opts.MemBytes = DefaultMemBytes
 	}
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 500_000_000

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	fpspy "repro"
 	"repro/internal/isa"
 	"repro/internal/jobs"
 	"repro/internal/workload"
@@ -51,12 +52,61 @@ func TestDecodeRejectsAbsurdMemBytes(t *testing.T) {
 	if _, err := jobs.Decode(blob); err != nil {
 		t.Fatalf("Decode(MemBytes=MaxMemBytes) = %v, want ok", err)
 	}
+	// So is a memory that ends exactly where a data segment does; one
+	// byte less and the segment would not load.
+	cg, err := workload.ByName("nas-cg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog = cg.Build(workload.SizeSmall)
+	end := int(prog.DataBase) + len(prog.Data)
+	if len(prog.Data) == 0 {
+		t.Fatal("nas-cg has no data segment")
+	}
+	if _, err := jobs.Decode(rawEncode(t, &jobs.Job{Name: "fits", Program: prog, MemBytes: end})); err != nil {
+		t.Fatalf("Decode(MemBytes=%d, data segment end) = %v, want ok", end, err)
+	}
+	blob = rawEncode(t, &jobs.Job{Name: "short", Program: prog, MemBytes: end - 1})
+	if _, err := jobs.Decode(blob); !errors.Is(err, jobs.ErrMemBytes) {
+		t.Fatalf("Decode(MemBytes=%d, one byte short of the data segment) = %v, want ErrMemBytes", end-1, err)
+	}
+}
+
+// hostileClone is a clone Decode must reject, with the index of the
+// instruction at fault.
+type hostileClone struct {
+	name  string
+	index int
+	job   *jobs.Job
+}
+
+// hostileClones are the clones whose instructions the machine cannot
+// execute as encoded: an unregistered opcode, an integer register 200,
+// a vector register 77, and a blt whose target index 2^62+1 wraps in
+// Program.AddrOf back to instruction 1. Before Decode rejected them,
+// the first three panicked the host in RunProduction and the fourth
+// looped back into its program and exited 0.
+func hostileClones() []hostileClone {
+	clone := func(name string, index int, insts ...isa.Inst) hostileClone {
+		prog := &isa.Program{Name: name, Base: isa.DefaultCodeBase, Insts: append(insts, isa.Inst{Op: isa.OpHLT})}
+		return hostileClone{name, index, &jobs.Job{Name: name, Program: prog, MemBytes: 1 << 20}}
+	}
+	return []hostileClone{
+		clone("bad-opcode", 1, isa.Inst{Op: isa.OpNOP}, isa.Inst{Op: isa.Opcode(isa.NumOpcodes() + 3)}),
+		clone("movi-r200", 0, isa.Inst{Op: isa.OpMOVI, Rd: 200, Imm: 1}),
+		clone("addsd-x77", 0, isa.Inst{Op: isa.OpADDSD, Rd: 1, Rs1: 77, Rs2: 2}),
+		clone("blt-wraps", 2,
+			isa.Inst{Op: isa.OpMOVI, Rd: isa.R3, Imm: 5},
+			isa.Inst{Op: isa.OpADDI, Rd: isa.R2, Rs1: isa.R2, Imm: 1},
+			isa.Inst{Op: isa.OpBLT, Rs1: isa.R2, Rs2: isa.R3, Imm: 1<<62 + 1}),
+	}
 }
 
 // FuzzJobRoundTrip fuzzes the clone codec boundary: any bytes Decode
 // accepts must describe a valid clone that re-encodes and re-decodes to
-// the same value, and everything else must fail with an error rather
-// than a panic or a poisoned clone.
+// the same value and runs (briefly, without the spy) to an outcome
+// rather than a host panic, and everything else must fail with an
+// error rather than a panic or a poisoned clone.
 func FuzzJobRoundTrip(f *testing.F) {
 	w, err := workload.ByName("nas-ep")
 	if err != nil {
@@ -73,6 +123,9 @@ func FuzzJobRoundTrip(f *testing.F) {
 	f.Add(rawEncode(f, &jobs.Job{Name: "hostile", MemBytes: 1 << 62}))
 	f.Add([]byte("not a clone"))
 	f.Add([]byte{})
+	for _, c := range hostileClones() {
+		f.Add(rawEncode(f, c.job))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		j, err := jobs.Decode(data)
@@ -100,5 +153,8 @@ func FuzzJobRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(back.Env, j.Env) && (len(back.Env) != 0 || len(j.Env) != 0) {
 			t.Fatalf("round trip changed env: %v vs %v", back.Env, j.Env)
 		}
+		// A host panic fails the fuzz target; a guest that does not
+		// finish within the step bound is an ordinary error.
+		_, _ = fpspy.Run(back.Program, fpspy.Options{NoSpy: true, MaxSteps: 10_000, MemBytes: back.MemBytes, Env: back.Env})
 	})
 }

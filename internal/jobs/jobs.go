@@ -18,15 +18,35 @@ import (
 )
 
 // Typed validation errors for clones arriving from untrusted bytes
-// (Decode). Both are wrapped, so callers match with errors.Is.
+// (Decode). Both are wrapped, so callers match with errors.Is; an
+// instruction the machine cannot execute is an *InstError.
 var (
 	// ErrNoProgram reports a clone with no program image (or an empty
 	// one): replaying it would crash the kernel spawn path.
 	ErrNoProgram = errors.New("jobs: clone has no program image")
 	// ErrMemBytes reports a clone whose memory request is negative or
-	// absurd — beyond MaxMemBytes.
+	// absurd — beyond MaxMemBytes — or too small to hold its data
+	// segment.
 	ErrMemBytes = errors.New("jobs: clone memory request out of range")
 )
+
+// InstError reports a clone instruction the machine cannot execute as
+// encoded: an unregistered opcode, a register field beyond the 16
+// entries of the integer and vector register files, or a jmp,
+// conditional branch or call whose target index is outside the
+// program. The machine trusts all three, so such a clone would panic
+// the host or jump to a wrapped address. Match it with errors.As.
+type InstError struct {
+	// Clone names the clone and Index the instruction.
+	Clone string
+	Index int
+	// Reason says what is wrong with the instruction.
+	Reason string
+}
+
+func (e *InstError) Error() string {
+	return fmt.Sprintf("jobs: clone %q instruction %d: %s", e.Clone, e.Index, e.Reason)
+}
 
 // MaxMemBytes bounds the memory request Decode accepts (4 GiB). The
 // simulated machine allocates guest memory eagerly, so an absurd
@@ -92,7 +112,38 @@ func (j *Job) Validate() error {
 	if j.MemBytes < 0 || j.MemBytes > MaxMemBytes {
 		return fmt.Errorf("%w: %d (clone %q)", ErrMemBytes, j.MemBytes, j.Name)
 	}
+	mem := uint64(j.MemBytes)
+	if mem == 0 {
+		mem = fpspy.DefaultMemBytes
+	}
+	p := j.Program
+	if n := uint64(len(p.Data)); n > 0 && (p.DataBase > mem || n > mem-p.DataBase) {
+		return fmt.Errorf("%w: %d-byte data segment at %#x does not fit %d bytes (clone %q)",
+			ErrMemBytes, n, p.DataBase, mem, j.Name)
+	}
+	for i := range p.Insts {
+		if reason := instFault(&p.Insts[i], len(p.Insts)); reason != "" {
+			return &InstError{Clone: j.Name, Index: i, Reason: reason}
+		}
+	}
 	return nil
+}
+
+// instFault says why the machine cannot execute inst in a program of n
+// instructions, or returns "".
+func instFault(inst *isa.Inst, n int) string {
+	if int(inst.Op) >= isa.NumOpcodes() {
+		return fmt.Sprintf("unregistered opcode %d", inst.Op)
+	}
+	for _, r := range [...]uint8{inst.Rd, inst.Rs1, inst.Rs2, inst.Rs3} {
+		if r >= isa.NumIntRegs || r >= isa.NumVecRegs {
+			return fmt.Sprintf("%v: register %d out of range", inst.Op, r)
+		}
+	}
+	if inst.Op.Info().Class == isa.ClassBranch && inst.Op != isa.OpRET && (inst.Imm < 0 || inst.Imm >= int64(n)) {
+		return fmt.Sprintf("%v: target %d outside the program's %d instructions", inst.Op, inst.Imm, n)
+	}
+	return ""
 }
 
 // RunProduction executes the job exactly as submitted: no FPSpy, no

@@ -1,6 +1,7 @@
 package jobs_test
 
 import (
+	"errors"
 	"testing"
 
 	fpspy "repro"
@@ -97,10 +98,11 @@ func TestCloneReplayAggressive(t *testing.T) {
 	}
 }
 
-// TestCloneWithWildBranchSegfaults: Validate does not check branch
-// targets, so a submitted clone can branch outside its program. Through
-// Decode and RunProduction such a clone must exit by SIGSEGV, not
-// panic the host.
+// TestCloneWithWildBranchSegfaults: a clone can branch outside its
+// program. Decode rejects a direct branch whose target index is outside
+// the program, naming the instruction; a ret's target is known only at
+// run time, so that clone decodes. Run without Decode, every one of
+// them must exit by SIGSEGV through RunProduction, not panic the host.
 func TestCloneWithWildBranchSegfaults(t *testing.T) {
 	retTo := func(addr uint64) []isa.Inst {
 		return []isa.Inst{
@@ -126,20 +128,76 @@ func TestCloneWithWildBranchSegfaults(t *testing.T) {
 			b.Raw(inst)
 		}
 		b.Hlt()
-		blob, err := jobs.Capture(name, b.Build(), nil, 1<<20).Encode()
+		job := jobs.Capture(name, b.Build(), nil, 1<<20)
+		blob, err := job.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		clone, err := jobs.Decode(blob)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
+		_, err = jobs.Decode(blob)
+		var ie *jobs.InstError
+		if direct := name != "ret-unaligned"; direct && (!errors.As(err, &ie) || ie.Index != 4) {
+			t.Errorf("%s: decode = %v, want an InstError at instruction 4", name, err)
+		} else if !direct && err != nil {
+			t.Errorf("%s: decode: %v", name, err)
 		}
-		res, err := clone.RunProduction()
+		res, err := job.RunProduction()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if want := 128 + int(kernel.SIGSEGV); res.ExitCode != want {
 			t.Errorf("%s: exit code %d, want %d (SIGSEGV)", name, res.ExitCode, want)
+		}
+	}
+}
+
+// TestValidateRejectsUnexecutableInsts: every instruction field the
+// machine trusts is checked at Decode, and the error names the
+// instruction. The first four clones are hostileClones; before Validate
+// checked instructions, three of them panicked the host and the fourth
+// wrapped its branch back into the program.
+func TestValidateRejectsUnexecutableInsts(t *testing.T) {
+	cases := hostileClones()
+	for _, c := range []struct {
+		name  string
+		insts []isa.Inst
+		index int
+	}{
+		{"jmp-negative", []isa.Inst{{Op: isa.OpNOP}, {Op: isa.OpJMP, Imm: -1}}, 1},
+		{"call-past-end", []isa.Inst{{Op: isa.OpCALL, Imm: 2}, {Op: isa.OpHLT}}, 0},
+		{"fma-rs3", []isa.Inst{{Op: isa.OpVFMADDSD, Rd: 1, Rs1: 2, Rs2: 3, Rs3: 16}, {Op: isa.OpHLT}}, 0},
+		{"kmov-rd", []isa.Inst{{Op: isa.OpKMOVQ, Rd: 16, Rs1: 1}, {Op: isa.OpHLT}}, 0},
+	} {
+		cases = append(cases, hostileClone{c.name, c.index, &jobs.Job{Name: c.name, Program: &isa.Program{Name: c.name, Base: isa.DefaultCodeBase, Insts: c.insts}}})
+	}
+	for _, c := range cases {
+		_, err := jobs.Decode(rawEncode(t, c.job))
+		var ie *jobs.InstError
+		if !errors.As(err, &ie) || ie.Index != c.index || ie.Clone != c.name {
+			t.Errorf("%s: Decode = %v, want an InstError for clone %q at instruction %d", c.name, err, c.name, c.index)
+		}
+	}
+	// The boundaries themselves are legal: register 15, a branch to the
+	// last instruction and to the first.
+	ok := &jobs.Job{Name: "edges", Program: &isa.Program{Name: "edges", Base: isa.DefaultCodeBase, Insts: []isa.Inst{
+		{Op: isa.OpMOVI, Rd: 15, Imm: 1},
+		{Op: isa.OpBEQ, Rs1: 15, Rs2: 0, Imm: 0},
+		{Op: isa.OpVFMADDSD, Rd: 15, Rs1: 15, Rs2: 15, Rs3: 15},
+		{Op: isa.OpJMP, Imm: 4},
+		{Op: isa.OpHLT},
+	}}}
+	if _, err := jobs.Decode(rawEncode(t, ok)); err != nil {
+		t.Errorf("Decode(edges) = %v, want ok", err)
+	}
+}
+
+// TestRegisteredWorkloadsValidate: every registered workload, captured
+// at either size with the default memory, is a valid clone.
+func TestRegisteredWorkloadsValidate(t *testing.T) {
+	for _, w := range workload.All() {
+		for _, size := range []workload.Size{workload.SizeSmall, workload.SizeLarge} {
+			if err := jobs.Capture(w.Meta.Name, w.Build(size), nil, 0).Validate(); err != nil {
+				t.Errorf("%s at size %d: %v", w.Meta.Name, size, err)
+			}
 		}
 	}
 }

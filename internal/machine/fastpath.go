@@ -25,25 +25,11 @@ package machine
 // A region retires the branch that ends it and continues with the
 // region at the branch's target, so a loop runs without leaving the
 // dispatch loop; hlt, callc and breakpoint stubs still retire through
-// Step. A branch counts against max like any other instruction.
-// While a shadow sink is attached it steps one instruction at a time
-// instead, so every retire gets its PreStep/Retired pair.
+// Step. A branch counts against max like any other instruction. An
+// attached shadow sink is notified exactly as Step notifies it.
 func (m *Machine) RunStraight(max uint64) (uint64, Event) {
 	if m.CPU.TF {
 		return 0, m.Step()
-	}
-	if m.Shadow != nil {
-		// The superblock engine retires whole regions at once, so it
-		// cannot drive a per-instruction sink; Step is the precise
-		// reference the superblock engine is checked against.
-		var n uint64
-		for n < max {
-			if ev := m.Step(); ev != nil {
-				return n, ev
-			}
-			n++
-		}
-		return n, nil
 	}
 	return m.runSuperblock(max)
 }

@@ -139,19 +139,17 @@ type Machine struct {
 	// (FMA counts 2 per lane, masked-off lanes count as skipped). Nil
 	// means no accounting, same contract as Obs.
 	Flops *obs.FlopMetrics
-	// Shadow, when non-nil, observes instruction flow for the
-	// shadow-precision channel (internal/shadow): PreStep fires after
-	// instruction resolution with pre-execution state still readable,
-	// and Retired fires iff that instruction retires. The sink never
+	// Shadow, when non-nil, observes the floating point and memory
+	// instructions for the shadow-precision channel (internal/shadow)
+	// under the ShadowSink contract, in both engines. The sink never
 	// mutates machine state, so execution is bit-identical with or
-	// without it. RunStraight falls back to the per-instruction path
-	// while a sink is attached so superblock batching never skips a
-	// notification.
+	// without it. Set it with SetShadow.
 	Shadow ShadowSink
 
 	// codeVersion tags cached superblock regions; anything that changes
-	// how an instruction executes in place (breakpoint stubbing) bumps
-	// it, invalidating every cached region at once.
+	// how an instruction executes in place (breakpoint stubbing, a
+	// shadow sink attached or detached) bumps it, invalidating every
+	// cached region at once.
 	codeVersion uint64
 	// sbCache holds decoded straight-line regions by start instruction
 	// index, allocated lazily on the first superblock dispatch.
@@ -191,6 +189,13 @@ func (m *Machine) SetBreakpoint(addr uint64) {
 // ClearBreakpoint restores the instruction at addr.
 func (m *Machine) ClearBreakpoint(addr uint64) {
 	delete(m.Breakpoints, addr)
+	m.codeVersion++
+}
+
+// SetShadow attaches s as the shadow sink (nil detaches it) and
+// invalidates the regions built for the other setting.
+func (m *Machine) SetShadow(s ShadowSink) {
+	m.Shadow = s
 	m.codeVersion++
 }
 
@@ -267,8 +272,10 @@ func (m *Machine) Step() Event {
 	info := inst.Op.Info()
 	addr := m.CPU.RIP
 	next := addr + isa.InstBytes
-	if m.Shadow != nil {
-		m.Shadow.PreStep(addr, inst, info)
+	var sink ShadowSink
+	if m.Shadow != nil && observed(info.Class) {
+		sink = m.Shadow
+		sink.PreStep(addr, inst, info)
 	}
 
 	switch info.Class {
@@ -314,6 +321,9 @@ func (m *Machine) Step() Event {
 		}
 	}
 
+	if sink != nil {
+		sink.Retired()
+	}
 	return m.retireTo(addr, next, idx+1)
 }
 
@@ -523,9 +533,6 @@ func (m *Machine) retire(next uint64, idx int) {
 	m.CPU.RIP = next
 	m.nextIdx = idx
 	m.Retired++
-	if m.Shadow != nil {
-		m.Shadow.Retired()
-	}
 }
 
 // retireTo completes an instruction and delivers a single-step trap when

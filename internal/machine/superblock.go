@@ -17,7 +17,8 @@ import (
 // bakes in everything that is static per instruction: the decoded Inst
 // and OpInfo pointers and the retirement kind. Regions are keyed by
 // (start index, code version); the version bumps whenever in-place
-// execution behavior changes (SetBreakpoint/ClearBreakpoint),
+// execution behavior changes (SetBreakpoint/ClearBreakpoint, and
+// SetShadow: a sink's observed instructions retire as SBShadow),
 // invalidating every cached region at once.
 //
 // Inside a region, RIP, nextIdx, and Retired are not updated per
@@ -61,6 +62,10 @@ const (
 	// SBBranch is the jmp, conditional branch, call, or ret that ends a
 	// region (may fault on a call's push or a ret's pop).
 	SBBranch
+	// SBShadow is an instruction the attached shadow sink observes,
+	// retired between its PreStep and Retired through the helper Step
+	// uses for its class (execMem, execMove or execFP).
+	SBShadow
 )
 
 // sbMeta is the cached per-instruction metadata of a region entry. For
@@ -133,6 +138,9 @@ func (m *Machine) buildRegion(r *sbRegion, idx int) {
 				kind = SBFPScalar64
 			}
 		}
+		if m.Shadow != nil && observed(info.Class) {
+			kind = SBShadow
+		}
 		r.meta = append(r.meta, sbMeta{
 			kind: kind, fp: info.FP,
 			rd: inst.Rd, rs1: inst.Rs1, rs2: inst.Rs2,
@@ -144,8 +152,7 @@ func (m *Machine) buildRegion(r *sbRegion, idx int) {
 	}
 }
 
-// runSuperblock is RunStraight's cached dispatch loop (TF clear, no
-// shadow sink attached).
+// runSuperblock is RunStraight's cached dispatch loop (TF clear).
 func (m *Machine) runSuperblock(max uint64) (uint64, Event) {
 	c := &m.CPU
 	var n uint64
@@ -232,6 +239,19 @@ regions:
 				}
 			case SBFP:
 				ev = m.execFP(mt.inst, mt.info, idx+k, addr)
+			case SBShadow:
+				m.Shadow.PreStep(addr, mt.inst, mt.info)
+				switch mt.info.Class {
+				case isa.ClassMem:
+					ev = m.execMem(mt.inst, addr)
+				case isa.ClassFPMove:
+					m.execMove(mt.inst)
+				default:
+					ev = m.execFP(mt.inst, mt.info, idx+k, addr)
+				}
+				if ev == nil {
+					m.Shadow.Retired()
+				}
 			case SBBranch:
 				// The region's last entry: retire it and chain to the
 				// region at its target.

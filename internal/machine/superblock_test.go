@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -192,22 +193,66 @@ func diffMachines(a, b *Machine) string {
 	return diff
 }
 
+// notice is one shadow-sink notification a recorder logged: the
+// PreStep address and opcode, and whether Retired followed.
+type notice struct {
+	addr    uint64
+	op      isa.Opcode
+	retired bool
+}
+
+// recorder is a test ShadowSink that logs every notification. A
+// Retired with no PreStep before it since the last Retired logs a
+// notice at address ^0, which no engine may produce.
+type recorder struct{ log []notice }
+
+func (r *recorder) PreStep(addr uint64, inst *isa.Inst, _ *isa.OpInfo) {
+	r.log = append(r.log, notice{addr: addr, op: inst.Op})
+}
+
+func (r *recorder) Retired() {
+	if n := len(r.log); n > 0 && !r.log[n-1].retired {
+		r.log[n-1].retired = true
+		return
+	}
+	r.log = append(r.log, notice{addr: ^uint64(0), retired: true})
+}
+
 // checkEngines is the engine differential: it drives prog through Step
 // and then, once per budget sequence, through RunStraight, and fails t
 // unless every run leaves the same CPU state, Retired, memory and event
-// sequence. It returns the Step reference machine and its events.
+// sequence. It then drives every run again with a recorder attached to
+// each machine: the state and events must not change, and every
+// recorder's log must equal the Step run's. It returns the Step
+// reference machine and its events.
 func checkEngines(t *testing.T, prog *isa.Program, limit uint64, budgets ...[]uint64) (*Machine, []string) {
 	t.Helper()
-	ref := New(prog, diffMem)
-	want := drive(t, ref, nil, limit)
-	for _, seq := range budgets {
+	run := func(seq []uint64, sink bool) (*Machine, []string, []notice) {
 		m := New(prog, diffMem)
-		got := drive(t, m, seq, limit)
-		if d := diffMachines(m, ref); d != "" {
-			t.Fatalf("%s, budgets %v: %s", prog.Name, seq, d)
+		rec := &recorder{}
+		if sink {
+			m.SetShadow(rec)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s, budgets %v: events\n %q\nwant (Step)\n %q", prog.Name, seq, got, want)
+		events := drive(t, m, seq, limit)
+		return m, events, rec.log
+	}
+	ref, want, _ := run(nil, false)
+	for _, sink := range []bool{false, true} {
+		refSink, wantSink, wantLog := run(nil, sink)
+		if d := diffMachines(refSink, ref); d != "" || !slices.Equal(wantSink, want) {
+			t.Fatalf("%s: Step with a sink attached: %s, events\n %q\nwant\n %q", prog.Name, d, wantSink, want)
+		}
+		for _, seq := range budgets {
+			m, got, log := run(seq, sink)
+			if d := diffMachines(m, ref); d != "" {
+				t.Fatalf("%s, budgets %v, sink %v: %s", prog.Name, seq, sink, d)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, budgets %v, sink %v: events\n %q\nwant (Step)\n %q", prog.Name, seq, sink, got, want)
+			}
+			if !slices.Equal(log, wantLog) {
+				t.Fatalf("%s, budgets %v: sink log\n %v\nwant (Step)\n %v", prog.Name, seq, log, wantLog)
+			}
 		}
 	}
 	return ref, want
@@ -254,6 +299,89 @@ func TestSuperblockMatchesStep(t *testing.T) {
 			t.Errorf("underflow=%v: signature %#x (want %#x), counter %d, calls %d and %d (want 5)",
 				underflow, r[isa.R10], branchSignature(), r[isa.R2], r[isa.R11], r[isa.R12])
 		}
+	}
+}
+
+// TestShadowSinkObservedClasses pins which instructions a shadow sink
+// hears of, under Step and under RunStraight at every budget: every
+// floating point class and every memory access, integer st included,
+// each followed by Retired unless it faults; no integer ALU op, branch,
+// mask move, nop or hlt.
+func TestShadowSinkObservedClasses(t *testing.T) {
+	b := isa.NewBuilder("classes")
+	data := b.Float64s(1.5, 0)
+	b.Movi(isa.R1, int64(data))                           // 0 int
+	b.Fld(isa.X0, isa.R1, 0)                              // 1 mem
+	b.FP2(isa.OpADDSD, isa.X1, isa.X0, isa.X0)            // 2 arith
+	b.FMA(isa.OpVFMADDSD, isa.X2, isa.X0, isa.X1, isa.X0) // 3 fma
+	b.FP1(isa.OpMOVSD, isa.X3, isa.X2)                    // 4 move
+	b.Cvt(isa.OpCVTSD2SI, isa.R2, isa.X3)                 // 5 convert
+	b.St(isa.R1, 8, isa.R2)                               // 6 integer st
+	b.Ld(isa.R3, isa.R1, 8)                               // 7 ld
+	b.Kmovq(isa.K1, isa.R3)                               // 8 mask
+	b.Nop()                                               // 9 sys
+	b.Ucomi(isa.OpUCOMISD, isa.R4, isa.X0, isa.X1)        // 10 compare
+	b.Round(isa.OpROUNDSD, isa.X4, isa.X1, 0)             // 11 round
+	b.FP2(isa.OpDPPS, isa.X5, isa.X0, isa.X1)             // 12 dot
+	after := b.Label("after")
+	b.Jmp(after) // 13 branch
+	b.Bind(after)
+	b.Addi(isa.R5, isa.R5, 1) // 14 int
+	b.Movi(isa.R6, -8)        // 15 int
+	b.St(isa.R6, 0, isa.R5)   // 16 st that faults
+	b.Hlt()
+	prog := b.Build()
+	var want []notice
+	for _, i := range []int{1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 16} {
+		want = append(want, notice{addr: prog.AddrOf(i), op: prog.Insts[i].Op, retired: i != 16})
+	}
+	for _, seq := range append(everyBudget(len(prog.Insts)), nil) {
+		m := New(prog, diffMem)
+		rec := &recorder{}
+		m.SetShadow(rec)
+		events := drive(t, m, seq, 1<<10)
+		if len(events) != 1 || !strings.HasPrefix(events[0], "fault bad memory access") {
+			t.Fatalf("budgets %v: events %q, want one memory fault", seq, events)
+		}
+		if !slices.Equal(rec.log, want) {
+			t.Fatalf("budgets %v: sink log\n %v\nwant\n %v", seq, rec.log, want)
+		}
+	}
+}
+
+// TestShadowSinkInvalidatesRegions pins the cache-coherence contract
+// for the sink: attaching one to a machine whose regions are already
+// cached takes effect on the next RunStraight, and detaching it stops
+// the notifications, though the loop's region was built for the other
+// setting each time.
+func TestShadowSinkInvalidatesRegions(t *testing.T) {
+	b := isa.NewBuilder("loop")
+	top := b.Label("top")
+	b.Movi(isa.R3, 10) // idx 0
+	b.Bind(top)
+	b.FP2(isa.OpADDSD, isa.X1, isa.X1, isa.X0) // idx 1
+	b.Addi(isa.R2, isa.R2, 1)                  // idx 2
+	b.Blt(isa.R2, isa.R3, top)                 // idx 3
+	b.Hlt()
+	m := New(b.Build(), 64)
+	step := func(n uint64) {
+		t.Helper()
+		if got, ev := m.RunStraight(n); got != n || ev != nil {
+			t.Fatalf("RunStraight(%d) ran %d, event %T", n, got, ev)
+		}
+	}
+	step(1 + 3*2) // two iterations cache the loop's region
+	rec := &recorder{}
+	m.SetShadow(rec)
+	step(3 * 3)
+	want := notice{addr: m.Prog.AddrOf(1), op: isa.OpADDSD, retired: true}
+	if !slices.Equal(rec.log, []notice{want, want, want}) {
+		t.Fatalf("after attaching: sink log %v, want three retired addsd", rec.log)
+	}
+	m.SetShadow(nil)
+	step(3 * 2)
+	if len(rec.log) != 3 {
+		t.Fatalf("after detaching: sink log grew to %v", rec.log)
 	}
 }
 

@@ -264,6 +264,43 @@ func TestE2EFiguresAndErrors(t *testing.T) {
 	}
 }
 
+// TestE2EUnexecutableCloneRejected: a clone whose instructions the
+// machine cannot execute as encoded (an unregistered opcode, a register
+// beyond the register files, a branch target outside the program) is
+// refused at submission with 400 on both job routes, and the daemon
+// goes on serving.
+func TestE2EUnexecutableCloneRejected(t *testing.T) {
+	_, ts := newDaemon(t, server.Options{Workers: 1})
+	c := client.New(ts.URL, "hostile")
+	for name, inst := range map[string]isa.Inst{
+		"bad-opcode": {Op: isa.Opcode(isa.NumOpcodes() + 3)},
+		"movi-r200":  {Op: isa.OpMOVI, Rd: 200, Imm: 1},
+		"addsd-x77":  {Op: isa.OpADDSD, Rd: 1, Rs1: 77, Rs2: 2},
+		"blt-wraps":  {Op: isa.OpBLT, Rs1: isa.R2, Rs2: isa.R3, Imm: 1<<62 + 1},
+	} {
+		prog := &isa.Program{Name: name, Base: isa.DefaultCodeBase, Insts: []isa.Inst{inst, {Op: isa.OpHLT}}}
+		job := jobs.Capture(name, prog, nil, 1<<20)
+		var apiErr *client.APIError
+		if _, err := c.Submit(job, fpspy.Config{}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+			t.Errorf("%s: submit err = %v, want 400", name, err)
+		}
+		if _, err := c.SubmitShadow(job, fpspy.Config{}, 113); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+			t.Errorf("%s: shadow submit err = %v, want 400", name, err)
+		}
+	}
+	resp, err := c.Submit(e2eJob(t, "after", 2, nil), fpspy.Config{Mode: fpspy.ModeIndividual})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Result(resp.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Summary.Steps == 0 {
+		t.Errorf("valid job after the rejected ones: summary %+v", res.Summary)
+	}
+}
+
 // TestE2EConcurrentClientsSoak hammers one daemon from many concurrent
 // clients over a small set of distinct programs. Under -race this is
 // the serving-path soak; the invariants are exact because the cache

@@ -42,8 +42,8 @@ type siteAgg struct {
 	maxUlps   uint64
 }
 
-// pend is the capture of the instruction currently flowing through
-// Step: identity always, plus pre-execution operand state when the op
+// pend is the capture of the observed instruction currently retiring:
+// identity always, plus pre-execution operand state when the op
 // is shadow-executable (the destination may alias a source, so inputs
 // must be read before the machine writes back).
 type pend struct {
@@ -130,7 +130,7 @@ func Attach(m *machine.Machine, prec uint, om *obs.ShadowMetrics) *Channel {
 	if attachHook != nil {
 		attachHook(ch)
 	}
-	m.Shadow = ch
+	m.SetShadow(ch)
 	if om != nil {
 		om.Channels.Inc()
 	}
@@ -263,7 +263,8 @@ func (ch *Channel) Retired() {
 	case isa.ClassMem:
 		ch.applyMem(inst)
 	case isa.ClassInt, isa.ClassBranch, isa.ClassMask, isa.ClassSys:
-		// No floating point state written.
+		// No floating point state written; the machine does not
+		// deliver these classes.
 	}
 }
 

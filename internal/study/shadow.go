@@ -80,16 +80,11 @@ type ShadowCellResult struct {
 	Err         string `json:"err,omitempty"`
 }
 
-// RunShadowCell executes one cell hermetically (its own kernel and
-// machine per leg), like RunProbeCell: callers provide concurrency via
-// Study.Exec, and the cell touches no shared state.
-func RunShadowCell(cell ShadowCell) ShadowCellResult {
-	return runShadowCell(cell, nil)
-}
-
-// runShadowCell is RunShadowCell reporting both legs to om (nil for
-// none).
-func runShadowCell(cell ShadowCell, om *obs.Metrics) ShadowCellResult {
+// runLeg runs one leg of a cell hermetically (its own kernel and
+// machine), reporting to om (nil for none). The shadowed leg fills the
+// attribution summary; the mitigated leg fills only the Mit* fields,
+// left zero when MitPrec is 0.
+func runLeg(cell ShadowCell, mitigated bool, om *obs.Metrics) ShadowCellResult {
 	prec := cell.Prec
 	if prec == 0 {
 		prec = DefaultShadowPrec
@@ -99,6 +94,20 @@ func runShadowCell(cell ShadowCell, om *obs.Metrics) ShadowCellResult {
 	w, err := workload.ByName(cell.Workload)
 	if err != nil {
 		res.Err = err.Error()
+		return res
+	}
+	if mitigated {
+		if cell.MitPrec == 0 {
+			return res
+		}
+		_, stats, err := fpspy.RunMitigated(w.Build(size), cell.MitPrec, fpspy.Options{Obs: om})
+		if err != nil {
+			res.Err = fmt.Sprintf("mitigated leg: %v", err)
+			return res
+		}
+		res.MitPrec = uint64(cell.MitPrec)
+		res.MitEmulated = stats.Emulated
+		res.MitImproved = stats.Improved
 		return res
 	}
 	run, err := fpspy.Run(w.Build(size), fpspy.Options{Config: ShadowConfig(prec), Obs: om})
@@ -119,16 +128,6 @@ func runShadowCell(cell ShadowCell, om *obs.Metrics) ShadowCellResult {
 			res.TopOp = top.Op
 			res.TopLocalUlps = top.LocalUlps
 		}
-	}
-	if cell.MitPrec > 0 {
-		_, stats, err := fpspy.RunMitigated(w.Build(size), cell.MitPrec, fpspy.Options{Obs: om})
-		if err != nil {
-			res.Err = fmt.Sprintf("mitigated leg: %v", err)
-			return res
-		}
-		res.MitPrec = uint64(cell.MitPrec)
-		res.MitEmulated = stats.Emulated
-		res.MitImproved = stats.Improved
 	}
 	return res
 }
@@ -156,17 +155,26 @@ type ShadowReport struct {
 	Failures int `json:"failures"`
 }
 
-// ShadowMatrix runs the cells on the study's worker pool, starting them
-// in input order. Results land at their input index, so the report is
-// deterministic at any worker count.
+// ShadowMatrix runs each cell's shadowed and mitigated legs as two
+// tasks on the study's worker pool, started in input order, so the
+// matrix waits on its longest leg rather than its longest cell. The
+// legs merge at their cell's input index, so the report is
+// deterministic at any worker count: a failed shadowed leg leaves the
+// Mit* fields zero, and a failed mitigated leg keeps the shadowed
+// leg's fields and sets Err.
 func (s *Study) ShadowMatrix(cells []ShadowCell) *ShadowReport {
-	results := make([]ShadowCellResult, len(cells))
-	s.execInOrder(len(cells), func(i int) { results[i] = runShadowCell(cells[i], s.Obs) })
-	r := &ShadowReport{Cells: results}
-	for i := range results {
-		if results[i].Err != "" {
+	legs := make([]ShadowCellResult, 2*len(cells))
+	s.execInOrder(len(legs), func(i int) { legs[i] = runLeg(cells[i/2], i%2 == 1, s.Obs) })
+	r := &ShadowReport{Cells: make([]ShadowCellResult, 0, len(cells))}
+	for i := 0; i < len(legs); i += 2 {
+		c, mit := legs[i], legs[i+1]
+		if c.Err == "" {
+			c.MitPrec, c.MitEmulated, c.MitImproved, c.Err = mit.MitPrec, mit.MitEmulated, mit.MitImproved, mit.Err
+		}
+		if c.Err != "" {
 			r.Failures++
 		}
+		r.Cells = append(r.Cells, c)
 	}
 	return r
 }
