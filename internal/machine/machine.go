@@ -26,8 +26,9 @@ import (
 // CPU is the architectural register state of one hardware thread. It is
 // the state a signal handler sees (and may rewrite) through mcontext.
 type CPU struct {
-	// R is the integer register file; R[0] reads as zero and ignores
-	// writes. R[15] is the stack pointer by convention.
+	// R is the integer register file; R[15] is the stack pointer by
+	// convention. R[0] reads as zero: machine writes go through setReg,
+	// which drops them, and the kernel, libc and mpi write only R1 and SP.
 	R [isa.NumIntRegs]uint64
 	// X is the 512-bit vector register file, isa.VecWords lanes of 64
 	// bits each. Narrower instruction forms touch only their low lanes.
@@ -223,14 +224,6 @@ func (m *Machine) faultEvent(reason string, addr uint64) Event {
 	return &m.evFault
 }
 
-// reg reads an integer register (R0 is hardwired zero).
-func (c *CPU) reg(r uint8) uint64 {
-	if r == 0 {
-		return 0
-	}
-	return c.R[r]
-}
-
 // setReg writes an integer register (writes to R0 are discarded).
 func (c *CPU) setReg(r uint8, v uint64) {
 	if r != 0 {
@@ -335,101 +328,63 @@ func (m *Machine) Step() Event {
 // branches here.
 func (m *Machine) execBranch(inst *isa.Inst, addr uint64, idx int) (uint64, int, Event) {
 	c := &m.CPU
-	a := int64(c.reg(inst.Rs1))
-	b := int64(c.reg(inst.Rs2))
-	taken := false
+	a := int64(c.R[inst.Rs1])
+	b := int64(c.R[inst.Rs2])
 	switch inst.Op {
-	case isa.OpJMP:
-		taken = true
-	case isa.OpBEQ:
-		taken = a == b
-	case isa.OpBNE:
-		taken = a != b
-	case isa.OpBLT:
-		taken = a < b
-	case isa.OpBGE:
-		taken = a >= b
-	case isa.OpBLE:
-		taken = a <= b
-	case isa.OpBGT:
-		taken = a > b
 	case isa.OpCALL:
 		// Push the return address on the stack.
-		sp := c.reg(isa.SP) - 8
+		sp := c.R[isa.SP] - 8
 		if !m.Mem.Store64(sp, addr+isa.InstBytes) {
 			return 0, 0, m.faultEvent(fmt.Sprintf("stack overflow at %#x", sp), addr)
 		}
 		c.setReg(isa.SP, sp)
-		taken = true
 	case isa.OpRET:
-		sp := c.reg(isa.SP)
+		sp := c.R[isa.SP]
 		ra, ok := m.Mem.Load64(sp)
 		if !ok {
 			return 0, 0, m.faultEvent(fmt.Sprintf("stack underflow at %#x", sp), addr)
 		}
 		c.setReg(isa.SP, sp+8)
 		return ra, -1, nil
+	default:
+		if !taken(opKinds[inst.Op], a, b) {
+			return addr + isa.InstBytes, idx + 1, nil
+		}
 	}
-	if taken {
-		// Direct branches carry their target as an instruction index,
-		// so the next fetch needs no IndexOf either.
-		ti := int(inst.Imm)
-		return m.Prog.AddrOf(ti), ti, nil
-	}
-	return addr + isa.InstBytes, idx + 1, nil
+	// Direct branches carry their target as an instruction index, so
+	// the next fetch needs no IndexOf either.
+	ti := int(inst.Imm)
+	return m.Prog.AddrOf(ti), ti, nil
 }
 
 // execInt executes an integer ALU instruction. A non-nil event (divide
 // fault) means the instruction did not retire.
 func (m *Machine) execInt(inst *isa.Inst, addr uint64) Event {
 	c := &m.CPU
-	a := c.reg(inst.Rs1)
-	b := c.reg(inst.Rs2)
-	var v uint64
-	switch inst.Op {
-	case isa.OpMOVI:
-		v = uint64(inst.Imm)
-	case isa.OpMOV:
-		v = a
-	case isa.OpADD:
-		v = a + b
-	case isa.OpADDI:
-		v = a + uint64(inst.Imm)
-	case isa.OpSUB:
-		v = a - b
-	case isa.OpMULQ:
-		v = uint64(int64(a) * int64(b))
-	case isa.OpDIVQ, isa.OpREMQ:
-		if b == 0 {
-			return m.faultEvent("integer divide by zero", addr)
-		}
-		if inst.Op == isa.OpDIVQ {
-			v = uint64(int64(a) / int64(b))
-		} else {
-			v = uint64(int64(a) % int64(b))
-		}
-	case isa.OpAND:
-		v = a & b
-	case isa.OpOR:
-		v = a | b
-	case isa.OpXOR:
-		v = a ^ b
-	case isa.OpSHLI:
-		v = a << uint(inst.Imm)
-	case isa.OpSHRI:
-		v = a >> uint(inst.Imm)
+	a := c.R[inst.Rs1]
+	b := c.R[inst.Rs2]
+	k := opKinds[inst.Op]
+	if k != SBInt {
+		c.setReg(inst.Rd, intResult(k, a, b, inst.Imm))
+		return nil
+	}
+	if b == 0 { // divq and remq
+		return m.faultEvent("integer divide by zero", addr)
+	}
+	v := uint64(int64(a) % int64(b))
+	if inst.Op == isa.OpDIVQ {
+		v = uint64(int64(a) / int64(b))
 	}
 	c.setReg(inst.Rd, v)
 	return nil
 }
 
 // execMem executes a load/store/MXCSR-access instruction. A non-nil
-// event (memory fault) means the instruction did not retire; partial
-// vector stores before a fault match the stepped path by construction
-// since both run this code.
+// event (memory fault) means the instruction did not retire and changed
+// nothing.
 func (m *Machine) execMem(inst *isa.Inst, addr uint64) Event {
 	c := &m.CPU
-	ea := c.reg(inst.Rs1) + uint64(inst.Imm)
+	ea := c.R[inst.Rs1] + uint64(inst.Imm)
 	switch inst.Op {
 	case isa.OpLD:
 		v, ok := m.Mem.Load64(ea)
@@ -438,7 +393,7 @@ func (m *Machine) execMem(inst *isa.Inst, addr uint64) Event {
 		}
 		c.setReg(inst.Rd, v)
 	case isa.OpST:
-		if !m.Mem.Store64(ea, c.reg(inst.Rs2)) {
+		if !m.Mem.Store64(ea, c.R[inst.Rs2]) {
 			return m.memFault(addr, ea)
 		}
 	case isa.OpFLD:
@@ -461,32 +416,21 @@ func (m *Machine) execMem(inst *isa.Inst, addr uint64) Event {
 		if !m.Mem.Store32(ea, uint32(c.X[inst.Rs2][0])) {
 			return m.memFault(addr, ea)
 		}
-	case isa.OpFLDV:
-		for l := 0; l < 4; l++ {
-			v, ok := m.Mem.Load64(ea + uint64(l)*8)
-			if !ok {
-				return m.memFault(addr, ea)
-			}
-			c.X[inst.Rd][l] = v
+	case isa.OpFLDV, isa.OpFLDVZ, isa.OpFSTV, isa.OpFSTVZ:
+		// The whole range is checked before a lane moves, so a faulting
+		// access leaves register and memory as they were, as on x86.
+		lanes := uint64(4)
+		if inst.Op == isa.OpFLDVZ || inst.Op == isa.OpFSTVZ {
+			lanes = isa.VecWords
 		}
-	case isa.OpFSTV:
-		for l := 0; l < 4; l++ {
-			if !m.Mem.Store64(ea+uint64(l)*8, c.X[inst.Rs2][l]) {
-				return m.memFault(addr, ea)
-			}
+		if !m.Mem.inBounds(ea, 8*lanes) {
+			return m.memFault(addr, ea)
 		}
-	case isa.OpFLDVZ:
-		for l := 0; l < isa.VecWords; l++ {
-			v, ok := m.Mem.Load64(ea + uint64(l)*8)
-			if !ok {
-				return m.memFault(addr, ea)
-			}
-			c.X[inst.Rd][l] = v
-		}
-	case isa.OpFSTVZ:
-		for l := 0; l < isa.VecWords; l++ {
-			if !m.Mem.Store64(ea+uint64(l)*8, c.X[inst.Rs2][l]) {
-				return m.memFault(addr, ea)
+		for l := range lanes {
+			if inst.Op == isa.OpFLDV || inst.Op == isa.OpFLDVZ {
+				c.X[inst.Rd][l], _ = m.Mem.Load64(ea + l*8)
+			} else {
+				m.Mem.Store64(ea+l*8, c.X[inst.Rs2][l])
 			}
 		}
 	case isa.OpLDMXCSR:
@@ -520,7 +464,7 @@ func (m *Machine) execMove(inst *isa.Inst) {
 	case isa.OpMOVAPD:
 		c.X[inst.Rd] = c.X[inst.Rs1]
 	case isa.OpMOVQX:
-		c.X[inst.Rd][0] = c.reg(inst.Rs1)
+		c.X[inst.Rd][0] = c.R[inst.Rs1]
 	case isa.OpMOVXQ:
 		c.setReg(inst.Rd, c.X[inst.Rs1][0])
 	}

@@ -41,7 +41,7 @@ func (m *Machine) execFP(inst *isa.Inst, info *isa.OpInfo, idx int, addr uint64)
 		m.execDot(inst, info, env, &st)
 	}
 
-	if ev := m.fpRetire(inst, info, idx, addr, st.raised); ev != nil {
+	if ev := m.fpRetire(inst, idx, addr, st.raised); ev != nil {
 		return ev
 	}
 	if st.vecSet {
@@ -59,7 +59,7 @@ func (m *Machine) execFP(inst *isa.Inst, info *isa.OpInfo, idx int, addr uint64)
 // write-back (the returned event). Otherwise the retiring instruction's
 // FLOPs are counted and the caller writes its result back. execFP and
 // the region loop's scalar binary64 lane both end here.
-func (m *Machine) fpRetire(inst *isa.Inst, info *isa.OpInfo, idx int, addr uint64, raised softfloat.Flags) Event {
+func (m *Machine) fpRetire(inst *isa.Inst, idx int, addr uint64, raised softfloat.Flags) Event {
 	c := &m.CPU
 	unmasked := c.MXCSR.Unmasked(raised)
 	c.MXCSR.SetFlags(raised)
@@ -67,7 +67,7 @@ func (m *Machine) fpRetire(inst *isa.Inst, info *isa.OpInfo, idx int, addr uint6
 		return m.fpEventAt(addr, idx, raised, unmasked)
 	}
 	if m.Flops != nil {
-		m.countFlops(inst, info)
+		m.countFlops(inst, inst.Op.Info())
 	}
 	return nil
 }
@@ -83,7 +83,7 @@ func (m *Machine) execMask(inst *isa.Inst) {
 	c := &m.CPU
 	switch inst.Op {
 	case isa.OpKMOVQ:
-		c.K[inst.Rd%isa.NumMaskRegs] = c.reg(inst.Rs1)
+		c.K[inst.Rd%isa.NumMaskRegs] = c.R[inst.Rs1]
 	case isa.OpKMOVRQ:
 		c.setReg(inst.Rd, c.K[inst.Rs1%isa.NumMaskRegs])
 	}
@@ -355,19 +355,19 @@ func (m *Machine) execConvert(inst *isa.Inst, info *isa.OpInfo, env softfloat.En
 		st.raised = fl
 	case isa.CvtSI2SD:
 		st.vecSet = true
-		st.vec[0] = softfloat.I32ToF64(int32(c.reg(inst.Rs1)))
+		st.vec[0] = softfloat.I32ToF64(int32(c.R[inst.Rs1]))
 	case isa.CvtSI2SDQ:
-		z, fl := softfloat.I64ToF64(int64(c.reg(inst.Rs1)), env)
+		z, fl := softfloat.I64ToF64(int64(c.R[inst.Rs1]), env)
 		st.vecSet = true
 		st.vec[0] = z
 		st.raised = fl
 	case isa.CvtSI2SS:
-		z, fl := softfloat.I32ToF32(int32(c.reg(inst.Rs1)), env)
+		z, fl := softfloat.I32ToF32(int32(c.R[inst.Rs1]), env)
 		st.vecSet = true
 		stSetLane32(&st.vec, 0, z)
 		st.raised = fl
 	case isa.CvtSI2SSQ:
-		z, fl := softfloat.I64ToF32(int64(c.reg(inst.Rs1)), env)
+		z, fl := softfloat.I64ToF32(int64(c.R[inst.Rs1]), env)
 		st.vecSet = true
 		stSetLane32(&st.vec, 0, z)
 		st.raised = fl

@@ -15,7 +15,7 @@ import (
 // branch, call, or ret) that ends it; it ends before hlt, callc, or a
 // stubbed breakpoint address, which retire through Step. Its metadata
 // bakes in everything that is static per instruction: the decoded Inst
-// and OpInfo pointers and the retirement kind. Regions are keyed by
+// pointer, the retirement kind and inline operands. Regions are keyed by
 // (start index, code version); the version bumps whenever in-place
 // execution behavior changes (SetBreakpoint/ClearBreakpoint, and
 // SetShadow: a sink's observed instructions retire as SBShadow),
@@ -30,10 +30,11 @@ import (
 // A retired branch flushes RIP and nextIdx to its target, and the loop
 // continues with the region there through the same RIP-to-index check
 // Step makes, so a target outside the program faults as "bad rip"
-// exactly as it would under Step. Nothing inside a straight run can set
-// TF, arm a breakpoint, or deliver a signal (those happen in kernel
-// event handling, outside RunStraight), so the entry checks hold for
-// the whole run.
+// exactly as it would under Step; a direct branch back to its own
+// region's start skips both and runs the region again. Nothing inside a
+// straight run can set TF, arm a breakpoint, or deliver a signal (those
+// happen in kernel event handling, outside RunStraight), so the entry
+// checks hold for the whole run.
 
 // SBKind is the precomputed retirement kind of one instruction inside a
 // superblock region. It collapses the per-Step class switch and the
@@ -44,8 +45,29 @@ type SBKind uint8
 const (
 	// SBNop retires with no architectural effect.
 	SBNop SBKind = iota
-	// SBInt is an integer ALU instruction (may fault on divide by zero).
+	// SBInt is divq or remq (may fault on divide by zero), or another
+	// integer ALU op that writes r0 or names a source out of range.
 	SBInt
+	// SBMovi through SBShri are the other integer ALU ops, retired inline.
+	SBMovi
+	SBMov
+	SBAdd
+	SBAddi
+	SBSub
+	SBMulq
+	SBAnd
+	SBOr
+	SBXor
+	SBShli
+	SBShri
+	// SBJmp through SBBgt are jmp and the six conditional branches.
+	SBJmp
+	SBBeq
+	SBBne
+	SBBlt
+	SBBge
+	SBBle
+	SBBgt
 	// SBMem is a load/store/MXCSR access (may fault on a bad address).
 	SBMem
 	// SBFPMove is a flagless vector register move.
@@ -59,8 +81,8 @@ const (
 	// SBFP is any other floating point form, retired through the same
 	// execFP path Step uses.
 	SBFP
-	// SBBranch is the jmp, conditional branch, call, or ret that ends a
-	// region (may fault on a call's push or a ret's pop).
+	// SBBranch is the call or ret that ends a region (may fault on the
+	// push or the pop).
 	SBBranch
 	// SBShadow is an instruction the attached shadow sink observes,
 	// retired between its PreStep and Retired through the helper Step
@@ -68,17 +90,15 @@ const (
 	SBShadow
 )
 
-// sbMeta is the cached per-instruction metadata of a region entry. For
-// the SBFPScalar64 hot lane the operand registers and FP kind are
-// flattened into the entry itself, so the dispatch loop touches only
-// the sequential meta slice instead of chasing the Inst and OpInfo
-// pointers per instruction.
+// sbMeta is the cached per-instruction metadata of a region entry. The
+// inline kinds' operands are flattened into it (imm is a direct
+// branch's target index), so the loop need not chase the Inst pointer.
 type sbMeta struct {
 	kind         SBKind
 	fp           isa.FPOp
 	rd, rs1, rs2 uint8
+	imm          int64
 	inst         *isa.Inst
-	info         *isa.OpInfo
 }
 
 // sbRegion is one cached region. meta is empty when the start
@@ -88,6 +108,74 @@ type sbRegion struct {
 	version uint64
 	built   bool
 	meta    []sbMeta
+}
+
+// opKinds maps integer ALU opcodes and branches to their kinds; execInt
+// and execBranch look them up too, so both engines share helper cases.
+var opKinds = func() []SBKind {
+	t := make([]SBKind, isa.NumOpcodes())
+	for op, k := range map[isa.Opcode]SBKind{
+		isa.OpMOVI: SBMovi, isa.OpMOV: SBMov, isa.OpADD: SBAdd, isa.OpADDI: SBAddi,
+		isa.OpSUB: SBSub, isa.OpMULQ: SBMulq, isa.OpDIVQ: SBInt, isa.OpREMQ: SBInt,
+		isa.OpAND: SBAnd, isa.OpOR: SBOr, isa.OpXOR: SBXor, isa.OpSHLI: SBShli, isa.OpSHRI: SBShri,
+		isa.OpJMP: SBJmp, isa.OpBEQ: SBBeq, isa.OpBNE: SBBne, isa.OpBLT: SBBlt,
+		isa.OpBGE: SBBge, isa.OpBLE: SBBle, isa.OpBGT: SBBgt, isa.OpCALL: SBBranch, isa.OpRET: SBBranch,
+	} {
+		t[op] = k
+	}
+	return t
+}()
+
+// intResult is the integer ALU op of kind k (SBMovi through SBShri) on
+// a = rs1, b = rs2 and imm, for execInt and the region loop alike. It
+// must stay inlinable: the loop passes each kind as a constant, so the
+// switch folds away and the op costs no call.
+func intResult(k SBKind, a, b uint64, imm int64) uint64 {
+	switch k {
+	case SBMovi:
+		return uint64(imm)
+	case SBAdd:
+		return a + b
+	case SBAddi:
+		return a + uint64(imm)
+	case SBSub:
+		return a - b
+	case SBMulq:
+		return uint64(int64(a) * int64(b))
+	case SBAnd:
+		return a & b
+	case SBOr:
+		return a | b
+	case SBXor:
+		return a ^ b
+	case SBShli:
+		return a << uint(imm)
+	case SBShri:
+		return a >> uint(imm)
+	default: // SBMov
+		return a
+	}
+}
+
+// taken reports whether the direct branch of kind k (SBJmp through
+// SBBgt) is taken with a = rs1, b = rs2, in execBranch and the loop.
+func taken(k SBKind, a, b int64) bool {
+	switch k {
+	case SBBeq:
+		return a == b
+	case SBBne:
+		return a != b
+	case SBBlt:
+		return a < b
+	case SBBge:
+		return a >= b
+	case SBBle:
+		return a <= b
+	case SBBgt:
+		return a > b
+	default: // SBJmp
+		return true
+	}
 }
 
 // regionFor returns the cached region starting at instruction idx,
@@ -122,10 +210,13 @@ func (m *Machine) buildRegion(r *sbRegion, idx int) {
 				return // hlt and callc end the region before them
 			}
 			kind = SBNop
-		case isa.ClassBranch:
-			kind = SBBranch
-		case isa.ClassInt:
-			kind = SBInt
+		case isa.ClassBranch, isa.ClassInt:
+			// execInt reads both sources, so it panics as under Step on
+			// one out of range; such an op, and one writing r0, keeps it.
+			kind = opKinds[inst.Op]
+			if info.Class == isa.ClassInt && (inst.Rd == 0 || inst.Rs1 >= isa.NumIntRegs || inst.Rs2 >= isa.NumIntRegs) {
+				kind = SBInt
+			}
 		case isa.ClassMem:
 			kind = SBMem
 		case isa.ClassFPMove:
@@ -143,10 +234,10 @@ func (m *Machine) buildRegion(r *sbRegion, idx int) {
 		}
 		r.meta = append(r.meta, sbMeta{
 			kind: kind, fp: info.FP,
-			rd: inst.Rd, rs1: inst.Rs1, rs2: inst.Rs2,
-			inst: inst, info: info,
+			rd: inst.Rd, rs1: inst.Rs1, rs2: inst.Rs2, imm: inst.Imm,
+			inst: inst,
 		})
-		if kind == SBBranch {
+		if info.Class == isa.ClassBranch {
 			return
 		}
 	}
@@ -185,22 +276,56 @@ regions:
 		}
 		// A branch counts against max like any other instruction; one
 		// beyond the budget is left for the next call.
-		limit := len(meta)
-		if rem := max - n; uint64(limit) > rem {
-			limit = int(rem)
-		}
 		startAddr := m.CPU.RIP
 		var ev Event
-		k := 0
+		k, limit := 0, int(min(uint64(len(meta)), max-n))
 		for ; k < limit; k++ {
+			// Registers are read directly (see CPU.R).
 			mt := &meta[k]
-			addr := startAddr + uint64(k)*isa.InstBytes
 			switch mt.kind {
 			case SBNop:
+			case SBMovi:
+				c.R[mt.rd] = intResult(SBMovi, 0, 0, mt.imm)
+			case SBMov:
+				c.R[mt.rd] = intResult(SBMov, c.R[mt.rs1], 0, 0)
+			case SBAdd:
+				c.R[mt.rd] = intResult(SBAdd, c.R[mt.rs1], c.R[mt.rs2], 0)
+			case SBAddi:
+				c.R[mt.rd] = intResult(SBAddi, c.R[mt.rs1], 0, mt.imm)
+			case SBSub:
+				c.R[mt.rd] = intResult(SBSub, c.R[mt.rs1], c.R[mt.rs2], 0)
+			case SBMulq:
+				c.R[mt.rd] = intResult(SBMulq, c.R[mt.rs1], c.R[mt.rs2], 0)
+			case SBAnd:
+				c.R[mt.rd] = intResult(SBAnd, c.R[mt.rs1], c.R[mt.rs2], 0)
+			case SBOr:
+				c.R[mt.rd] = intResult(SBOr, c.R[mt.rs1], c.R[mt.rs2], 0)
+			case SBXor:
+				c.R[mt.rd] = intResult(SBXor, c.R[mt.rs1], c.R[mt.rs2], 0)
+			case SBShli:
+				c.R[mt.rd] = intResult(SBShli, c.R[mt.rs1], 0, mt.imm)
+			case SBShri:
+				c.R[mt.rd] = intResult(SBShri, c.R[mt.rs1], 0, mt.imm)
+			case SBJmp, SBBeq, SBBne, SBBlt, SBBge, SBBle, SBBgt:
+				// The region's last entry: credit the region, then run it
+				// again if the branch goes back to its start, else chain.
+				next := idx + k + 1
+				if taken(mt.kind, int64(c.R[mt.rs1]), int64(c.R[mt.rs2])) {
+					next = int(mt.imm)
+				}
+				m.Retired += uint64(k + 1)
+				n += uint64(k + 1)
+				if next == idx {
+					k, limit = -1, int(min(uint64(len(meta)), max-n))
+					continue
+				}
+				m.CPU.RIP = m.Prog.AddrOf(next)
+				m.nextIdx = next
+				continue regions
 			case SBInt:
-				ev = m.execInt(mt.inst, addr)
+				ev = m.execInt(mt.inst, startAddr+uint64(k)*isa.InstBytes)
 			case SBMem:
-				ev = m.execMem(mt.inst, addr)
+				ev = m.execMem(mt.inst, startAddr+uint64(k)*isa.InstBytes)
 			case SBFPMove:
 				m.execMove(mt.inst)
 			case SBMask:
@@ -234,30 +359,31 @@ regions:
 				case isa.FPMax:
 					z, fl = softfloat.Max64(a, b, env)
 				}
-				if ev = m.fpRetire(mt.inst, mt.info, idx+k, addr, fl); ev == nil {
+				if ev = m.fpRetire(mt.inst, idx+k, startAddr+uint64(k)*isa.InstBytes, fl); ev == nil {
 					c.X[mt.rd][0] = z
 				}
 			case SBFP:
-				ev = m.execFP(mt.inst, mt.info, idx+k, addr)
+				ev = m.execFP(mt.inst, mt.inst.Op.Info(), idx+k, startAddr+uint64(k)*isa.InstBytes)
 			case SBShadow:
-				m.Shadow.PreStep(addr, mt.inst, mt.info)
-				switch mt.info.Class {
+				addr, info := startAddr+uint64(k)*isa.InstBytes, mt.inst.Op.Info()
+				m.Shadow.PreStep(addr, mt.inst, info)
+				switch info.Class {
 				case isa.ClassMem:
 					ev = m.execMem(mt.inst, addr)
 				case isa.ClassFPMove:
 					m.execMove(mt.inst)
 				default:
-					ev = m.execFP(mt.inst, mt.info, idx+k, addr)
+					ev = m.execFP(mt.inst, info, idx+k, addr)
 				}
 				if ev == nil {
 					m.Shadow.Retired()
 				}
 			case SBBranch:
-				// The region's last entry: retire it and chain to the
-				// region at its target.
+				// A call or ret, the region's last entry: retire it and
+				// chain to the region at its target.
 				var next uint64
 				var nextIdx int
-				if next, nextIdx, ev = m.execBranch(mt.inst, addr, idx+k); ev == nil {
+				if next, nextIdx, ev = m.execBranch(mt.inst, startAddr+uint64(k)*isa.InstBytes, idx+k); ev == nil {
 					m.CPU.RIP = next
 					m.nextIdx = nextIdx
 					m.Retired += uint64(k + 1)
@@ -270,9 +396,9 @@ regions:
 			}
 		}
 		// Flush the batched retirement state: k instructions retired
-		// cleanly, and on an event RIP must address the eventful
-		// instruction with the prefix credited — the same state
-		// per-instruction stepping leaves behind.
+		// cleanly since this pass over the region began at startAddr,
+		// and on an event RIP must address the eventful instruction
+		// with the prefix credited — the same state Step leaves behind.
 		m.CPU.RIP = startAddr + uint64(k)*isa.InstBytes
 		m.nextIdx = idx + k
 		m.Retired += uint64(k)

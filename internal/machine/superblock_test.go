@@ -115,6 +115,146 @@ func branchSignature() uint64 {
 	return sig
 }
 
+// intOpsProgram emits every integer ALU op the region loop retires
+// inline twice: once writing r0, which must stay zero, and once reading
+// r0 as a source. Then come shli and shri by 0, 63, 64 and -1, and the
+// wrapping add, sub and mulq. Every result but the writes to r0 is
+// stored to out in turn, for intOpsWant to pin.
+func intOpsProgram() (prog *isa.Program, out uint64) {
+	b := isa.NewBuilder("intops")
+	out = b.Zeros(8 * len(intOpsWant))
+	b.Movi(isa.R1, -3)
+	b.Movi(isa.R2, 5)
+	b.Movi(isa.R4, math.MinInt64+1)
+	b.Movi(isa.R5, -1)
+	b.Movi(isa.R6, 1<<32+1)
+	b.Movi(isa.R14, int64(out))
+	b.Movi(isa.R0, 9)
+	b.Mov(isa.R0, isa.R1)
+	for _, op := range []func(rd, rs1, rs2 int){b.Add, b.Sub, b.Mulq, b.And, b.Or, b.Xor} {
+		op(isa.R0, isa.R1, isa.R2)
+	}
+	for _, op := range []func(rd, rs1 int, imm int64){b.Addi, b.Shli, b.Shri} {
+		op(isa.R0, isa.R1, 1)
+	}
+	results := []func(){
+		func() { b.Mov(isa.R3, isa.R0) },
+		func() { b.Add(isa.R3, isa.R0, isa.R1) },
+		func() { b.Addi(isa.R3, isa.R0, -7) },
+		func() { b.Sub(isa.R3, isa.R0, isa.R2) },
+		func() { b.Mulq(isa.R3, isa.R1, isa.R0) },
+		func() { b.And(isa.R3, isa.R1, isa.R0) },
+		func() { b.Or(isa.R3, isa.R0, isa.R2) },
+		func() { b.Xor(isa.R3, isa.R1, isa.R0) },
+		func() { b.Shli(isa.R3, isa.R0, 3) },
+		func() { b.Shri(isa.R3, isa.R0, 3) },
+		func() { b.Add(isa.R3, isa.R5, isa.R2) },
+		func() { b.Sub(isa.R3, isa.R2, isa.R1) },
+		func() { b.Mulq(isa.R3, isa.R6, isa.R6) },
+		func() { b.Mulq(isa.R3, isa.R1, isa.R2) },
+	}
+	for _, n := range []int64{0, 63, 64, -1} {
+		results = append(results, func() { b.Shli(isa.R3, isa.R4, n) }, func() { b.Shri(isa.R3, isa.R4, n) })
+	}
+	for i, emit := range results {
+		emit()
+		b.St(isa.R14, int64(8*i), isa.R3)
+	}
+	b.Hlt()
+	return b.Build(), out
+}
+
+// intOpsWant is what intOpsProgram stores, in order, written out rather
+// than computed so that a fault in the helper both engines share fails.
+var intOpsWant = []uint64{
+	0, 0xfffffffffffffffd, 0xfffffffffffffff9, 0xfffffffffffffffb, // mov, add, addi, sub from r0
+	0, 0, 5, 0xfffffffffffffffd, 0, 0, // mulq, and, or, xor, shli, shri with r0
+	4, 8, 0x200000001, 0xfffffffffffffff1, // wrapping add, sub, mulq; -3 * 5
+	0x8000000000000001, 0x8000000000000001, // shli, shri by 0
+	0x8000000000000000, 1, // by 63
+	0, 0, // by 64
+	0, 0, // by -1
+}
+
+// condProgram emits each conditional branch on operands whose difference
+// is negative, zero and positive, a negative operand among them so that
+// an unsigned comparison would decide otherwise, in a loop that a jmp
+// back edge closes after two passes. R10 records each branch's outcome
+// as one bit, set when the branch falls through.
+func condProgram() *isa.Program {
+	b := isa.NewBuilder("conds")
+	top, done := b.Label("top"), b.Label("done")
+	b.Movi(isa.R4, -5)
+	b.Movi(isa.R5, 3)
+	b.Movi(isa.R3, 2) // passes
+	b.Bind(top)
+	for _, br := range []func(rs1, rs2 int, l *isa.Label){b.Beq, b.Bne, b.Blt, b.Bge, b.Ble, b.Bgt} {
+		for _, rs := range [][2]int{{isa.R4, isa.R5}, {isa.R4, isa.R4}, {isa.R5, isa.R4}} {
+			skip := b.Label("skip")
+			b.Shli(isa.R10, isa.R10, 1)
+			br(rs[0], rs[1], skip)
+			b.Addi(isa.R10, isa.R10, 1)
+			b.Bind(skip)
+		}
+	}
+	b.Addi(isa.R2, isa.R2, 1)
+	b.Bge(isa.R2, isa.R3, done)
+	b.Jmp(top)
+	b.Bind(done)
+	b.Hlt()
+	return b.Build()
+}
+
+// condSignature is the R10 that condProgram leaves.
+func condSignature() uint64 {
+	var sig uint64
+	for pass := 0; pass < 2; pass++ {
+		for _, cond := range []func(a, b int64) bool{
+			func(a, b int64) bool { return a == b }, func(a, b int64) bool { return a != b },
+			func(a, b int64) bool { return a < b }, func(a, b int64) bool { return a >= b },
+			func(a, b int64) bool { return a <= b }, func(a, b int64) bool { return a > b },
+		} {
+			for _, ab := range [][2]int64{{-5, 3}, {-5, -5}, {3, -5}} {
+				sig <<= 1
+				if !cond(ab[0], ab[1]) {
+					sig++
+				}
+			}
+		}
+	}
+	return sig
+}
+
+// selfLoopProgram emits a loop that is its own region, four iterations
+// of x1 += 1.0, x2 = 1.0 / x1 and r2++, closed by a blt to its head. The
+// division is inexact only in the third iteration, so the handler's
+// fault and trap land in a later pass over the region. The preamble
+// jumps to the head, or with mid set into the body, whose region then
+// chains to the head; x1 starts at 0.0 or 1.0 to match.
+func selfLoopProgram(mid bool) *isa.Program {
+	b := isa.NewBuilder("selfloop")
+	head, body := b.Label("head"), b.Label("body")
+	b.Movi(isa.R1, int64(math.Float64bits(1)))
+	b.Movqx(isa.X0, isa.R1)
+	b.Movqx(isa.X3, isa.R1)
+	b.Movi(isa.R3, 4)
+	if mid {
+		b.Movqx(isa.X1, isa.R1)
+		b.Jmp(body)
+	} else {
+		b.Movqx(isa.X1, isa.R0)
+		b.Jmp(head)
+	}
+	b.Bind(head)
+	b.FP2(isa.OpADDSD, isa.X1, isa.X1, isa.X3)
+	b.Bind(body)
+	b.FP2(isa.OpDIVSD, isa.X2, isa.X0, isa.X1) // idx 7 either way
+	b.Addi(isa.R2, isa.R2, 1)
+	b.Blt(isa.R2, isa.R3, head)
+	b.Hlt()
+	return b.Build()
+}
+
 // diffMem is the memory size of the engine differentials: the data
 // segment loads at 1 MiB, and the stack starts at the top.
 const diffMem = 1 << 21
@@ -126,7 +266,8 @@ const diffMem = 1 << 21
 // budgets every instruction is a Step; otherwise RunStraight retires the
 // straight runs, its successive calls cycling through budgets, and each
 // call must retire (and credit to Retired) exactly the n it reports, no
-// more than its budget. Programs driven here make no libc calls.
+// more than its budget, and R0 must read zero after every call. Programs
+// driven here make no libc calls.
 func drive(t *testing.T, m *Machine, budgets []uint64, limit uint64) []string {
 	t.Helper()
 	m.CPU.R[isa.SP] = m.Mem.Size()
@@ -145,6 +286,9 @@ func drive(t *testing.T, m *Machine, budgets []uint64, limit uint64) []string {
 			if n > budget || m.Retired-before != n {
 				t.Fatalf("RunStraight(%d) reported %d retires and credited %d", budget, n, m.Retired-before)
 			}
+		}
+		if m.CPU.R[0] != 0 {
+			t.Fatalf("R0 = %#x after %d retires", m.CPU.R[0], m.Retired)
 		}
 		switch e := ev.(type) {
 		case nil:
@@ -271,9 +415,12 @@ func everyBudget(n int) [][]uint64 {
 // superblock dispatch and the precise per-instruction Step reference
 // must produce bit-identical architectural outcomes — registers, mask
 // registers, memory, retirement counts, and the event sequence — on
-// programs covering every SBKind, every branch opcode taken and not
-// taken, nested calls and both stack faults, at every RunStraight
-// budget from 1 to the program's length.
+// programs covering every SBKind, every inline integer op writing and
+// reading r0, shift counts 0, 63, 64 and -1, wrapping arithmetic, every
+// branch opcode taken and not taken on signed operands, nested calls and
+// both stack faults, and a loop that is its own region with an event in
+// a later pass, at every RunStraight budget from 1 to the program's
+// length.
 func TestSuperblockMatchesStep(t *testing.T) {
 	// Agreement alone would pass a fault or a runaway loop in semantics
 	// the two engines share, so each program's outcome is also pinned.
@@ -298,6 +445,87 @@ func TestSuperblockMatchesStep(t *testing.T) {
 		if r[isa.R10] != branchSignature() || r[isa.R2] != 5 || r[isa.R11] != 5 || r[isa.R12] != 5 {
 			t.Errorf("underflow=%v: signature %#x (want %#x), counter %d, calls %d and %d (want 5)",
 				underflow, r[isa.R10], branchSignature(), r[isa.R2], r[isa.R11], r[isa.R12])
+		}
+	}
+	prog, out := intOpsProgram()
+	ref, events := checkEngines(t, prog, 1<<20, everyBudget(len(prog.Insts))...)
+	if !slices.Equal(events, []string{"halt"}) {
+		t.Errorf("intops: events %q, want a halt", events)
+	}
+	for i, want := range intOpsWant {
+		if got, _ := ref.Mem.Load64(out + uint64(8*i)); got != want {
+			t.Errorf("intops: result %d = %#x, want %#x", i, got, want)
+		}
+	}
+	prog = condProgram()
+	ref, events = checkEngines(t, prog, 1<<20, everyBudget(len(prog.Insts))...)
+	if !slices.Equal(events, []string{"halt"}) || ref.CPU.R[isa.R10] != condSignature() || ref.CPU.R[isa.R2] != 2 {
+		t.Errorf("conds: events %q, signature %#x (want %#x), passes %d (want 2)",
+			events, ref.CPU.R[isa.R10], condSignature(), ref.CPU.R[isa.R2])
+	}
+	for _, mid := range []bool{false, true} {
+		prog := selfLoopProgram(mid)
+		ref, events := checkEngines(t, prog, 1<<20, everyBudget(len(prog.Insts))...)
+		div := prog.AddrOf(7)
+		want := []string{fmt.Sprintf("fp %#x %v", div, softfloat.FlagInexact), fmt.Sprintf("trap %#x", div), "halt"}
+		retired := uint64(6 + 4*4) // the preamble, then four iterations
+		if mid {
+			retired-- // the first iteration starts after the addsd
+		}
+		c := &ref.CPU
+		if !slices.Equal(events, want) || ref.Retired != retired || c.R[isa.R2] != 4 ||
+			c.X[isa.X1][0] != math.Float64bits(4) || c.X[isa.X2][0] != math.Float64bits(0.25) {
+			t.Errorf("selfloop mid=%v: events %q (want %q), retired %d (want %d), R2 %d, x1 %#x, x2 %#x",
+				mid, events, want, ref.Retired, retired, c.R[isa.R2], c.X[isa.X1][0], c.X[isa.X2][0])
+		}
+	}
+}
+
+// TestVectorAccessFaultHasNoEffect pins x86's precise faults on the
+// vector forms: a fldv, fstv, fldvz or fstvz whose range runs past the
+// end of memory faults, under Step and RunStraight alike, with the
+// register and every memory word as they were, and does not retire.
+func TestVectorAccessFaultHasNoEffect(t *testing.T) {
+	const mem = 1 << 16
+	for _, tc := range []struct {
+		op   isa.Opcode
+		span uint64 // bytes the access covers
+	}{{isa.OpFLDV, 32}, {isa.OpFSTV, 32}, {isa.OpFLDVZ, 64}, {isa.OpFSTVZ, 64}} {
+		for _, stepped := range []bool{true, false} {
+			ea := uint64(mem) - tc.span/2 // the first half of the lanes is in bounds
+			b := isa.NewBuilder(tc.op.String())
+			b.Movi(isa.R1, int64(ea))
+			b.Raw(isa.Inst{Op: tc.op, Rd: isa.X0, Rs1: isa.R1, Rs2: isa.X1})
+			b.Hlt()
+			m := New(b.Build(), mem)
+			for l := range m.CPU.X[0] {
+				m.CPU.X[isa.X0][l] = 0x1111 * uint64(l+1)
+				m.CPU.X[isa.X1][l] = 0xaaaa * uint64(l+1)
+			}
+			for a := ea; a < mem; a += 8 {
+				m.Mem.Store64(a, a)
+			}
+			before := m.CPU.X[isa.X0]
+			var ev Event
+			if stepped {
+				if ev = m.Step(); ev == nil {
+					ev = m.Step()
+				}
+			} else {
+				_, ev = m.RunStraight(10)
+			}
+			want := fmt.Sprintf("bad memory access %#x", ea)
+			if f, ok := ev.(*FaultEvent); !ok || f.Reason != want || f.Addr != m.Prog.AddrOf(1) {
+				t.Fatalf("%v stepped=%v: event %#v, want %q at %#x", tc.op, stepped, ev, want, m.Prog.AddrOf(1))
+			}
+			if m.CPU.X[isa.X0] != before || m.Retired != 1 || m.CPU.RIP != m.Prog.AddrOf(1) {
+				t.Errorf("%v stepped=%v: x0 %#x (was %#x), retired %d, RIP %#x", tc.op, stepped, m.CPU.X[isa.X0], before, m.Retired, m.CPU.RIP)
+			}
+			for a := ea; a < mem; a += 8 {
+				if v, _ := m.Mem.Load64(a); v != a {
+					t.Errorf("%v stepped=%v: memory at %#x = %#x, want %#x", tc.op, stepped, a, v, a)
+				}
+			}
 		}
 	}
 }
@@ -674,7 +902,9 @@ func fuzzEncode(f *testing.F, p *isa.Program) []byte {
 // budgets must leave the same CPU state, Retired, memory and events as
 // Step, and neither may panic.
 func FuzzSuperblockMatchesStep(f *testing.F) {
-	for _, p := range []*isa.Program{wideFPProgram(), eventFPProgram(), branchProgram(true), branchProgram(false)} {
+	intOps, _ := intOpsProgram()
+	for _, p := range []*isa.Program{wideFPProgram(), eventFPProgram(), branchProgram(true), branchProgram(false),
+		intOps, condProgram(), selfLoopProgram(false), selfLoopProgram(true)} {
 		f.Add([]byte{12}, p.Data, fuzzEncode(f, p))
 		f.Add([]byte{0, 6, 2, 40}, p.Data, fuzzEncode(f, p))
 	}
