@@ -34,7 +34,9 @@ import (
 // region's start skips both and runs the region again. Nothing inside a
 // straight run can set TF, arm a breakpoint, or deliver a signal (those
 // happen in kernel event handling, outside RunStraight), so the entry
-// checks hold for the whole run.
+// checks hold for the whole run. Two shapes of integer code retire
+// without dispatching each instruction (see shortcuts): counted
+// self-loops and integer writes their run overwrites unread.
 
 // SBKind is the precomputed retirement kind of one instruction inside a
 // superblock region. It collapses the per-Step class switch and the
@@ -88,15 +90,25 @@ const (
 	// retired between its PreStep and Retired through the helper Step
 	// uses for its class (execMem, execMove or execFP).
 	SBShadow
+	// SBDead is the first inline integer op of a span whose results the
+	// rest of its run overwrites unread (see shortcuts); the loop jumps
+	// over the span when the whole run retires in this pass.
+	SBDead
+	// SBLoop is the blt closing a counted self-loop (see shortcuts); its
+	// imm is the counter's step, since its target is the region's start.
+	SBLoop
 )
 
 // sbMeta is the cached per-instruction metadata of a region entry. The
 // inline kinds' operands are flattened into it (imm is a direct
 // branch's target index), so the loop need not chase the Inst pointer.
+// An SBDead entry's span is the length of its dead span and end its
+// distance to the end of its run; both fit in what was padding.
 type sbMeta struct {
 	kind         SBKind
 	fp           isa.FPOp
 	rd, rs1, rs2 uint8
+	span, end    uint8
 	imm          int64
 	inst         *isa.Inst
 }
@@ -197,9 +209,10 @@ func (m *Machine) buildRegion(r *sbRegion, idx int) {
 	r.version = m.codeVersion
 	r.built = true
 	r.meta = r.meta[:0]
+decode:
 	for j := idx; j < len(m.Prog.Insts); j++ {
 		if m.Breakpoints != nil && m.Breakpoints[m.Prog.AddrOf(j)] {
-			return // the stub faults at fetch; Step delivers it
+			break // the stub faults at fetch; Step delivers it
 		}
 		inst := &m.Prog.Insts[j]
 		info := inst.Op.Info()
@@ -207,7 +220,7 @@ func (m *Machine) buildRegion(r *sbRegion, idx int) {
 		switch info.Class {
 		case isa.ClassSys:
 			if inst.Op != isa.OpNOP {
-				return // hlt and callc end the region before them
+				break decode // hlt and callc end the region before them
 			}
 			kind = SBNop
 		case isa.ClassBranch, isa.ClassInt:
@@ -238,9 +251,83 @@ func (m *Machine) buildRegion(r *sbRegion, idx int) {
 			inst: inst,
 		})
 		if info.Class == isa.ClassBranch {
-			return
+			break
 		}
 	}
+	shortcuts(r.meta, idx)
+}
+
+// inlineInt reports whether k is an integer ALU op the loop retires
+// inline (SBMovi through SBShri).
+func inlineInt(k SBKind) bool { return k >= SBMovi && k <= SBShri }
+
+// shortcuts marks the two shapes of integer code that the loop retires
+// without dispatching each instruction, both exact by construction
+// (DESIGN §10.1). meta is the region starting at instruction idx.
+func shortcuts(meta []sbMeta, idx int) {
+	// A counted self-loop: a body closed by blt ctr, lim back to idx.
+	if last := len(meta) - 1; last > 0 && meta[last].kind == SBBlt && meta[last].imm == int64(idx) {
+		if c := loopStep(meta[:last], meta[last].rs1, meta[last].rs2); c > 0 {
+			meta[last].kind, meta[last].imm = SBLoop, c
+		}
+	}
+	// Overwritten writes: each maximal run of inline ops (cut at 255, so
+	// distances fit a byte) is walked backward with every register live
+	// at its end; an op whose destination is not live is dead, and the
+	// first op of each contiguous dead span becomes SBDead. Every op
+	// counts as reading both source fields, which only keeps more alive.
+	live, end := ^uint16(0), len(meta)
+	for j := len(meta) - 1; j >= 0; j-- {
+		mt := &meta[j]
+		if !inlineInt(mt.kind) {
+			live, end = ^uint16(0), j
+			continue
+		}
+		if end-j > 255 {
+			live, end = ^uint16(0), j+1
+		}
+		if live&(1<<mt.rd) != 0 {
+			live = live&^(1<<mt.rd) | 1<<mt.rs1 | 1<<mt.rs2
+			continue
+		}
+		mt.kind, mt.span, mt.end = SBDead, 1, uint8(end-j)
+		if j+1 < end && meta[j+1].kind == SBDead {
+			next := &meta[j+1]
+			mt.span = next.span + 1
+			next.kind, next.span, next.end = opKinds[next.inst.Op], 0, 0
+		}
+	}
+}
+
+// loopStep returns the counter's step c when a self-loop's body holds
+// only inline ops and nops, writes ctr once, by addi ctr, ctr, c with
+// c > 0, never writes lim, and writes every other register it writes
+// before reading it, so that the counter is all a pass carries to the
+// next; otherwise it returns 0.
+func loopStep(body []sbMeta, ctr, lim uint8) int64 {
+	var step int64
+	var written, readFirst uint16
+	for i := range body {
+		mt := &body[i]
+		if mt.kind == SBNop {
+			continue
+		}
+		if !inlineInt(mt.kind) {
+			return 0
+		}
+		readFirst |= (1<<mt.rs1 | 1<<mt.rs2) &^ written
+		if mt.rd == ctr {
+			if step != 0 || mt.kind != SBAddi || mt.rs1 != ctr || mt.imm <= 0 {
+				return 0
+			}
+			step = mt.imm
+		}
+		written |= 1 << mt.rd
+	}
+	if written&(1<<lim) != 0 || readFirst&written&^(1<<ctr) != 0 {
+		return 0
+	}
+	return step
 }
 
 // runSuperblock is RunStraight's cached dispatch loop (TF clear).
@@ -322,6 +409,38 @@ regions:
 				m.CPU.RIP = m.Prog.AddrOf(next)
 				m.nextIdx = next
 				continue regions
+			case SBLoop:
+				// A counted self-loop's back edge, imm its step c. Taken,
+				// ctr < lim, so the next R−1 passes, R = ⌈(lim−ctr)/c⌉,
+				// leave ctr below lim without wrapping. Of the f =
+				// min(R, ⌊B/L⌋) passes the budget B holds whole, the
+				// first f−1 change only ctr, so they retire at once; the
+				// next runs as usual and rewrites every other register
+				// the body writes.
+				m.Retired += uint64(k + 1)
+				n += uint64(k + 1)
+				ctr, lim := c.R[mt.rs1], c.R[mt.rs2]
+				if !taken(SBBlt, int64(ctr), int64(lim)) {
+					m.CPU.RIP = m.Prog.AddrOf(idx + k + 1)
+					m.nextIdx = idx + k + 1
+					continue regions
+				}
+				l, step := uint64(len(meta)), uint64(mt.imm)
+				if f := min((lim-ctr-1)/step+1, (max-n)/l); f > 1 {
+					c.R[mt.rs1] += (f - 1) * step
+					m.Retired += (f - 1) * l
+					n += (f - 1) * l
+				}
+				k, limit = -1, int(min(l, max-n))
+				continue
+			case SBDead:
+				// The run's later ops overwrite this span's results unread,
+				// so when the whole run retires in this pass it is skipped.
+				if k+int(mt.end) <= limit {
+					k += int(mt.span) - 1
+					continue
+				}
+				fallthrough
 			case SBInt:
 				ev = m.execInt(mt.inst, startAddr+uint64(k)*isa.InstBytes)
 			case SBMem:

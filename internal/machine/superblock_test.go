@@ -255,6 +255,147 @@ func selfLoopProgram(mid bool) *isa.Program {
 	return b.Build()
 }
 
+// loopProgram emits r2 = start, r3 = lim and r8 = 3, a jmp to the loop
+// head, so that every pass runs in the loop's own region, and the loop:
+// body, closed by blt r2, r3 back to the head; then hlt.
+func loopProgram(name string, start, lim int64, body func(b *isa.Builder)) *isa.Program {
+	b := isa.NewBuilder(name)
+	head := b.Label("head")
+	b.Movi(isa.R2, start)
+	b.Movi(isa.R3, lim)
+	b.Movi(isa.R8, 3)
+	b.Jmp(head)
+	b.Bind(head)
+	body(b)
+	b.Blt(isa.R2, isa.R3, head)
+	b.Hlt()
+	return b.Build()
+}
+
+// counterStep is a loop body that only advances the counter r2.
+func counterStep(step int64) func(b *isa.Builder) {
+	return func(b *isa.Builder) { b.Addi(isa.R2, isa.R2, step) }
+}
+
+// shortcutCase is an engine differential program for the region
+// shortcuts, counted self-loops and overwritten integer writes, with
+// its outcome written out: the events and the retired count and
+// registers after at most shortcutLimit retires.
+type shortcutCase struct {
+	prog    *isa.Program
+	events  []string
+	retired uint64
+	regs    map[int]uint64
+}
+
+// shortcutLimit is where drive stops the shortcut programs that never
+// halt: a counter wrapping past MaxInt64, and one from MinInt64 to
+// MaxInt64.
+const shortcutLimit = 1 << 14
+
+// shortcutCases returns the shortcut programs.
+func shortcutCases() []shortcutCase {
+	halt := []string{"halt"}
+	counter := isa.NewBuilder("counter") // entered by falling through
+	top := counter.Label("top")
+	counter.Movi(isa.R2, 0)
+	counter.Movi(isa.R3, 1000)
+	counter.Bind(top)
+	counter.Addi(isa.R2, isa.R2, 1)
+	counter.Blt(isa.R2, isa.R3, top)
+	counter.Hlt()
+
+	mulq := isa.NewBuilder("mulq-run")
+	mulq.Movi(isa.R8, 7)
+	for range 35 {
+		mulq.Mulq(isa.R6, isa.R8, isa.R8)
+	}
+	mulq.Hlt()
+
+	chained := isa.NewBuilder("chained")
+	chained.Movi(isa.R5, 1)
+	chained.Movi(isa.R5, 2)
+	chained.Shli(isa.R5, isa.R8, 3)
+	chained.Movi(isa.R5, 3)
+	chained.Mov(isa.R6, isa.R5)
+	chained.Movi(isa.R5, 4)
+	chained.Hlt()
+
+	between := isa.NewBuilder("read-between")
+	between.Movi(isa.R7, 100)
+	between.Movi(isa.R5, 11)
+	between.Add(isa.R6, isa.R7, isa.R5) // reads r5 as its second source
+	between.Movi(isa.R5, 2)
+	between.Movi(isa.R9, 5)
+	between.Addi(isa.R10, isa.R9, 1) // reads r9 as its only source
+	between.Movi(isa.R9, 6)
+	between.Hlt()
+
+	long := isa.NewBuilder("long-run") // 301 inline ops
+	long.Movi(isa.R8, 1000)
+	for i := range int64(300) {
+		if i%100 == 50 {
+			long.Add(isa.R9, isa.R9, isa.R6)
+		} else {
+			long.Addi(isa.R6, isa.R8, i)
+		}
+	}
+	long.Hlt()
+
+	load := isa.NewBuilder("load-break")
+	word := load.Words(0x123456789abcdef0)
+	load.Movi(isa.R6, 12345)
+	load.Movi(isa.R6, int64(word))
+	load.Ld(isa.R7, isa.R6, 0)
+	load.Movi(isa.R6, 0)
+	load.Hlt()
+
+	return []shortcutCase{
+		{counter.Build(), halt, 2 + 2*1000, map[int]uint64{isa.R2: 1000}},
+		{loopProgram("ctr-reads", 0, 100, func(b *isa.Builder) {
+			b.Mulq(isa.R5, isa.R2, isa.R8)
+			b.Nop()
+			b.Addi(isa.R2, isa.R2, 1)
+			b.Add(isa.R6, isa.R2, isa.R8)
+		}), halt, 4 + 5*100, map[int]uint64{isa.R2: 100, isa.R5: 297, isa.R6: 103}},
+		{loopProgram("carried", 0, 50, func(b *isa.Builder) {
+			b.Add(isa.R4, isa.R4, isa.R2)
+			b.Addi(isa.R2, isa.R2, 1)
+		}), halt, 4 + 3*50, map[int]uint64{isa.R2: 50, isa.R4: 1225}},
+		{loopProgram("step3", 1, 1001, func(b *isa.Builder) {
+			b.Addi(isa.R2, isa.R2, 3)
+			b.Xor(isa.R5, isa.R2, isa.R3)
+		}), halt, 4 + 3*334, map[int]uint64{isa.R2: 1003, isa.R5: 2}},
+		{loopProgram("moving-bound", 0, 0, func(b *isa.Builder) {
+			b.Addi(isa.R2, isa.R2, 1)
+			b.Shli(isa.R3, isa.R8, 5)
+			b.Sub(isa.R3, isa.R3, isa.R2) // the bound is 96 - r2
+		}), halt, 4 + 4*48, map[int]uint64{isa.R2: 48, isa.R3: 48}},
+		{loopProgram("counter-twice", 0, 100, func(b *isa.Builder) {
+			b.Addi(isa.R2, isa.R2, 1)
+			b.Addi(isa.R2, isa.R2, 2)
+		}), halt, 4 + 3*34, map[int]uint64{isa.R2: 102}},
+		{loopProgram("geometric", 0, 100, func(b *isa.Builder) {
+			b.Mulq(isa.R5, isa.R2, isa.R8)
+			b.Addi(isa.R2, isa.R5, 1) // r2 = 3*r2 + 1
+		}), halt, 4 + 3*5, map[int]uint64{isa.R2: 121, isa.R5: 120}},
+		{loopProgram("max-exit", math.MaxInt64-9, math.MaxInt64, counterStep(3)),
+			halt, 4 + 2*3, map[int]uint64{isa.R2: math.MaxInt64}},
+		{loopProgram("max-wrap", math.MaxInt64-10, math.MaxInt64, counterStep(3)),
+			nil, shortcutLimit, map[int]uint64{isa.R2: 0x8000000000005fef}},
+		{loopProgram("min-start", math.MinInt64, math.MinInt64+1000, counterStep(7)),
+			halt, 4 + 2*143, map[int]uint64{isa.R2: 0x80000000000003e9}},
+		{loopProgram("min-to-max", math.MinInt64, math.MaxInt64, counterStep(1<<40)),
+			nil, shortcutLimit, map[int]uint64{isa.R2: 0x801ffe0000000000}},
+		{loopProgram("entered-done", 10, 5, counterStep(1)), halt, 4 + 2, map[int]uint64{isa.R2: 11}},
+		{mulq.Build(), halt, 36, map[int]uint64{isa.R6: 49}},
+		{chained.Build(), halt, 6, map[int]uint64{isa.R5: 4, isa.R6: 3}},
+		{between.Build(), halt, 7, map[int]uint64{isa.R5: 2, isa.R6: 111, isa.R9: 6, isa.R10: 6}},
+		{long.Build(), halt, 301, map[int]uint64{isa.R6: 1299, isa.R9: 3447}},
+		{load.Build(), halt, 4, map[int]uint64{isa.R6: 0, isa.R7: 0x123456789abcdef0}},
+	}
+}
+
 // diffMem is the memory size of the engine differentials: the data
 // segment loads at 1 MiB, and the stack starts at the top.
 const diffMem = 1 << 21
@@ -418,9 +559,11 @@ func everyBudget(n int) [][]uint64 {
 // programs covering every SBKind, every inline integer op writing and
 // reading r0, shift counts 0, 63, 64 and -1, wrapping arithmetic, every
 // branch opcode taken and not taken on signed operands, nested calls and
-// both stack faults, and a loop that is its own region with an event in
-// a later pass, at every RunStraight budget from 1 to the program's
-// length.
+// both stack faults, a loop that is its own region with an event in a
+// later pass, and the shortcut programs (counted self-loops, overwritten
+// integer writes), at every RunStraight budget from 1 to the program's
+// length; the shortcut programs also run under budgets long enough for
+// a loop to skip many passes in one call.
 func TestSuperblockMatchesStep(t *testing.T) {
 	// Agreement alone would pass a fault or a runaway loop in semantics
 	// the two engines share, so each program's outcome is also pinned.
@@ -477,6 +620,24 @@ func TestSuperblockMatchesStep(t *testing.T) {
 			c.X[isa.X1][0] != math.Float64bits(4) || c.X[isa.X2][0] != math.Float64bits(0.25) {
 			t.Errorf("selfloop mid=%v: events %q (want %q), retired %d (want %d), R2 %d, x1 %#x, x2 %#x",
 				mid, events, want, ref.Retired, retired, c.R[isa.R2], c.X[isa.X1][0], c.X[isa.X2][0])
+		}
+	}
+	for _, tc := range shortcutCases() {
+		budgets := append(everyBudget(len(tc.prog.Insts)), []uint64{1 << 20}, []uint64{100, 3, 1000})
+		ref, events := checkEngines(t, tc.prog, shortcutLimit, budgets...)
+		if !slices.Equal(events, tc.events) || ref.Retired != tc.retired {
+			t.Errorf("%s: events %q (want %q), retired %d (want %d)", tc.prog.Name, events, tc.events, ref.Retired, tc.retired)
+		}
+		for r, want := range tc.regs {
+			if got := ref.CPU.R[r]; got != want {
+				t.Errorf("%s: r%d = %#x, want %#x", tc.prog.Name, r, got, want)
+			}
+		}
+		// A shortcut must also leave Step's state wherever a budget cuts
+		// the run, not only after the run: drive the program to each
+		// prefix of up to 600 retires in one RunStraight call.
+		for limit := uint64(1); limit <= min(tc.retired, 600); limit++ {
+			checkEngines(t, tc.prog, limit, []uint64{1 << 20})
 		}
 	}
 }
@@ -861,11 +1022,12 @@ var fuzzOps = []isa.Opcode{
 // and past its end.
 const fuzzInstBytes = 11
 
-// fuzzProgram decodes a fuzz input into a program of at most 64
-// instructions with data as its data segment.
+// fuzzProgram decodes a fuzz input into a program of at most 512
+// instructions, room for a run of integer ops longer than 255, with data
+// as its data segment.
 func fuzzProgram(data, code []byte) *isa.Program {
 	p := &isa.Program{Name: "fuzz", Base: isa.DefaultCodeBase, Data: data[:min(len(data), 4096)], DataBase: isa.DefaultDataBase}
-	for ; len(code) >= fuzzInstBytes && len(p.Insts) < 64; code = code[fuzzInstBytes:] {
+	for ; len(code) >= fuzzInstBytes && len(p.Insts) < 512; code = code[fuzzInstBytes:] {
 		inst := isa.Inst{
 			Op: fuzzOps[int(code[0])%len(fuzzOps)],
 			Rd: code[1] >> 4, Rs1: code[1] & 15, Rs2: code[2] >> 4, Rs3: code[2] & 15,
@@ -903,8 +1065,12 @@ func fuzzEncode(f *testing.F, p *isa.Program) []byte {
 // Step, and neither may panic.
 func FuzzSuperblockMatchesStep(f *testing.F) {
 	intOps, _ := intOpsProgram()
-	for _, p := range []*isa.Program{wideFPProgram(), eventFPProgram(), branchProgram(true), branchProgram(false),
-		intOps, condProgram(), selfLoopProgram(false), selfLoopProgram(true)} {
+	seeds := []*isa.Program{wideFPProgram(), eventFPProgram(), branchProgram(true), branchProgram(false),
+		intOps, condProgram(), selfLoopProgram(false), selfLoopProgram(true)}
+	for _, tc := range shortcutCases() {
+		seeds = append(seeds, tc.prog)
+	}
+	for _, p := range seeds {
 		f.Add([]byte{12}, p.Data, fuzzEncode(f, p))
 		f.Add([]byte{0, 6, 2, 40}, p.Data, fuzzEncode(f, p))
 	}

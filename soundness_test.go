@@ -7,6 +7,7 @@ import (
 	fpspy "repro"
 	"repro/internal/binscan/absint"
 	"repro/internal/mxcsr"
+	"repro/internal/study"
 	"repro/internal/workload"
 )
 
@@ -45,6 +46,9 @@ func TestWorkloadStaticSoundness(t *testing.T) {
 // same way, and records the same trace, record for record, as the
 // precise single-step reference (Options.NoFastPath) — the corpus-wide
 // half of the engine oracle (chaos.Verify covers the adversarial half).
+// Each workload runs unsampled and under the study's virtual-timer
+// Poisson sampling, whose timers cut the budgets that clamp a counted
+// self-loop's fast-forward.
 func TestWorkloadEngineDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep skipped in -short")
@@ -54,10 +58,11 @@ func TestWorkloadEngineDifferential(t *testing.T) {
 		t.Run(w.Meta.Name, func(t *testing.T) {
 			t.Parallel()
 			prog := w.Build(workload.SizeSmall)
-			cfg := fpspy.Config{Mode: fpspy.ModeIndividual}
-			fast, fastRecs := runRecords(t, prog, fpspy.Options{Config: cfg})
-			precise, preciseRecs := runRecords(t, prog, fpspy.Options{Config: cfg, NoFastPath: true})
-			requireSameRun(t, "fast", "precise", fast, precise, fastRecs, preciseRecs, 0)
+			for _, cfg := range []fpspy.Config{{Mode: fpspy.ModeIndividual}, study.SampledConfig()} {
+				fast, fastRecs := runRecords(t, prog, fpspy.Options{Config: cfg})
+				precise, preciseRecs := runRecords(t, prog, fpspy.Options{Config: cfg, NoFastPath: true})
+				requireSameRun(t, "fast", "precise", fast, precise, fastRecs, preciseRecs, 0)
+			}
 		})
 	}
 }
