@@ -10,11 +10,11 @@ import (
 
 // BenchmarkSoftFloatLanes compares per-lane scalar dispatch (what the
 // machine's packed path did before lane batching: one exported-function
-// call and flag merge per lane) against the lane-sliced kernels, per
-// lane width. The win is call and loop overhead amortized across the
-// vector — the per-lane rounding work is identical by construction
-// (conformance_test pins the lane kernels to the scalar ops bit for
-// bit).
+// call and flag merge per lane) against the lane kernels, per lane
+// width; the binary32 kernel works on the packed register words. The
+// per-lane rounding work is identical by construction
+// (softfloat's TestLanesMatchScalar pins the kernels to the scalar ops
+// bit for bit).
 func BenchmarkSoftFloatLanes(b *testing.B) {
 	env := softfloat.Env{RM: softfloat.RoundNearestEven}
 
@@ -39,7 +39,7 @@ func BenchmarkSoftFloatLanes(b *testing.B) {
 	b.Run("width64/lanes", func(b *testing.B) {
 		var fl softfloat.Flags
 		for i := 0; i < b.N; i++ {
-			fl |= softfloat.AddLanes64(d64, a64, c64, env)
+			fl |= softfloat.Lanes64(softfloat.OpAdd, d64, a64, c64, c64, 1<<len(d64)-1, env)
 		}
 		_ = fl
 	})
@@ -48,9 +48,14 @@ func BenchmarkSoftFloatLanes(b *testing.B) {
 	a32 := make([]uint32, lanes32)
 	c32 := make([]uint32, lanes32)
 	d32 := make([]uint32, lanes32)
+	aw := make([]uint64, isa.VecWords)
+	cw := make([]uint64, isa.VecWords)
+	dw := make([]uint64, isa.VecWords)
 	for i := range a32 {
 		a32[i] = math.Float32bits(0.1 + float32(i)*0.3)
 		c32[i] = math.Float32bits(0.2 + float32(i)*0.7)
+		aw[i/2] |= uint64(a32[i]) << (32 * uint(i%2))
+		cw[i/2] |= uint64(c32[i]) << (32 * uint(i%2))
 	}
 	b.Run("width32/scalar", func(b *testing.B) {
 		var fl softfloat.Flags
@@ -66,7 +71,7 @@ func BenchmarkSoftFloatLanes(b *testing.B) {
 	b.Run("width32/lanes", func(b *testing.B) {
 		var fl softfloat.Flags
 		for i := 0; i < b.N; i++ {
-			fl |= softfloat.AddLanes32(d32, a32, c32, env)
+			fl |= softfloat.Lanes32(softfloat.OpAdd, dw, aw, cw, cw, 1<<lanes32-1, env)
 		}
 		_ = fl
 	})

@@ -74,11 +74,25 @@ func TestNodeRateLimitsByHost(t *testing.T) {
 }
 
 func TestNodeSubmitMetrics(t *testing.T) {
+	// The pass is held, on whichever peer owns the job, until the first
+	// response is read: the job runs in microseconds, and a job already
+	// done when the handler reads its state is answered 200, not 202.
+	gate := make(chan struct{})
+	var gateOnce sync.Once
+	open := func() { gateOnce.Do(func() { close(gate) }) }
 	peers := newTestCluster(t, 2, func(_ int, so *server.Options, _ *cluster.Options) {
 		so.RatePerSec, so.Burst = 0.001, 1
+		prev := so.BeforeRun
+		so.BeforeRun = func(id string) {
+			prev(id)
+			<-gate
+		}
 	})
+	defer open()
 	blob := encodeJob(t, cjob(t, "metered", 2))
-	if w := submitAs(peers[0].node, "10.0.0.1", submitBody(t, blob)); w.Code != http.StatusAccepted {
+	w := submitAs(peers[0].node, "10.0.0.1", submitBody(t, blob))
+	open()
+	if w.Code != http.StatusAccepted {
 		t.Fatalf("submission via a node: %d %s", w.Code, strings.TrimSpace(w.Body.String()))
 	}
 	sv := &peers[0].om.Server

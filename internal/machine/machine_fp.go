@@ -162,182 +162,54 @@ func (m *Machine) countFlops(inst *isa.Inst, info *isa.OpInfo) {
 	}
 }
 
+// laneOps maps an arithmetic form's operation, and fmaOps a fused
+// form's sign variant, to the lane kernels' op.
+var (
+	laneOps = [...]softfloat.Op{
+		isa.FPAdd: softfloat.OpAdd, isa.FPSub: softfloat.OpSub, isa.FPMul: softfloat.OpMul,
+		isa.FPDiv: softfloat.OpDiv, isa.FPSqrt: softfloat.OpSqrt,
+		isa.FPMin: softfloat.OpMin, isa.FPMax: softfloat.OpMax,
+	}
+	fmaOps = [...]softfloat.Op{
+		isa.FMAdd: softfloat.OpFMAdd, isa.FMSub: softfloat.OpFMSub,
+		isa.FNMAdd: softfloat.OpFNMAdd, isa.FNMSub: softfloat.OpFNMSub,
+	}
+)
+
+// execArith retires an arithmetic form with one kernel call on the
+// register words. Only lanes whose mask bit is set compute (and may
+// raise); the others keep the destination's prior contents, which the
+// staging preload provides: the upper lanes of a scalar form, and the
+// masked-off lanes of a write-masked one (merge masking). dst is the
+// staging copy, so it never aliases a source even when Rd is one.
 func (m *Machine) execArith(inst *isa.Inst, info *isa.OpInfo, env softfloat.Env, st *fpStage) {
+	c := &m.CPU
+	st.vecSet = true
+	mask := uint64(1)<<uint(info.Lanes) - 1
 	if info.Masked {
-		m.execArithMasked(inst, info, env, st)
-		return
+		mask = m.laneMask(inst, info)
 	}
-	c := &m.CPU
-	st.vecSet = true
+	a, b := c.X[inst.Rs1][:], c.X[inst.Rs2][:]
 	if info.Prec == isa.F64 {
-		// Lane-sliced dispatch: one opcode switch retires the whole
-		// vector. dst is the staging copy, so it never aliases a/b even
-		// when Rd is also a source.
-		a := c.X[inst.Rs1][:info.Lanes]
-		b := c.X[inst.Rs2][:info.Lanes]
-		dst := st.vec[:info.Lanes]
-		switch info.FP {
-		case isa.FPAdd:
-			st.raised |= softfloat.AddLanes64(dst, a, b, env)
-		case isa.FPSub:
-			st.raised |= softfloat.SubLanes64(dst, a, b, env)
-		case isa.FPMul:
-			st.raised |= softfloat.MulLanes64(dst, a, b, env)
-		case isa.FPDiv:
-			st.raised |= softfloat.DivLanes64(dst, a, b, env)
-		case isa.FPSqrt:
-			st.raised |= softfloat.SqrtLanes64(dst, a, env)
-		case isa.FPMin:
-			st.raised |= softfloat.MinLanes64(dst, a, b, env)
-		case isa.FPMax:
-			st.raised |= softfloat.MaxLanes64(dst, a, b, env)
-		}
+		st.raised |= softfloat.Lanes64(laneOps[info.FP], st.vec[:], a, b, b, mask, env)
 		return
 	}
-	// f32 lanes are packed two per 64-bit word: gather into flat scratch,
-	// dispatch once over the slice, scatter back into the staging vector.
-	var ab, bb, db [2 * isa.VecWords]uint32
-	for l := 0; l < info.Lanes; l++ {
-		ab[l] = c.lane32(inst.Rs1, l)
-		bb[l] = c.lane32(inst.Rs2, l)
-	}
-	a, b, dst := ab[:info.Lanes], bb[:info.Lanes], db[:info.Lanes]
-	switch info.FP {
-	case isa.FPAdd:
-		st.raised |= softfloat.AddLanes32(dst, a, b, env)
-	case isa.FPSub:
-		st.raised |= softfloat.SubLanes32(dst, a, b, env)
-	case isa.FPMul:
-		st.raised |= softfloat.MulLanes32(dst, a, b, env)
-	case isa.FPDiv:
-		st.raised |= softfloat.DivLanes32(dst, a, b, env)
-	case isa.FPSqrt:
-		st.raised |= softfloat.SqrtLanes32(dst, a, env)
-	case isa.FPMin:
-		st.raised |= softfloat.MinLanes32(dst, a, b, env)
-	case isa.FPMax:
-		st.raised |= softfloat.MaxLanes32(dst, a, b, env)
-	}
-	for l := 0; l < info.Lanes; l++ {
-		stSetLane32(&st.vec, l, db[l])
-	}
+	st.raised |= softfloat.Lanes32(laneOps[info.FP], st.vec[:], a, b, b, mask, env)
 }
 
-// execArithMasked executes a write-masked arithmetic form: only lanes
-// whose mask bit is set compute (and may raise); masked-off lanes keep
-// the destination's prior contents, which the staging preload already
-// provides (merge masking).
-func (m *Machine) execArithMasked(inst *isa.Inst, info *isa.OpInfo, env softfloat.Env, st *fpStage) {
-	c := &m.CPU
-	st.vecSet = true
-	mask := m.laneMask(inst, info)
-	if info.Prec == isa.F64 {
-		for l := 0; l < info.Lanes; l++ {
-			if mask>>uint(l)&1 == 0 {
-				continue
-			}
-			a := c.X[inst.Rs1][l]
-			b := c.X[inst.Rs2][l]
-			var z uint64
-			var fl softfloat.Flags
-			switch info.FP {
-			case isa.FPAdd:
-				z, fl = softfloat.Add64(a, b, env)
-			case isa.FPSub:
-				z, fl = softfloat.Sub64(a, b, env)
-			case isa.FPMul:
-				z, fl = softfloat.Mul64(a, b, env)
-			case isa.FPDiv:
-				z, fl = softfloat.Div64(a, b, env)
-			case isa.FPSqrt:
-				z, fl = softfloat.Sqrt64(a, env)
-			case isa.FPMin:
-				z, fl = softfloat.Min64(a, b, env)
-			case isa.FPMax:
-				z, fl = softfloat.Max64(a, b, env)
-			}
-			st.vec[l] = z
-			st.raised |= fl
-		}
-		return
-	}
-	for l := 0; l < info.Lanes; l++ {
-		if mask>>uint(l)&1 == 0 {
-			continue
-		}
-		a := c.lane32(inst.Rs1, l)
-		b := c.lane32(inst.Rs2, l)
-		var z uint32
-		var fl softfloat.Flags
-		switch info.FP {
-		case isa.FPAdd:
-			z, fl = softfloat.Add32(a, b, env)
-		case isa.FPSub:
-			z, fl = softfloat.Sub32(a, b, env)
-		case isa.FPMul:
-			z, fl = softfloat.Mul32(a, b, env)
-		case isa.FPDiv:
-			z, fl = softfloat.Div32(a, b, env)
-		case isa.FPSqrt:
-			z, fl = softfloat.Sqrt32(a, env)
-		case isa.FPMin:
-			z, fl = softfloat.Min32(a, b, env)
-		case isa.FPMax:
-			z, fl = softfloat.Max32(a, b, env)
-		}
-		stSetLane32(&st.vec, l, z)
-		st.raised |= fl
-	}
-}
-
-// negSign64 flips the sign bit (exact, no flags), used for FMA variants.
-func negSign64(x uint64) uint64 { return x ^ 1<<63 }
-
-func negSign32(x uint32) uint32 { return x ^ 1<<31 }
-
+// execFMA retires a fused form like execArith; the variant's signs fold
+// into the kernel's op.
 func (m *Machine) execFMA(inst *isa.Inst, info *isa.OpInfo, env softfloat.Env, st *fpStage) {
 	c := &m.CPU
 	st.vecSet = true
-	negProd, negAdd := info.FMA.NegProduct(), info.FMA.NegAddend()
+	op := fmaOps[info.FMA]
+	mask := uint64(1)<<uint(info.Lanes) - 1
+	a, b, d := c.X[inst.Rs1][:], c.X[inst.Rs2][:], c.X[inst.Rs3][:]
 	if info.Prec == isa.F64 {
-		a := c.X[inst.Rs1][:info.Lanes]
-		b := c.X[inst.Rs2][:info.Lanes]
-		d := c.X[inst.Rs3][:info.Lanes]
-		// Sign variants flip operands into scratch so the plain fused
-		// kernel serves all four forms; the common vfmadd forms pass the
-		// register slices straight through.
-		var as, ds [isa.VecWords]uint64
-		if negProd {
-			for l, v := range a {
-				as[l] = negSign64(v)
-			}
-			a = as[:info.Lanes]
-		}
-		if negAdd {
-			for l, v := range d {
-				ds[l] = negSign64(v)
-			}
-			d = ds[:info.Lanes]
-		}
-		st.raised |= softfloat.FMALanes64(st.vec[:info.Lanes], a, b, d, env)
+		st.raised |= softfloat.Lanes64(op, st.vec[:], a, b, d, mask, env)
 		return
 	}
-	var ab, bb, db, zb [2 * isa.VecWords]uint32
-	for l := 0; l < info.Lanes; l++ {
-		a := c.lane32(inst.Rs1, l)
-		d := c.lane32(inst.Rs3, l)
-		if negProd {
-			a = negSign32(a)
-		}
-		if negAdd {
-			d = negSign32(d)
-		}
-		ab[l], bb[l], db[l] = a, c.lane32(inst.Rs2, l), d
-	}
-	st.raised |= softfloat.FMALanes32(zb[:info.Lanes], ab[:info.Lanes], bb[:info.Lanes], db[:info.Lanes], env)
-	for l := 0; l < info.Lanes; l++ {
-		stSetLane32(&st.vec, l, zb[l])
-	}
+	st.raised |= softfloat.Lanes32(op, st.vec[:], a, b, d, mask, env)
 }
 
 func (m *Machine) execConvert(inst *isa.Inst, info *isa.OpInfo, env softfloat.Env, st *fpStage) {

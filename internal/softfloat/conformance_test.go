@@ -9,6 +9,10 @@ package softfloat
 // precision shadow computation, with tininess detected after rounding
 // exactly as the SSE units do.
 //
+// Each operation is checked twice, through the exported op (whose host
+// path takes most normal operands) and through its integer code, so the
+// suite pins both.
+//
 // Result bits must match the hardware exactly for every non-NaN result.
 // NaN results are compared by class only (both NaN, and the soft result
 // quiet), because NaN payload propagation is architecture-specific and
@@ -111,18 +115,20 @@ const (
 	cfDiv
 )
 
+// cfBinOp is one operation under test: the exported op, whose host path
+// takes most normal inputs, and its integer code, checked alike.
 type cfBinOp struct {
-	name string
-	kind cfBinKind
-	soft func(a, b uint64, env Env) (uint64, Flags)
-	hard func(x, y float64) float64
+	name          string
+	kind          cfBinKind
+	soft, integer func(a, b uint64, env Env) (uint64, Flags)
+	hard          func(x, y float64) float64
 }
 
 var cfBinOps = []cfBinOp{
-	{"Add64", cfAdd, Add64, func(x, y float64) float64 { return x + y }},
-	{"Sub64", cfSub, Sub64, func(x, y float64) float64 { return x - y }},
-	{"Mul64", cfMul, Mul64, func(x, y float64) float64 { return x * y }},
-	{"Div64", cfDiv, Div64, func(x, y float64) float64 { return x / y }},
+	{"Add64", cfAdd, Add64, add64, func(x, y float64) float64 { return x + y }},
+	{"Sub64", cfSub, Sub64, sub64, func(x, y float64) float64 { return x - y }},
+	{"Mul64", cfMul, Mul64, mul64, func(x, y float64) float64 { return x * y }},
+	{"Div64", cfDiv, Div64, div64, func(x, y float64) float64 { return x / y }},
 }
 
 func cfBig(x uint64) *big.Float {
@@ -229,41 +235,51 @@ func tinyQuotient(a, b uint64) bool {
 	return tinyExact(q)
 }
 
-// cfCheckBin runs one (op, a, b) case: hardware value oracle plus the
-// reconstructed flag oracle.
+// cfCheckBin runs one (op, a, b) case on both paths: hardware value
+// oracle plus the reconstructed flag oracle.
 func cfCheckBin(t *testing.T, op cfBinOp, a, b uint64) {
 	t.Helper()
-	got, fl := op.soft(a, b, Env{})
 	hw := math.Float64bits(op.hard(math.Float64frombits(a), math.Float64frombits(b)))
-	if IsNaN64(hw) {
-		if !IsNaN64(got) {
-			t.Fatalf("%s(%#016x, %#016x) = %#016x, hardware produced a NaN", op.name, a, b, got)
+	want := cfExpectBinFlags(op.kind, a, b, hw)
+	for _, path := range both(op.name, op.soft, op.integer) {
+		got, fl := path.op(a, b, Env{})
+		if IsNaN64(hw) {
+			if !IsNaN64(got) {
+				t.Fatalf("%s(%#016x, %#016x) = %#016x, hardware produced a NaN", path.name, a, b, got)
+			}
+			if IsSNaN64(got) {
+				t.Fatalf("%s(%#016x, %#016x) = %#016x: signaling NaN result", path.name, a, b, got)
+			}
+		} else if got != hw {
+			t.Fatalf("%s(%#016x, %#016x) = %#016x, hardware %#016x", path.name, a, b, got, hw)
 		}
-		if IsSNaN64(got) {
-			t.Fatalf("%s(%#016x, %#016x) = %#016x: signaling NaN result", op.name, a, b, got)
+		if fl != want {
+			t.Fatalf("%s(%#016x, %#016x) flags = %v, want %v (result %#016x)",
+				path.name, a, b, fl, want, got)
 		}
-	} else if got != hw {
-		t.Fatalf("%s(%#016x, %#016x) = %#016x, hardware %#016x", op.name, a, b, got, hw)
-	}
-	if want := cfExpectBinFlags(op.kind, a, b, hw); fl != want {
-		t.Fatalf("%s(%#016x, %#016x) flags = %v, want %v (result %#016x)",
-			op.name, a, b, fl, want, got)
 	}
 }
 
 func cfCheckSqrt(t *testing.T, a uint64) {
 	t.Helper()
-	got, fl := Sqrt64(a, Env{})
+	for _, sqrt := range both("Sqrt64", Sqrt64, sqrt64) {
+		cfCheckSqrtPath(t, sqrt.name, sqrt.op, a)
+	}
+}
+
+func cfCheckSqrtPath(t *testing.T, name string, sqrt func(a uint64, env Env) (uint64, Flags), a uint64) {
+	t.Helper()
+	got, fl := sqrt(a, Env{})
 	hw := math.Float64bits(math.Sqrt(math.Float64frombits(a)))
 	if IsNaN64(hw) {
 		if !IsNaN64(got) {
-			t.Fatalf("Sqrt64(%#016x) = %#016x, hardware produced a NaN", a, got)
+			t.Fatalf("%s(%#016x) = %#016x, hardware produced a NaN", name, a, got)
 		}
 		if IsSNaN64(got) {
-			t.Fatalf("Sqrt64(%#016x) = %#016x: signaling NaN result", a, got)
+			t.Fatalf("%s(%#016x) = %#016x: signaling NaN result", name, a, got)
 		}
 	} else if got != hw {
-		t.Fatalf("Sqrt64(%#016x) = %#016x, hardware %#016x", a, got, hw)
+		t.Fatalf("%s(%#016x) = %#016x, hardware %#016x", name, a, got, hw)
 	}
 
 	var want Flags
@@ -288,7 +304,7 @@ func cfCheckSqrt(t *testing.T, a uint64) {
 		}
 	}
 	if fl != want {
-		t.Fatalf("Sqrt64(%#016x) flags = %v, want %v (result %#016x)", a, fl, want, got)
+		t.Fatalf("%s(%#016x) flags = %v, want %v (result %#016x)", name, a, fl, want, got)
 	}
 }
 

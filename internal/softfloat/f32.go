@@ -1,6 +1,9 @@
 package softfloat
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // frac32 extracts the 23-bit fraction field.
 func frac32(x uint32) uint32 { return x & f32FracMask }
@@ -248,6 +251,18 @@ func subSigs32(a, b uint32, zSign bool, env Env, fl *Flags) uint32 {
 
 // Add32 computes a + b on binary32 bit patterns with SSE addss semantics.
 func Add32(a, b uint32, env Env) (uint32, Flags) {
+	if env == (Env{}) && host32(a) && host32(b) {
+		x, y := widen(a), widen(b)
+		s := x + y
+		if z := math.Float32bits(float32(s)); host32(z) {
+			return z, inexactIf(widen(z) != s || twoSum(x, y, s) != 0)
+		}
+	}
+	return add32(a, b, env)
+}
+
+// add32 is Add32 in integer arithmetic.
+func add32(a, b uint32, env Env) (uint32, Flags) {
 	var fl Flags
 	a = daz32(a, env, &fl)
 	b = daz32(b, env, &fl)
@@ -262,6 +277,18 @@ func Add32(a, b uint32, env Env) (uint32, Flags) {
 
 // Sub32 computes a - b with SSE subss semantics.
 func Sub32(a, b uint32, env Env) (uint32, Flags) {
+	if env == (Env{}) && host32(a) && host32(b) {
+		x, y := widen(a), -widen(b)
+		s := x + y
+		if z := math.Float32bits(float32(s)); host32(z) {
+			return z, inexactIf(widen(z) != s || twoSum(x, y, s) != 0)
+		}
+	}
+	return sub32(a, b, env)
+}
+
+// sub32 is Sub32 in integer arithmetic.
+func sub32(a, b uint32, env Env) (uint32, Flags) {
 	var fl Flags
 	a = daz32(a, env, &fl)
 	b = daz32(b, env, &fl)
@@ -276,6 +303,17 @@ func Sub32(a, b uint32, env Env) (uint32, Flags) {
 
 // Mul32 computes a * b with SSE mulss semantics.
 func Mul32(a, b uint32, env Env) (uint32, Flags) {
+	if env == (Env{}) && host32(a) && host32(b) {
+		p := widen(a) * widen(b) // exact: 48 significant bits
+		if z := math.Float32bits(float32(p)); host32(z) {
+			return z, inexactIf(widen(z) != p)
+		}
+	}
+	return mul32(a, b, env)
+}
+
+// mul32 is Mul32 in integer arithmetic.
+func mul32(a, b uint32, env Env) (uint32, Flags) {
 	var fl Flags
 	a = daz32(a, env, &fl)
 	b = daz32(b, env, &fl)
@@ -331,6 +369,17 @@ func Mul32(a, b uint32, env Env) (uint32, Flags) {
 
 // Div32 computes a / b with SSE divss semantics.
 func Div32(a, b uint32, env Env) (uint32, Flags) {
+	if env == (Env{}) && host32(a) && host32(b) {
+		x, y := widen(a), widen(b)
+		if z := math.Float32bits(float32(x / y)); host32(z) {
+			return z, inexactIf(widen(z)*y != x)
+		}
+	}
+	return div32(a, b, env)
+}
+
+// div32 is Div32 in integer arithmetic.
+func div32(a, b uint32, env Env) (uint32, Flags) {
 	var fl Flags
 	a = daz32(a, env, &fl)
 	b = daz32(b, env, &fl)
@@ -393,6 +442,17 @@ func Div32(a, b uint32, env Env) (uint32, Flags) {
 
 // Sqrt32 computes sqrt(a) with SSE sqrtss semantics.
 func Sqrt32(a uint32, env Env) (uint32, Flags) {
+	if env == (Env{}) && host32(a) {
+		x := widen(a)
+		if z := math.Float32bits(float32(math.Sqrt(x))); host32(z) {
+			return z, inexactIf(widen(z)*widen(z) != x)
+		}
+	}
+	return sqrt32(a, env)
+}
+
+// sqrt32 is Sqrt32 in integer arithmetic.
+func sqrt32(a uint32, env Env) (uint32, Flags) {
 	var fl Flags
 	a = daz32(a, env, &fl)
 	aSig := frac32(a)

@@ -48,47 +48,53 @@ func randPattern32(r *rand.Rand) uint32 {
 	}
 }
 
-func testBinaryOp32(t *testing.T, name string, soft func(a, b uint32, env Env) (uint32, Flags), hard func(a, b float32) float32) {
+// testBinaryOp32 checks the exported op and its integer code, as
+// testBinaryOp64 does.
+func testBinaryOp32(t *testing.T, name string, soft, integer func(a, b uint32, env Env) (uint32, Flags), hard func(a, b float32) float32) {
 	t.Helper()
-	r := rand.New(rand.NewSource(52))
-	env := Env{RM: RoundNearestEven}
-	for i := 0; i < 200000; i++ {
-		a, b := randPattern32(r), randPattern32(r)
-		got, _ := soft(a, b, env)
-		want := hard(math.Float32frombits(a), math.Float32frombits(b))
-		if !hwEquiv32(got, want) {
-			t.Fatalf("%s(%#08x, %#08x) = %#08x, hardware %#08x",
-				name, a, b, got, math.Float32bits(want))
+	for _, path := range both(name, soft, integer) {
+		r := rand.New(rand.NewSource(52))
+		env := Env{RM: RoundNearestEven}
+		for i := 0; i < 200000; i++ {
+			a, b := randPattern32(r), randPattern32(r)
+			got, _ := path.op(a, b, env)
+			want := hard(math.Float32frombits(a), math.Float32frombits(b))
+			if !hwEquiv32(got, want) {
+				t.Fatalf("%s(%#08x, %#08x) = %#08x, hardware %#08x",
+					path.name, a, b, got, math.Float32bits(want))
+			}
 		}
 	}
 }
 
 func TestAdd32MatchesHardware(t *testing.T) {
-	testBinaryOp32(t, "Add32", Add32, func(a, b float32) float32 { return a + b })
+	testBinaryOp32(t, "Add32", Add32, add32, func(a, b float32) float32 { return a + b })
 }
 
 func TestSub32MatchesHardware(t *testing.T) {
-	testBinaryOp32(t, "Sub32", Sub32, func(a, b float32) float32 { return a - b })
+	testBinaryOp32(t, "Sub32", Sub32, sub32, func(a, b float32) float32 { return a - b })
 }
 
 func TestMul32MatchesHardware(t *testing.T) {
-	testBinaryOp32(t, "Mul32", Mul32, func(a, b float32) float32 { return a * b })
+	testBinaryOp32(t, "Mul32", Mul32, mul32, func(a, b float32) float32 { return a * b })
 }
 
 func TestDiv32MatchesHardware(t *testing.T) {
-	testBinaryOp32(t, "Div32", Div32, func(a, b float32) float32 { return a / b })
+	testBinaryOp32(t, "Div32", Div32, div32, func(a, b float32) float32 { return a / b })
 }
 
 func TestSqrt32MatchesHardware(t *testing.T) {
-	r := rand.New(rand.NewSource(53))
-	env := Env{RM: RoundNearestEven}
-	for i := 0; i < 200000; i++ {
-		a := randPattern32(r)
-		got, _ := Sqrt32(a, env)
-		want := float32(math.Sqrt(float64(math.Float32frombits(a))))
-		if !hwEquiv32(got, want) {
-			t.Fatalf("Sqrt32(%#08x) = %#08x, hardware %#08x",
-				a, got, math.Float32bits(want))
+	for _, sqrt := range both("Sqrt32", Sqrt32, sqrt32) {
+		r := rand.New(rand.NewSource(53))
+		env := Env{RM: RoundNearestEven}
+		for i := 0; i < 200000; i++ {
+			a := randPattern32(r)
+			got, _ := sqrt.op(a, env)
+			want := float32(math.Sqrt(float64(math.Float32frombits(a))))
+			if !hwEquiv32(got, want) {
+				t.Fatalf("%s(%#08x) = %#08x, hardware %#08x",
+					sqrt.name, a, got, math.Float32bits(want))
+			}
 		}
 	}
 }
@@ -99,30 +105,32 @@ func TestFMA32MatchesReference(t *testing.T) {
 	// narrowing to 24 bits is innocuous (53 >= 2*24+2), except that the
 	// doubly-rounded narrow can disagree on subnormal boundary cases, so
 	// denormal-result cases are cross-checked structurally instead.
-	r := rand.New(rand.NewSource(54))
-	env := Env{RM: RoundNearestEven}
-	for i := 0; i < 200000; i++ {
-		a, b, c := randPattern32(r), randPattern32(r), randPattern32(r)
-		fa := float64(math.Float32frombits(a))
-		fb := float64(math.Float32frombits(b))
-		fc := float64(math.Float32frombits(c))
-		ref := math.FMA(fa, fb, fc)
-		got, _ := FMA32(a, b, c, env)
-		if math.Abs(ref) < float64(math.SmallestNonzeroFloat32)*0x1p24 && ref != 0 {
-			// Potential double-rounding hazard near the subnormal range;
-			// just require the result to be within one ulp of the
-			// reference narrowing.
-			want := math.Float32bits(float32(ref))
-			diff := int64(got&^f32SignMask) - int64(want&^f32SignMask)
-			if diff < -1 || diff > 1 {
-				t.Fatalf("FMA32(%#08x, %#08x, %#08x) = %#08x, reference %#08x (subnormal zone)",
-					a, b, c, got, want)
+	for _, fma := range both("FMA32", FMA32, fma32) {
+		r := rand.New(rand.NewSource(54))
+		env := Env{RM: RoundNearestEven}
+		for i := 0; i < 200000; i++ {
+			a, b, c := randPattern32(r), randPattern32(r), randPattern32(r)
+			fa := float64(math.Float32frombits(a))
+			fb := float64(math.Float32frombits(b))
+			fc := float64(math.Float32frombits(c))
+			ref := math.FMA(fa, fb, fc)
+			got, _ := fma.op(a, b, c, env)
+			if math.Abs(ref) < float64(math.SmallestNonzeroFloat32)*0x1p24 && ref != 0 {
+				// Potential double-rounding hazard near the subnormal range;
+				// just require the result to be within one ulp of the
+				// reference narrowing.
+				want := math.Float32bits(float32(ref))
+				diff := int64(got&^f32SignMask) - int64(want&^f32SignMask)
+				if diff < -1 || diff > 1 {
+					t.Fatalf("%s(%#08x, %#08x, %#08x) = %#08x, reference %#08x (subnormal zone)",
+						fma.name, a, b, c, got, want)
+				}
+				continue
 			}
-			continue
-		}
-		if !hwEquiv32(got, float32(ref)) {
-			t.Fatalf("FMA32(%#08x, %#08x, %#08x) = %#08x, reference %#08x",
-				a, b, c, got, math.Float32bits(float32(ref)))
+			if !hwEquiv32(got, float32(ref)) {
+				t.Fatalf("%s(%#08x, %#08x, %#08x) = %#08x, reference %#08x",
+					fma.name, a, b, c, got, math.Float32bits(float32(ref)))
+			}
 		}
 	}
 }

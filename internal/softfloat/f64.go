@@ -267,6 +267,17 @@ func subSigs64(a, b uint64, zSign bool, env Env, fl *Flags) uint64 {
 // Add64 computes a + b on binary64 bit patterns with SSE addsd semantics,
 // returning the result pattern and raised flags.
 func Add64(a, b uint64, env Env) (uint64, Flags) {
+	if env == (Env{}) && host64(a) && host64(b) {
+		x, y := math.Float64frombits(a), math.Float64frombits(b)
+		if s := x + y; host64(math.Float64bits(s)) {
+			return math.Float64bits(s), inexactIf(twoSum(x, y, s) != 0)
+		}
+	}
+	return add64(a, b, env)
+}
+
+// add64 is Add64 in integer arithmetic.
+func add64(a, b uint64, env Env) (uint64, Flags) {
 	var fl Flags
 	a = daz64(a, env, &fl)
 	b = daz64(b, env, &fl)
@@ -281,6 +292,17 @@ func Add64(a, b uint64, env Env) (uint64, Flags) {
 
 // Sub64 computes a - b with SSE subsd semantics.
 func Sub64(a, b uint64, env Env) (uint64, Flags) {
+	if env == (Env{}) && host64(a) && host64(b) {
+		x, y := math.Float64frombits(a), -math.Float64frombits(b)
+		if s := x + y; host64(math.Float64bits(s)) {
+			return math.Float64bits(s), inexactIf(twoSum(x, y, s) != 0)
+		}
+	}
+	return sub64(a, b, env)
+}
+
+// sub64 is Sub64 in integer arithmetic.
+func sub64(a, b uint64, env Env) (uint64, Flags) {
 	var fl Flags
 	a = daz64(a, env, &fl)
 	b = daz64(b, env, &fl)
@@ -295,6 +317,17 @@ func Sub64(a, b uint64, env Env) (uint64, Flags) {
 
 // Mul64 computes a * b with SSE mulsd semantics.
 func Mul64(a, b uint64, env Env) (uint64, Flags) {
+	if env == (Env{}) && host64(a) && host64(b) {
+		x, y := math.Float64frombits(a), math.Float64frombits(b)
+		if p := x * y; host64(math.Float64bits(p)) {
+			return math.Float64bits(p), inexactIf(math.FMA(x, y, -p) != 0)
+		}
+	}
+	return mul64(a, b, env)
+}
+
+// mul64 is Mul64 in integer arithmetic.
+func mul64(a, b uint64, env Env) (uint64, Flags) {
 	var fl Flags
 	a = daz64(a, env, &fl)
 	b = daz64(b, env, &fl)
@@ -349,6 +382,17 @@ func Mul64(a, b uint64, env Env) (uint64, Flags) {
 
 // Div64 computes a / b with SSE divsd semantics.
 func Div64(a, b uint64, env Env) (uint64, Flags) {
+	if env == (Env{}) && host64(a) && host64(b) {
+		x, y := math.Float64frombits(a), math.Float64frombits(b)
+		if q := x / y; host64(math.Float64bits(q)) {
+			return math.Float64bits(q), inexactIf(math.FMA(q, y, -x) != 0)
+		}
+	}
+	return div64(a, b, env)
+}
+
+// div64 is Div64 in integer arithmetic.
+func div64(a, b uint64, env Env) (uint64, Flags) {
 	var fl Flags
 	a = daz64(a, env, &fl)
 	b = daz64(b, env, &fl)
@@ -410,6 +454,17 @@ func Div64(a, b uint64, env Env) (uint64, Flags) {
 
 // Sqrt64 computes sqrt(a) with SSE sqrtsd semantics.
 func Sqrt64(a uint64, env Env) (uint64, Flags) {
+	if env == (Env{}) && host64(a) {
+		x := math.Float64frombits(a)
+		if s := math.Sqrt(x); host64(math.Float64bits(s)) {
+			return math.Float64bits(s), inexactIf(math.FMA(s, s, -x) != 0)
+		}
+	}
+	return sqrt64(a, env)
+}
+
+// sqrt64 is Sqrt64 in integer arithmetic.
+func sqrt64(a uint64, env Env) (uint64, Flags) {
 	var fl Flags
 	a = daz64(a, env, &fl)
 	aSig := frac64(a)

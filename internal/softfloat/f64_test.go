@@ -70,47 +70,53 @@ func randPattern64(r *rand.Rand) uint64 {
 	}
 }
 
-func testBinaryOp64(t *testing.T, name string, soft func(a, b uint64, env Env) (uint64, Flags), hard func(a, b float64) float64) {
+// testBinaryOp64 checks the exported op, whose host path takes most
+// normal inputs, and its integer code on the same seeded inputs.
+func testBinaryOp64(t *testing.T, name string, soft, integer func(a, b uint64, env Env) (uint64, Flags), hard func(a, b float64) float64) {
 	t.Helper()
-	r := rand.New(rand.NewSource(42))
-	env := Env{RM: RoundNearestEven}
-	for i := 0; i < 200000; i++ {
-		a, b := randPattern64(r), randPattern64(r)
-		got, _ := soft(a, b, env)
-		want := hard(math.Float64frombits(a), math.Float64frombits(b))
-		if !hwEquiv64(got, want) {
-			t.Fatalf("%s(%#016x, %#016x) = %#016x, hardware %#016x",
-				name, a, b, got, math.Float64bits(want))
+	for _, path := range both(name, soft, integer) {
+		r := rand.New(rand.NewSource(42))
+		env := Env{RM: RoundNearestEven}
+		for i := 0; i < 200000; i++ {
+			a, b := randPattern64(r), randPattern64(r)
+			got, _ := path.op(a, b, env)
+			want := hard(math.Float64frombits(a), math.Float64frombits(b))
+			if !hwEquiv64(got, want) {
+				t.Fatalf("%s(%#016x, %#016x) = %#016x, hardware %#016x",
+					path.name, a, b, got, math.Float64bits(want))
+			}
 		}
 	}
 }
 
 func TestAdd64MatchesHardware(t *testing.T) {
-	testBinaryOp64(t, "Add64", Add64, func(a, b float64) float64 { return a + b })
+	testBinaryOp64(t, "Add64", Add64, add64, func(a, b float64) float64 { return a + b })
 }
 
 func TestSub64MatchesHardware(t *testing.T) {
-	testBinaryOp64(t, "Sub64", Sub64, func(a, b float64) float64 { return a - b })
+	testBinaryOp64(t, "Sub64", Sub64, sub64, func(a, b float64) float64 { return a - b })
 }
 
 func TestMul64MatchesHardware(t *testing.T) {
-	testBinaryOp64(t, "Mul64", Mul64, func(a, b float64) float64 { return a * b })
+	testBinaryOp64(t, "Mul64", Mul64, mul64, func(a, b float64) float64 { return a * b })
 }
 
 func TestDiv64MatchesHardware(t *testing.T) {
-	testBinaryOp64(t, "Div64", Div64, func(a, b float64) float64 { return a / b })
+	testBinaryOp64(t, "Div64", Div64, div64, func(a, b float64) float64 { return a / b })
 }
 
 func TestSqrt64MatchesHardware(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	env := Env{RM: RoundNearestEven}
-	for i := 0; i < 200000; i++ {
-		a := randPattern64(r)
-		got, _ := Sqrt64(a, env)
-		want := math.Sqrt(math.Float64frombits(a))
-		if !hwEquiv64(got, want) {
-			t.Fatalf("Sqrt64(%#016x) = %#016x, hardware %#016x",
-				a, got, math.Float64bits(want))
+	for _, sqrt := range both("Sqrt64", Sqrt64, sqrt64) {
+		r := rand.New(rand.NewSource(43))
+		env := Env{RM: RoundNearestEven}
+		for i := 0; i < 200000; i++ {
+			a := randPattern64(r)
+			got, _ := sqrt.op(a, env)
+			want := math.Sqrt(math.Float64frombits(a))
+			if !hwEquiv64(got, want) {
+				t.Fatalf("%s(%#016x) = %#016x, hardware %#016x",
+					sqrt.name, a, got, math.Float64bits(want))
+			}
 		}
 	}
 }

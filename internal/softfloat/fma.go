@@ -1,6 +1,9 @@
 package softfloat
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // FMA64 computes a*b + c with a single rounding (vfmadd213sd semantics).
 // NaN propagation prefers a, then b, then c; a 0*inf product raises
@@ -140,6 +143,25 @@ func FMA64(a, b, c uint64, env Env) (uint64, Flags) {
 
 // FMA32 computes a*b + c with a single rounding (vfmadd213ss semantics).
 func FMA32(a, b, c uint32, env Env) (uint32, Flags) {
+	if env == (Env{}) && host32(a) && host32(b) && host32(c) {
+		// The product is exact in binary64, and float64(...) keeps the
+		// compiler from fusing it into the sum (DESIGN §4.1): s is
+		// RN64(p + w) with p the product twoSum is given.
+		p, w := float64(widen(a)*widen(b)), widen(c)
+		s := p + w
+		// A binary32 midpoint may be a double rounding; any other s
+		// rounds to binary32 as a*b + c does.
+		if m := math.Float64bits(s); m&(1<<29-1) != 1<<28 {
+			if z := math.Float32bits(float32(s)); host32(z) {
+				return z, inexactIf(widen(z) != s || twoSum(p, w, s) != 0)
+			}
+		}
+	}
+	return fma32(a, b, c, env)
+}
+
+// fma32 is FMA32 in integer arithmetic.
+func fma32(a, b, c uint32, env Env) (uint32, Flags) {
 	var fl Flags
 	a = daz32(a, env, &fl)
 	b = daz32(b, env, &fl)

@@ -1,188 +1,110 @@
 package softfloat
 
-// Lane-sliced kernels: one call retires every lane of a packed vector
-// with a single dispatch, accumulating raised flags across lanes exactly
-// as the per-lane scalar calls would (SSE packed forms OR each lane's
-// conditions into one MXCSR update). The superblock engine and the
-// machine's packed-arithmetic path lean on these so the per-instruction
-// opcode switch runs once per vector, not once per lane.
-//
-// dst, a, and b must have equal lengths; dst may alias a or b since each
-// lane is read before it is written.
+// Lane kernels: one call retires every lane of a packed vector with a
+// single dispatch, accumulating raised flags across lanes exactly as the
+// per-lane scalar calls would (SSE packed forms OR each lane's
+// conditions into one MXCSR update). The machine's packed-arithmetic
+// path leans on them so its opcode switch runs once per vector, not
+// once per lane. Both kernels work on 64-bit register words: binary32
+// lanes stay packed two to a word, low half first, and are never
+// gathered into a scratch array.
 
-// AddLanes64 computes dst[i] = a[i] + b[i] over binary64 lanes.
-func AddLanes64(dst, a, b []uint64, env Env) Flags {
+// Op selects the operation a lane kernel applies. The four fused forms
+// come last, numbered so that bit 1 of op-OpFMAdd negates the product
+// and bit 0 the addend.
+type Op uint8
+
+const (
+	OpAdd Op = iota
+	OpSub
+	OpMul
+	OpDiv
+	OpSqrt // ignores b
+	OpMin
+	OpMax
+	OpFMAdd  // a*b + c
+	OpFMSub  // a*b - c
+	OpFNMAdd // -(a*b) + c
+	OpFNMSub // -(a*b) - c
+)
+
+// Lanes64 computes dst[i] = op(a[i], b[i], c[i]) for each binary64
+// lane i whose bit is set in mask; the other lanes neither compute nor
+// raise, and keep dst's prior contents (merge masking). A packed form
+// of n lanes passes mask 1<<n - 1. The slices must cover every lane
+// mask selects; c is read by the FMA forms only, so other ops may pass
+// b, and dst may alias any source, since each lane is read before it is
+// written. The op switch sits in the loop so that each lane costs one
+// call, to the scalar op itself.
+func Lanes64(op Op, dst, a, b, c []uint64, mask uint64, env Env) Flags {
 	var fl Flags
-	for i := range dst {
-		z, f := Add64(a[i], b[i], env)
+	for i := 0; mask != 0; i, mask = i+1, mask>>1 {
+		if mask&1 == 0 {
+			continue
+		}
+		var z uint64
+		var f Flags
+		switch op {
+		case OpAdd:
+			z, f = Add64(a[i], b[i], env)
+		case OpSub:
+			z, f = Sub64(a[i], b[i], env)
+		case OpMul:
+			z, f = Mul64(a[i], b[i], env)
+		case OpDiv:
+			z, f = Div64(a[i], b[i], env)
+		case OpSqrt:
+			z, f = Sqrt64(a[i], env)
+		case OpMin:
+			z, f = Min64(a[i], b[i], env)
+		case OpMax:
+			z, f = Max64(a[i], b[i], env)
+		default:
+			v := uint64(op - OpFMAdd)
+			negProd, negAdd := v>>1<<63, v&1<<63
+			z, f = FMA64(a[i]^negProd, b[i], c[i]^negAdd, env)
+		}
 		dst[i] = z
 		fl |= f
 	}
 	return fl
 }
 
-// SubLanes64 computes dst[i] = a[i] - b[i] over binary64 lanes.
-func SubLanes64(dst, a, b []uint64, env Env) Flags {
+// Lanes32 is Lanes64 for binary32 lanes, which stay packed two to a
+// word as in a vector register: lane i is the low half of word i/2 when
+// i is even, the high half when odd. A lane mask leaves clear keeps its
+// half of the word, so a scalar form (mask 1) keeps word 0's high half.
+func Lanes32(op Op, dst, a, b, c []uint64, mask uint64, env Env) Flags {
 	var fl Flags
-	for i := range dst {
-		z, f := Sub64(a[i], b[i], env)
-		dst[i] = z
-		fl |= f
-	}
-	return fl
-}
-
-// MulLanes64 computes dst[i] = a[i] * b[i] over binary64 lanes.
-func MulLanes64(dst, a, b []uint64, env Env) Flags {
-	var fl Flags
-	for i := range dst {
-		z, f := Mul64(a[i], b[i], env)
-		dst[i] = z
-		fl |= f
-	}
-	return fl
-}
-
-// DivLanes64 computes dst[i] = a[i] / b[i] over binary64 lanes.
-func DivLanes64(dst, a, b []uint64, env Env) Flags {
-	var fl Flags
-	for i := range dst {
-		z, f := Div64(a[i], b[i], env)
-		dst[i] = z
-		fl |= f
-	}
-	return fl
-}
-
-// MinLanes64 computes dst[i] = min(a[i], b[i]) with SSE minpd semantics.
-func MinLanes64(dst, a, b []uint64, env Env) Flags {
-	var fl Flags
-	for i := range dst {
-		z, f := Min64(a[i], b[i], env)
-		dst[i] = z
-		fl |= f
-	}
-	return fl
-}
-
-// MaxLanes64 computes dst[i] = max(a[i], b[i]) with SSE maxpd semantics.
-func MaxLanes64(dst, a, b []uint64, env Env) Flags {
-	var fl Flags
-	for i := range dst {
-		z, f := Max64(a[i], b[i], env)
-		dst[i] = z
-		fl |= f
-	}
-	return fl
-}
-
-// SqrtLanes64 computes dst[i] = sqrt(a[i]) over binary64 lanes.
-func SqrtLanes64(dst, a []uint64, env Env) Flags {
-	var fl Flags
-	for i := range dst {
-		z, f := Sqrt64(a[i], env)
-		dst[i] = z
-		fl |= f
-	}
-	return fl
-}
-
-// FMALanes64 computes dst[i] = a[i]*b[i] + c[i] fused over binary64
-// lanes.
-func FMALanes64(dst, a, b, c []uint64, env Env) Flags {
-	var fl Flags
-	for i := range dst {
-		z, f := FMA64(a[i], b[i], c[i], env)
-		dst[i] = z
-		fl |= f
-	}
-	return fl
-}
-
-// AddLanes32 computes dst[i] = a[i] + b[i] over binary32 lanes.
-func AddLanes32(dst, a, b []uint32, env Env) Flags {
-	var fl Flags
-	for i := range dst {
-		z, f := Add32(a[i], b[i], env)
-		dst[i] = z
-		fl |= f
-	}
-	return fl
-}
-
-// SubLanes32 computes dst[i] = a[i] - b[i] over binary32 lanes.
-func SubLanes32(dst, a, b []uint32, env Env) Flags {
-	var fl Flags
-	for i := range dst {
-		z, f := Sub32(a[i], b[i], env)
-		dst[i] = z
-		fl |= f
-	}
-	return fl
-}
-
-// MulLanes32 computes dst[i] = a[i] * b[i] over binary32 lanes.
-func MulLanes32(dst, a, b []uint32, env Env) Flags {
-	var fl Flags
-	for i := range dst {
-		z, f := Mul32(a[i], b[i], env)
-		dst[i] = z
-		fl |= f
-	}
-	return fl
-}
-
-// DivLanes32 computes dst[i] = a[i] / b[i] over binary32 lanes.
-func DivLanes32(dst, a, b []uint32, env Env) Flags {
-	var fl Flags
-	for i := range dst {
-		z, f := Div32(a[i], b[i], env)
-		dst[i] = z
-		fl |= f
-	}
-	return fl
-}
-
-// MinLanes32 computes dst[i] = min(a[i], b[i]) with SSE minps semantics.
-func MinLanes32(dst, a, b []uint32, env Env) Flags {
-	var fl Flags
-	for i := range dst {
-		z, f := Min32(a[i], b[i], env)
-		dst[i] = z
-		fl |= f
-	}
-	return fl
-}
-
-// MaxLanes32 computes dst[i] = max(a[i], b[i]) with SSE maxps semantics.
-func MaxLanes32(dst, a, b []uint32, env Env) Flags {
-	var fl Flags
-	for i := range dst {
-		z, f := Max32(a[i], b[i], env)
-		dst[i] = z
-		fl |= f
-	}
-	return fl
-}
-
-// SqrtLanes32 computes dst[i] = sqrt(a[i]) over binary32 lanes.
-func SqrtLanes32(dst, a []uint32, env Env) Flags {
-	var fl Flags
-	for i := range dst {
-		z, f := Sqrt32(a[i], env)
-		dst[i] = z
-		fl |= f
-	}
-	return fl
-}
-
-// FMALanes32 computes dst[i] = a[i]*b[i] + c[i] fused over binary32
-// lanes.
-func FMALanes32(dst, a, b, c []uint32, env Env) Flags {
-	var fl Flags
-	for i := range dst {
-		z, f := FMA32(a[i], b[i], c[i], env)
-		dst[i] = z
+	for i := 0; mask != 0; i, mask = i+1, mask>>1 {
+		if mask&1 == 0 {
+			continue
+		}
+		w, sh := i/2, 32*uint(i&1)
+		x, y := uint32(a[w]>>sh), uint32(b[w]>>sh)
+		var z uint32
+		var f Flags
+		switch op {
+		case OpAdd:
+			z, f = Add32(x, y, env)
+		case OpSub:
+			z, f = Sub32(x, y, env)
+		case OpMul:
+			z, f = Mul32(x, y, env)
+		case OpDiv:
+			z, f = Div32(x, y, env)
+		case OpSqrt:
+			z, f = Sqrt32(x, env)
+		case OpMin:
+			z, f = Min32(x, y, env)
+		case OpMax:
+			z, f = Max32(x, y, env)
+		default:
+			v := uint32(op - OpFMAdd)
+			negProd, negAdd := v>>1<<31, v&1<<31
+			z, f = FMA32(x^negProd, y, uint32(c[w]>>sh)^negAdd, env)
+		}
+		dst[w] = dst[w]&^(0xFFFFFFFF<<sh) | uint64(z)<<sh
 		fl |= f
 	}
 	return fl

@@ -49,7 +49,10 @@ func normalPattern64(r *rand.Rand) uint64 {
 	return r.Uint64()&(f64SignMask|f64FracMask) | exp<<52
 }
 
-func oracleBinary(t *testing.T, name string, soft func(a, b uint64, env Env) (uint64, Flags), exact func(z, a, b *big.Float)) {
+// oracleBinary checks the exported op and its integer code against the
+// oracle. Flags are checked too: in this range only Inexact can arise,
+// exactly when the oracle's rounding changed the value.
+func oracleBinary(t *testing.T, name string, soft, integer func(a, b uint64, env Env) (uint64, Flags), exact func(z, a, b *big.Float)) {
 	t.Helper()
 	r := rand.New(rand.NewSource(int64(len(name)) * 1009))
 	modes := []RoundingMode{RoundNearestEven, RoundDown, RoundUp, RoundToZero}
@@ -61,34 +64,36 @@ func oracleBinary(t *testing.T, name string, soft func(a, b uint64, env Env) (ui
 		z := new(big.Float).SetPrec(600)
 		exact(z, fa, fb)
 		for _, rm := range modes {
-			got, _ := soft(a, b, Env{RM: rm})
-			if !oracleSafe(got) {
-				continue
-			}
-			want := new(big.Float).Copy(z).SetMode(bigMode(rm)).SetPrec(53)
-			wf, _ := want.Float64()
-			if math.Float64bits(wf) != got {
-				t.Fatalf("%s(%#016x, %#016x) %v = %#016x, oracle %#016x",
-					name, a, b, rm, got, math.Float64bits(wf))
+			for _, path := range both(name, soft, integer) {
+				got, fl := path.op(a, b, Env{RM: rm})
+				if !oracleSafe(got) {
+					continue
+				}
+				want := new(big.Float).Copy(z).SetMode(bigMode(rm)).SetPrec(53)
+				wf, _ := want.Float64()
+				if math.Float64bits(wf) != got || (fl == FlagInexact) != (want.Cmp(z) != 0) {
+					t.Fatalf("%s(%#016x, %#016x) %v = %#016x %v, oracle %#016x",
+						path.name, a, b, rm, got, fl, math.Float64bits(wf))
+				}
 			}
 		}
 	}
 }
 
 func TestOracleAdd64AllModes(t *testing.T) {
-	oracleBinary(t, "Add64", Add64, func(z, a, b *big.Float) { z.Add(a, b) })
+	oracleBinary(t, "Add64", Add64, add64, func(z, a, b *big.Float) { z.Add(a, b) })
 }
 
 func TestOracleSub64AllModes(t *testing.T) {
-	oracleBinary(t, "Sub64", Sub64, func(z, a, b *big.Float) { z.Sub(a, b) })
+	oracleBinary(t, "Sub64", Sub64, sub64, func(z, a, b *big.Float) { z.Sub(a, b) })
 }
 
 func TestOracleMul64AllModes(t *testing.T) {
-	oracleBinary(t, "Mul64", Mul64, func(z, a, b *big.Float) { z.Mul(a, b) })
+	oracleBinary(t, "Mul64", Mul64, mul64, func(z, a, b *big.Float) { z.Mul(a, b) })
 }
 
 func TestOracleDiv64AllModes(t *testing.T) {
-	oracleBinary(t, "Div64", Div64, func(z, a, b *big.Float) {
+	oracleBinary(t, "Div64", Div64, div64, func(z, a, b *big.Float) {
 		if b.Sign() != 0 {
 			z.Quo(a, b)
 		}
@@ -103,15 +108,17 @@ func TestOracleSqrt64AllModes(t *testing.T) {
 		fa := new(big.Float).SetPrec(600).SetFloat64(math.Float64frombits(a))
 		z := new(big.Float).SetPrec(600).Sqrt(fa)
 		for _, rm := range modes {
-			got, _ := Sqrt64(a, Env{RM: rm})
-			if !oracleSafe(got) {
-				continue
-			}
-			want := new(big.Float).Copy(z).SetMode(bigMode(rm)).SetPrec(53)
-			wf, _ := want.Float64()
-			if math.Float64bits(wf) != got {
-				t.Fatalf("Sqrt64(%#016x) %v = %#016x, oracle %#016x",
-					a, rm, got, math.Float64bits(wf))
+			for _, sqrt := range both("Sqrt64", Sqrt64, sqrt64) {
+				got, _ := sqrt.op(a, Env{RM: rm})
+				if !oracleSafe(got) {
+					continue
+				}
+				want := new(big.Float).Copy(z).SetMode(bigMode(rm)).SetPrec(53)
+				wf, _ := want.Float64()
+				if math.Float64bits(wf) != got {
+					t.Fatalf("%s(%#016x) %v = %#016x, oracle %#016x",
+						sqrt.name, a, rm, got, math.Float64bits(wf))
+				}
 			}
 		}
 	}
@@ -149,15 +156,15 @@ func TestOracleF32AllModes(t *testing.T) {
 	r := rand.New(rand.NewSource(79))
 	modes := []RoundingMode{RoundNearestEven, RoundDown, RoundUp, RoundToZero}
 	type op struct {
-		name  string
-		soft  func(a, b uint32, env Env) (uint32, Flags)
-		exact func(z, a, b *big.Float)
+		name          string
+		soft, integer func(a, b uint32, env Env) (uint32, Flags)
+		exact         func(z, a, b *big.Float)
 	}
 	ops := []op{
-		{"Add32", Add32, func(z, a, b *big.Float) { z.Add(a, b) }},
-		{"Sub32", Sub32, func(z, a, b *big.Float) { z.Sub(a, b) }},
-		{"Mul32", Mul32, func(z, a, b *big.Float) { z.Mul(a, b) }},
-		{"Div32", Div32, func(z, a, b *big.Float) {
+		{"Add32", Add32, add32, func(z, a, b *big.Float) { z.Add(a, b) }},
+		{"Sub32", Sub32, sub32, func(z, a, b *big.Float) { z.Sub(a, b) }},
+		{"Mul32", Mul32, mul32, func(z, a, b *big.Float) { z.Mul(a, b) }},
+		{"Div32", Div32, div32, func(z, a, b *big.Float) {
 			if b.Sign() != 0 {
 				z.Quo(a, b)
 			}
@@ -186,15 +193,17 @@ func TestOracleF32AllModes(t *testing.T) {
 			z := new(big.Float).SetPrec(300)
 			o.exact(z, fa, fb)
 			for _, rm := range modes {
-				got, _ := o.soft(a, b, Env{RM: rm})
-				if !safe32(got) {
-					continue
-				}
-				want := new(big.Float).Copy(z).SetMode(bigMode(rm)).SetPrec(24)
-				wf, _ := want.Float32()
-				if math.Float32bits(wf) != got {
-					t.Fatalf("%s(%#08x, %#08x) %v = %#08x, oracle %#08x",
-						o.name, a, b, rm, got, math.Float32bits(wf))
+				for _, path := range both(o.name, o.soft, o.integer) {
+					got, fl := path.op(a, b, Env{RM: rm})
+					if !safe32(got) {
+						continue
+					}
+					want := new(big.Float).Copy(z).SetMode(bigMode(rm)).SetPrec(24)
+					wf, _ := want.Float32()
+					if math.Float32bits(wf) != got || (fl == FlagInexact) != (want.Cmp(z) != 0) {
+						t.Fatalf("%s(%#08x, %#08x) %v = %#08x %v, oracle %#08x",
+							path.name, a, b, rm, got, fl, math.Float32bits(wf))
+					}
 				}
 			}
 		}

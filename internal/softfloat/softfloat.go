@@ -1,9 +1,19 @@
 // Package softfloat implements IEEE 754 binary32 and binary64 arithmetic
-// entirely in integer operations on the raw bit patterns, reproducing the
-// floating point semantics of the x64 SSE/AVX execution units: the six
-// MXCSR status flags, the four rounding modes of the RC field, the
-// flush-to-zero (FTZ) and denormals-are-zero (DAZ) controls, and the
-// SNaN/QNaN signaling rules.
+// on the raw bit patterns, reproducing the floating point semantics of
+// the x64 SSE/AVX execution units: the six MXCSR status flags, the four
+// rounding modes of the RC field, the flush-to-zero (FTZ) and
+// denormals-are-zero (DAZ) controls, and the SNaN/QNaN signaling rules.
+//
+// Every operation has an implementation in integer operations. The
+// common case takes a shortcut: add, sub, mul, div and sqrt of either
+// width, and binary32 FMA, begin with a guard that passes only in the
+// default environment (RN, no FTZ, no DAZ), for normal operands and a
+// result well inside the normal range. There Inexact is the only flag
+// the op can raise, and the host FPU computes the value and that flag
+// exactly (host.go, DESIGN §4.1). Whatever the guard refuses runs the
+// integer code (add64 and kin), which the tests call directly so that
+// both paths stay pinned to the hardware and big.Float oracles and to
+// each other.
 //
 // The package is the foundation of the simulated FPU used by this
 // repository's FPSpy reproduction: every floating point instruction the

@@ -13,6 +13,13 @@
 // Each entry of the catalogue, tools/mutants/catalogue.json, names the
 // file (relative to the module root), the exact old text, its
 // replacement, the package to test and the -run pattern that must fail.
+//
+// Each distinct package and pattern first runs once on the unmutated
+// tree. It must pass, or no mutant's failure would mean anything, and
+// its time scales the -timeout of every entry that shares it: at least a
+// minute, ten times the unmutated run when that is longer. A mutant that
+// makes a guest spin is then killed by the timeout within about a
+// minute.
 package main
 
 import (
@@ -23,6 +30,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"time"
 )
 
 const catalogue = "tools/mutants/catalogue.json"
@@ -52,9 +60,22 @@ func main() {
 	}
 	defer os.RemoveAll(tmp)
 
+	timeouts := map[[2]string]time.Duration{}
+	for _, m := range mutants {
+		key := [2]string{m.Pkg, m.Run}
+		if _, ok := timeouts[key]; ok {
+			continue
+		}
+		start := time.Now()
+		if out, err := exec.Command("go", "test", "-count=1", "-run", m.Run, m.Pkg).CombinedOutput(); err != nil {
+			fatal(fmt.Errorf("unmutated %s fails -run %s:\n%s", m.Pkg, m.Run, out))
+		}
+		timeouts[key] = max(time.Minute, 10*time.Since(start)).Round(time.Second)
+	}
+
 	bad := 0
 	for i, m := range mutants {
-		killers, err := check(tmp, i, m)
+		killers, err := check(tmp, i, m, timeouts[[2]string{m.Pkg, m.Run}])
 		if err != nil {
 			bad++
 			fmt.Printf("FAIL    %s: %v\n", m.Name, err)
@@ -68,11 +89,11 @@ func main() {
 	}
 }
 
-// check applies m through an overlay, runs its tests and returns the
-// names of the tests that failed. It returns an error when the old text
-// does not occur exactly once, when the mutant does not build, and when
-// the tests pass (the mutant survived).
-func check(tmp string, i int, m mutant) ([]string, error) {
+// check applies m through an overlay, runs its tests under timeout and
+// returns the names of the tests that failed. It returns an error when
+// the old text does not occur exactly once, when the mutant does not
+// build, and when the tests pass (the mutant survived).
+func check(tmp string, i int, m mutant, timeout time.Duration) ([]string, error) {
 	src, err := os.ReadFile(m.File)
 	if err != nil {
 		return nil, err
@@ -96,7 +117,7 @@ func check(tmp string, i int, m mutant) ([]string, error) {
 	if err := os.WriteFile(overlayFile, overlay, 0o644); err != nil {
 		return nil, err
 	}
-	cmd := exec.Command("go", "test", "-count=1", "-timeout=5m", "-overlay", overlayFile, "-run", m.Run, m.Pkg)
+	cmd := exec.Command("go", "test", "-count=1", "-timeout="+timeout.String(), "-overlay", overlayFile, "-run", m.Run, m.Pkg)
 	out, err := cmd.CombinedOutput()
 	var exit *exec.ExitError
 	switch {
@@ -115,6 +136,9 @@ func check(tmp string, i int, m mutant) ([]string, error) {
 	}
 	if len(killers) == 0 {
 		killers = append(killers, "the test binary failed")
+	}
+	if strings.Contains(string(out), "panic: test timed out") {
+		killers = append(killers, "timed out after "+timeout.String())
 	}
 	return killers, nil
 }
