@@ -2,8 +2,8 @@ package cluster_test
 
 // The cluster end-to-end suite: 3-node in-process clusters over real
 // HTTP (httptest), driven through the typed client, with the chaos
-// service-fault injector on the peer RPC path. It pins the PR's
-// acceptance invariants:
+// service-fault injector on the peer RPC path. It pins the cluster's
+// invariants:
 //
 //   - cluster-wide singleflight: N clients × N nodes × one identical
 //     clone → exactly one study pass anywhere;
@@ -12,18 +12,13 @@ package cluster_test
 //   - kill/restart: no job is lost when its owner dies mid-study, and
 //     the dead peer is evicted then re-admitted on recovery;
 //   - full partition: a node with no reachable peers degrades to
-//     local-only service instead of failing submissions;
-//   - work stealing: an idle peer drains an overloaded one's queue,
-//     and expired leases re-queue on the victim.
+//     local-only service instead of failing submissions.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,9 +82,9 @@ func (p *peerT) kill() {
 // restart brings the same node back on the same URL.
 func (p *peerT) restart() { p.hold.Store(p.node) }
 
-// newTestCluster boots n nodes on real listeners, fully meshed.
-// Background probe/steal loops are off — tests drive ProbeOnce and
-// StealOnce for deterministic sequencing.
+// newTestCluster boots n nodes on real listeners, fully meshed. The
+// background probe loop is off — tests drive ProbeOnce for
+// deterministic sequencing.
 func newTestCluster(t testing.TB, n int, mod func(i int, so *server.Options, co *cluster.Options)) []*peerT {
 	t.Helper()
 	peers := make([]*peerT, n)
@@ -125,8 +120,7 @@ func newTestCluster(t testing.TB, n int, mod func(i int, so *server.Options, co 
 		}
 		co := cluster.Options{
 			Self: p.url, Peers: others, Obs: p.om,
-			ProbeInterval: -1, ProbeTimeout: 250 * time.Millisecond,
-			RPCTimeout: 20 * time.Second, HedgeAfter: -1,
+			ProbeInterval: -1, ProbeTimeout: 250 * time.Millisecond, RPCTimeout: 20 * time.Second,
 			RetryMax: 3, RetryBaseWait: 2 * time.Millisecond, RetryMaxWait: 50 * time.Millisecond,
 		}
 		if mod != nil {
@@ -352,7 +346,7 @@ func TestClusterKillRestartNoLoss(t *testing.T) {
 		t.Fatal("forwarding peer should have degraded to a local run")
 	}
 
-	// The dead peer is evicted after EvictAfter failed probes...
+	// The dead peer is evicted after two failed probes...
 	peers[0].node.ProbeOnce()
 	peers[0].node.ProbeOnce()
 	if peers[0].node.Ring().Alive(peers[1].url) {
@@ -422,154 +416,11 @@ func TestClusterPartitionDegradesLocal(t *testing.T) {
 	}
 }
 
-func TestClusterWorkStealing(t *testing.T) {
-	gate := make(chan struct{})
-	started := make(chan struct{}, 1)
-	peers := newTestCluster(t, 2, func(i int, so *server.Options, co *cluster.Options) {
-		co.StealThreshold = 2
-		co.StealBatch = 2
-		if i == 0 {
-			so.Workers = 1
-			so.Shards = 1
-			prev := so.BeforeRun
-			so.BeforeRun = func(id string) {
-				prev(id)
-				if id == "job-000001" {
-					started <- struct{}{}
-					<-gate
-				}
-			}
-		}
-	})
-	defer close(gate)
-	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
-
-	// Jam peer 0: one blocked pass, four queued behind it.
-	if _, err := peers[0].srv.Submit("vic", "jam", encodeJob(t, cjob(t, "jam", 1)), cfg); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	var queuedIDs []string
-	for i := 0; i < 4; i++ {
-		res, err := peers[0].srv.Submit("vic", fmt.Sprintf("steal-%d", i),
-			encodeJob(t, cjob(t, fmt.Sprintf("steal-%d", i), i+2)), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queuedIDs = append(queuedIDs, res.ID)
-	}
-
-	// Peer 1 learns of the load and steals a batch.
-	peers[1].node.ProbeOnce()
-	if peers[1].node.LoadView()[peers[0].url] != 4 {
-		t.Fatalf("gossip load view = %v, want 4 for the victim", peers[1].node.LoadView())
-	}
-	peers[1].node.StealOnce()
-
-	// The stolen jobs settle on the victim without its worker moving.
-	deadline := time.Now().Add(30 * time.Second)
-	settled := 0
-	for _, id := range queuedIDs {
-		for time.Now().Before(deadline) {
-			st, err := peers[0].srv.JobState(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st == server.StateDone {
-				settled++
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		if settled >= 2 {
-			break
-		}
-	}
-	if settled < 2 {
-		t.Fatalf("only %d stolen jobs settled, want the stolen batch of 2", settled)
-	}
-	if peers[1].passes.Load() == 0 {
-		t.Fatal("stealer ran no passes")
-	}
-	if peers[1].cm().StealsIn.Load() == 0 || peers[0].cm().StealsOut.Load() == 0 {
-		t.Fatal("steal metrics not recorded on both sides")
-	}
-}
-
-func TestClusterStealLeaseExpiry(t *testing.T) {
-	gate := make(chan struct{})
-	started := make(chan struct{}, 1)
-	peers := newTestCluster(t, 2, func(i int, so *server.Options, co *cluster.Options) {
-		co.LeaseTimeout = 50 * time.Millisecond
-		if i == 0 {
-			so.Workers = 1
-			so.Shards = 1
-			prev := so.BeforeRun
-			so.BeforeRun = func(id string) {
-				prev(id)
-				if id == "job-000001" {
-					started <- struct{}{}
-					<-gate
-				}
-			}
-		}
-	})
-	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
-	if _, err := peers[0].srv.Submit("vic", "jam2", encodeJob(t, cjob(t, "jam2", 1)), cfg); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	res, err := peers[0].srv.Submit("vic", "leased", encodeJob(t, cjob(t, "leased", 3)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Steal directly over HTTP and never return the outcome: a stealer
-	// that died mid-job.
-	const stealBody = `{"max":1}`
-	hreq, _ := http.NewRequest(http.MethodPost, peers[0].url+"/cluster/v1/steal",
-		jsonBody(stealBody))
-	hreq.Header.Set("Content-Type", "application/json")
-	sum := sha256.Sum256([]byte(stealBody))
-	hreq.Header.Set(cluster.DigestHeader, hex.EncodeToString(sum[:]))
-	hresp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hresp.Body.Close() //nolint:errcheck // test
-	if hresp.StatusCode != http.StatusOK {
-		t.Fatalf("steal RPC = %d", hresp.StatusCode)
-	}
-
-	// The lease expires; the janitor re-queues the job; the victim runs
-	// it itself once its worker frees up.
-	time.Sleep(60 * time.Millisecond)
-	peers[0].node.ExpireLeases(time.Now())
-	if peers[0].cm().StealRequeues.Load() == 0 {
-		t.Fatal("expired lease did not re-queue")
-	}
-	close(gate)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st, err := peers[0].srv.JobState(res.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st == server.StateDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("re-queued job stuck in %s", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestClusterFaultSweep runs the whole service-fault family against a
 // 3-node cluster: under seeded RPC delay, drop, and corruption, every
 // submission still settles, identical clones agree on their results,
 // and nothing is lost — at worst the cluster trades extra passes
-// (hedges, degraded local runs) for availability.
+// (degraded local runs after exhausted retries) for availability.
 func TestClusterFaultSweep(t *testing.T) {
 	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
 	for _, sc := range chaos.ServiceFaultScenarios(11) {
@@ -579,7 +430,6 @@ func TestClusterFaultSweep(t *testing.T) {
 				spec.Seed += int64(i)
 				co.HTTPClient = &http.Client{Transport: spec.Transport(nil)}
 				co.RetryMax = 6
-				co.HedgeAfter = 25 * time.Millisecond
 				co.RPCTimeout = 10 * time.Second
 			})
 			const clones = 4
@@ -637,6 +487,3 @@ func TestClusterFaultSweep(t *testing.T) {
 		})
 	}
 }
-
-// jsonBody builds a request body from a literal.
-func jsonBody(s string) *strings.Reader { return strings.NewReader(s) }

@@ -58,7 +58,7 @@ func TestCorruptReplyNeverInstalled(t *testing.T) {
 	om := obs.New(obs.Options{})
 	n, err := NewNode(Options{
 		Server: srv, Self: "http://self", Peers: []string{"http://peer"}, Obs: om,
-		HTTPClient: &http.Client{Transport: rt}, ProbeInterval: -1, RetryMax: 1, HedgeAfter: -1,
+		HTTPClient: &http.Client{Transport: rt}, ProbeInterval: -1, RetryMax: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,23 +1,23 @@
 package cluster
 
-// Node is one cluster member: a daemon plus the routing, health, and
-// stealing fabric. The daemon's own handlers are the only client API
-// and its job table the only job table — fpctl pointed at any peer sees
-// the whole cluster — and the node adds the /cluster/v1/* peer RPCs on
-// the same listener.
+// Node is one cluster member: a daemon plus the routing and health
+// fabric. The daemon's own handlers are the only client API and its job
+// table the only job table — fpctl pointed at any peer sees the whole
+// cluster — and the node adds the /cluster/v1/* peer RPCs on the same
+// listener.
 //
 // Routing happens at admission: the node is the daemon's Placer. A
 // client submission that starts a new cache entry is offered to it,
 // and when the entry's content address is owned by another live
 // member, the node forwards the clone there in the background over the
-// robust RPC path. Meanwhile the job sits in the daemon's table, held
-// like a stolen job, so identical submissions attach to it. The settled
-// outcome is installed in the local cache on return (cache-everywhere),
-// so the next local submission of the same clone is a pure cache hit.
-// When every replica is unreachable — a full partition — the job goes
-// back to the local queue instead of failing: availability wins, and
-// the cluster-wide singleflight guarantee narrows to per-partition
-// until the ring heals.
+// robust RPC path. Meanwhile the job sits in the daemon's table,
+// registered but in no queue, so identical submissions attach to it.
+// The settled outcome is installed in the local cache on return
+// (cache-everywhere), so the next local submission of the same clone is
+// a pure cache hit. When the owner stays unreachable — it died, or a
+// partition cut it off — the job goes back to the local queue instead
+// of failing: availability wins, and the cluster-wide singleflight
+// guarantee narrows to per-partition until the ring heals.
 
 import (
 	"context"
@@ -47,9 +47,6 @@ type Options struct {
 
 	// RPCTimeout is the per-call deadline (default 30s).
 	RPCTimeout time.Duration
-	// HedgeAfter is the owner-silence threshold before the same request
-	// races to the next ring replica (default 250ms; 0 disables).
-	HedgeAfter time.Duration
 	// RetryMax bounds RPC attempts (default 4).
 	RetryMax int
 	// RetryBaseWait/RetryMaxWait shape the backoff (defaults 25ms/1s).
@@ -61,29 +58,11 @@ type Options struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe (default 500ms).
 	ProbeTimeout time.Duration
-	// EvictAfter is the consecutive-probe-failure threshold for
-	// eviction (default 2).
-	EvictAfter int
-
-	// StealThreshold is the gossiped queue length above which an idle
-	// node steals from a loaded peer (default 4).
-	StealThreshold int
-	// StealBatch bounds jobs taken per steal (default 2).
-	StealBatch int
-	// LeaseTimeout is how long a victim waits for a stolen job's
-	// outcome before re-queueing it locally (default 30s).
-	LeaseTimeout time.Duration
-
-	// VNodes is the virtual-node count per ring member.
-	VNodes int
 }
 
 func (o *Options) defaults() {
 	if o.RPCTimeout <= 0 {
 		o.RPCTimeout = 30 * time.Second
-	}
-	if o.HedgeAfter == 0 {
-		o.HedgeAfter = 250 * time.Millisecond
 	}
 	if o.RetryMax <= 0 {
 		o.RetryMax = 4
@@ -100,18 +79,6 @@ func (o *Options) defaults() {
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 500 * time.Millisecond
 	}
-	if o.EvictAfter <= 0 {
-		o.EvictAfter = 2
-	}
-	if o.StealThreshold <= 0 {
-		o.StealThreshold = 4
-	}
-	if o.StealBatch <= 0 {
-		o.StealBatch = 2
-	}
-	if o.LeaseTimeout <= 0 {
-		o.LeaseTimeout = 30 * time.Second
-	}
 }
 
 // Node is one cluster member.
@@ -122,12 +89,9 @@ type Node struct {
 	rpc  *rpcClient
 	om   *obs.Metrics
 	mux  *http.ServeMux
-	hc   *http.Client
 
 	mu     sync.Mutex
-	load   map[string]int       // gossiped queue length per peer
-	fails  map[string]int       // consecutive probe failures
-	leases map[string]time.Time // stolen-from-us key -> expiry
+	fails  map[string]int // consecutive probe failures
 	wg     sync.WaitGroup
 	stopc  chan struct{}
 	ctx    context.Context
@@ -136,7 +100,7 @@ type Node struct {
 }
 
 // NewNode builds and starts a node around a running daemon and installs
-// it as the daemon's Placer. Background probe/steal loops start unless
+// it as the daemon's Placer. The background probe loop starts unless
 // ProbeInterval < 0.
 func NewNode(o Options) (*Node, error) {
 	if o.Server == nil {
@@ -152,12 +116,10 @@ func NewNode(o Options) (*Node, error) {
 		hc = &http.Client{}
 	}
 	n := &Node{
-		opts: o, srv: o.Server, om: o.Obs, hc: hc,
-		ring:   NewRing(o.VNodes, members...),
-		load:   make(map[string]int),
-		fails:  make(map[string]int),
-		leases: make(map[string]time.Time),
-		stopc:  make(chan struct{}),
+		opts: o, srv: o.Server, om: o.Obs,
+		ring:  NewRing(members...),
+		fails: make(map[string]int),
+		stopc: make(chan struct{}),
 	}
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	n.rpc = newRPCClient(hc, o, n.cm())
@@ -166,8 +128,6 @@ func NewNode(o Options) (*Node, error) {
 	peerRPC("POST /cluster/v1/run", n.handleRun)
 	peerRPC("GET /cluster/v1/cache/{key}", n.handleCache)
 	peerRPC("GET /cluster/v1/health", n.handleHealth)
-	peerRPC("POST /cluster/v1/steal", n.handleSteal)
-	peerRPC("POST /cluster/v1/complete", n.handleComplete)
 	peerRPC("POST /cluster/v1/join", n.handleJoin)
 	n.mux.Handle("/", n.srv) // the client API is the daemon's
 	n.srv.SetPlacer(n)
@@ -184,7 +144,7 @@ func (n *Node) cm() *obs.ClusterMetrics { return n.om.ClusterMetricsOrNil() }
 // Ring exposes the membership view (tests and fpmon).
 func (n *Node) Ring() *Ring { return n.ring }
 
-// Close stops placement and the background loops (the wrapped daemon
+// Close stops placement and the background loop (the wrapped daemon
 // is the caller's to shut down). Forwards still in flight are cancelled
 // and hand their jobs back to the daemon's queue.
 func (n *Node) Close() {
@@ -224,11 +184,6 @@ func clusterError(w http.ResponseWriter, status int, format string, args ...any)
 	clusterJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// replicasFor is the hedging set for key: owner plus next ring replica.
-func (n *Node) replicasFor(key string) []string {
-	return n.ring.Replicas(key, 2)
-}
-
 // Place is the daemon's placement hook: a new pass whose content
 // address another live member owns is forwarded there, and every other
 // pass stays here. It runs under the daemon's lock, so it only starts
@@ -248,9 +203,10 @@ func (n *Node) Place(job server.PendingJob) bool {
 
 // forward ships one placed job to its owner over the robust RPC path
 // and installs the settled outcome locally (cache-everywhere), which
-// settles the job and everything attached to it. Exhausted retries mean
-// the owner's side of the ring is unreachable: the job goes back to the
-// local queue rather than failing.
+// settles the job and everything attached to it. A forward that fails —
+// retries exhausted, a permanent error, or no owner but self left — goes
+// back to the local queue rather than failing: the pass replays a
+// deterministic clone, so the local answer is the owner's.
 func (n *Node) forward(job server.PendingJob) {
 	defer n.wg.Done()
 	c := n.cm()
@@ -260,17 +216,14 @@ func (n *Node) forward(job server.PendingJob) {
 	start := time.Now()
 	req := runRequest{Name: job.Name, Client: job.Client, Clone: job.Blob, Config: job.Config, Key: job.Key}
 	var resp runResponse
-	err := n.rpc.invoke(n.ctx, func() []string {
-		reps := n.replicasFor(req.Key)
+	err := n.rpc.invoke(n.ctx, func() string {
 		// Never forward to self: if the ring hands the arc back (every
-		// other peer evicted), the local fallback below handles it.
-		out := reps[:0]
-		for _, p := range reps {
-			if p != n.opts.Self {
-				out = append(out, p)
-			}
+		// other peer evicted), the call ends with ErrNoPeers and the local
+		// fallback below handles it.
+		if owner := n.ring.Owner(req.Key); owner != n.opts.Self {
+			return owner
 		}
-		return out
+		return ""
 	}, http.MethodPost, "/cluster/v1/run", req, &resp)
 	if c != nil {
 		c.ForwardNS.Observe(uint64(time.Since(start).Nanoseconds()))
@@ -355,46 +308,8 @@ func (n *Node) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		view[p] = n.ring.Alive(p)
 	}
 	clusterJSON(w, code, healthResponse{
-		Status: status, Self: n.opts.Self, QueueLen: n.srv.QueueLen(), Peers: view,
+		Status: status, Self: n.opts.Self, Peers: view,
 	})
-}
-
-func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
-	var req stealRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		clusterError(w, http.StatusBadRequest, "bad steal body: %v", err)
-		return
-	}
-	stolen := n.srv.StealPending(req.Max)
-	now := time.Now()
-	n.mu.Lock()
-	for _, sj := range stolen {
-		n.leases[sj.Key] = now.Add(n.opts.LeaseTimeout)
-	}
-	n.mu.Unlock()
-	if c := n.cm(); c != nil {
-		for range stolen {
-			c.StealsOut.Inc()
-		}
-	}
-	clusterJSON(w, http.StatusOK, stealResponse{Jobs: stolen})
-}
-
-func (n *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req completeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		clusterError(w, http.StatusBadRequest, "bad complete body: %v", err)
-		return
-	}
-	if req.Outcome == nil && req.Error == "" {
-		clusterError(w, http.StatusBadRequest, "complete without outcome or error")
-		return
-	}
-	n.srv.InstallOutcome(req.Key, req.Outcome, req.Error, false)
-	n.mu.Lock()
-	delete(n.leases, req.Key)
-	n.mu.Unlock()
-	clusterJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -415,7 +330,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 // membership it answers with.
 func (n *Node) Join(peer string) error {
 	var resp joinResponse
-	err := n.rpc.invoke(n.ctx, func() []string { return []string{peer} },
+	err := n.rpc.invoke(n.ctx, func() string { return peer },
 		http.MethodPost, "/cluster/v1/join", joinRequest{Peer: n.opts.Self}, &resp)
 	if err != nil {
 		return fmt.Errorf("cluster: join via %s: %w", peer, err)

@@ -4,11 +4,12 @@
 // inherits the single-node cache and singleflight invariants — a clone
 // studied anywhere is studied once, and cached everywhere a result
 // passes through. A gossip-fed health layer evicts dead peers (and
-// re-admits recovered ones) with automatic ring rebalance; the RPC path
-// carries per-call deadlines, capped jittered backoff, and hedged
-// requests to the next ring replica; overloaded peers shed queued jobs
-// to idle ones through leased work stealing. Under a full partition a
-// node degrades to local-only service instead of failing submissions.
+// re-admits recovered ones) with automatic ring rebalance, and the RPC
+// path carries body digests, per-call deadlines and capped jittered
+// backoff. A forward that still fails hands its job back to the local
+// queue: every pass replays a deterministic clone, so a local pass gives
+// the owner's answer, and under a full partition a node degrades to
+// local-only service instead of failing submissions.
 package cluster
 
 import (
@@ -27,10 +28,9 @@ const defaultVNodes = 64
 // occupy slots; eviction and re-admission rebuild the slot array, which
 // moves only the evicted peer's arc — every other key keeps its owner.
 type Ring struct {
-	mu     sync.RWMutex
-	vnodes int
-	alive  map[string]bool // every known peer -> liveness
-	slots  []ringSlot      // live peers' virtual nodes, sorted by hash
+	mu    sync.RWMutex
+	alive map[string]bool // every known peer -> liveness
+	slots []ringSlot      // live peers' virtual nodes, sorted by hash
 }
 
 type ringSlot struct {
@@ -38,13 +38,9 @@ type ringSlot struct {
 	peer string
 }
 
-// NewRing builds a ring with vnodes virtual nodes per peer (the
-// default when vnodes <= 0). The initial members are all live.
-func NewRing(vnodes int, members ...string) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
-	r := &Ring{vnodes: vnodes, alive: make(map[string]bool)}
+// NewRing builds a ring whose initial members are all live.
+func NewRing(members ...string) *Ring {
+	r := &Ring{alive: make(map[string]bool)}
 	for _, m := range members {
 		r.alive[m] = true
 	}
@@ -69,7 +65,7 @@ func (r *Ring) rebuild() {
 		if !ok {
 			continue
 		}
-		for i := 0; i < r.vnodes; i++ {
+		for i := 0; i < defaultVNodes; i++ {
 			buf = append(buf[:0], peer...)
 			buf = append(buf, '#', byte(i), byte(i>>8))
 			sum := sha256.Sum256(buf)
@@ -139,33 +135,15 @@ func (r *Ring) Known() []string {
 	return out
 }
 
-// Owner returns the live peer owning key ("" on an empty ring).
+// Owner returns the live peer owning key: the peer of the first slot
+// clockwise from key's ring position ("" on an empty ring).
 func (r *Ring) Owner(key string) string {
-	reps := r.Replicas(key, 1)
-	if len(reps) == 0 {
-		return ""
-	}
-	return reps[0]
-}
-
-// Replicas returns up to n distinct live peers clockwise from key's
-// ring position: the owner first, then the hedging successors.
-func (r *Ring) Replicas(key string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if len(r.slots) == 0 || n <= 0 {
-		return nil
+	if len(r.slots) == 0 {
+		return ""
 	}
 	h := ringHash(key)
 	i := sort.Search(len(r.slots), func(i int) bool { return r.slots[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for j := 0; j < len(r.slots) && len(out) < n; j++ {
-		s := r.slots[(i+j)%len(r.slots)]
-		if !seen[s.peer] {
-			seen[s.peer] = true
-			out = append(out, s.peer)
-		}
-	}
-	return out
+	return r.slots[i%len(r.slots)].peer
 }

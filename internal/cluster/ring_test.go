@@ -14,9 +14,10 @@ func keysFor(n int) []string {
 }
 
 // TestRingBalance pins the virtual-node sizing: three peers each own a
-// third of the keyspace within a loose tolerance.
+// third of the keyspace within a loose tolerance, and an empty ring
+// owns nothing.
 func TestRingBalance(t *testing.T) {
-	r := NewRing(0, "http://a", "http://b", "http://c")
+	r := NewRing("http://a", "http://b", "http://c")
 	counts := map[string]int{}
 	keys := keysFor(3000)
 	for _, k := range keys {
@@ -31,13 +32,16 @@ func TestRingBalance(t *testing.T) {
 	if len(counts) != 3 {
 		t.Fatalf("only %d peers own keys, want 3", len(counts))
 	}
+	if NewRing().Owner("deadbeef") != "" {
+		t.Fatal("empty ring must have no owner")
+	}
 }
 
 // TestRingMinimalMovement pins consistency: evicting one of three peers
 // moves only that peer's keys, and re-admission restores the exact
 // original assignment.
 func TestRingMinimalMovement(t *testing.T) {
-	r := NewRing(0, "http://a", "http://b", "http://c")
+	r := NewRing("http://a", "http://b", "http://c")
 	keys := keysFor(2000)
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
@@ -62,35 +66,5 @@ func TestRingMinimalMovement(t *testing.T) {
 		if r.Owner(k) != before[k] {
 			t.Fatalf("key %s did not return to %s after re-admission", k, before[k])
 		}
-	}
-}
-
-// TestRingReplicasDistinct pins the hedging set: replicas are distinct
-// live peers, owner first.
-func TestRingReplicasDistinct(t *testing.T) {
-	r := NewRing(0, "http://a", "http://b", "http://c")
-	for _, k := range keysFor(200) {
-		reps := r.Replicas(k, 2)
-		if len(reps) != 2 {
-			t.Fatalf("Replicas(%s, 2) = %v", k, reps)
-		}
-		if reps[0] == reps[1] {
-			t.Fatalf("duplicate replica %s for %s", reps[0], k)
-		}
-		if reps[0] != r.Owner(k) {
-			t.Fatalf("first replica %s is not the owner %s", reps[0], r.Owner(k))
-		}
-	}
-	// More replicas than live peers: every peer once, no repeats.
-	if reps := r.Replicas("deadbeef", 9); len(reps) != 3 {
-		t.Fatalf("Replicas(_, 9) = %v, want all 3 peers", reps)
-	}
-	// Empty ring yields nothing.
-	e := NewRing(0)
-	if reps := e.Replicas("deadbeef", 2); reps != nil {
-		t.Fatalf("empty ring Replicas = %v", reps)
-	}
-	if e.Owner("deadbeef") != "" {
-		t.Fatal("empty ring must have no owner")
 	}
 }

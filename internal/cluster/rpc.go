@@ -1,13 +1,11 @@
 package cluster
 
-// The peer-to-peer RPC path. Every call gets a per-call deadline;
-// transient failures retry with capped exponential backoff and full
-// jitter; calls that name more than one replica hedge — when the owner
-// has not answered within hedgeAfter, the same request races to the
-// next ring replica and the first answer wins. Hedging is safe because
-// the run RPC is idempotent by construction: it is keyed on the content
-// address, so a duplicate arrival is a cache hit on the receiver, never
-// a second study pass.
+// The peer-to-peer RPC path. Every attempt runs under a per-call
+// deadline, and transient failures retry with capped exponential
+// backoff and full jitter. Retrying is safe because the run RPC is
+// idempotent by construction: it is keyed on the content address, so a
+// duplicate arrival is a cache hit on the receiver, never a second study
+// pass.
 //
 // Every request and reply body travels with its SHA-256 digest in
 // DigestHeader. A body whose digest is missing or wrong was corrupted
@@ -57,28 +55,12 @@ type runResponse struct {
 	Error    string          `json:"error,omitempty"`
 }
 
-// healthResponse is one gossip exchange: the peer's own status and
-// load, plus its liveness view of the membership.
+// healthResponse is one gossip exchange: the peer's own status plus
+// its liveness view of the membership.
 type healthResponse struct {
-	Status   string          `json:"status"`
-	Self     string          `json:"self"`
-	QueueLen int             `json:"queueLen"`
-	Peers    map[string]bool `json:"peers"`
-}
-
-type stealRequest struct {
-	Max int `json:"max"`
-}
-
-type stealResponse struct {
-	Jobs []server.PendingJob `json:"jobs"`
-}
-
-// completeRequest returns a stolen job's outcome to its victim.
-type completeRequest struct {
-	Key     string          `json:"key"`
-	Outcome *server.Outcome `json:"outcome,omitempty"`
-	Error   string          `json:"error,omitempty"`
+	Status string          `json:"status"`
+	Self   string          `json:"self"`
+	Peers  map[string]bool `json:"peers"`
 }
 
 type joinRequest struct {
@@ -99,7 +81,7 @@ func (e *rpcError) Error() string {
 	return fmt.Sprintf("cluster rpc: %s (HTTP %d)", e.Msg, e.Status)
 }
 
-// ErrNoPeers means the ring has no live replica for the call.
+// ErrNoPeers means the call has no live peer other than self to go to.
 var ErrNoPeers = errors.New("cluster: no live peers")
 
 // DigestHeader carries the hex SHA-256 of a /cluster/v1/* body.
@@ -156,13 +138,12 @@ func rpcRetryable(err error) bool {
 
 // rpcClient issues cluster RPCs under the robustness policy.
 type rpcClient struct {
-	hc         *http.Client
-	timeout    time.Duration // per-call deadline
-	hedgeAfter time.Duration // silence before the hedge fires
-	retryMax   int
-	baseWait   time.Duration
-	maxWait    time.Duration
-	cm         *obs.ClusterMetrics // nil when observability is off
+	hc       *http.Client
+	timeout  time.Duration // per-call deadline
+	retryMax int
+	baseWait time.Duration
+	maxWait  time.Duration
+	cm       *obs.ClusterMetrics // nil when observability is off
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -170,7 +151,7 @@ type rpcClient struct {
 
 func newRPCClient(hc *http.Client, o Options, cm *obs.ClusterMetrics) *rpcClient {
 	return &rpcClient{
-		hc: hc, timeout: o.RPCTimeout, hedgeAfter: o.HedgeAfter,
+		hc: hc, timeout: o.RPCTimeout,
 		retryMax: o.RetryMax, baseWait: o.RetryBaseWait, maxWait: o.RetryMaxWait,
 		// The jitter seed is fixed: streams still decorrelate across
 		// nodes because draws interleave with each node's own call order.
@@ -214,102 +195,37 @@ func (r *rpcClient) once(ctx context.Context, peer, method, path string, in any)
 	return data, nil
 }
 
-// hedged races one logical call across up to two replicas: the primary
-// immediately, the successor after hedgeAfter of silence (or at once if
-// the primary fails fast). First success wins; losers are cancelled by
-// the shared per-call deadline context.
-func (r *rpcClient) hedged(ctx context.Context, peers []string, method, path string, in, out any) error {
-	cctx, cancel := context.WithTimeout(ctx, r.timeout)
-	defer cancel()
-	type attempt struct {
-		body  []byte
-		err   error
-		hedge bool
-	}
-	ch := make(chan attempt, len(peers))
-	launch := func(peer string, hedge bool) {
-		go func() {
-			body, err := r.once(cctx, peer, method, path, in)
-			ch <- attempt{body, err, hedge}
-		}()
-	}
-	launch(peers[0], false)
-	outstanding := 1
-	var hedgeC <-chan time.Time
-	if len(peers) > 1 && r.hedgeAfter > 0 {
-		t := time.NewTimer(r.hedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	fireHedge := func() {
-		hedgeC = nil
-		if r.cm != nil {
-			r.cm.Hedges.Inc()
-		}
-		launch(peers[1], true)
-		outstanding++
-	}
-	var lastErr error
-	for {
-		select {
-		case <-hedgeC:
-			fireHedge()
-		case a := <-ch:
-			outstanding--
-			if a.err == nil {
-				if out != nil {
-					if derr := json.Unmarshal(a.body, out); derr != nil {
-						// A corrupted response is an error, not data.
-						a.err = fmt.Errorf("cluster rpc: decode %s: %w", path, derr)
-					}
-				}
-			}
-			if a.err == nil {
-				if a.hedge && r.cm != nil {
-					r.cm.HedgeWins.Inc()
-				}
-				return nil
-			}
-			lastErr = a.err
-			if r.cm != nil {
-				r.cm.RPCErrors.Inc()
-			}
-			if outstanding == 0 {
-				if hedgeC != nil {
-					// The primary failed before the hedge timer: hedge
-					// immediately instead of waiting out the silence.
-					fireHedge()
-					continue
-				}
-				return lastErr
-			}
-		case <-cctx.Done():
-			return cctx.Err()
-		}
-	}
-}
-
-// invoke is the full robust call: per-attempt hedged exchange, capped
-// jittered backoff between attempts, fresh replica set each attempt (so
-// an eviction mid-call reroutes the retry), and context cancellation
-// throughout.
-func (r *rpcClient) invoke(ctx context.Context, replicas func() []string, method, path string, in, out any) error {
-	var lastErr error
-	for att := 1; att <= r.retryMax; att++ {
-		peers := replicas()
-		if len(peers) == 0 {
+// invoke is the full robust call. Each attempt is one exchange with
+// peer() under the per-call deadline, decoded into out; a transient
+// failure retries after a capped, jittered backoff, asking peer() again
+// (so an eviction mid-call reroutes the retry), and cancelling ctx ends
+// the call at once. peer() returning "" means no peer is left to ask.
+func (r *rpcClient) invoke(ctx context.Context, peer func() string, method, path string, in, out any) error {
+	for att := 1; ; att++ {
+		p := peer()
+		if p == "" {
 			return ErrNoPeers
 		}
-		err := r.hedged(ctx, peers, method, path, in, out)
+		actx, cancel := context.WithTimeout(ctx, r.timeout)
+		body, err := r.once(actx, p, method, path, in)
+		cancel()
+		if err == nil && out != nil {
+			if derr := json.Unmarshal(body, out); derr != nil {
+				// A corrupted response is an error, not data.
+				err = fmt.Errorf("cluster rpc: decode %s: %w", path, derr)
+			}
+		}
 		if err == nil {
 			return nil
 		}
-		lastErr = err
+		if r.cm != nil {
+			r.cm.RPCErrors.Inc()
+		}
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		if !rpcRetryable(err) || att == r.retryMax {
-			return lastErr
+			return err
 		}
 		if r.cm != nil {
 			r.cm.Retries.Inc()
@@ -322,7 +238,6 @@ func (r *rpcClient) invoke(ctx context.Context, replicas func() []string, method
 			return ctx.Err()
 		}
 	}
-	return lastErr
 }
 
 // backoff is the capped exponential wait with full jitter for retry

@@ -51,7 +51,7 @@ type Metrics struct {
 	// Server instruments the fpspyd daemon in internal/server.
 	Server ServerMetrics
 	// Cluster instruments the fpspyd peer fabric in internal/cluster:
-	// routing, hedging, health probing, eviction, and work stealing.
+	// routing, retries, the local fallback, health probing and eviction.
 	Cluster ClusterMetrics
 	// Self holds the self-sampler's periodic observations of the
 	// process (goroutines, heap, worker-pool occupancy).
@@ -368,7 +368,7 @@ type StudyMetrics struct {
 type ServerMetrics struct {
 	// Submissions counts admitted jobs: client submissions that passed
 	// rate limiting and the drain check, jobs a peer submits (a forward's
-	// owner side, a stealer), and persisted jobs re-admitted at start.
+	// owner side), and persisted jobs re-admitted at start.
 	Submissions Counter
 	// CacheHits counts submissions answered by the content-addressed
 	// result cache — including attaches to an identical in-flight pass.
@@ -396,9 +396,9 @@ type ServerMetrics struct {
 }
 
 // ClusterMetrics instruments the fpspyd peer fabric (internal/cluster):
-// consistent-hash routing decisions, the robust RPC path (retries,
-// hedges), ring membership churn, and work stealing. Like every group,
-// the zero value is ready and a nil *Metrics records nothing.
+// consistent-hash routing decisions, the robust RPC path (retries and
+// the local fallback), and ring membership churn. Like every group, the
+// zero value is ready and a nil *Metrics records nothing.
 type ClusterMetrics struct {
 	// ForwardsLocal counts new passes this node keeps because it owns
 	// their content address (or no other member is live). Submissions
@@ -407,14 +407,11 @@ type ClusterMetrics struct {
 	// Forwards counts new passes forwarded to their owning peer: one per
 	// content address, however many identical submissions attach to it.
 	Forwards Counter
-	// Retries counts peer RPC attempts beyond the first, across all
-	// call kinds (run, steal, complete, health).
+	// Retries counts peer RPC attempts beyond the first, across the
+	// retried call kinds (run, join).
 	Retries Counter
-	// Hedges counts hedged requests fired at a backup replica because
-	// the owner was slow; HedgeWins counts hedges that answered first.
-	Hedges    Counter
-	HedgeWins Counter
-	// RPCErrors counts peer calls that failed after all retries.
+	// RPCErrors counts failed peer RPC attempts: every attempt that
+	// failed, whether or not a retry followed it.
 	RPCErrors Counter
 	// Evictions counts peers removed from the ring by the health layer;
 	// Readmissions counts recovered peers added back.
@@ -423,18 +420,11 @@ type ClusterMetrics struct {
 	// Probes and ProbeFailures count health-probe attempts and failures.
 	Probes        Counter
 	ProbeFailures Counter
-	// StealsIn counts jobs this node stole and executed for an
-	// overloaded peer; StealsOut counts jobs handed to a stealing peer.
-	StealsIn  Counter
-	StealsOut Counter
-	// StealRequeues counts stolen jobs re-admitted locally after the
-	// stealer's lease expired without a returned outcome.
-	StealRequeues Counter
 	// PartitionLocal counts forwarded passes taken back to the local
-	// queue because the owning peer (and every replica) was unreachable.
+	// queue because the owning peer could not be reached.
 	PartitionLocal Counter
-	// ForwardNS is the latency distribution of settled forwards, in
-	// host nanoseconds (owner RPC including retries and hedges).
+	// ForwardNS is the latency distribution of forwards, in host
+	// nanoseconds (owner RPC including retries and backoff).
 	ForwardNS Histogram
 }
 

@@ -20,20 +20,15 @@ import (
 type SubmitResult struct {
 	// ID is the daemon-assigned job ID.
 	ID string
-	// State is the job's state at admission (done/failed on a settled
-	// cache hit, queued otherwise).
-	State State
 	// CacheHit reports whether the submission attached to an existing
 	// cache entry instead of scheduling a new pass.
 	CacheHit bool
-	// Key is the submission's content address.
-	Key string
 }
 
 // Submit admits one submission on behalf of a peer — the owner side of
-// a forward, or a stealer — through the same admission path the HTTP
-// handlers take, minus rate limiting and placement: a job admitted here
-// runs here, so a forwarded pass is never forwarded again.
+// a forward — through the same admission path the HTTP handlers take,
+// minus rate limiting and placement: a job admitted here runs here, so
+// a forwarded pass is never forwarded again.
 func (s *Server) Submit(client, name string, blob []byte, cfg fpspy.Config) (SubmitResult, error) {
 	rec, err := s.submit(client, name, blob, cfg, false)
 	if err != nil {
@@ -41,7 +36,7 @@ func (s *Server) Submit(client, name string, blob []byte, cfg fpspy.Config) (Sub
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return SubmitResult{ID: rec.id, State: rec.state, CacheHit: rec.cacheHit, Key: rec.key}, nil
+	return SubmitResult{ID: rec.id, CacheHit: rec.cacheHit}, nil
 }
 
 // WaitOutcome blocks until the job's pass settles and returns its
@@ -74,17 +69,6 @@ func (s *Server) WaitOutcome(ctx context.Context, id string) (*Outcome, error) {
 	return rec.entry.out, nil
 }
 
-// JobState reports a job's lifecycle state.
-func (s *Server) JobState(id string) (State, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.jobs[id]
-	if !ok {
-		return "", fmt.Errorf("server: unknown job %q", id)
-	}
-	return rec.state, nil
-}
-
 // CachedOutcome reports whether key has a settled cache entry, and its
 // outcome or error message when it does. Peers use it for the
 // cache-everywhere lookup: a clone studied anywhere is servable here.
@@ -102,12 +86,12 @@ func (s *Server) CachedOutcome(key string) (out *Outcome, errMsg string, ok bool
 }
 
 // InstallOutcome publishes an externally computed outcome (a peer's
-// pass, or a stolen job's result) under key. The first settle wins: an
-// already-settled entry is left untouched and false is returned. An
-// unsettled entry — including one whose primary still waits in a shard
-// queue — settles immediately, finalizing its waiters; the dispatcher
-// skips settled primaries, so the local pass never double-runs. With no
-// entry present, a settled one is created so future submissions hit.
+// pass) under key. The first settle wins: an already-settled entry is
+// left untouched and false is returned. An unsettled entry — including
+// one whose primary still waits in a shard queue — settles immediately,
+// finalizing its waiters; the dispatcher skips settled primaries, so the
+// local pass never double-runs. With no entry present, a settled one is
+// created so future submissions hit.
 // cacheHit reports that the peer served the outcome from its own cache:
 // the local primary then reads as a cache hit too, since no pass ran
 // for it anywhere.
@@ -133,11 +117,10 @@ func (s *Server) InstallOutcome(key string, out *Outcome, errMsg string, cacheHi
 	return true
 }
 
-// PendingJob is one unstarted primary handed to a peer: a stealer takes
-// it from the shard queues via StealPending, and the Placer is offered
-// it at admission. The peer replays the clone and the outcome comes
-// back through InstallOutcome; RequeuePending takes back a job whose
-// peer never answered.
+// PendingJob is one unstarted primary offered to the Placer at
+// admission. The peer it is placed on replays the clone and the outcome
+// comes back through InstallOutcome; RequeuePending takes back a job
+// whose peer never answered.
 type PendingJob struct {
 	// ID, Name, and Client identify the job on this node.
 	ID, Name, Client string
@@ -181,84 +164,30 @@ func (s *Server) SetPlacer(p Placer) {
 	s.placer = p
 }
 
-// StealPending removes up to max queued-but-unstarted primaries from
-// the shard queues for execution elsewhere. The cache entries stay
-// registered (waiters keep waiting); each stolen entry settles when the
-// stealer's outcome arrives via InstallOutcome, or re-enters the queue
-// via RequeuePending when the caller's lease on it expires.
-func (s *Server) StealPending(max int) []PendingJob {
-	if max <= 0 {
-		return nil
-	}
-	var out []PendingJob
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sv := s.obs.ServerMetricsOrNil()
-	for _, q := range s.shards {
-	drain:
-		for len(out) < max {
-			select {
-			case rec := <-q:
-				if sv != nil {
-					sv.QueueDepth.Add(-1)
-				}
-				if rec.entry.settled {
-					continue // already finalized; nothing to hand out
-				}
-				rec.entry.held = true
-				out = append(out, rec.pending())
-			default:
-				break drain
-			}
-		}
-		if len(out) >= max {
-			break
-		}
-	}
-	return out
-}
-
-// RequeuePending takes back a held job — stolen by a peer whose lease
-// expired, or placed on a peer that could not be reached — and puts its
-// primary back in its shard queue for a local pass. It reports whether
-// a re-enqueue happened: false when the entry settled in the meantime,
-// is not held, or the queue is full. On a full queue a stolen job stays
-// held, for the lease janitor to retry; a placed job has no lease, so
-// it fails with ErrQueueFull and leaves the cache, and the next
-// identical submission starts afresh.
-func (s *Server) RequeuePending(key string) bool {
+// RequeuePending takes back a job placed on a peer that could not be
+// reached and puts its primary back in its shard queue for a local pass.
+// It does nothing when the entry settled in the meantime or is not
+// placed. On a full queue the job fails with ErrQueueFull and leaves the
+// cache, and the next identical submission starts afresh.
+func (s *Server) RequeuePending(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.cache[key]
-	if !ok || e.settled || !e.held || e.primary == nil {
-		return false
+	if !ok || e.settled || !e.placed || e.primary == nil {
+		return
 	}
 	sv := s.obs.ServerMetricsOrNil()
 	select {
 	case s.shardOf(key) <- e.primary:
-		e.held, e.placed = false, false
+		e.placed = false
 		if sv != nil {
 			sv.QueueDepth.Add(1)
 		}
-		return true
 	default:
-	}
-	if e.placed {
 		if sv != nil {
 			sv.Shed.Inc()
 		}
 		delete(s.cache, key)
 		s.settleLocked(e, nil, ErrQueueFull)
 	}
-	return false
-}
-
-// QueueLen is the number of jobs currently waiting in shard queues —
-// the load signal gossiped to peers for work stealing.
-func (s *Server) QueueLen() int {
-	n := 0
-	for _, q := range s.shards {
-		n += len(q)
-	}
-	return n
 }

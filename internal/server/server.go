@@ -128,8 +128,8 @@ type jobRec struct {
 	submitted time.Time
 
 	// blob (the encoded clone) and job (its decoding) serve persisting,
-	// stealing, placing, and running an unsettled job; both are dropped
-	// once it settles.
+	// placing, and running an unsettled job; both are dropped once it
+	// settles.
 	blob []byte
 	job  *jobs.Job
 
@@ -147,8 +147,7 @@ type cacheEntry struct {
 	done    chan struct{}
 	started bool // a dispatcher picked the primary up (guarded by mu)
 	settled bool // out/err valid (guarded by mu)
-	held    bool // primary is with a peer, in no shard queue (guarded by mu)
-	placed  bool // held by the Placer, not by a stealer (guarded by mu)
+	placed  bool // primary is with the Placer's peer, in no shard queue (guarded by mu)
 	out     *Outcome
 	err     error
 	primary *jobRec
@@ -302,7 +301,7 @@ func (s *Server) submit(client, name string, blob []byte, cfg fpspy.Config, offe
 // admitLocked is the one admission path — client submissions, Submit,
 // and persisted jobs reloaded by New all enter here. A cache hit
 // finalizes rec at once (settled entry) or attaches it as a waiter (in
-// flight, queued, or held); a miss makes rec the primary of a new
+// flight, queued, or placed); a miss makes rec the primary of a new
 // entry, which the Placer may take when offer is set and which
 // otherwise joins its shard queue. A full queue sheds the submission
 // with ErrQueueFull and leaves no trace. Caller holds s.mu.
@@ -328,7 +327,7 @@ func (s *Server) admitLocked(rec *jobRec, offer bool) error {
 
 	e := &cacheEntry{key: rec.key, done: make(chan struct{}), primary: rec}
 	if offer && s.placer != nil && s.placer.Place(rec.pending()) {
-		e.held, e.placed = true, true
+		e.placed = true
 	} else {
 		select {
 		case s.shardOf(rec.key) <- rec:
@@ -440,9 +439,8 @@ func executePass(j *jobs.Job, cfg fpspy.Config, m *obs.Metrics) (*Outcome, error
 
 // settle publishes a pass outcome: the entry's primary and every waiter
 // finalize together, then done is closed so result streams unblock.
-// Settling is first-writer-wins — a local pass racing a peer-installed
-// outcome (stolen job returned late, hedge resolved twice) leaves the
-// first result in place and discards the second.
+// Settling is first-writer-wins: an entry that already settled keeps
+// its first result, and a second settle is discarded.
 func (s *Server) settle(e *cacheEntry, out *Outcome, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -491,7 +489,7 @@ func finalizeLocked(rec *jobRec, e *cacheEntry, sv *obs.ServerMetrics) {
 // Shutdown drains the daemon: new submissions are rejected 503 with
 // Retry-After, dispatchers stop pulling work, every in-flight pass runs
 // to completion, and queued-but-unstarted jobs (primaries still in
-// shard queues or held by a peer, plus waiters attached to them) are
+// shard queues or placed on a peer, plus waiters attached to them) are
 // persisted to Options.StateFile via their encoded clones. It returns
 // the number of jobs persisted.
 func (s *Server) Shutdown() (int, error) {
@@ -527,13 +525,13 @@ func (s *Server) Shutdown() (int, error) {
 	}
 	// Waiters attached to a never-started entry are queued-but-unstarted
 	// submissions too; their entry is removed so a restarted daemon
-	// re-creates it. A held primary (stolen, or placed on a peer whose
-	// forward is still in flight) is not in any shard queue, so it is
-	// captured here as well — the peer's late outcome has nowhere to
-	// land after shutdown, and the job must not be lost.
+	// re-creates it. A placed primary (its forward still in flight) is
+	// not in any shard queue, so it is captured here as well — the peer's
+	// late outcome has nowhere to land after shutdown, and the job must
+	// not be lost.
 	for key, e := range s.cache {
 		if !e.started && !e.settled {
-			if e.held && e.primary != nil {
+			if e.placed && e.primary != nil {
 				pend = append(pend, e.primary)
 			}
 			pend = append(pend, e.waiters...)
