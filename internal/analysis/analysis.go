@@ -38,21 +38,26 @@ func rank(counts map[string]uint64) []RankEntry {
 }
 
 // RankByForm counts captured events by instruction form, most popular
-// first (the paper's Figure 17).
-func RankByForm(recs []trace.Record) []RankEntry {
+// first (the paper's Figure 17). It counts over every slice given, as
+// if they were one.
+func RankByForm(sets ...[]trace.Record) []RankEntry {
 	counts := make(map[string]uint64)
-	for i := range recs {
-		counts[isa.Opcode(recs[i].Opcode).String()]++
+	for _, recs := range sets {
+		for i := range recs {
+			counts[isa.Opcode(recs[i].Opcode).String()]++
+		}
 	}
 	return rank(counts)
 }
 
 // RankByAddress counts captured events by faulting instruction address
-// (the paper's Figure 19).
-func RankByAddress(recs []trace.Record) []RankEntry {
+// (the paper's Figure 19), over every slice given.
+func RankByAddress(sets ...[]trace.Record) []RankEntry {
 	counts := make(map[uint64]uint64)
-	for i := range recs {
-		counts[recs[i].Rip]++
+	for _, recs := range sets {
+		for i := range recs {
+			counts[recs[i].Rip]++
+		}
 	}
 	out := make([]RankEntry, 0, len(counts))
 	for a, c := range counts {
@@ -153,23 +158,17 @@ func RateSeries(recs []trace.Record, binSeconds float64, hz float64) []RatePoint
 	return out
 }
 
-// CumPoint is one step of a cumulative event curve.
-type CumPoint struct {
-	// TimeSec is the event time in seconds.
-	TimeSec float64
-	// Count is the cumulative number of events at that time.
-	Count uint64
-}
-
-// Cumulative produces the running event count over time (Figure 16).
-func Cumulative(recs []trace.Record, hz float64) []CumPoint {
-	sorted := append([]trace.Record(nil), recs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
-	out := make([]CumPoint, len(sorted))
-	for i := range sorted {
-		out[i] = CumPoint{TimeSec: float64(sorted[i].Time) / hz, Count: uint64(i + 1)}
+// CumulativeAt counts, in place, the records delivering flag at or
+// before sec seconds at clock rate hz: one point of a cumulative event
+// curve (Figure 16).
+func CumulativeAt(recs []trace.Record, flag softfloat.Flags, hz, sec float64) int {
+	n := 0
+	for i := range recs {
+		if recs[i].Event == flag && float64(recs[i].Time)/hz <= sec {
+			n++
+		}
 	}
-	return out
+	return n
 }
 
 // FormUsage summarizes, across a set of codes, which instruction forms
@@ -182,8 +181,8 @@ type FormUsage struct {
 }
 
 // FormsAcrossCodes builds the Figure 18 histogram input from per-code
-// record sets.
-func FormsAcrossCodes(byCode map[string][]trace.Record) FormUsage {
+// record sets, each code's records in one or more slices.
+func FormsAcrossCodes(byCode map[string][][]trace.Record) FormUsage {
 	usage := FormUsage{
 		CodesByForm: make(map[string][]string),
 		UniqueTo:    make(map[string][]string),
@@ -196,8 +195,10 @@ func FormsAcrossCodes(byCode map[string][]trace.Record) FormUsage {
 	sort.Strings(names)
 	for _, name := range names {
 		forms := make(map[string]bool)
-		for i := range byCode[name] {
-			forms[isa.Opcode(byCode[name][i].Opcode).String()] = true
+		for _, recs := range byCode[name] {
+			for i := range recs {
+				forms[isa.Opcode(recs[i].Opcode).String()] = true
+			}
 		}
 		codeForms[name] = forms
 		for f := range forms {

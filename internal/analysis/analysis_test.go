@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -37,6 +39,10 @@ func TestRankByFormOrdersDescending(t *testing.T) {
 	if TotalEvents(r) != 160 {
 		t.Errorf("total = %d", TotalEvents(r))
 	}
+	// Slices given side by side rank as their concatenation.
+	if split := RankByForm(recs[:70], nil, recs[70:]); !reflect.DeepEqual(split, r) {
+		t.Errorf("split rank = %+v, want %+v", split, r)
+	}
 }
 
 func TestCoverageCount(t *testing.T) {
@@ -60,6 +66,9 @@ func TestRankByAddress(t *testing.T) {
 	if len(r) != 2 || r[0].Key != "0x400010" || r[0].Count != 2 {
 		t.Errorf("rank = %+v", r)
 	}
+	if split := RankByAddress(recs[:1], recs[1:]); !reflect.DeepEqual(split, r) {
+		t.Errorf("split rank = %+v, want %+v", split, r)
+	}
 }
 
 func TestRateSeries(t *testing.T) {
@@ -81,13 +90,18 @@ func TestRateSeries(t *testing.T) {
 }
 
 func TestCumulative(t *testing.T) {
-	recs := []trace.Record{{Time: 300}, {Time: 100}, {Time: 200}}
-	pts := Cumulative(recs, 100)
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
+	inexact := softfloat.FlagInexact
+	recs := []trace.Record{
+		{Time: 300, Event: inexact}, {Time: 100, Event: inexact},
+		{Time: 200, Event: softfloat.FlagInvalid}, {Time: 200, Event: inexact},
 	}
-	if pts[0].TimeSec != 1 || pts[0].Count != 1 || pts[2].Count != 3 {
-		t.Errorf("cumulative = %+v", pts)
+	for _, c := range []struct {
+		sec  float64
+		want int
+	}{{0.5, 0}, {1, 1}, {1.5, 1}, {2, 2}, {3, 3}, {math.Inf(1), 3}} {
+		if got := CumulativeAt(recs, inexact, 100, c.sec); got != c.want {
+			t.Errorf("Inexact at or before %v s = %d, want %d", c.sec, got, c.want)
+		}
 	}
 }
 
@@ -103,9 +117,9 @@ func TestFilterEvent(t *testing.T) {
 }
 
 func TestFormsAcrossCodes(t *testing.T) {
-	byCode := map[string][]trace.Record{
-		"alpha": mkRecs(map[string]int{"addsd": 3, "mulsd": 1}),
-		"beta":  mkRecs(map[string]int{"addsd": 2, "vdpps": 4}),
+	byCode := map[string][][]trace.Record{
+		"alpha": {mkRecs(map[string]int{"addsd": 3}), mkRecs(map[string]int{"mulsd": 1})},
+		"beta":  {mkRecs(map[string]int{"addsd": 2, "vdpps": 4})},
 	}
 	u := FormsAcrossCodes(byCode)
 	if got := u.CodesByForm["addsd"]; len(got) != 2 {

@@ -368,21 +368,24 @@ func TestClusterKillRestartNoLoss(t *testing.T) {
 	}
 }
 
+// TestClusterPartitionDegradesLocal: a node cut off from every peer
+// serves all its clones locally. The clones are chosen by owner before
+// the partition — one owned by each dark peer and one by peer 0 — so
+// the forward path runs whatever ports the listeners drew.
 func TestClusterPartitionDegradesLocal(t *testing.T) {
 	peers := newTestCluster(t, 3, func(i int, so *server.Options, co *cluster.Options) {
 		co.RetryMax = 2
 		co.RPCTimeout = 2 * time.Second
 	})
+	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
+	clones := []*jobs.Job{jobOwnedBy(t, peers, 1, cfg), jobOwnedBy(t, peers, 2, cfg), jobOwnedBy(t, peers, 0, cfg)}
 	// Sever peer 0 from everyone: the other two go dark.
 	peers[1].kill()
 	peers[2].kill()
 
-	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
 	cl := fastClient(peers[0].url, "partitioned")
-	// Several clones — some foreign-owned, some self-owned — all must
-	// settle locally.
-	for i := 0; i < 4; i++ {
-		j := cjob(t, fmt.Sprintf("partition-%d", i), i+1)
+	// Foreign-owned and self-owned clones alike must settle locally.
+	for i, j := range clones {
 		resp, err := cl.SubmitBlob(j.Name, encodeJob(t, j), cfg)
 		if err != nil {
 			t.Fatalf("submit %d under partition: %v", i, err)
@@ -395,8 +398,14 @@ func TestClusterPartitionDegradesLocal(t *testing.T) {
 			t.Fatalf("job %d under partition: state %s (%s)", i, st.State, st.Error)
 		}
 	}
-	if peers[0].passes.Load() == 0 {
-		t.Fatal("partitioned peer ran no local passes")
+	if got := peers[0].passes.Load(); got != int32(len(clones)) {
+		t.Fatalf("partitioned peer ran %d local passes, want %d", got, len(clones))
+	}
+	// Both foreign-owned clones took the forward path and came back for
+	// a local pass; the self-owned one never left.
+	c := peers[0].cm()
+	if f, pl, fl := c.Forwards.Load(), c.PartitionLocal.Load(), c.ForwardsLocal.Load(); f != 2 || pl != 2 || fl != 1 {
+		t.Fatalf("forwards %d, partition-local %d, forwards-local %d; want 2, 2, 1", f, pl, fl)
 	}
 	// After eviction the ring is local-only and submissions stop
 	// attempting forwards entirely.

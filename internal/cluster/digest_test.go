@@ -67,7 +67,7 @@ func TestCorruptReplyNeverInstalled(t *testing.T) {
 	// The job as Place hands it over. The daemon holds no entry under
 	// key, so the local fallback after a rejected reply (RequeuePending)
 	// has nothing to run and can install nothing under key either.
-	job := server.PendingJob{ID: "job-000001", Name: "flip", Client: "c", Key: key, Blob: []byte("not a clone")}
+	job := server.PendingJob{Name: "flip", Client: "c", Key: key, Blob: []byte("not a clone")}
 	forward := func() {
 		n.wg.Add(1)
 		n.forward(job)

@@ -126,7 +126,6 @@ func NewNode(o Options) (*Node, error) {
 	n.mux = http.NewServeMux()
 	peerRPC := func(pattern string, h http.HandlerFunc) { n.mux.HandleFunc(pattern, verified(h)) }
 	peerRPC("POST /cluster/v1/run", n.handleRun)
-	peerRPC("GET /cluster/v1/cache/{key}", n.handleCache)
 	peerRPC("GET /cluster/v1/health", n.handleHealth)
 	peerRPC("POST /cluster/v1/join", n.handleJoin)
 	n.mux.Handle("/", n.srv) // the client API is the daemon's
@@ -284,16 +283,6 @@ func (n *Node) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	clusterJSON(w, http.StatusOK, runResponse{Key: req.Key, CacheHit: res.CacheHit, Outcome: out})
-}
-
-func (n *Node) handleCache(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	out, errMsg, ok := n.srv.CachedOutcome(key)
-	if !ok {
-		clusterError(w, http.StatusNotFound, "no settled entry for %s", key)
-		return
-	}
-	clusterJSON(w, http.StatusOK, runResponse{Key: key, CacheHit: true, Outcome: out, Error: errMsg})
 }
 
 func (n *Node) handleHealth(w http.ResponseWriter, _ *http.Request) {

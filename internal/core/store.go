@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/softfloat"
@@ -37,6 +38,9 @@ type Store struct {
 	Recorded uint64
 	// StepAsides counts processes where FPSpy got out of the way.
 	StepAsides int
+	// Decoded counts the records Records and AllRecords have decoded,
+	// over every call: the work a trace's readers pay for.
+	Decoded atomic.Uint64
 }
 
 // threadTrace is one thread's individual-mode trace: the writer the spy
@@ -242,30 +246,41 @@ func (s *Store) Records(key ThreadKey) ([]trace.Record, error) {
 		return nil, err
 	}
 	recs := make([]trace.Record, c.records())
-	c.decodeInto(recs)
+	s.Decoded.Add(uint64(c.decodeInto(recs)))
 	return recs, nil
+}
+
+// flushedAll returns every thread's trace, in Threads order, as one
+// chunk list.
+func (s *Store) flushedAll() (chunks, error) {
+	var all chunks
+	for _, key := range s.Threads() {
+		c, err := s.flushed(key)
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, c...)
+	}
+	return all, nil
 }
 
 // AllRecords decodes every thread's trace, in Threads order, into one
 // slice sized to the total record count.
 func (s *Store) AllRecords() ([]trace.Record, error) {
-	keys := s.Threads()
-	all := make([]chunks, len(keys))
-	n := 0
-	for i, key := range keys {
-		c, err := s.flushed(key)
-		if err != nil {
-			return nil, err
-		}
-		all[i] = c
-		n += c.records()
+	all, err := s.flushedAll()
+	if err != nil {
+		return nil, err
 	}
-	recs := make([]trace.Record, n)
-	n = 0
-	for _, c := range all {
-		n += c.decodeInto(recs[n:])
-	}
+	recs := make([]trace.Record, all.records())
+	s.Decoded.Add(uint64(all.decodeInto(recs)))
 	return recs, nil
+}
+
+// NumRecords counts every thread's records off the chunks, decoding
+// none of them.
+func (s *Store) NumRecords() (int, error) {
+	all, err := s.flushedAll()
+	return all.records(), err
 }
 
 // Raised ORs the Raised condition codes of every in-memory record,

@@ -70,8 +70,8 @@ func (s *Server) WaitOutcome(ctx context.Context, id string) (*Outcome, error) {
 }
 
 // CachedOutcome reports whether key has a settled cache entry, and its
-// outcome or error message when it does. Peers use it for the
-// cache-everywhere lookup: a clone studied anywhere is servable here.
+// outcome or error message when it does. The owner side of a forward
+// answers from it when the clone is already settled here.
 func (s *Server) CachedOutcome(key string) (out *Outcome, errMsg string, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -87,15 +87,15 @@ func (s *Server) CachedOutcome(key string) (out *Outcome, errMsg string, ok bool
 
 // InstallOutcome publishes an externally computed outcome (a peer's
 // pass) under key. The first settle wins: an already-settled entry is
-// left untouched and false is returned. An unsettled entry — including
-// one whose primary still waits in a shard queue — settles immediately,
-// finalizing its waiters; the dispatcher skips settled primaries, so the
-// local pass never double-runs. With no entry present, a settled one is
-// created so future submissions hit.
+// left untouched. An unsettled entry — including one whose primary
+// still waits in a shard queue — settles immediately, finalizing its
+// waiters; the dispatcher skips settled primaries, so the local pass
+// never double-runs. With no entry present, a settled one is created so
+// future submissions hit.
 // cacheHit reports that the peer served the outcome from its own cache:
 // the local primary then reads as a cache hit too, since no pass ran
 // for it anywhere.
-func (s *Server) InstallOutcome(key string, out *Outcome, errMsg string, cacheHit bool) bool {
+func (s *Server) InstallOutcome(key string, out *Outcome, errMsg string, cacheHit bool) {
 	var err error
 	if errMsg != "" {
 		err = errors.New(errMsg)
@@ -108,13 +108,12 @@ func (s *Server) InstallOutcome(key string, out *Outcome, errMsg string, cacheHi
 		s.cache[key] = e
 	}
 	if e.settled {
-		return false
+		return
 	}
 	if cacheHit && e.primary != nil {
 		e.primary.cacheHit = true
 	}
 	s.settleLocked(e, out, err)
-	return true
 }
 
 // PendingJob is one unstarted primary offered to the Placer at
@@ -122,8 +121,8 @@ func (s *Server) InstallOutcome(key string, out *Outcome, errMsg string, cacheHi
 // comes back through InstallOutcome; RequeuePending takes back a job
 // whose peer never answered.
 type PendingJob struct {
-	// ID, Name, and Client identify the job on this node.
-	ID, Name, Client string
+	// Name and Client identify the job to the peer that replays it.
+	Name, Client string
 	// Key is the content address the outcome must settle under.
 	Key string
 	// Blob is the encoded clone exactly as submitted.
@@ -135,7 +134,7 @@ type PendingJob struct {
 // pending is rec's PendingJob view.
 func (rec *jobRec) pending() PendingJob {
 	return PendingJob{
-		ID: rec.id, Name: rec.name, Client: rec.client,
+		Name: rec.name, Client: rec.client,
 		Key: rec.key, Blob: rec.blob, Config: rec.cfg,
 	}
 }

@@ -65,6 +65,20 @@ func newDaemon(t testing.TB, opts server.Options) (*server.Server, *httptest.Ser
 	return srv, ts
 }
 
+// decodedRecords replays job in process and decodes its trace.
+func decodedRecords(t testing.TB, job *jobs.Job, cfg fpspy.Config) int {
+	t.Helper()
+	res, err := job.Replay(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := res.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(recs)
+}
+
 func TestE2ESingleflightAcrossClients(t *testing.T) {
 	om := obs.New(obs.Options{})
 	_, ts := newDaemon(t, server.Options{Workers: 2, Obs: om})
@@ -123,6 +137,11 @@ func TestE2ESingleflightAcrossClients(t *testing.T) {
 	}
 	if outs[0].res.Summary.Records == 0 {
 		t.Error("individual pass captured no records")
+	}
+	// The daemon counts a non-probe job's records off the trace chunks
+	// without decoding them; the count is the decoded one.
+	if want := decodedRecords(t, job, cfg); outs[0].res.Summary.Records != want {
+		t.Errorf("summary records = %d, want %d decoded", outs[0].res.Summary.Records, want)
 	}
 	if !outs[0].resp.CacheHit && !outs[1].resp.CacheHit {
 		t.Error("one of the two identical submissions must be a cache hit")

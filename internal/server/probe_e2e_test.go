@@ -45,6 +45,9 @@ func TestE2EProbeFingerprintInSummary(t *testing.T) {
 	if res.Summary.AccumFingerprint != want {
 		t.Fatalf("summary fingerprint %q, want %q", res.Summary.AccumFingerprint, want)
 	}
+	if n := decodedRecords(t, job, cfg); res.Summary.Records != n || n == 0 {
+		t.Errorf("summary records = %d, want %d decoded", res.Summary.Records, n)
+	}
 
 	// The cached resubmission carries the identical fingerprint.
 	resp2, err := c.Submit(job, cfg)

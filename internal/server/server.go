@@ -413,9 +413,9 @@ func executePass(j *jobs.Job, cfg fpspy.Config, m *obs.Metrics) (*Outcome, error
 	if res.TraceErr != nil {
 		return nil, fmt.Errorf("trace flush: %w", res.TraceErr)
 	}
-	recs, err := res.Records()
+	n, err := res.Store.NumRecords()
 	if err != nil {
-		return nil, fmt.Errorf("record decode: %w", err)
+		return nil, fmt.Errorf("record count: %w", err)
 	}
 	out := &Outcome{
 		Events:     res.Store.MonitorEvents(),
@@ -423,10 +423,15 @@ func executePass(j *jobs.Job, cfg fpspy.Config, m *obs.Metrics) (*Outcome, error
 		WallCycles: res.WallCycles,
 		ExitCode:   res.ExitCode,
 		EventSet:   uint64(res.EventSet()),
-		Records:    len(recs),
+		Records:    n,
 		Aggregates: len(res.Aggregates()),
 	}
+	// Only a probe's tree recovery reads the records themselves.
 	if strings.HasPrefix(j.Name, "probe") {
+		recs, err := res.Records()
+		if err != nil {
+			return nil, fmt.Errorf("record decode: %w", err)
+		}
 		if tree, err := analysis.RecoverProbeTree(recs); err == nil {
 			out.AccumFingerprint = tree.Fingerprint()
 		}

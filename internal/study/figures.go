@@ -2,6 +2,7 @@ package study
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -72,24 +73,28 @@ func appRows() []string {
 		"PARSEC 3.0", "NAS 3.0", "gromacs"}
 }
 
+// eventsFunc returns the events one spy pass of a workload observed.
+type eventsFunc func(name string, cfg fpspy.Config, size workload.Size) (softfloat.Flags, error)
+
 // suiteUnion runs a whole suite under a config and ORs the event sets.
-func (s *Study) suiteUnion(suite workload.Suite, cfg fpspy.Config, size workload.Size, events func(*fpspy.Result) (softfloat.Flags, error)) (softfloat.Flags, error) {
+func (s *Study) suiteUnion(suite workload.Suite, cfg fpspy.Config, size workload.Size, events eventsFunc) (softfloat.Flags, error) {
 	var union softfloat.Flags
 	for _, w := range workload.BySuite(suite) {
-		res, err := s.run(w.Meta.Name, cfg, false, size)
+		f, err := events(w.Meta.Name, cfg, size)
 		if err != nil {
 			return 0, err
-		}
-		f, err := events(res)
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", w.Meta.Name, err)
 		}
 		union |= f
 	}
 	return union, nil
 }
 
-func aggregateEvents(res *fpspy.Result) (softfloat.Flags, error) {
+// aggregateEvents ORs the flags of a pass's aggregate records.
+func (s *Study) aggregateEvents(name string, cfg fpspy.Config, size workload.Size) (softfloat.Flags, error) {
+	res, err := s.run(name, cfg, false, size)
+	if err != nil {
+		return 0, err
+	}
 	var f softfloat.Flags
 	for _, a := range res.Aggregates() {
 		f |= a.Flags
@@ -97,20 +102,21 @@ func aggregateEvents(res *fpspy.Result) (softfloat.Flags, error) {
 	return f, nil
 }
 
-func recordEvents(res *fpspy.Result) (softfloat.Flags, error) {
-	recs, err := res.Records()
+// recordEvents ORs the delivered events of a pass's records.
+func (s *Study) recordEvents(name string, cfg fpspy.Config, size workload.Size) (softfloat.Flags, error) {
+	recs, err := s.records(name, cfg, size)
 	if err != nil {
 		return 0, err
 	}
 	var f softfloat.Flags
-	for _, rec := range recs {
-		f |= rec.Event
+	for i := range recs {
+		f |= recs[i].Event
 	}
 	return f, nil
 }
 
 // eventMatrix builds a Figure 9/11/14-style event matrix.
-func (s *Study) eventMatrix(id, title string, cfg fpspy.Config, includeInexact bool, events func(*fpspy.Result) (softfloat.Flags, error)) (*Table, error) {
+func (s *Study) eventMatrix(id, title string, cfg fpspy.Config, includeInexact bool, events eventsFunc) (*Table, error) {
 	cols := eventColumns
 	if !includeInexact {
 		cols = cols[:5]
@@ -131,11 +137,7 @@ func (s *Study) eventMatrix(id, title string, cfg fpspy.Config, includeInexact b
 		case "NAS 3.0":
 			flags, err = s.suiteUnion(workload.SuiteNAS, cfg, s.Size, events)
 		default:
-			var res *fpspy.Result
-			res, err = s.run(row, cfg, false, s.Size)
-			if err == nil {
-				flags, err = events(res)
-			}
+			flags, err = events(row, cfg, s.Size)
 		}
 		if err != nil {
 			return nil, err
@@ -300,7 +302,7 @@ func (s *Study) Figure8() (*Table, error) {
 // Figure9 is the aggregate-mode event matrix.
 func (s *Study) Figure9() (*Table, error) {
 	return s.eventMatrix("Figure 9", "Aggregate-mode tracing of applications",
-		AggregateConfig(), true, aggregateEvents)
+		AggregateConfig(), true, s.aggregateEvents)
 }
 
 // Figure10 is the per-benchmark PARSEC matrix, at the problem size where
@@ -320,11 +322,7 @@ func (s *Study) Figure10() (*Table, error) {
 		Notes: []string{"run at the reduced problem size; fluidanimate overflows only at the larger one"},
 	}
 	for _, w := range workload.Parsec() {
-		res, err := s.run(w.Meta.Name, AggregateConfig(), false, workload.SizeSmall)
-		if err != nil {
-			return nil, err
-		}
-		flags, err := aggregateEvents(res)
+		flags, err := s.aggregateEvents(w.Meta.Name, AggregateConfig(), workload.SizeSmall)
 		if err != nil {
 			return nil, err
 		}
@@ -340,7 +338,7 @@ func (s *Study) Figure10() (*Table, error) {
 // Figure11 is the individual-mode-with-filtering matrix.
 func (s *Study) Figure11() (*Table, error) {
 	return s.eventMatrix("Figure 11", "Individual-mode tracing with filtering (Inexact excluded)",
-		FilteredConfig(), false, recordEvents)
+		FilteredConfig(), false, s.recordEvents)
 }
 
 // rateTable renders a rate time series with a proportional bar column,
@@ -372,13 +370,9 @@ func rateTable(id, title string, pts []analysis.RatePoint) *Table {
 
 // Figure12 is the rate of Invalid events over time in ENZO.
 func (s *Study) Figure12() (*Table, error) {
-	res, err := s.run("enzo", FilteredConfig(), false, s.Size)
+	all, err := s.records("enzo", FilteredConfig(), s.Size)
 	if err != nil {
 		return nil, err
-	}
-	all, err := res.Records()
-	if err != nil {
-		return nil, fmt.Errorf("enzo: %w", err)
 	}
 	recs := analysis.FilterEvent(all, fpspy.FlagInvalid)
 	pts := analysis.RateSeries(recs, 50e-6, ClockHz) // 50us bins
@@ -387,13 +381,9 @@ func (s *Study) Figure12() (*Table, error) {
 
 // Figure13 is the burst structure of DivideByZero events in LAGHOS.
 func (s *Study) Figure13() (*Table, error) {
-	res, err := s.run("laghos", FilteredConfig(), false, s.Size)
+	all, err := s.records("laghos", FilteredConfig(), s.Size)
 	if err != nil {
 		return nil, err
-	}
-	all, err := res.Records()
-	if err != nil {
-		return nil, fmt.Errorf("laghos: %w", err)
 	}
 	recs := analysis.FilterEvent(all, fpspy.FlagDivideByZero)
 	pts := analysis.RateSeries(recs, 10e-6, ClockHz) // 10us bins show the bursts
@@ -404,7 +394,7 @@ func (s *Study) Figure13() (*Table, error) {
 // Inexact included).
 func (s *Study) Figure14() (*Table, error) {
 	t, err := s.eventMatrix("Figure 14", "Individual-mode tracing with ~5% Poisson sampling (Inexact included)",
-		SampledConfig(), true, recordEvents)
+		SampledConfig(), true, s.recordEvents)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +413,7 @@ func (s *Study) Figure15() (*Table, error) {
 		Header: []string{"Name", "Inexact events", "Inexact events/s"},
 	}
 	for _, w := range workload.Apps() {
-		res, err := s.run(w.Meta.Name, SampledConfig(), false, s.Size)
+		recs, err := s.records(w.Meta.Name, SampledConfig(), s.Size)
 		if err != nil {
 			return nil, err
 		}
@@ -431,21 +421,17 @@ func (s *Study) Figure15() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		all, err := res.Records()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", w.Meta.Name, err)
-		}
-		recs := analysis.FilterEvent(all, fpspy.FlagInexact)
+		n := analysis.CumulativeAt(recs, fpspy.FlagInexact, ClockHz, math.Inf(1))
 		// Rate relative to the application's unencumbered duration, as
 		// the paper's count/runtime pairs imply.
 		wallSec := float64(base.WallCycles) / ClockHz
 		rate := 0.0
 		if wallSec > 0 {
-			rate = float64(len(recs)) / wallSec
+			rate = float64(n) / wallSec
 		}
 		t.Rows = append(t.Rows, []string{
 			w.Meta.Name,
-			fmt.Sprintf("%d", len(recs)),
+			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.0f", rate),
 		})
 	}
@@ -465,38 +451,24 @@ func (s *Study) Figure16() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		all, err := res.Records()
+		recs, err := s.records(w.Meta.Name, SampledConfig(), s.Size)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", w.Meta.Name, err)
+			return nil, err
 		}
-		recs := analysis.FilterEvent(all, fpspy.FlagInexact)
-		pts := analysis.Cumulative(recs, ClockHz)
 		end := float64(res.WallCycles) / ClockHz
-		at := func(frac float64) uint64 {
-			var c uint64
-			for _, p := range pts {
-				if p.TimeSec <= end*frac {
-					c = p.Count
-				}
-			}
-			return c
+		at := func(sec float64) string {
+			return fmt.Sprintf("%d", analysis.CumulativeAt(recs, fpspy.FlagInexact, ClockHz, sec))
 		}
-		t.Rows = append(t.Rows, []string{
-			w.Meta.Name,
-			fmt.Sprintf("%d", at(0.25)),
-			fmt.Sprintf("%d", at(0.5)),
-			fmt.Sprintf("%d", at(0.75)),
-			fmt.Sprintf("%d", len(recs)),
-		})
+		t.Rows = append(t.Rows, []string{w.Meta.Name, at(end * 0.25), at(end * 0.5), at(end * 0.75), at(math.Inf(1))})
 	}
 	return t, nil
 }
 
-// codeRecords gathers, per code, the union of filtered-pass and
-// sampled-pass records — the paper's 2 TB corpus, miniaturized. Suites
+// codeRecords gathers, per code, its filtered-pass and sampled-pass
+// records side by side — the paper's 2 TB corpus, miniaturized. Suites
 // contribute each benchmark separately.
-func (s *Study) codeRecords() (map[string][]trace.Record, error) {
-	out := make(map[string][]trace.Record)
+func (s *Study) codeRecords() (map[string][][]trace.Record, error) {
+	out := make(map[string][][]trace.Record)
 	var names []string
 	for _, w := range workload.Apps() {
 		names = append(names, w.Meta.Name)
@@ -508,21 +480,24 @@ func (s *Study) codeRecords() (map[string][]trace.Record, error) {
 		names = append(names, w.Meta.Name)
 	}
 	for _, name := range names {
-		var recs []trace.Record
-		for _, cfg := range []fpspy.Config{FilteredConfig(), SampledConfig()} {
-			res, err := s.run(name, cfg, false, s.Size)
-			if err != nil {
-				return nil, err
-			}
-			rs, err := res.Records()
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			recs = append(recs, rs...)
+		sets, err := s.corpus(name)
+		if err != nil {
+			return nil, err
 		}
-		out[name] = recs
+		out[name] = sets
 	}
 	return out, nil
+}
+
+// corpus returns one code's filtered-pass and sampled-pass records, in
+// that order, without copying either.
+func (s *Study) corpus(name string) ([][]trace.Record, error) {
+	filtered, err := s.records(name, FilteredConfig(), s.Size)
+	if err != nil {
+		return nil, err
+	}
+	sampled, err := s.records(name, SampledConfig(), s.Size)
+	return [][]trace.Record{filtered, sampled}, err
 }
 
 // isApp reports whether a code name is one of the seven applications.
@@ -546,13 +521,12 @@ func (s *Study) Figure17() (*Table, error) {
 		Title:  "Rank-popularity of captured instruction forms",
 		Header: []string{"Code", "Class", "Forms", "Top form", "Forms for 99%"},
 	}
-	names := sortedKeys(byCode)
-	for _, name := range names {
-		recs := byCode[name]
-		if len(recs) == 0 {
+	for _, name := range sortedKeys(byCode) {
+		sets := byCode[name]
+		if len(sets[0])+len(sets[1]) == 0 {
 			continue
 		}
-		ranks := analysis.RankByForm(recs)
+		ranks := analysis.RankByForm(sets...)
 		class := "benchmark"
 		if isApp(name) {
 			class = "application"
@@ -612,11 +586,11 @@ func (s *Study) Figure19() (*Table, error) {
 		Header: []string{"Code", "Sites", "Sites for 99%", "Top site share"},
 	}
 	for _, name := range sortedKeys(byCode) {
-		recs := byCode[name]
-		if len(recs) == 0 {
+		sets := byCode[name]
+		if len(sets[0])+len(sets[1]) == 0 {
 			continue
 		}
-		ranks := analysis.RankByAddress(recs)
+		ranks := analysis.RankByAddress(sets...)
 		total := analysis.TotalEvents(ranks)
 		t.Rows = append(t.Rows, []string{
 			name,
@@ -640,23 +614,15 @@ func (s *Study) Section6() (*Table, error) {
 		},
 	}
 	for _, w := range workload.Apps() {
-		var recs []trace.Record
-		for _, cfg := range []fpspy.Config{FilteredConfig(), SampledConfig()} {
-			res, err := s.run(w.Meta.Name, cfg, false, s.Size)
-			if err != nil {
-				return nil, err
-			}
-			rs, err := res.Records()
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", w.Meta.Name, err)
-			}
-			recs = append(recs, rs...)
+		sets, err := s.corpus(w.Meta.Name)
+		if err != nil {
+			return nil, err
 		}
-		if len(recs) == 0 {
+		if len(sets[0])+len(sets[1]) == 0 {
 			continue
 		}
 		rep := analysis.Feasibility(
-			analysis.RankByAddress(recs), analysis.RankByForm(recs),
+			analysis.RankByAddress(sets...), analysis.RankByForm(sets...),
 			50_000, 150, 4_000)
 		t.Rows = append(t.Rows, []string{
 			w.Meta.Name,
@@ -672,7 +638,7 @@ func (s *Study) Section6() (*Table, error) {
 	return t, nil
 }
 
-func sortedKeys(m map[string][]trace.Record) []string {
+func sortedKeys(m map[string][][]trace.Record) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

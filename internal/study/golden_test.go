@@ -2,6 +2,7 @@ package study
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,10 +11,41 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden study output")
 
+// studyWork is what a study has done: passes executed, pass traces
+// decoded, and records decoded, as the passes' stores count them.
+type studyWork struct{ passes, stores, records uint64 }
+
+func (w studyWork) String() string {
+	return fmt.Sprintf("passes executed %d\nstores decoded %d\nrecords decoded %d\n", w.passes, w.stores, w.records)
+}
+
+// work reads s's work counts off its pass cache. Call it with no pass
+// or figure in flight.
+func (s *Study) work() studyWork {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var w studyWork
+	for _, e := range s.results {
+		w.passes++
+		// A decoded empty trace is a non-nil empty slice.
+		if e.recs != nil || e.recErr != nil {
+			w.stores++
+		}
+		if e.res != nil {
+			w.records += e.res.Store.Decoded.Load()
+		}
+	}
+	return w
+}
+
 // TestGoldenStudyOutput pins the entire rendered study — every figure
 // and table — against a golden file. The simulator, the workloads, the
 // sampler seeds, and the analyses are all deterministic, so any diff
-// here is a real behavior change. Regenerate intentionally with:
+// here is a real behavior change. It also pins the work the
+// regeneration does (work.golden): passes executed, stores decoded and
+// records decoded. Those counts are exact, so a lost speedup that
+// leaves every output alone, such as a trace decoded once per figure,
+// fails here too. Regenerate both intentionally with:
 //
 //	go test ./internal/study -run Golden -update
 func TestGoldenStudyOutput(t *testing.T) {
@@ -33,6 +65,7 @@ func TestGoldenStudyOutput(t *testing.T) {
 	got := sb.String()
 
 	golden := filepath.Join("testdata", "study.golden")
+	workGolden := filepath.Join("testdata", "work.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -40,12 +73,22 @@ func TestGoldenStudyOutput(t *testing.T) {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("golden updated: %d bytes", len(got))
+		if err := os.WriteFile(workGolden, []byte(s.work().String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden updated: %d bytes; work: %v", len(got), s.work())
 		return
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("golden file missing (run with -update): %v", err)
+	}
+	wantWork, err := os.ReadFile(workGolden)
+	if err != nil {
+		t.Fatalf("work golden file missing (run with -update): %v", err)
+	}
+	if w := s.work().String(); w != string(wantWork) {
+		t.Errorf("study work changed:\n got:\n%s want:\n%s", w, wantWork)
 	}
 	if got == string(want) {
 		return

@@ -9,6 +9,7 @@ import (
 	fpspy "repro"
 	"repro/internal/isa"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -49,11 +50,18 @@ type passKey struct {
 }
 
 // passEntry is a singleflight cell: the first caller executes the pass;
-// concurrent callers block on the Once and share the result.
+// concurrent callers block on the Once and share the result. The cell
+// keeps the pass's outputs, not its simulator (runPass drops the
+// result's Kern and Proc). The trace decodes on its first read, under
+// its own Once, and every later reader shares the slice.
 type passEntry struct {
 	once sync.Once
 	res  *fpspy.Result
 	err  error
+
+	decode sync.Once
+	recs   []trace.Record
+	recErr error
 }
 
 // New creates a study at the default (large) size with one worker per
@@ -134,6 +142,26 @@ func (s *Study) entry(key passKey) *passEntry {
 // deduplicated. The name "miniaero-calibrated" selects the
 // density-calibrated Miniaero build used by the overhead experiment.
 func (s *Study) run(name string, cfg fpspy.Config, noSpy bool, size workload.Size) (*fpspy.Result, error) {
+	e := s.pass(name, cfg, noSpy, size)
+	return e.res, e.err
+}
+
+// records returns a spy pass's individual-mode records, decoding its
+// trace on the first request only.
+func (s *Study) records(name string, cfg fpspy.Config, size workload.Size) ([]trace.Record, error) {
+	e := s.pass(name, cfg, false, size)
+	if e.err != nil {
+		return nil, e.err
+	}
+	e.decode.Do(func() { e.recs, e.recErr = e.res.Records() })
+	if e.recErr != nil {
+		return nil, fmt.Errorf("%s: %w", name, e.recErr)
+	}
+	return e.recs, nil
+}
+
+// pass returns the executed cache cell of one pass.
+func (s *Study) pass(name string, cfg fpspy.Config, noSpy bool, size workload.Size) *passEntry {
 	if s.Obs != nil {
 		s.Obs.Study.PassRequests.Inc()
 	}
@@ -166,12 +194,13 @@ func (s *Study) run(name string, cfg fpspy.Config, noSpy bool, size workload.Siz
 		}
 		s.Obs.Tracer.Complete("study", "pass:"+name, 0, 0, spanStart, hostNS, "spy", spyFlag)
 	})
-	return e.res, e.err
+	return e
 }
 
 // runPass is the uncached pass body: build the workload, run it under
-// the spy. It touches no Study state (the shared obs handle is
-// internally synchronized), which is what makes concurrent passes safe.
+// the spy, and drop the simulator, which no figure reads. It touches no
+// Study state (the shared obs handle is internally synchronized), which
+// is what makes concurrent passes safe.
 func runPass(name string, cfg fpspy.Config, noSpy bool, size workload.Size, m *obs.Metrics) (*fpspy.Result, error) {
 	var build func(workload.Size) *isa.Program
 	if name == "miniaero-calibrated" {
@@ -184,6 +213,9 @@ func runPass(name string, cfg fpspy.Config, noSpy bool, size workload.Size, m *o
 		build = w.Build
 	}
 	res, err := fpspy.Run(build(size), fpspy.Options{Config: cfg, NoSpy: noSpy, Obs: m})
+	if res != nil {
+		res.Kern, res.Proc = nil, nil
+	}
 	return vetPass(name, res, err)
 }
 

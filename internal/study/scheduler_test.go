@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	fpspy "repro"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -46,11 +47,13 @@ func TestPassListCoversAllFigures(t *testing.T) {
 }
 
 // TestSingleflightDedup pins that concurrent requests for the same pass
-// execute it once and share the identical result pointer.
+// execute it once and share the identical result pointer, and that
+// concurrent readers of a pass's records share one decode.
 func TestSingleflightDedup(t *testing.T) {
 	s := NewWithWorkers(4)
 	const callers = 8
 	results := make([]*fpspy.Result, callers)
+	recs := make([][]trace.Record, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
@@ -62,6 +65,9 @@ func TestSingleflightDedup(t *testing.T) {
 				return
 			}
 			results[i] = r
+			if recs[i], err = s.records("miniaero", SampledConfig(), workload.SizeSmall); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -69,6 +75,13 @@ func TestSingleflightDedup(t *testing.T) {
 		if results[i] != results[0] {
 			t.Fatalf("caller %d got a distinct result: pass ran more than once", i)
 		}
+		if len(recs[i]) == 0 || &recs[i][0] != &recs[0][0] {
+			t.Fatalf("caller %d got its own decode of the records", i)
+		}
+	}
+	sampled, _ := s.run("miniaero", SampledConfig(), false, workload.SizeSmall)
+	if n := sampled.Store.Decoded.Load(); n != uint64(len(recs[0])) {
+		t.Errorf("store decoded %d records for %d read", n, len(recs[0]))
 	}
 }
 
@@ -136,4 +149,36 @@ func TestParallelStudyMatchesSerial(t *testing.T) {
 		}
 	}
 	t.Fatalf("output length changed: %d vs %d lines", len(sl), len(pl))
+}
+
+// TestPassCacheDecodesOnce pins the pass cache's work: a figure runs
+// only the passes it reads and decodes each of their traces once, so
+// `fpstudy -only N` does exactly that figure's work; a figure asked for
+// again decodes nothing; and no cached result keeps its simulator.
+func TestPassCacheDecodesOnce(t *testing.T) {
+	s := NewWithWorkers(2)
+	s.Size = workload.SizeSmall
+	step := func(fig func() (*Table, error), passes, stores uint64) studyWork {
+		t.Helper()
+		if _, err := fig(); err != nil {
+			t.Fatal(err)
+		}
+		w := s.work()
+		if w.passes != passes || w.stores != stores || w.records == 0 {
+			t.Fatalf("work = %+v, want %d passes and %d stores decoded", w, passes, stores)
+		}
+		return w
+	}
+	step(s.Figure12, 1, 1)
+	w := step(s.Figure13, 2, 2)
+	if again := step(s.Figure13, 2, 2); again != w {
+		t.Errorf("Figure 13 asked for twice: work %+v, then %+v", w, again)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, e := range s.results {
+		if e.res.Kern != nil || e.res.Proc != nil {
+			t.Errorf("cached pass %+v keeps its simulator", k)
+		}
+	}
 }
