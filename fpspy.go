@@ -134,7 +134,8 @@ type Options struct {
 	// or above it faults. Pages are allocated only when the guest first
 	// writes them.
 	MemBytes int
-	// MaxSteps bounds execution (default 500M instructions).
+	// MaxSteps bounds the run's executions, counted as Result.Steps
+	// counts them (default 500M).
 	MaxSteps uint64
 	// Env adds extra environment variables to the guest.
 	Env map[string]string
@@ -164,7 +165,12 @@ type Options struct {
 type Result struct {
 	// Store holds every trace FPSpy produced.
 	Store *Store
-	// Steps is the total retired instruction count.
+	// Steps counts executions over every task: each retired
+	// instruction, plus each execution that raised an event without
+	// retiring, such as an FP fault (the instruction executes again
+	// after its trap) or a hlt. An unsampled individual-mode run retires
+	// the instructions its spy-off run retires; its Steps are larger by
+	// its number of records.
 	Steps uint64
 	// UserCycles and SysCycles aggregate over all tasks of the initial
 	// process.

@@ -169,7 +169,8 @@ func (s *Scan) AddressInventory(reachableOnly bool) []analysis.RankEntry {
 }
 
 // PresentLibc returns the set of libc symbols referenced anywhere in the
-// text — exactly what the deprecated workload.StaticLibcUse reported.
+// text, dead branches included: the static presence Figure 8 contrasts
+// with dynamic execution.
 func (s *Scan) PresentLibc() map[string]bool {
 	out := make(map[string]bool, len(s.Libc))
 	for _, r := range s.Libc {

@@ -6,13 +6,15 @@
 // signal handler — and pairs them with kernel-level perturbations
 // (delayed signal delivery, adversarial scheduling).
 //
-// The harness enforces FPSpy's core transparency invariant
-// differentially: for every scenario, guest-visible architectural state
-// (integer and vector registers, memory, exit codes, retired counts)
-// must be bit-identical between a spy-on and a spy-off run, and between
-// the fast-path and precise execution engines. On top of that, each
-// scenario declares which degradation — if any — the spy must record,
-// with its typed reason, in the monitor log.
+// The package is also the system's one differential oracle. Every
+// transparency claim says that two runs of one program, configured
+// apart in one respect, cannot be told apart: Verify runs the legs a
+// set of Checks spans (engine, spy, shadow, trap set), Observe records
+// what can be told of each run, and Check.Compare compares two runs,
+// exempting only what the check names. The chaos sweep holds every
+// scenario to the engine and spy checks; on top of that, each scenario
+// declares which degradation — if any — the spy must record, with its
+// typed reason, in the monitor log.
 package chaos
 
 import (

@@ -8,10 +8,12 @@ import (
 )
 
 // TestChaosSweep is the harness's main entry: every scenario family,
-// across fixed seeds, must (a) preserve guest-visible state across
-// spy-on/spy-off and fast/precise engines, (b) record identical trace
-// records on the fast and precise engines, and (c) record exactly the
-// degradation it was built to induce, with a non-empty typed reason.
+// across fixed seeds, runs spy-on and spy-off on the fast and precise
+// engines, and (a) the two engines must agree on everything the oracle
+// observes, spy on or off, (b) the spy must leave guest state as the
+// spy-off run leaves it, and (c) the spy-on run must record exactly the
+// degradation the scenario was built to induce, with a non-empty typed
+// reason.
 func TestChaosSweep(t *testing.T) {
 	// Six seeds so every seeded sub-variant (aggressive stealer, both
 	// stomper flavors, both handler-exit orders) appears in the sweep.
@@ -21,11 +23,11 @@ func TestChaosSweep(t *testing.T) {
 			sc := Generate(fam, seed)
 			t.Run(fmt.Sprintf("%s/seed%d", fam, seed), func(t *testing.T) {
 				t.Parallel()
-				store, err := Verify(sc)
+				legs, err := Verify(sc.Prog, sc.Options, Engine, Spy)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("chaos %s: %v", sc.Name, err)
 				}
-				if err := CheckExpectation(store, sc); err != nil {
+				if err := CheckExpectation(legs[0].Events, sc); err != nil {
 					t.Error(err)
 				}
 			})
@@ -50,23 +52,41 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestInducedAbortsAreTyped sweeps the degrading families and asserts
-// every abort/demote in the monitor log carries a reason — the "no
-// silent aborts" guarantee.
+// TestInducedAbortsAreTyped sweeps the degrading families through the
+// same legs and asserts every abort/demote in the monitor log carries a
+// reason — the "no silent aborts" guarantee.
 func TestInducedAbortsAreTyped(t *testing.T) {
 	for _, fam := range Families() {
 		sc := Generate(fam, 11)
 		if sc.ExpectKind != trace.EventAbort && sc.ExpectKind != trace.EventDemote {
 			continue
 		}
-		store, err := Verify(sc)
+		legs, err := Verify(sc.Prog, sc.Options, Engine, Spy)
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)
 		}
-		for _, e := range store.MonitorEvents() {
+		for _, e := range legs[0].Events {
 			if (e.Kind == trace.EventAbort || e.Kind == trace.EventDemote) && e.Reason == "" {
 				t.Errorf("%s: untyped degradation: %s", fam, e)
 			}
 		}
+	}
+}
+
+// sweep registers an oracle check set over every family at seeds
+// 1..seeds, one parallel subtest per family: prepare adjusts each
+// scenario and returns the checks its legs must pass.
+func sweep(t *testing.T, seeds int64, prepare func(*Scenario) []Check) {
+	for _, f := range Families() {
+		t.Run(string(f), func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(1); seed <= seeds; seed++ {
+				sc := Generate(f, seed)
+				checks := prepare(&sc)
+				if _, err := Verify(sc.Prog, sc.Options, checks...); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+		})
 	}
 }

@@ -5,8 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/kernel"
+	fpspy "repro"
 	"repro/internal/obs"
 )
 
@@ -45,19 +44,14 @@ func TestThreadStormSharedRegistryRace(t *testing.T) {
 		wg.Add(1)
 		go func(sc Scenario) {
 			defer wg.Done()
-			k := kernel.New()
-			k.Obs = om
-			store := core.NewStore()
-			k.RegisterPreload(core.PreloadName, core.FactoryObs(store, om))
-			if _, err := k.Spawn(sc.Prog, memBytes, sc.Config.EnvVars()); err != nil {
-				t.Errorf("chaos %s: spawn: %v", sc.Name, err)
-				return
+			opts := sc.Options()
+			opts.Obs = om
+			res, err := fpspy.Run(sc.Prog, opts)
+			if err == nil {
+				_, err = Observe(res)
 			}
-			k.Run(maxSteps)
-			for pid, p := range k.Procs {
-				if !p.Exited {
-					t.Errorf("chaos %s: pid %d did not exit", sc.Name, pid)
-				}
+			if err != nil {
+				t.Errorf("chaos %s: %v", sc.Name, err)
 			}
 		}(sc)
 	}

@@ -13,7 +13,6 @@ import (
 // static analysis under-approximated — the hard failure mode.
 func TestChaosStaticSoundness(t *testing.T) {
 	for _, f := range Families() {
-		f := f
 		t.Run(string(f), func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 3; seed++ {
@@ -23,16 +22,12 @@ func TestChaosStaticSoundness(t *testing.T) {
 				sc.Config.SampleOnUS, sc.Config.SampleOffUS = 0, 0
 				sc.Config.MaxCount = 0
 				sc.Config.ExceptList = core.AllEvents
-				run, err := runOnce(sc, true, false)
+				legs, err := Verify(sc.Prog, sc.Options)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				recs, err := run.Store.AllRecords()
-				if err != nil {
-					t.Fatalf("seed %d: records: %v", seed, err)
-				}
 				res := absint.Analyze(sc.Prog)
-				for _, v := range absint.CheckSoundness(res, recs) {
+				for _, v := range absint.CheckSoundness(res, legs[0].Records) {
 					t.Errorf("seed %d: %s", seed, v)
 				}
 			}

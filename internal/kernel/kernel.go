@@ -350,7 +350,9 @@ func (k *Kernel) exitProcess(p *Process, code int) {
 const quantum = 2000
 
 // Run schedules all runnable tasks until everything exits or maxSteps
-// total instructions have retired. It returns the number retired.
+// executions have run. It returns the number of executions: every
+// retired instruction, plus each execution that raised an event without
+// retiring (an FP fault, which executes again after its trap, or a hlt).
 func (k *Kernel) Run(maxSteps uint64) uint64 {
 	var total uint64
 	for total < maxSteps {

@@ -121,14 +121,13 @@ func ProbeConfig() fpspy.Config {
 // under the cell's engine and schedule, recover the accumulation tree
 // from the trace, and compare fingerprints.
 func RunProbeCell(cell ProbeCell) ProbeCellResult {
-	res, _, _ := runProbeCell(cell, nil)
+	res, _ := runProbeCell(cell, nil)
 	return res
 }
 
 // runProbeCell is RunProbeCell reporting to om (nil for none) that also
-// returns the run and its trace records (nil when the cell failed
-// before they existed).
-func runProbeCell(cell ProbeCell, om *obs.Metrics) (ProbeCellResult, *fpspy.Result, []fpspy.Record) {
+// returns the run (nil when the cell failed before it existed).
+func runProbeCell(cell ProbeCell, om *obs.Metrics) (ProbeCellResult, *fpspy.Result) {
 	res := ProbeCellResult{
 		Kernel:   string(cell.Spec.Kind),
 		N:        cell.Spec.N,
@@ -141,7 +140,7 @@ func runProbeCell(cell ProbeCell, om *obs.Metrics) (ProbeCellResult, *fpspy.Resu
 	probe, err := workload.BuildProbe(cell.Spec)
 	if err != nil {
 		res.Err = err.Error()
-		return res, nil, nil
+		return res, nil
 	}
 	res.Param = probe.Spec.Param
 	res.Expected = probe.Expected.Fingerprint()
@@ -153,23 +152,23 @@ func runProbeCell(cell ProbeCell, om *obs.Metrics) (ProbeCellResult, *fpspy.Resu
 	})
 	if _, err = vetPass("probe", run, err); err != nil {
 		res.Err = err.Error()
-		return res, nil, nil
+		return res, nil
 	}
 	recs, err := run.Records()
 	if err != nil {
 		res.Err = err.Error()
-		return res, run, nil
+		return res, run
 	}
 	tree, err := analysis.RecoverProbeTree(recs)
 	if err != nil {
 		res.Err = err.Error()
-		return res, run, recs
+		return res, run
 	}
 	res.Fingerprint = tree.Fingerprint()
 	res.Canonical = tree.Canonical()
 	res.Detected = res.Fingerprint != res.Expected
 	res.Pass = res.Detected == res.Negative
-	return res, run, recs
+	return res, run
 }
 
 // DefaultProbeCells builds the full conformance matrix over every probe
@@ -218,7 +217,7 @@ type ProbeReport struct {
 func (s *Study) ProbeMatrix(cells []ProbeCell) *ProbeReport {
 	results := make([]ProbeCellResult, len(cells))
 	s.execInOrder(len(cells), func(i int) {
-		results[i], _, _ = runProbeCell(cells[i], s.Obs)
+		results[i], _ = runProbeCell(cells[i], s.Obs)
 	})
 	return AssembleProbeReport(results)
 }

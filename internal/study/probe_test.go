@@ -11,6 +11,7 @@ import (
 	fpspy "repro"
 	"repro/internal/analysis"
 	"repro/internal/binscan/absint"
+	"repro/internal/chaos"
 	"repro/internal/study"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -32,11 +33,8 @@ type soakLabel struct {
 	// be may-possible at its site, so no record lies at a site the
 	// analysis proves quiet — the verdict static pruning acted on.
 	prune bool
-	// sb checks the cell against the other engine's run of the same
-	// kernel, schedule and seed: the superblock-vs-precise oracle. The
-	// fast cell compares what the monitor saw (the trace, record for
-	// record), the precise cell what the guest saw (retired
-	// instructions, exit code, user/sys/wall cycles).
+	// sb passes the two engines' runs of the cell's kernel, schedule
+	// and seed to the oracle's engine check.
 	sb bool
 }
 
@@ -67,16 +65,8 @@ func soakLabels() []soakLabel {
 type soakRun struct {
 	once sync.Once
 	res  study.ProbeCellResult
-	run  *fpspy.Result
-	recs []fpspy.Record
-}
-
-// soakKey identifies a run: the cell with its engine.
-type soakKey struct {
-	spec   workload.ProbeSpec
-	engine string
-	sched  string
-	seed   int64
+	obs  *chaos.Observation
+	err  error
 }
 
 // TestProbeCrossScheduleSoak is the reproducibility conformance suite:
@@ -125,13 +115,13 @@ func TestProbeCrossScheduleSoak(t *testing.T) {
 
 	// Every run and verdict table a cell may need exists before the
 	// parallel subtests start, so they only read the maps.
-	runs := map[soakKey]*soakRun{}
+	runs := map[study.ProbeCell]*soakRun{}
 	verdicts := map[workload.ProbeSpec]*absint.Result{}
 	for _, c := range cells {
 		for _, eng := range study.ProbeEngines() {
 			cell := c.cell
 			cell.Engine = eng
-			runs[soakKey{cell.Spec, eng.Name, cell.Sched.Name, cell.Seed}] = &soakRun{}
+			runs[cell] = &soakRun{}
 		}
 		if _, ok := verdicts[c.cell.Spec]; !ok && c.label.prune {
 			probe, err := workload.BuildProbe(c.cell.Spec)
@@ -143,8 +133,13 @@ func TestProbeCrossScheduleSoak(t *testing.T) {
 	}
 	runOf := func(cell study.ProbeCell, eng study.ProbeEngine) *soakRun {
 		cell.Engine = eng
-		r := runs[soakKey{cell.Spec, eng.Name, cell.Sched.Name, cell.Seed}]
-		r.once.Do(func() { r.res, r.run, r.recs = study.RunProbeCellTrace(cell) })
+		r := runs[cell]
+		r.once.Do(func() {
+			var run *fpspy.Result
+			if r.res, run = study.RunProbeCellTrace(cell); run != nil {
+				r.obs, r.err = chaos.Observe(run)
+			}
+		})
 		return r
 	}
 
@@ -166,13 +161,23 @@ func TestProbeCrossScheduleSoak(t *testing.T) {
 				}
 				t.Fatalf("fingerprint changed: recovered %s (%s), expected %s", res.Fingerprint, res.Canonical, res.Expected)
 			}
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
 			if c.label.prune {
-				for _, v := range absint.CheckSoundness(verdicts[c.cell.Spec], r.recs) {
+				for _, v := range absint.CheckSoundness(verdicts[c.cell.Spec], r.obs.Records) {
 					t.Errorf("static verdict unsound: %s", v)
 				}
 			}
 			if c.label.sb {
-				checkAgainstOtherEngine(t, c.label.engine, r, runOf(c.cell, otherEngine(c.label.engine)))
+				engines := study.ProbeEngines()
+				fast, precise := runOf(c.cell, engines[0]), runOf(c.cell, engines[1])
+				if fast.obs == nil || precise.obs == nil {
+					t.Fatalf("cell errors: fast %q %v, precise %q %v", fast.res.Err, fast.err, precise.res.Err, precise.err)
+				}
+				if err := chaos.Engine.Compare(fast.obs, precise.obs); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}
@@ -183,47 +188,6 @@ func TestProbeCrossScheduleSoak(t *testing.T) {
 			t.Errorf("kernels recovered multiple distinct trees across cells: %v", report.Inconsistent)
 		}
 	})
-}
-
-// otherEngine returns the engine of the pair that is not eng.
-func otherEngine(eng study.ProbeEngine) study.ProbeEngine {
-	for _, e := range study.ProbeEngines() {
-		if e.NoFastPath != eng.NoFastPath {
-			return e
-		}
-	}
-	panic("no second engine")
-}
-
-// checkAgainstOtherEngine is the +sb check: the fast cell's trace must
-// equal the precise run's record for record, and the precise cell's
-// guest outcome must equal the fast run's.
-func checkAgainstOtherEngine(t *testing.T, eng study.ProbeEngine, r, o *soakRun) {
-	t.Helper()
-	if o.res.Err != "" {
-		t.Fatalf("other engine: cell error: %s", o.res.Err)
-	}
-	if !eng.NoFastPath {
-		if len(r.recs) != len(o.recs) {
-			t.Fatalf("%d records fast vs %d precise", len(r.recs), len(o.recs))
-		}
-		for i := range r.recs {
-			if r.recs[i] != o.recs[i] {
-				t.Fatalf("record %d differs:\nfast:    %+v\nprecise: %+v", i, r.recs[i], o.recs[i])
-			}
-		}
-		return
-	}
-	type outcome struct {
-		Steps, UserCycles, SysCycles, WallCycles uint64
-		ExitCode                                 int
-	}
-	of := func(run *fpspy.Result) outcome {
-		return outcome{run.Steps, run.UserCycles, run.SysCycles, run.WallCycles, run.ExitCode}
-	}
-	if p, f := of(r.run), of(o.run); p != f {
-		t.Fatalf("guest outcome differs:\nprecise: %+v\nfast:    %+v", p, f)
-	}
 }
 
 func cellName(c study.ProbeCell, label string) string {

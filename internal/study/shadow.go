@@ -53,7 +53,9 @@ type ShadowCell struct {
 type ShadowCellResult struct {
 	Workload string `json:"workload"`
 	Prec     uint64 `json:"prec"`
-	// Steps is the unmitigated run's retired instruction count.
+	// Steps is the unmitigated run's execution count
+	// (fpspy.Result.Steps): its retired instructions plus the
+	// executions that trapped without retiring.
 	Steps uint64 `json:"steps"`
 	// Sites/Sites99/Ops/LocalUlps/MaxUlps summarize the attribution
 	// report (see analysis.RootCauseReport).

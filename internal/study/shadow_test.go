@@ -1,84 +1,31 @@
 package study_test
 
 // The workload-corpus leg of the shadow transparency criterion (the
-// chaos-family leg lives in internal/chaos): every corpus app run with
-// the shadow channel attached must produce bit-identical guest-visible
-// outcomes — retirement counts, exit codes, memory, trace records,
-// monitor logs — to the same run without it. Plus the ShadowMatrix
-// surface itself: cells produce ranked site tables and the negative
-// precision-53 control reports zero divergence.
+// chaos-family leg is chaos's TestShadowDifferential), plus the
+// ShadowMatrix surface itself: cells produce ranked site tables and the
+// negative precision-53 control reports zero divergence.
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"hash/fnv"
 	"testing"
 
 	fpspy "repro"
+	"repro/internal/chaos"
 	"repro/internal/study"
 	"repro/internal/workload"
 )
 
-// runOutcome is everything a guest or monitor-log consumer could
-// observe from one run.
-type runOutcome struct {
-	steps    uint64
-	exit     int
-	memSum   uint64
-	records  int
-	recSum   uint64
-	monLog   string
-	traceErr bool
-}
-
-func outcomeOf(t *testing.T, name string, prec uint64) runOutcome {
-	t.Helper()
-	w, err := workload.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fpspy.Run(w.Build(workload.SizeSmall), fpspy.Options{
-		Config: fpspy.Config{Mode: fpspy.ModeIndividual, ShadowPrec: prec},
-	})
-	if err != nil {
-		t.Fatalf("%s prec %d: %v", name, prec, err)
-	}
-	out := runOutcome{
-		steps:    res.Steps,
-		exit:     res.ExitCode,
-		monLog:   res.Store.MonitorLog(),
-		traceErr: res.TraceErr != nil,
-	}
-	h := fnv.New64a()
-	res.Proc.Mem.EachPage(func(addr uint64, data []byte) {
-		fmt.Fprintf(h, "%#x:", addr)
-		h.Write(data)
-	})
-	out.memSum = h.Sum64()
-	recs, err := res.Store.AllRecords()
-	if err != nil {
-		t.Fatalf("%s prec %d: records: %v", name, prec, err)
-	}
-	out.records = len(recs)
-	rh := fnv.New64a()
-	for i := range recs {
-		fmt.Fprintf(rh, "%+v;", recs[i])
-	}
-	out.recSum = rh.Sum64()
-	return out
-}
-
+// TestShadowCorpusDifferential runs every corpus app through the
+// oracle's shadow check at 113 bits.
 func TestShadowCorpusDifferential(t *testing.T) {
 	for _, w := range workload.Apps() {
-		w := w
 		t.Run(w.Meta.Name, func(t *testing.T) {
 			t.Parallel()
-			off := outcomeOf(t, w.Meta.Name, 0)
-			on := outcomeOf(t, w.Meta.Name, 113)
-			if off != on {
-				t.Fatalf("shadow channel changed observable state:\noff: %+v\non:  %+v", off, on)
+			opts := func() fpspy.Options { return fpspy.Options{Config: fpspy.Config{Mode: fpspy.ModeIndividual}} }
+			if _, err := chaos.Verify(w.Build(workload.SizeSmall), opts, chaos.Shadow(113)); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package workload_test
 
 import (
-	"reflect"
 	"testing"
 
 	fpspy "repro"
@@ -119,22 +118,12 @@ func TestAppsSmallSizeAlsoRun(t *testing.T) {
 func TestStaticAnalysisMatchesFigure8(t *testing.T) {
 	// The Figure 8 matrix is now *computed* by binscan from the guest
 	// binaries, so the assertions are generated the same way: for each
-	// application, the deprecated StaticLibcUse wrapper, the binscan
-	// presence/reachability census, and the rendered study table must
-	// all agree cell for cell.
+	// application, the binscan presence/reachability census and the
+	// rendered study table must agree cell for cell.
 	apps := workload.Apps()
 	scans := make(map[string]*binscan.Scan, len(apps))
 	for _, w := range apps {
 		scans[w.Meta.Name] = binscan.ScanProgram(w.Build(workload.SizeLarge))
-	}
-
-	// The deprecated wrapper must delegate to binscan exactly.
-	for _, w := range apps {
-		got := workload.StaticLibcUse(w.Build(workload.SizeLarge))
-		want := scans[w.Meta.Name].PresentLibc()
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: StaticLibcUse = %v, binscan presence = %v", w.Meta.Name, got, want)
-		}
 	}
 
 	// Reachability can only shrink the presence set.

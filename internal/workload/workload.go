@@ -21,7 +21,6 @@ package workload
 import (
 	"fmt"
 
-	"repro/internal/binscan"
 	"repro/internal/isa"
 )
 
@@ -123,17 +122,3 @@ func Parsec() []*Workload { return BySuite(SuiteParsec) }
 
 // NAS returns the NAS kernels.
 func NAS() []*Workload { return BySuite(SuiteNAS) }
-
-// StaticLibcUse scans a program's text for libc call sites — the
-// simulated equivalent of the paper's grep/cscope source analysis pass
-// (Figure 8). It reports symbols referenced anywhere in the binary,
-// including dead branches, which is exactly why the paper distinguishes
-// static presence from dynamic execution.
-//
-// Deprecated: use internal/binscan, which performs the same presence
-// census as part of a full static analysis and additionally reports
-// whether each referencing site is reachable. This function delegates
-// to binscan and is kept for compatibility.
-func StaticLibcUse(p *isa.Program) map[string]bool {
-	return binscan.ScanProgram(p).PresentLibc()
-}

@@ -1,12 +1,11 @@
 package fpspy_test
 
 import (
-	"reflect"
 	"testing"
 
 	fpspy "repro"
 	"repro/internal/binscan/absint"
-	"repro/internal/mxcsr"
+	"repro/internal/chaos"
 	"repro/internal/study"
 	"repro/internal/workload"
 )
@@ -17,146 +16,101 @@ import (
 // classified never-trap is a hard failure. This is the corpus-wide
 // soundness gate for the static verifier.
 func TestWorkloadStaticSoundness(t *testing.T) {
-	for _, w := range workload.All() {
-		w := w
-		t.Run(w.Meta.Name, func(t *testing.T) {
-			t.Parallel()
-			prog := w.Build(workload.SizeSmall)
-			res := absint.Analyze(prog)
-			run, err := fpspy.Run(prog, fpspy.Options{
-				Config: fpspy.Config{Mode: fpspy.ModeIndividual},
-			})
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			recs, err := run.Store.AllRecords()
-			if err != nil {
-				t.Fatalf("records: %v", err)
-			}
-			for _, v := range absint.CheckSoundness(res, recs) {
-				t.Errorf("%s", v)
-			}
-		})
-	}
+	corpus(t, func(t *testing.T, prog *fpspy.Program) {
+		res := absint.Analyze(prog)
+		legs := verify(t, prog, fpspy.Config{Mode: fpspy.ModeIndividual})
+		for _, v := range absint.CheckSoundness(res, legs[0].Records) {
+			t.Errorf("%s", v)
+		}
+	})
 }
 
-// TestWorkloadEngineDifferential asserts the default engine does not
-// change what the spy records on real numerics: the individual-mode run
-// on the superblock fast path retires the same instructions, exits the
-// same way, and records the same trace, record for record, as the
-// precise single-step reference (Options.NoFastPath) — the corpus-wide
-// half of the engine oracle (chaos.Verify covers the adversarial half).
-// Each workload runs unsampled and under the study's virtual-timer
-// Poisson sampling, whose timers cut the budgets that clamp a counted
-// self-loop's fast-forward.
+// TestWorkloadEngineDifferential is the engine check on real numerics:
+// every workload runs in individual mode, unsampled and under the
+// study's virtual-timer Poisson sampling, whose timers cut the budgets
+// that clamp a counted self-loop's fast-forward. The chaos families
+// are the adversarial half (TestChaosSweep).
 func TestWorkloadEngineDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep skipped in -short")
 	}
-	for _, w := range workload.All() {
-		w := w
-		t.Run(w.Meta.Name, func(t *testing.T) {
-			t.Parallel()
-			prog := w.Build(workload.SizeSmall)
-			for _, cfg := range []fpspy.Config{{Mode: fpspy.ModeIndividual}, study.SampledConfig()} {
-				fast, fastRecs := runRecords(t, prog, fpspy.Options{Config: cfg})
-				precise, preciseRecs := runRecords(t, prog, fpspy.Options{Config: cfg, NoFastPath: true})
-				requireSameRun(t, "fast", "precise", fast, precise, fastRecs, preciseRecs, 0)
-			}
-		})
-	}
+	corpus(t, func(t *testing.T, prog *fpspy.Program) {
+		for _, cfg := range []fpspy.Config{{Mode: fpspy.ModeIndividual}, study.SampledConfig()} {
+			verify(t, prog, cfg, chaos.Engine)
+		}
+	})
 }
 
-// TestWorkloadSuperblockDifferential is the engine oracle in aggregate
+// TestWorkloadSuperblockDifferential is the engine check in aggregate
 // mode, where the spy takes no per-instruction traps and superblock
-// regions run longest: on every workload the superblock engine must
-// retire the same instructions, exit the same way, and leave the same
-// aggregate records as the precise single-step reference.
+// regions run longest.
 func TestWorkloadSuperblockDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep skipped in -short")
 	}
-	for _, w := range workload.All() {
-		w := w
-		t.Run(w.Meta.Name, func(t *testing.T) {
-			t.Parallel()
-			prog := w.Build(workload.SizeSmall)
-			cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
-			fast, fastRecs := runRecords(t, prog, fpspy.Options{Config: cfg})
-			precise, preciseRecs := runRecords(t, prog, fpspy.Options{Config: cfg, NoFastPath: true})
-			requireSameRun(t, "fast", "precise", fast, precise, fastRecs, preciseRecs, 0)
-		})
-	}
+	corpus(t, func(t *testing.T, prog *fpspy.Program) {
+		verify(t, prog, fpspy.Config{Mode: fpspy.ModeAggregate}, chaos.Engine)
+	})
 }
 
-// TestWorkloadPruneDifferential prunes the spy's trap set statically on
-// real numerics: every workload runs in individual mode with every
-// condition unmasked and again with only the conditions the abstract
-// interpreter finds possible at some reachable site. A sound analysis
-// makes the pruning invisible — same retired instructions, exit code
-// and trace, record for record, except for the exception-mask field of
-// each record's MXCSR, which is the trap set itself.
+// TestWorkloadPruneDifferential is the trap-set check on real numerics:
+// every workload runs in individual mode with every condition unmasked
+// and again with only the conditions mayRaise finds possible.
 func TestWorkloadPruneDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep skipped in -short")
 	}
+	corpus(t, func(t *testing.T, prog *fpspy.Program) {
+		cfg := fpspy.Config{Mode: fpspy.ModeIndividual, ExceptList: fpspy.AllEvents}
+		verify(t, prog, cfg, chaos.TrapSet(fpspy.AllEvents&mayRaise(prog)))
+	})
+}
+
+// TestWorkloadStepsCountExecutions pins what Result.Steps counts: an
+// unsampled individual-mode run passes the spy check against its
+// spy-off run, so every task retires the same instructions, and its
+// Steps exceed the spy-off run's by exactly its record count, one
+// faulting execution per trap.
+func TestWorkloadStepsCountExecutions(t *testing.T) {
+	corpus(t, func(t *testing.T, prog *fpspy.Program) {
+		legs := verify(t, prog, fpspy.Config{Mode: fpspy.ModeIndividual}, chaos.Spy)
+		spy, bare := legs[0], legs[1]
+		if spy.Steps-bare.Steps != uint64(len(spy.Records)) {
+			t.Fatalf("%d steps with the spy, %d without, %d records", spy.Steps, bare.Steps, len(spy.Records))
+		}
+	})
+}
+
+// mayRaise is the set of conditions the abstract interpreter finds
+// possible at some reachable site of prog.
+func mayRaise(prog *fpspy.Program) fpspy.Flags {
+	var may fpspy.Flags
+	for _, s := range absint.Analyze(prog).Sites {
+		if s.Reachable {
+			may |= s.May
+		}
+	}
+	return may
+}
+
+// corpus runs body on every workload at SizeSmall, one parallel subtest
+// each.
+func corpus(t *testing.T, body func(t *testing.T, prog *fpspy.Program)) {
 	for _, w := range workload.All() {
-		w := w
 		t.Run(w.Meta.Name, func(t *testing.T) {
 			t.Parallel()
-			prog := w.Build(workload.SizeSmall)
-			var may fpspy.Flags
-			for _, s := range absint.Analyze(prog).Sites {
-				if s.Reachable {
-					may |= s.May
-				}
-			}
-			cfg := fpspy.Config{Mode: fpspy.ModeIndividual, ExceptList: fpspy.AllEvents}
-			full, fullRecs := runRecords(t, prog, fpspy.Options{Config: cfg})
-			cfg.ExceptList &= may
-			pruned, prunedRecs := runRecords(t, prog, fpspy.Options{Config: cfg})
-			requireSameRun(t, "full", "pruned", full, pruned, fullRecs, prunedRecs, uint32(mxcsr.MaskBits))
+			body(t, w.Build(workload.SizeSmall))
 		})
 	}
 }
 
-// runRecords runs prog and returns the run with its trace records.
-func runRecords(t *testing.T, prog *fpspy.Program, opts fpspy.Options) (*fpspy.Result, []fpspy.Record) {
+// verify runs prog under cfg through the oracle's checks and returns
+// the legs.
+func verify(t *testing.T, prog *fpspy.Program, cfg fpspy.Config, checks ...chaos.Check) []*chaos.Observation {
 	t.Helper()
-	run, err := fpspy.Run(prog, opts)
+	legs, err := chaos.Verify(prog, func() fpspy.Options { return fpspy.Options{Config: cfg} }, checks...)
 	if err != nil {
-		t.Fatalf("run: %v", err)
+		t.Fatal(err)
 	}
-	recs, err := run.Records()
-	if err != nil {
-		t.Fatalf("records: %v", err)
-	}
-	return run, recs
-}
-
-// requireSameRun fails unless runs a and b retired the same
-// instructions, exited the same way, and recorded the same aggregates
-// and trace, comparing each record's MXCSR outside the ignored bits.
-func requireSameRun(t *testing.T, na, nb string, a, b *fpspy.Result, ra, rb []fpspy.Record, ignoreMXCSR uint32) {
-	t.Helper()
-	if a.Steps != b.Steps {
-		t.Fatalf("retired %d %s vs %d %s", a.Steps, na, b.Steps, nb)
-	}
-	if a.ExitCode != b.ExitCode {
-		t.Fatalf("exit %d %s vs %d %s", a.ExitCode, na, b.ExitCode, nb)
-	}
-	if ga, gb := a.Aggregates(), b.Aggregates(); !reflect.DeepEqual(ga, gb) {
-		t.Fatalf("aggregate records differ:\n%s: %+v\n%s: %+v", na, ga, nb, gb)
-	}
-	if len(ra) != len(rb) {
-		t.Fatalf("%d records %s vs %d %s", len(ra), na, len(rb), nb)
-	}
-	for i := range ra {
-		x, y := ra[i], rb[i]
-		x.MXCSR &^= ignoreMXCSR
-		y.MXCSR &^= ignoreMXCSR
-		if x != y {
-			t.Fatalf("record %d differs:\n%s: %+v\n%s: %+v", i, na, ra[i], nb, rb[i])
-		}
-	}
+	return legs
 }

@@ -2,9 +2,11 @@ package fpspy_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	fpspy "repro"
+	"repro/internal/chaos"
 	"repro/internal/isa"
 )
 
@@ -272,31 +274,27 @@ func TestSubsampleComposesWithMaxCount(t *testing.T) {
 	}
 }
 
-// TestBreakpointProtocolMatchesTF runs the same program under both
-// single-event mechanisms — TF single-stepping and the Section 3.8
-// invalid-opcode breakpoint — and requires identical traces.
+// TestBreakpointProtocolMatchesTF registers the Section 3.8
+// invalid-opcode breakpoint with the oracle against TF single-stepping.
+// Each record's stub executes once without retiring, at one
+// instruction's cost, so steps, user and wall cycles and record times
+// are exempt; guest state, every other record field and the monitor log
+// must match.
 func TestBreakpointProtocolMatchesTF(t *testing.T) {
-	run := func(brk bool) []fpspy.Record {
-		res, err := fpspy.Run(buildEventProgram(200), fpspy.Options{
-			Config: fpspy.Config{Mode: fpspy.ModeIndividual, Breakpoints: brk},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.ExitCode != 0 {
-			t.Fatalf("exit %d", res.ExitCode)
-		}
-		return res.MustRecords()
+	breakpoints := chaos.Check{
+		Name:  "breakpoints",
+		Alter: func(o *fpspy.Options) { o.Config.Breakpoints = true },
+		Exempt: func(o *chaos.Observation) {
+			o.Steps, o.UserCycles, o.WallCycles = 0, 0, 0
+			o.Records = slices.Clone(o.Records)
+			for i := range o.Records {
+				o.Records[i].Time = 0
+			}
+		},
 	}
-	tf := run(false)
-	bp := run(true)
-	if len(tf) != len(bp) {
-		t.Fatalf("record counts differ: TF %d vs breakpoint %d", len(tf), len(bp))
-	}
-	for i := range tf {
-		if tf[i].Rip != bp[i].Rip || tf[i].Event != bp[i].Event || tf[i].Raised != bp[i].Raised {
-			t.Fatalf("record %d differs: TF %+v vs BP %+v", i, tf[i], bp[i])
-		}
+	legs := verify(t, buildEventProgram(200), fpspy.Config{Mode: fpspy.ModeIndividual}, breakpoints)
+	if code := legs[0].Procs[0].ExitCode; code != 0 {
+		t.Fatalf("exit %d", code)
 	}
 }
 
