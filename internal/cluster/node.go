@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -250,13 +249,14 @@ func (n *Node) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Verify the content address: a clone corrupted in flight must not
-	// settle under the sender's key.
-	j, err := jobs.Decode(req.Clone)
+	// settle under the sender's key. Hashing the bytes suffices: Submit
+	// decodes them, and a clone has only the one encoding.
+	key, err := server.BlobKey(req.Clone, req.Config)
 	if err != nil {
 		clusterError(w, http.StatusBadRequest, "bad clone: %v", err)
 		return
 	}
-	if key := server.CacheKey(j, req.Config); key != req.Key {
+	if key != req.Key {
 		clusterError(w, http.StatusBadRequest, "content address mismatch: got %s, want %s", key, req.Key)
 		return
 	}

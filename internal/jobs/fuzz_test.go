@@ -2,34 +2,78 @@ package jobs_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
-	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 
 	fpspy "repro"
 	"repro/internal/isa"
 	"repro/internal/jobs"
+	"repro/internal/server"
 	"repro/internal/workload"
 )
 
-// rawEncode gob-encodes a Job without Capture/Encode validation, to
-// forge the hostile clones Decode must reject.
-func rawEncode(t testing.TB, j *jobs.Job) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(j); err != nil {
-		t.Fatal(err)
+// rawEncode writes j in the clone encoding without going through
+// Encode: a second writer of the documented format, which Encode must
+// match byte for byte, and which skips every check, so tests can forge
+// the clones Decode must reject. env, when given, replaces j.Env and is
+// written in the order given; otherwise j.Env is written sorted.
+func rawEncode(j *jobs.Job, env ...[2]string) []byte {
+	if env == nil {
+		keys := make([]string, 0, len(j.Env))
+		for k := range j.Env {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			env = append(env, [2]string{k, j.Env[k]})
+		}
 	}
-	return buf.Bytes()
+	p := j.Program
+	if p == nil {
+		p = &isa.Program{}
+	}
+	b := []byte("FPJ\x01")
+	uv := func(v uint64) { b = binary.AppendUvarint(b, v) }
+	str := func(s string) { uv(uint64(len(s))); b = append(b, s...) }
+	str(j.Name)
+	str(p.Name)
+	uv(p.Base)
+	uv(p.DataBase)
+	uv(uint64(len(p.Insts)))
+	for _, in := range p.Insts {
+		uv(uint64(in.Op))
+		b = append(b, in.Rd, in.Rs1, in.Rs2, in.Rs3)
+		b = binary.AppendVarint(b, in.Imm)
+		str(in.Sym)
+	}
+	str(string(p.Data))
+	uv(uint64(len(env)))
+	for _, kv := range env {
+		str(kv[0])
+		str(kv[1])
+	}
+	return binary.AppendVarint(b, int64(j.MemBytes))
 }
 
 func TestDecodeRejectsNilProgram(t *testing.T) {
-	blob := rawEncode(t, &jobs.Job{Name: "hostile", MemBytes: 1 << 20})
-	if _, err := jobs.Decode(blob); !errors.Is(err, jobs.ErrNoProgram) {
+	nilProg := &jobs.Job{Name: "hostile", MemBytes: 1 << 20}
+	if _, err := jobs.Decode(rawEncode(nilProg)); !errors.Is(err, jobs.ErrNoProgram) {
 		t.Fatalf("Decode(nil program) = %v, want ErrNoProgram", err)
 	}
-	empty := rawEncode(t, &jobs.Job{Name: "empty", Program: &isa.Program{Name: "empty"}})
+	// Encode writes a nil program as an empty one, which is no program
+	// either.
+	blob, err := nilProg.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jobs.Decode(blob); !errors.Is(err, jobs.ErrNoProgram) {
+		t.Fatalf("Decode(Encode(nil program)) = %v, want ErrNoProgram", err)
+	}
+	empty := rawEncode(&jobs.Job{Name: "empty", Program: &isa.Program{Name: "empty"}})
 	if _, err := jobs.Decode(empty); !errors.Is(err, jobs.ErrNoProgram) {
 		t.Fatalf("Decode(empty program) = %v, want ErrNoProgram", err)
 	}
@@ -41,14 +85,14 @@ func TestDecodeRejectsAbsurdMemBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := w.Build(workload.SizeSmall)
-	for _, mem := range []int{-1, jobs.MaxMemBytes + 1} {
-		blob := rawEncode(t, &jobs.Job{Name: "hog", Program: prog, MemBytes: mem})
+	for _, mem := range []int{-1, jobs.MaxMemBytes + 1, -1 << 63} {
+		blob := rawEncode(&jobs.Job{Name: "hog", Program: prog, MemBytes: mem})
 		if _, err := jobs.Decode(blob); !errors.Is(err, jobs.ErrMemBytes) {
 			t.Fatalf("Decode(MemBytes=%d) = %v, want ErrMemBytes", mem, err)
 		}
 	}
 	// The boundary itself is legal.
-	blob := rawEncode(t, &jobs.Job{Name: "max", Program: prog, MemBytes: jobs.MaxMemBytes})
+	blob := rawEncode(&jobs.Job{Name: "max", Program: prog, MemBytes: jobs.MaxMemBytes})
 	if _, err := jobs.Decode(blob); err != nil {
 		t.Fatalf("Decode(MemBytes=MaxMemBytes) = %v, want ok", err)
 	}
@@ -63,10 +107,10 @@ func TestDecodeRejectsAbsurdMemBytes(t *testing.T) {
 	if len(prog.Data) == 0 {
 		t.Fatal("nas-cg has no data segment")
 	}
-	if _, err := jobs.Decode(rawEncode(t, &jobs.Job{Name: "fits", Program: prog, MemBytes: end})); err != nil {
+	if _, err := jobs.Decode(rawEncode(&jobs.Job{Name: "fits", Program: prog, MemBytes: end})); err != nil {
 		t.Fatalf("Decode(MemBytes=%d, data segment end) = %v, want ok", end, err)
 	}
-	blob = rawEncode(t, &jobs.Job{Name: "short", Program: prog, MemBytes: end - 1})
+	blob = rawEncode(&jobs.Job{Name: "short", Program: prog, MemBytes: end - 1})
 	if _, err := jobs.Decode(blob); !errors.Is(err, jobs.ErrMemBytes) {
 		t.Fatalf("Decode(MemBytes=%d, one byte short of the data segment) = %v, want ErrMemBytes", end-1, err)
 	}
@@ -102,31 +146,122 @@ func hostileClones() []hostileClone {
 	}
 }
 
-// FuzzJobRoundTrip fuzzes the clone codec boundary: any bytes Decode
-// accepts must describe a valid clone that re-encodes and re-decodes to
-// the same value and runs (briefly, without the spy) to an outcome
-// rather than a host panic, and everything else must fail with an
-// error rather than a panic or a poisoned clone.
-func FuzzJobRoundTrip(f *testing.F) {
+// seedClone is the captured clone the codec tests and the fuzzer start
+// from.
+func seedClone(t testing.TB) *jobs.Job {
+	t.Helper()
 	w, err := workload.ByName("nas-ep")
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	job := jobs.Capture("seed", w.Build(workload.SizeSmall),
-		map[string]string{"OMP_NUM_THREADS": "2"}, 4<<20)
-	blob, err := job.Encode()
+	return jobs.Capture("seed", w.Build(workload.SizeSmall),
+		map[string]string{"OMP_NUM_THREADS": "2", "A": "1"}, 4<<20)
+}
+
+// malformed forges, from a real clone's encoding, each kind of input
+// that is not the encoding of any clone: non-canonical variants of a
+// valid clone, counts no input could back, and the codec's previous
+// format, a gob of the Job.
+func malformed(t testing.TB) map[string][]byte {
+	t.Helper()
+	j := seedClone(t)
+	blob := rawEncode(j)
+	body, err := jobs.Body(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := len(blob) - len(body) // Base, the body's first varint
+	_, n := binary.Uvarint(body)
+	nonMinimal := append([]byte(nil), blob[:at+n]...)
+	nonMinimal[at+n-1] |= 0x80
+	nonMinimal = append(append(nonMinimal, 0), body[n:]...)
+
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	hdr := blob[:at]
+	var gobBlob bytes.Buffer
+	if err := gob.NewEncoder(&gobBlob).Encode(j); err != nil {
+		t.Fatal(err)
+	}
+	// A one-instruction program, as bytes: Base, DataBase, the count,
+	// then one instruction with the given Op, no data, no env and 1 MiB.
+	oneInst := func(op uint64) []byte {
+		return cat(hdr, uv(isa.DefaultCodeBase), uv(0), uv(1), uv(op), make([]byte, 6), uv(0), uv(0), uv(2<<20))
+	}
+	if _, err := jobs.Decode(oneInst(uint64(isa.OpHLT))); err != nil {
+		t.Fatalf("the one-instruction template does not decode: %v", err)
+	}
+	return map[string][]byte{
+		"unsorted env keys":                rawEncode(j, [2]string{"OMP_NUM_THREADS", "2"}, [2]string{"A", "1"}),
+		"duplicate env keys":               rawEncode(j, [2]string{"A", "1"}, [2]string{"A", "1"}),
+		"overlong varint":                  cat(hdr, bytes.Repeat([]byte{0xff}, 10), []byte{1}, body[n:]),
+		"non-minimal varint":               nonMinimal,
+		"trailing byte":                    append(append([]byte(nil), blob...), 0),
+		"opcode beyond 16 bits":            oneInst(1<<16 | uint64(isa.OpHLT)),
+		"name count beyond the bytes left": cat([]byte("FPJ\x01"), uv(1<<62), []byte("seed")),
+		"inst count beyond the bytes left": cat(hdr, uv(0), uv(0), uv(1<<40), make([]byte, 64)),
+		"data count beyond the bytes left": cat(hdr, uv(0), uv(0), uv(0), uv(1<<50), make([]byte, 64)),
+		"env count beyond the bytes left":  cat(hdr, uv(0), uv(0), uv(0), uv(0), uv(1<<61), make([]byte, 64)),
+		"gob blob of the previous codec":   gobBlob.Bytes(),
+	}
+}
+
+// decodeAlloc decodes data and reports the bytes the process allocated
+// meanwhile and the error.
+func decodeAlloc(data []byte) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := jobs.Decode(data)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// TestDecodeRejectsNonCanonical: every truncation of a real clone and
+// every forged variant fails with ErrFormat, without a panic and
+// without an allocation a count in the input asked for but the bytes
+// left could not back.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	const large = 1 << 20
+	blob := rawEncode(seedClone(t))
+	for i := 0; i < len(blob); i++ {
+		alloc, err := decodeAlloc(blob[:i])
+		if !errors.Is(err, jobs.ErrFormat) || alloc > large {
+			t.Fatalf("truncation to %d of %d bytes: Decode = %v after %d bytes allocated, want ErrFormat", i, len(blob), err, alloc)
+		}
+	}
+	for name, data := range malformed(t) {
+		alloc, err := decodeAlloc(data)
+		if !errors.Is(err, jobs.ErrFormat) || alloc > large {
+			t.Errorf("%s: Decode = %v after %d bytes allocated, want ErrFormat", name, err, alloc)
+		}
+	}
+}
+
+// FuzzJobRoundTrip fuzzes the clone codec boundary: any bytes Decode
+// accepts must describe a valid clone, re-encode to exactly the same
+// bytes (so hashing them is hashing the clone) with the content
+// address the daemon takes from them equal to CacheKey of the decoded
+// clone, and run (briefly, without the spy) to an outcome rather than
+// a host panic. Everything else must fail with an error rather than a
+// panic or a poisoned clone.
+func FuzzJobRoundTrip(f *testing.F) {
+	blob, err := seedClone(f).Encode()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
-	f.Add(rawEncode(f, &jobs.Job{Name: "hostile", MemBytes: 1 << 62}))
+	f.Add(rawEncode(&jobs.Job{Name: "hostile", MemBytes: 1 << 62}))
 	f.Add([]byte("not a clone"))
 	f.Add([]byte{})
 	for _, c := range hostileClones() {
-		f.Add(rawEncode(f, c.job))
+		f.Add(rawEncode(c.job))
+	}
+	for _, data := range malformed(f) {
+		f.Add(data)
 	}
 
+	cfg := fpspy.Config{Mode: fpspy.ModeIndividual}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		j, err := jobs.Decode(data)
 		if err != nil {
@@ -139,22 +274,14 @@ func FuzzJobRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded clone failed: %v", err)
 		}
-		back, err := jobs.Decode(re)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+		if !bytes.Equal(re, data) {
+			t.Fatalf("Decode accepted a second encoding of a clone:\n got %x\nwant %x", data, re)
 		}
-		// Gob is not byte-stable (map order), so compare values.
-		if back.Name != j.Name || back.MemBytes != j.MemBytes {
-			t.Fatalf("round trip changed metadata: %+v vs %+v", back, j)
-		}
-		if !reflect.DeepEqual(back.Program, j.Program) {
-			t.Fatal("round trip changed the program image")
-		}
-		if !reflect.DeepEqual(back.Env, j.Env) && (len(back.Env) != 0 || len(j.Env) != 0) {
-			t.Fatalf("round trip changed env: %v vs %v", back.Env, j.Env)
+		if key, err := server.BlobKey(data, cfg); err != nil || key != server.CacheKey(j, cfg) {
+			t.Fatalf("BlobKey = %s, %v; CacheKey of the decoded clone = %s", key, err, server.CacheKey(j, cfg))
 		}
 		// A host panic fails the fuzz target; a guest that does not
 		// finish within the step bound is an ordinary error.
-		_, _ = fpspy.Run(back.Program, fpspy.Options{NoSpy: true, MaxSteps: 10_000, MemBytes: back.MemBytes, Env: back.Env})
+		_, _ = fpspy.Run(j.Program, fpspy.Options{NoSpy: true, MaxSteps: 10_000, MemBytes: j.MemBytes, Env: j.Env})
 	})
 }

@@ -4,11 +4,13 @@
 // be stored and replayed later, offline, under far more aggressive FPSpy
 // configurations than production would tolerate. The user's run itself
 // proceeds untouched, with zero overhead.
+//
+// A clone travels as its one canonical encoding (codec.go): Decode
+// accepts nothing else, so equal clones are equal bytes, and fpspyd
+// takes a submission's content address by hashing those bytes.
 package jobs
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -75,31 +77,6 @@ func Capture(name string, prog *isa.Program, env map[string]string, memBytes int
 		dupEnv[k] = v
 	}
 	return &Job{Name: name, Program: prog, Env: dupEnv, MemBytes: memBytes}
-}
-
-// Encode serializes the clone for storage (the paper's offline-analysis
-// hand-off).
-func (j *Job) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(j); err != nil {
-		return nil, fmt.Errorf("jobs: encode %s: %w", j.Name, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode reconstructs a submission clone. The input is untrusted (it
-// typically arrives over the fpspyd wire), so the decoded clone is
-// validated before it is returned: garbage that happens to gob-decode
-// does not flow onward into RunProduction or Replay.
-func Decode(data []byte) (*Job, error) {
-	var j Job
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&j); err != nil {
-		return nil, fmt.Errorf("jobs: decode: %w", err)
-	}
-	if err := j.Validate(); err != nil {
-		return nil, err
-	}
-	return &j, nil
 }
 
 // Validate checks the structural invariants a replayable clone must

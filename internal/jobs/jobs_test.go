@@ -1,7 +1,11 @@
 package jobs_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"maps"
+	"reflect"
 	"testing"
 
 	fpspy "repro"
@@ -11,29 +15,39 @@ import (
 	"repro/internal/workload"
 )
 
+// TestCloneRoundTrip: a clone's encoding is the documented format
+// (Encode matches the tests' own writer byte for byte), does not depend
+// on the order its environment was built in, decodes to an equal clone
+// that re-encodes to the same bytes, and replays like the original.
 func TestCloneRoundTrip(t *testing.T) {
 	w, err := workload.ByName("laghos")
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := jobs.Capture("laghos-run-42", w.Build(workload.SizeSmall),
-		map[string]string{"OMP_NUM_THREADS": "4"}, 4<<20)
+	env := map[string]string{"OMP_NUM_THREADS": "4", "A": "", "Z": "last", "M": "mid"}
+	job := jobs.Capture("laghos-run-42", w.Build(workload.SizeSmall), env, 4<<20)
 	blob, err := job.Encode()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if raw := rawEncode(job); !bytes.Equal(blob, raw) {
+		t.Fatalf("Encode does not write the documented format:\n got %x\nwant %x", blob, raw)
+	}
+	for i := 0; i < 8; i++ { // each fresh map iterates in its own order
+		again, _ := jobs.Capture(job.Name, job.Program, maps.Clone(env), job.MemBytes).Encode()
+		if !bytes.Equal(again, blob) {
+			t.Fatal("the encoding depends on the environment map's order")
+		}
 	}
 	back, err := jobs.Decode(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Name != job.Name || back.MemBytes != job.MemBytes {
-		t.Errorf("metadata lost: %+v", back)
+	if !reflect.DeepEqual(back, job) {
+		t.Errorf("round trip changed the clone:\n got %+v\nwant %+v", back, job)
 	}
-	if len(back.Program.Insts) != len(job.Program.Insts) {
-		t.Fatalf("program truncated: %d vs %d", len(back.Program.Insts), len(job.Program.Insts))
-	}
-	if back.Env["OMP_NUM_THREADS"] != "4" {
-		t.Error("environment lost")
+	if re, _ := back.Encode(); !bytes.Equal(re, blob) {
+		t.Error("the decoded clone re-encodes to other bytes")
 	}
 	// The decoded clone replays identically to the original program.
 	orig, err := job.Replay(fpspy.Config{Mode: fpspy.ModeAggregate})
@@ -70,9 +84,24 @@ func TestProductionRunHasNoSpy(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsGarbage: inputs in no clone format, or in another
+// one, fail with ErrFormat.
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := jobs.Decode([]byte("not a clone")); err == nil {
-		t.Error("garbage decoded")
+	blob := rawEncode(seedClone(t))
+	asJSON, err := json.Marshal(seedClone(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"text":          []byte("not a clone"),
+		"empty":         nil,
+		"magic only":    blob[:4],
+		"next version":  append([]byte("FPJ\x02"), blob[4:]...),
+		"JSON of a Job": asJSON,
+	} {
+		if _, err := jobs.Decode(data); !errors.Is(err, jobs.ErrFormat) {
+			t.Errorf("%s: Decode = %v, want ErrFormat", name, err)
+		}
 	}
 }
 
@@ -170,7 +199,7 @@ func TestValidateRejectsUnexecutableInsts(t *testing.T) {
 		cases = append(cases, hostileClone{c.name, c.index, &jobs.Job{Name: c.name, Program: &isa.Program{Name: c.name, Base: isa.DefaultCodeBase, Insts: c.insts}}})
 	}
 	for _, c := range cases {
-		_, err := jobs.Decode(rawEncode(t, c.job))
+		_, err := jobs.Decode(rawEncode(c.job))
 		var ie *jobs.InstError
 		if !errors.As(err, &ie) || ie.Index != c.index || ie.Clone != c.name {
 			t.Errorf("%s: Decode = %v, want an InstError for clone %q at instruction %d", c.name, err, c.name, c.index)
@@ -185,7 +214,7 @@ func TestValidateRejectsUnexecutableInsts(t *testing.T) {
 		{Op: isa.OpJMP, Imm: 4},
 		{Op: isa.OpHLT},
 	}}}
-	if _, err := jobs.Decode(rawEncode(t, ok)); err != nil {
+	if _, err := jobs.Decode(rawEncode(ok)); err != nil {
 		t.Errorf("Decode(edges) = %v, want ok", err)
 	}
 }
@@ -198,6 +227,35 @@ func TestRegisteredWorkloadsValidate(t *testing.T) {
 			if err := jobs.Capture(w.Meta.Name, w.Build(size), nil, 0).Validate(); err != nil {
 				t.Errorf("%s at size %d: %v", w.Meta.Name, size, err)
 			}
+		}
+	}
+}
+
+// fieldSet renders a struct type's fields as "Name Type" lines.
+func fieldSet(v any) []string {
+	typ := reflect.TypeOf(v)
+	fields := make([]string, typ.NumField())
+	for i := range fields {
+		fields[i] = typ.Field(i).Name + " " + typ.Field(i).Type.String()
+	}
+	return fields
+}
+
+// TestEncodedFieldSets pins the fields the clone encoding writes. gob
+// carried a new field silently; the encoding drops it, so a field added
+// to Job, Program or Inst must first be added to Encode, Decode and
+// rawEncode, and then here.
+func TestEncodedFieldSets(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want []string
+	}{
+		{jobs.Job{}, []string{"Name string", "Program *isa.Program", "Env map[string]string", "MemBytes int"}},
+		{isa.Program{}, []string{"Name string", "Insts []isa.Inst", "Base uint64", "Data []uint8", "DataBase uint64"}},
+		{isa.Inst{}, []string{"Op isa.Opcode", "Rd uint8", "Rs1 uint8", "Rs2 uint8", "Rs3 uint8", "Imm int64", "Sym string"}},
+	} {
+		if got := fieldSet(c.v); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%T fields = %q, want %q", c.v, got, c.want)
 		}
 	}
 }

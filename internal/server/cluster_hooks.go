@@ -71,7 +71,8 @@ func (s *Server) WaitOutcome(ctx context.Context, id string) (*Outcome, error) {
 
 // CachedOutcome reports whether key has a settled cache entry, and its
 // outcome or error message when it does. The owner side of a forward
-// answers from it when the clone is already settled here.
+// answers from it when the clone is already settled here; that counts
+// as a hit for eviction.
 func (s *Server) CachedOutcome(key string) (out *Outcome, errMsg string, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -79,6 +80,7 @@ func (s *Server) CachedOutcome(key string) (out *Outcome, errMsg string, ok bool
 	if !exists || !e.settled {
 		return nil, "", false
 	}
+	s.lru.MoveToFront(e.elem)
 	if e.err != nil {
 		return nil, e.err.Error(), true
 	}
@@ -86,12 +88,12 @@ func (s *Server) CachedOutcome(key string) (out *Outcome, errMsg string, ok bool
 }
 
 // InstallOutcome publishes an externally computed outcome (a peer's
-// pass) under key. The first settle wins: an already-settled entry is
-// left untouched. An unsettled entry — including one whose primary
-// still waits in a shard queue — settles immediately, finalizing its
-// waiters; the dispatcher skips settled primaries, so the local pass
-// never double-runs. With no entry present, a settled one is created so
-// future submissions hit.
+// pass) under key. The first settle wins: an already-settled entry
+// keeps its outcome and counts the install as a hit for eviction. An
+// unsettled entry — including one whose primary still waits in a shard
+// queue — settles immediately, finalizing its waiters; the dispatcher
+// skips settled primaries, so the local pass never double-runs. With no
+// entry present, a settled one is created so future submissions hit.
 // cacheHit reports that the peer served the outcome from its own cache:
 // the local primary then reads as a cache hit too, since no pass ran
 // for it anywhere.
@@ -108,6 +110,7 @@ func (s *Server) InstallOutcome(key string, out *Outcome, errMsg string, cacheHi
 		s.cache[key] = e
 	}
 	if e.settled {
+		s.lru.MoveToFront(e.elem)
 		return
 	}
 	if cacheHit && e.primary != nil {

@@ -19,12 +19,12 @@ import (
 // Wire types of the fpspyd HTTP/JSON API. The client package and fpctl
 // share them.
 
-// SubmitRequest is the POST /v1/jobs body. Clone is the jobs.Encode
-// gob, which encoding/json carries as base64.
+// SubmitRequest is the POST /v1/jobs body. Clone is the clone's
+// jobs.Encode bytes, which encoding/json carries as base64.
 type SubmitRequest struct {
 	// Name optionally overrides the clone's submission name.
 	Name string `json:"name,omitempty"`
-	// Clone is the gob-encoded submission clone (base64 on the wire).
+	// Clone is the encoded submission clone (base64 on the wire).
 	Clone []byte `json:"clone"`
 	// Config is the FPSpy configuration to replay under.
 	Config fpspy.Config `json:"config"`
@@ -36,7 +36,7 @@ type SubmitRequest struct {
 type ShadowSubmitRequest struct {
 	// Name optionally overrides the clone's submission name.
 	Name string `json:"name,omitempty"`
-	// Clone is the gob-encoded submission clone (base64 on the wire).
+	// Clone is the encoded submission clone (base64 on the wire).
 	Clone []byte `json:"clone"`
 	// Config is the FPSpy configuration to replay under.
 	Config fpspy.Config `json:"config"`
@@ -282,6 +282,20 @@ func (s *Server) lookup(id string) (*jobRec, StatusResponse, bool) {
 	}, true
 }
 
+// writeMissing answers a job ID with no record: 410 Gone when this
+// daemon issued it and has since evicted its settled record, 404 when
+// it never issued it.
+func (s *Server) writeMissing(w http.ResponseWriter, id string) {
+	s.mu.Lock()
+	gone := jobSeq(id) > 0 && jobSeq(id) <= s.seq
+	s.mu.Unlock()
+	if gone {
+		writeError(w, http.StatusGone, "job %q evicted: the daemon keeps the last %d settled jobs", id, tableBound)
+		return
+	}
+	writeError(w, http.StatusNotFound, "unknown job %q", id)
+}
+
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() {
@@ -291,7 +305,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}()
 	_, st, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		s.writeMissing(w, r.PathValue("id"))
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -306,7 +320,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}()
 	rec, _, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		s.writeMissing(w, r.PathValue("id"))
 		return
 	}
 

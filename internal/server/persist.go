@@ -14,7 +14,8 @@ import (
 // persistedJob is the on-disk form of one queued-but-unstarted
 // submission: the clone bytes exactly as submitted (jobs.Encode
 // output), plus the daemon-side identity needed to resume it under the
-// same job ID.
+// same job ID. The state file is a gob of these; only the clone bytes
+// inside it are in the jobs encoding.
 type persistedJob struct {
 	ID     string
 	Name   string
@@ -106,12 +107,12 @@ func (s *Server) loadState() error {
 		if err != nil {
 			return fmt.Errorf("server: persisted job %s: %w", p.ID, err)
 		}
+		key, _ := BlobKey(p.Blob, p.Config) // Decode accepted its header
 		rec := &jobRec{
-			id: p.ID, name: p.Name, client: p.Client, key: CacheKey(j, p.Config),
-			blob: p.Blob, cfg: p.Config, job: j, submitted: s.now(),
+			id: p.ID, name: p.Name, client: p.Client, key: key,
+			blob: p.Blob, cfg: p.Config, job: j,
 		}
-		var seq int
-		if n, _ := fmt.Sscanf(p.ID, "job-%06d", &seq); n == 1 && seq > s.seq {
+		if seq := jobSeq(p.ID); seq > s.seq {
 			s.seq = seq
 		}
 		if err := s.admitLocked(rec, false); err != nil {

@@ -15,7 +15,8 @@
 //     (the same discipline as the study scheduler's passKey cache):
 //     identical submissions — same program image, environment, memory
 //     request, and configuration — run exactly one pass no matter how
-//     many clients submit them or how concurrently they arrive;
+//     many clients submit them or how concurrently they arrive, and
+//     the settled part of the cache and of the job table is bounded;
 //   - per-client token-bucket rate limiting with 429 + Retry-After.
 //
 // Shutdown drains: in-flight passes run to completion, new submissions
@@ -24,10 +25,12 @@
 package server
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -97,7 +100,6 @@ type Server struct {
 	obs   *obs.Metrics
 	lim   *limiter
 	mux   *http.ServeMux
-	now   func() time.Time
 
 	shards      []chan *jobRec
 	stopc       chan struct{}
@@ -105,7 +107,9 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*jobRec
+	settled  []string // IDs of settled records in s.jobs, oldest-settled first
 	cache    map[string]*cacheEntry
+	lru      list.List // settled entries in s.cache, most recently hit first
 	seq      int
 	draining bool
 	placer   Placer // cluster placement hook; nil on a lone daemon
@@ -119,13 +123,12 @@ type Server struct {
 // jobRec is the daemon's view of one submission. Mutable fields are
 // guarded by Server.mu.
 type jobRec struct {
-	id        string
-	name      string
-	client    string
-	key       string
-	cfg       fpspy.Config
-	cacheHit  bool
-	submitted time.Time
+	id       string
+	name     string
+	client   string
+	key      string
+	cfg      fpspy.Config
+	cacheHit bool
 
 	// blob (the encoded clone) and job (its decoding) serve persisting,
 	// placing, and running an unsettled job; both are dropped once it
@@ -152,7 +155,14 @@ type cacheEntry struct {
 	err     error
 	primary *jobRec
 	waiters []*jobRec
+	elem    *list.Element // its place in Server.lru once settled (guarded by mu)
 }
+
+// tableBound is how many settled job records, and how many settled
+// cache entries, the daemon keeps: past it the record settled first and
+// the entry hit least recently go. Nothing unsettled is evicted. An
+// evicted entry costs a re-run at most; an evicted job ID answers 410.
+const tableBound = 4096
 
 // Outcome is the cached result of one executed pass: everything the
 // result stream serves, with no reference to the (large) kernel state.
@@ -207,7 +217,6 @@ func New(o Options) (*Server, error) {
 		study:  st,
 		obs:    o.Obs,
 		lim:    newLimiter(o.RatePerSec, o.Burst, now),
-		now:    now,
 		shards: make([]chan *jobRec, o.Shards),
 		stopc:  make(chan struct{}),
 		jobs:   map[string]*jobRec{},
@@ -233,10 +242,6 @@ func New(o Options) (*Server, error) {
 	return s, nil
 }
 
-// Study exposes the shared pass scheduler (the figures endpoint and
-// tests use it).
-func (s *Server) Study() *study.Study { return s.study }
-
 // Draining reports whether Shutdown has begun.
 func (s *Server) Draining() bool {
 	s.mu.Lock()
@@ -259,9 +264,10 @@ var (
 	ErrQueueFull = errors.New("server: shard queue full")
 )
 
-// submit admits one submission: validate the clone, then hand it to
-// admitLocked under a fresh job ID. offer lets a new pass be placed on
-// another cluster member; only client-API submissions set it.
+// submit admits one submission: decode and validate the clone and take
+// its content address, then hand it to admitLocked under a fresh job
+// ID. offer lets a new pass be placed on another cluster member; only
+// client-API submissions set it.
 func (s *Server) submit(client, name string, blob []byte, cfg fpspy.Config, offer bool) (*jobRec, error) {
 	// Drain check first: a draining daemon answers 503 regardless of
 	// what the submission contains. Re-checked under the lock below.
@@ -275,6 +281,7 @@ func (s *Server) submit(client, name string, blob []byte, cfg fpspy.Config, offe
 	if err != nil {
 		return nil, err
 	}
+	key, _ := BlobKey(blob, cfg) // Decode accepted its header
 	if name == "" {
 		name = j.Name
 	}
@@ -287,15 +294,27 @@ func (s *Server) submit(client, name string, blob []byte, cfg fpspy.Config, offe
 		}
 		return nil, ErrDraining
 	}
-	s.seq++
 	rec := &jobRec{
-		id: fmt.Sprintf("job-%06d", s.seq), name: name, client: client,
-		key: CacheKey(j, cfg), blob: blob, cfg: cfg, job: j, submitted: s.now(),
+		id: jobID(s.seq + 1), name: name, client: client,
+		key: key, blob: blob, cfg: cfg, job: j,
 	}
 	if err := s.admitLocked(rec, offer); err != nil {
 		return nil, err
 	}
+	s.seq++
 	return rec, nil
+}
+
+// jobID is the ID of the n-th job a daemon admits.
+func jobID(n int) string { return fmt.Sprintf("job-%06d", n) }
+
+// jobSeq inverts jobID, returning 0 for any other string.
+func jobSeq(id string) int {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	if err != nil || n < 1 || jobID(n) != id {
+		return 0
+	}
+	return n
 }
 
 // admitLocked is the one admission path — client submissions, Submit,
@@ -313,7 +332,8 @@ func (s *Server) admitLocked(rec *jobRec, offer bool) error {
 		rec.cacheHit = true
 		rec.entry = e
 		if e.settled {
-			finalizeLocked(rec, e, sv)
+			s.lru.MoveToFront(e.elem)
+			s.finalizeLocked(rec, e, sv)
 		} else {
 			e.waiters = append(e.waiters, rec)
 		}
@@ -460,23 +480,42 @@ func (s *Server) settleLocked(e *cacheEntry, out *Outcome, err error) {
 	e.out, e.err = out, err
 	e.settled = true
 	sv := s.obs.ServerMetricsOrNil()
-	finalizeLocked(e.primary, e, sv)
+	s.finalizeLocked(e.primary, e, sv)
 	for _, w := range e.waiters {
-		finalizeLocked(w, e, sv)
+		s.finalizeLocked(w, e, sv)
 	}
 	e.waiters = nil
 	close(e.done)
+	if s.cache[e.key] == e { // RequeuePending drops an entry it fails
+		s.retainLocked(e)
+	}
 }
 
-// finalizeLocked moves rec to its terminal state from a settled entry
-// and drops its clone, which nothing reads after settling. Caller holds
-// s.mu. A nil rec is an entry with no local primary — a peer-installed
-// outcome that no local submission attached to yet.
-func finalizeLocked(rec *jobRec, e *cacheEntry, sv *obs.ServerMetrics) {
+// retainLocked enters a settled entry at the front of the LRU list and
+// evicts the entry at its back once the list is past tableBound. Only
+// settled entries are in the list. Caller holds s.mu.
+func (s *Server) retainLocked(e *cacheEntry) {
+	e.elem = s.lru.PushFront(e)
+	if s.lru.Len() > tableBound {
+		delete(s.cache, s.lru.Remove(s.lru.Back()).(*cacheEntry).key)
+	}
+}
+
+// finalizeLocked moves rec to its terminal state from a settled entry,
+// drops its clone, which nothing reads after settling, and evicts the
+// oldest settled record once more than tableBound have settled. Caller
+// holds s.mu. A nil rec is an entry with no local primary — a
+// peer-installed outcome that no local submission attached to yet.
+func (s *Server) finalizeLocked(rec *jobRec, e *cacheEntry, sv *obs.ServerMetrics) {
 	if rec == nil {
 		return
 	}
 	rec.blob, rec.job = nil, nil
+	s.settled = append(s.settled, rec.id)
+	if len(s.settled) > tableBound {
+		delete(s.jobs, s.settled[0])
+		s.settled = s.settled[1:]
+	}
 	if e.err != nil {
 		rec.state = StateFailed
 		rec.errs = e.err.Error()

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -41,7 +44,25 @@ func encode(t testing.TB, j *jobs.Job) []byte {
 	return blob
 }
 
+// TestCacheKeyDeterministicAndSensitive: the content address the
+// daemon hashes from submitted bytes is CacheKey of the decoded clone,
+// depends on content only (not on names or the order an environment was
+// built in), and changes with every input of a pass, every Config field
+// among them.
 func TestCacheKeyDeterministicAndSensitive(t *testing.T) {
+	// appendConfig renders these fields; a new one must be added there,
+	// then here.
+	typ := reflect.TypeOf(fpspy.Config{})
+	var fields []string
+	for i := 0; i < typ.NumField(); i++ {
+		fields = append(fields, typ.Field(i).Name)
+	}
+	if want := []string{"Mode", "Disable", "Aggressive", "ExceptList", "MaxCount", "SampleEvery",
+		"SampleOnUS", "SampleOffUS", "Poisson", "VirtualTimer", "Breakpoints",
+		"StormFaults", "StormCycles", "ShadowPrec"}; !reflect.DeepEqual(fields, want) {
+		t.Fatalf("Config fields = %q, want the %d appendConfig renders: %q", fields, len(want), want)
+	}
+
 	env := map[string]string{"A": "1", "B": "2", "C": "3", "D": "4"}
 	cfg := fpspy.Config{Mode: fpspy.ModeIndividual}
 	j1 := testJob(t, "k", 3, env)
@@ -51,17 +72,28 @@ func TestCacheKeyDeterministicAndSensitive(t *testing.T) {
 	if CacheKey(j1, cfg) != CacheKey(j2, cfg) {
 		t.Fatal("identical content hashed differently")
 	}
-	// The clone survives a wire round trip with the same address.
-	back, err := jobs.Decode(encode(t, j1))
+	// The key hashed from the submitted bytes is CacheKey's, before and
+	// after a wire round trip.
+	blob := encode(t, j1)
+	if key, err := BlobKey(blob, cfg); err != nil || key != CacheKey(j1, cfg) {
+		t.Fatalf("BlobKey = %s, %v; want CacheKey's %s", key, err, CacheKey(j1, cfg))
+	}
+	back, err := jobs.Decode(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if CacheKey(back, cfg) != CacheKey(j1, cfg) {
 		t.Fatal("wire round trip changed the content address")
 	}
-	// Name is identity-irrelevant; everything else is identity.
+	// Names are identity-irrelevant: the submission name, and the
+	// program's too. Everything else is identity.
 	named := testJob(t, "other-name", 3, env)
 	if CacheKey(named, cfg) != CacheKey(j1, cfg) {
+		t.Fatal("submission and program names must not affect the content address")
+	}
+	renamed := *j1
+	renamed.Name = "renamed"
+	if CacheKey(&renamed, cfg) != CacheKey(j1, cfg) {
 		t.Fatal("submission name must not affect the content address")
 	}
 	distinct := map[string]string{
@@ -89,6 +121,21 @@ func TestCacheKeyDeterministicAndSensitive(t *testing.T) {
 	mem := jobs.Capture("k", j1.Program, env, 8<<20)
 	if CacheKey(mem, cfg) == base {
 		t.Error("memory request must affect the content address")
+	}
+	// Every Config field is keyed: set each one alone.
+	for i := 0; i < typ.NumField(); i++ {
+		var c fpspy.Config
+		if f := reflect.ValueOf(&c).Elem().Field(i); f.Kind() == reflect.Bool {
+			f.SetBool(true)
+		} else {
+			f.SetUint(3)
+		}
+		if CacheKey(j1, c) == CacheKey(j1, fpspy.Config{}) {
+			t.Errorf("Config.%s does not affect the content address", typ.Field(i).Name)
+		}
+	}
+	if _, err := BlobKey([]byte("not a clone"), cfg); err == nil {
+		t.Error("BlobKey took the address of bytes with no clone header")
 	}
 }
 
@@ -292,4 +339,125 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timeout waiting for %s", what)
+}
+
+// TestSettledTablesBounded pushes tableBound plus a few hundred distinct
+// clones through one daemon, one at a time, while one pass is held in
+// flight with a waiter attached. Settled records and entries stay at
+// the bound throughout; a clone resubmitted every hundred jobs stays a
+// hit, which a first-in-first-out cache would not give; the held entry
+// is never evicted and settles its waiters when let go; and the first
+// job's ID answers 410 Gone once its record is evicted, while an ID
+// never issued answers 404.
+func TestSettledTablesBounded(t *testing.T) {
+	s, err := New(Options{Workers: 1, Shards: 2, QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
+	submit := func(blob []byte) *jobRec {
+		t.Helper()
+		rec, err := s.submit("c", "", blob, cfg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	settle := func(rec *jobRec) {
+		t.Helper()
+		if _, err := s.WaitOutcome(context.Background(), rec.id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	heldBlob := encode(t, testJob(t, "held", 1, nil))
+	heldKey := CacheKey(testJob(t, "held", 1, nil), cfg)
+	held, release := make(chan struct{}), make(chan struct{})
+	s.mu.Lock()
+	s.testBeforeRun = func(rec *jobRec) {
+		if rec.key == heldKey {
+			close(held)
+			<-release
+		}
+	}
+	s.mu.Unlock()
+	heldRec := submit(heldBlob)
+	<-held
+	waiter := submit(heldBlob)
+
+	// Distinct clones on the shard the held pass does not block.
+	nonce := 0
+	next := func() []byte {
+		for {
+			nonce++
+			j := testJob(t, "c", 1, map[string]string{"N": fmt.Sprint(nonce)})
+			if s.shardOf(CacheKey(j, cfg)) != s.shardOf(heldKey) {
+				return encode(t, j)
+			}
+		}
+	}
+	hot := next()
+	settle(submit(hot))
+	var first string
+	for n := 0; n < tableBound+300; n++ {
+		rec := submit(next())
+		settle(rec)
+		if n == 0 {
+			first = rec.id
+		}
+		if n%100 == 0 {
+			if rec := submit(hot); !rec.cacheHit {
+				t.Fatalf("after %d distinct clones the hot clone missed", n)
+			}
+		}
+		s.mu.Lock()
+		entries, records := s.lru.Len(), len(s.settled)
+		s.mu.Unlock()
+		if entries > tableBound || records > tableBound {
+			t.Fatalf("after %d clones: %d settled entries and %d settled records, bound %d", n, entries, records, tableBound)
+		}
+	}
+
+	s.mu.Lock()
+	if s.lru.Len() != tableBound || len(s.cache) != tableBound+1 || s.cache[heldKey] != heldRec.entry {
+		t.Errorf("cache: %d settled of %d entries, held entry kept %v; want %d settled and the held one",
+			s.lru.Len(), len(s.cache), s.cache[heldKey] == heldRec.entry, tableBound)
+	}
+	if len(s.settled) != tableBound || len(s.jobs) != tableBound+2 {
+		t.Errorf("jobs: %d settled of %d records; want %d settled, the held primary and its waiter",
+			len(s.settled), len(s.jobs), tableBound)
+	}
+	s.mu.Unlock()
+	if late := submit(heldBlob); !late.cacheHit {
+		t.Error("a resubmission of the held clone did not attach to its entry")
+	}
+
+	for _, c := range []struct {
+		path string
+		want int
+	}{
+		{"/v1/jobs/" + first, http.StatusGone},
+		{"/v1/jobs/" + first + "/result", http.StatusGone},
+		{"/v1/jobs/job-999999", http.StatusNotFound},
+		{"/v1/jobs/job-1", http.StatusNotFound},
+		{"/v1/jobs/" + waiter.id, http.StatusOK},
+	} {
+		rw := httptest.NewRecorder()
+		s.ServeHTTP(rw, httptest.NewRequest(http.MethodGet, c.path, nil))
+		if rw.Code != c.want {
+			t.Errorf("GET %s = %d, want %d", c.path, rw.Code, c.want)
+		}
+	}
+
+	close(release)
+	settle(waiter)
+	s.mu.Lock()
+	if waiter.state != StateDone || len(s.cache) != tableBound || len(s.jobs) != tableBound {
+		t.Errorf("after the held pass: waiter %s, %d entries, %d records; want done, %d and %d",
+			waiter.state, len(s.cache), len(s.jobs), tableBound, tableBound)
+	}
+	s.mu.Unlock()
+	if _, err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -117,16 +117,11 @@ func ProbeConfig() fpspy.Config {
 	return fpspy.Config{Mode: fpspy.ModeIndividual, ExceptList: fpspy.AllEvents}
 }
 
-// RunProbeCell executes one cell hermetically: build the probe, run it
+// runProbeCell executes one cell hermetically: build the probe, run it
 // under the cell's engine and schedule, recover the accumulation tree
-// from the trace, and compare fingerprints.
-func RunProbeCell(cell ProbeCell) ProbeCellResult {
-	res, _ := runProbeCell(cell, nil)
-	return res
-}
-
-// runProbeCell is RunProbeCell reporting to om (nil for none) that also
-// returns the run (nil when the cell failed before it existed).
+// from the trace, and compare fingerprints. It reports to om (nil for
+// none) and also returns the run (nil when the cell failed before it
+// existed).
 func runProbeCell(cell ProbeCell, om *obs.Metrics) (ProbeCellResult, *fpspy.Result) {
 	res := ProbeCellResult{
 		Kernel:   string(cell.Spec.Kind),
