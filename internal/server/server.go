@@ -87,9 +87,6 @@ type Options struct {
 	// before its pass executes. Tests (here and in internal/cluster)
 	// gate on it to hold a pass in flight; production leaves it nil.
 	BeforeRun func(jobID string)
-
-	// now overrides the clock (tests).
-	now func() time.Time
 }
 
 // Server is a running fpspyd instance. It is an http.Handler; callers
@@ -201,10 +198,6 @@ func New(o Options) (*Server, error) {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
-	now := o.now
-	if now == nil {
-		now = time.Now
-	}
 	st := o.Study
 	if st == nil {
 		st = study.NewWithWorkers(o.Workers)
@@ -216,7 +209,7 @@ func New(o Options) (*Server, error) {
 		opts:   o,
 		study:  st,
 		obs:    o.Obs,
-		lim:    newLimiter(o.RatePerSec, o.Burst, now),
+		lim:    newLimiter(o.RatePerSec, o.Burst, time.Now),
 		shards: make([]chan *jobRec, o.Shards),
 		stopc:  make(chan struct{}),
 		jobs:   map[string]*jobRec{},

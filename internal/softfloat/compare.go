@@ -80,120 +80,92 @@ func order32(a, b uint32) CmpResult {
 	return CmpGreater
 }
 
+// compare64 orders a and b as ucomisd does, or as comisd does when
+// signaling: a NaN operand makes them unordered and raises Invalid if it
+// is signaling or the compare is.
+func compare64(a, b uint64, signaling bool, env Env) (CmpResult, Flags) {
+	var fl Flags
+	ops := class64(a) | class64(b)
+	r := CmpUnordered
+	if ops&nanOperand == 0 {
+		r = order64(daz64(a, env), daz64(b, env))
+	} else if signaling || IsSNaN64(a) || IsSNaN64(b) {
+		fl |= FlagInvalid
+	}
+	return r, denormal(fl, ops, env)
+}
+
+// compare32 is compare64 for binary32.
+func compare32(a, b uint32, signaling bool, env Env) (CmpResult, Flags) {
+	var fl Flags
+	ops := class32(a) | class32(b)
+	r := CmpUnordered
+	if ops&nanOperand == 0 {
+		r = order32(daz32(a, env), daz32(b, env))
+	} else if signaling || IsSNaN32(a) || IsSNaN32(b) {
+		fl |= FlagInvalid
+	}
+	return r, denormal(fl, ops, env)
+}
+
 // Ucomi64 implements ucomisd: an unordered compare that raises Invalid
 // only for signaling NaN operands.
 func Ucomi64(a, b uint64, env Env) (CmpResult, Flags) {
-	var fl Flags
-	a = daz64(a, env, &fl)
-	b = daz64(b, env, &fl)
-	if IsNaN64(a) || IsNaN64(b) {
-		if IsSNaN64(a) || IsSNaN64(b) {
-			fl |= FlagInvalid
-		}
-		return CmpUnordered, fl
-	}
-	return order64(a, b), fl
+	return compare64(a, b, false, env)
 }
 
 // Comi64 implements comisd: an ordered compare that raises Invalid for
 // any NaN operand.
 func Comi64(a, b uint64, env Env) (CmpResult, Flags) {
-	var fl Flags
-	a = daz64(a, env, &fl)
-	b = daz64(b, env, &fl)
-	if IsNaN64(a) || IsNaN64(b) {
-		fl |= FlagInvalid
-		return CmpUnordered, fl
-	}
-	return order64(a, b), fl
+	return compare64(a, b, true, env)
 }
 
 // Ucomi32 implements ucomiss.
 func Ucomi32(a, b uint32, env Env) (CmpResult, Flags) {
-	var fl Flags
-	a = daz32(a, env, &fl)
-	b = daz32(b, env, &fl)
-	if IsNaN32(a) || IsNaN32(b) {
-		if IsSNaN32(a) || IsSNaN32(b) {
-			fl |= FlagInvalid
-		}
-		return CmpUnordered, fl
-	}
-	return order32(a, b), fl
+	return compare32(a, b, false, env)
 }
 
 // Comi32 implements comiss.
 func Comi32(a, b uint32, env Env) (CmpResult, Flags) {
-	var fl Flags
-	a = daz32(a, env, &fl)
-	b = daz32(b, env, &fl)
-	if IsNaN32(a) || IsNaN32(b) {
-		fl |= FlagInvalid
-		return CmpUnordered, fl
-	}
-	return order32(a, b), fl
+	return compare32(a, b, true, env)
 }
 
 // Min64 implements minsd: if either operand is a NaN or both are zeros,
 // the second operand is returned. Invalid is raised for NaN operands
 // (compare-style semantics).
 func Min64(a, b uint64, env Env) (uint64, Flags) {
-	var fl Flags
-	a = daz64(a, env, &fl)
-	b = daz64(b, env, &fl)
-	if IsNaN64(a) || IsNaN64(b) {
-		fl |= FlagInvalid
-		return b, fl
+	r, fl := compare64(a, b, true, env)
+	if r == CmpLess {
+		return daz64(a, env), fl
 	}
-	if order64(a, b) == CmpLess {
-		return a, fl
-	}
-	return b, fl
+	return daz64(b, env), fl
 }
 
 // Max64 implements maxsd with the same operand-forwarding rules as Min64.
 func Max64(a, b uint64, env Env) (uint64, Flags) {
-	var fl Flags
-	a = daz64(a, env, &fl)
-	b = daz64(b, env, &fl)
-	if IsNaN64(a) || IsNaN64(b) {
-		fl |= FlagInvalid
-		return b, fl
+	r, fl := compare64(a, b, true, env)
+	if r == CmpGreater {
+		return daz64(a, env), fl
 	}
-	if order64(a, b) == CmpGreater {
-		return a, fl
-	}
-	return b, fl
+	return daz64(b, env), fl
 }
 
 // Min32 implements minss.
 func Min32(a, b uint32, env Env) (uint32, Flags) {
-	var fl Flags
-	a = daz32(a, env, &fl)
-	b = daz32(b, env, &fl)
-	if IsNaN32(a) || IsNaN32(b) {
-		fl |= FlagInvalid
-		return b, fl
+	r, fl := compare32(a, b, true, env)
+	if r == CmpLess {
+		return daz32(a, env), fl
 	}
-	if order32(a, b) == CmpLess {
-		return a, fl
-	}
-	return b, fl
+	return daz32(b, env), fl
 }
 
 // Max32 implements maxss.
 func Max32(a, b uint32, env Env) (uint32, Flags) {
-	var fl Flags
-	a = daz32(a, env, &fl)
-	b = daz32(b, env, &fl)
-	if IsNaN32(a) || IsNaN32(b) {
-		fl |= FlagInvalid
-		return b, fl
+	r, fl := compare32(a, b, true, env)
+	if r == CmpGreater {
+		return daz32(a, env), fl
 	}
-	if order32(a, b) == CmpGreater {
-		return a, fl
-	}
-	return b, fl
+	return daz32(b, env), fl
 }
 
 // CmpPredicate selects the comparison a cmpsd/cmpps instruction performs,
@@ -255,18 +227,7 @@ func (p CmpPredicate) eval(r CmpResult) bool {
 // Cmp64 implements cmpsd: it evaluates the predicate and returns an
 // all-ones or all-zeros mask.
 func Cmp64(a, b uint64, p CmpPredicate, env Env) (uint64, Flags) {
-	var fl Flags
-	a = daz64(a, env, &fl)
-	b = daz64(b, env, &fl)
-	var r CmpResult
-	if IsNaN64(a) || IsNaN64(b) {
-		if IsSNaN64(a) || IsSNaN64(b) || p.signaling() {
-			fl |= FlagInvalid
-		}
-		r = CmpUnordered
-	} else {
-		r = order64(a, b)
-	}
+	r, fl := compare64(a, b, p.signaling(), env)
 	if p.eval(r) {
 		return ^uint64(0), fl
 	}
@@ -275,18 +236,7 @@ func Cmp64(a, b uint64, p CmpPredicate, env Env) (uint64, Flags) {
 
 // Cmp32 implements cmpss.
 func Cmp32(a, b uint32, p CmpPredicate, env Env) (uint32, Flags) {
-	var fl Flags
-	a = daz32(a, env, &fl)
-	b = daz32(b, env, &fl)
-	var r CmpResult
-	if IsNaN32(a) || IsNaN32(b) {
-		if IsSNaN32(a) || IsSNaN32(b) || p.signaling() {
-			fl |= FlagInvalid
-		}
-		r = CmpUnordered
-	} else {
-		r = order32(a, b)
-	}
+	r, fl := compare32(a, b, p.signaling(), env)
 	if p.eval(r) {
 		return ^uint32(0), fl
 	}

@@ -5,22 +5,28 @@ import "math/bits"
 // F64ToF32 narrows a binary64 value to binary32 (cvtsd2ss semantics).
 func F64ToF32(a uint64, env Env) (uint32, Flags) {
 	var fl Flags
-	a = daz64(a, env, &fl)
+	z := narrow(daz64(a, env), env, &fl)
+	return z, denormal(fl, class64(a), env)
+}
+
+// narrow rounds a binary64 value, DAZ applied, to binary32 in one
+// roundPack32.
+func narrow(a uint64, env Env, fl *Flags) uint32 {
 	sign := sign64(a)
 	aExp := exp64(a)
 	aSig := frac64(a)
 	if aExp == 0x7FF {
 		if aSig != 0 {
 			if IsSNaN64(a) {
-				fl |= FlagInvalid
+				*fl |= FlagInvalid
 			}
-			return quiet32(narrowNaN(a)), fl
+			return quiet32(narrowNaN(a))
 		}
-		return packInf32(sign), fl
+		return packInf32(sign)
 	}
 	if aExp == 0 {
 		if aSig == 0 {
-			return packZero32(sign), fl
+			return packZero32(sign)
 		}
 		aExp, aSig = normSubnormal64(aSig)
 	} else {
@@ -29,7 +35,7 @@ func F64ToF32(a uint64, env Env) (uint32, Flags) {
 	// Value = (aSig / 2^52) * 2^(aExp - 1023). Collapse the 53-bit
 	// significand to the 31-bit roundPack32 form with jamming.
 	sig := uint32(shiftRightJam64(aSig<<10, 32))
-	return roundPack32(sign, aExp-897, sig, env, &fl), fl
+	return roundPack32(sign, aExp-897, sig, env, fl)
 }
 
 // narrowNaN converts a binary64 NaN pattern to binary32 preserving the
@@ -44,30 +50,25 @@ func narrowNaN(a uint64) uint32 {
 // conversion is exact for all non-NaN inputs.
 func F32ToF64(a uint32, env Env) (uint64, Flags) {
 	var fl Flags
-	a = daz32(a, env, &fl)
-	if IsNaN32(a) {
-		if IsSNaN32(a) {
+	x := daz32(a, env)
+	z := widen32to64(x)
+	if IsNaN32(x) {
+		if IsSNaN32(x) {
 			fl |= FlagInvalid
 		}
-		return quiet64(widenNaN(a)), fl
+		z = quiet64(z)
 	}
-	return widen32to64(a), fl
+	return z, denormal(fl, class32(a), env)
 }
 
-// widenNaN converts a binary32 NaN pattern to binary64.
-func widenNaN(a uint32) uint64 {
-	sign := uint64(a&f32SignMask) << 32
-	payload := uint64(frac32(a)) << 29
-	return sign | f64ExpMask | payload
-}
-
-// widen32to64 exactly widens a non-NaN binary32 pattern.
+// widen32to64 widens a binary32 pattern to binary64 exactly. A NaN keeps
+// its payload and its quiet bit, so a signaling NaN stays signaling.
 func widen32to64(a uint32) uint64 {
 	sign := sign32(a)
 	aExp := exp32(a)
 	aSig := frac32(a)
 	if aExp == 0xFF {
-		return packInf64(sign)
+		return uint64(a&f32SignMask)<<32 | f64ExpMask | uint64(aSig)<<29
 	}
 	if aExp == 0 {
 		if aSig == 0 {
@@ -140,13 +141,6 @@ func I64ToF32(v int64, env Env) (uint32, Flags) {
 	z := roundPack32(sign, int32(189-lz), sig, env, &fl)
 	return z, fl
 }
-
-// intIndefinite32 and intIndefinite64 are the x64 "integer indefinite"
-// results of invalid float-to-int conversions.
-const (
-	intIndefinite32 = int32(-0x80000000)
-	intIndefinite64 = int64(-0x8000000000000000)
-)
 
 // f64ToInt converts a binary64 pattern to a 64-bit integer with the given
 // rounding mode, flagging Invalid for NaN and out-of-range values. The
@@ -237,71 +231,56 @@ func f64ToInt(a uint64, rm RoundingMode, bound uint, fl *Flags) int64 {
 // F64ToI32 implements cvtsd2si (rounding per env) on a binary64 pattern.
 func F64ToI32(a uint64, env Env) (int32, Flags) {
 	var fl Flags
-	a = daz64(a, env, &fl)
-	return int32(f64ToInt(a, env.RM, 31, &fl)), fl
+	z := int32(f64ToInt(daz64(a, env), env.RM, 31, &fl))
+	return z, denormal(fl, class64(a), env)
 }
 
 // F64ToI32Trunc implements cvttsd2si (truncation).
 func F64ToI32Trunc(a uint64, env Env) (int32, Flags) {
 	var fl Flags
-	a = daz64(a, env, &fl)
-	return int32(f64ToInt(a, RoundToZero, 31, &fl)), fl
+	z := int32(f64ToInt(daz64(a, env), RoundToZero, 31, &fl))
+	return z, denormal(fl, class64(a), env)
 }
 
 // F64ToI64 implements cvtsd2siq.
 func F64ToI64(a uint64, env Env) (int64, Flags) {
 	var fl Flags
-	a = daz64(a, env, &fl)
-	return f64ToInt(a, env.RM, 63, &fl), fl
+	z := f64ToInt(daz64(a, env), env.RM, 63, &fl)
+	return z, denormal(fl, class64(a), env)
 }
 
 // F64ToI64Trunc implements cvttsd2siq.
 func F64ToI64Trunc(a uint64, env Env) (int64, Flags) {
 	var fl Flags
-	a = daz64(a, env, &fl)
-	return f64ToInt(a, RoundToZero, 63, &fl), fl
+	z := f64ToInt(daz64(a, env), RoundToZero, 63, &fl)
+	return z, denormal(fl, class64(a), env)
 }
 
-// F32ToI32 implements cvtss2si.
+// F32ToI32 implements cvtss2si. A NaN widens to a NaN, which f64ToInt
+// converts to the integer indefinite with Invalid.
 func F32ToI32(a uint32, env Env) (int32, Flags) {
 	var fl Flags
-	a = daz32(a, env, &fl)
-	if IsNaN32(a) {
-		fl |= FlagInvalid
-		return intIndefinite32, fl
-	}
-	return int32(f64ToInt(widen32to64(a), env.RM, 31, &fl)), fl
+	z := int32(f64ToInt(widen32to64(daz32(a, env)), env.RM, 31, &fl))
+	return z, denormal(fl, class32(a), env)
 }
 
 // F32ToI32Trunc implements cvttss2si.
 func F32ToI32Trunc(a uint32, env Env) (int32, Flags) {
 	var fl Flags
-	a = daz32(a, env, &fl)
-	if IsNaN32(a) {
-		fl |= FlagInvalid
-		return intIndefinite32, fl
-	}
-	return int32(f64ToInt(widen32to64(a), RoundToZero, 31, &fl)), fl
+	z := int32(f64ToInt(widen32to64(daz32(a, env)), RoundToZero, 31, &fl))
+	return z, denormal(fl, class32(a), env)
 }
 
 // F32ToI64 implements cvtss2siq.
 func F32ToI64(a uint32, env Env) (int64, Flags) {
 	var fl Flags
-	a = daz32(a, env, &fl)
-	if IsNaN32(a) {
-		fl |= FlagInvalid
-		return intIndefinite64, fl
-	}
-	return f64ToInt(widen32to64(a), env.RM, 63, &fl), fl
+	z := f64ToInt(widen32to64(daz32(a, env)), env.RM, 63, &fl)
+	return z, denormal(fl, class32(a), env)
 }
 
 // F32ToI64Trunc implements cvttss2siq.
 func F32ToI64Trunc(a uint32, env Env) (int64, Flags) {
 	var fl Flags
-	a = daz32(a, env, &fl)
-	if IsNaN32(a) {
-		fl |= FlagInvalid
-		return intIndefinite64, fl
-	}
-	return f64ToInt(widen32to64(a), RoundToZero, 63, &fl), fl
+	z := f64ToInt(widen32to64(daz32(a, env)), RoundToZero, 63, &fl)
+	return z, denormal(fl, class32(a), env)
 }

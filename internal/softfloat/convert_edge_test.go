@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// intIndefinite32 and intIndefinite64 are the x64 "integer indefinite"
+// results of invalid float-to-int conversions.
+const (
+	intIndefinite32 = int32(-0x80000000)
+	intIndefinite64 = int64(-0x8000000000000000)
+)
+
 func TestF64ToF32NaNPayloadAndSignaling(t *testing.T) {
 	env := Env{RM: RoundNearestEven}
 	// QNaN: payload's top bits survive narrowing, no Invalid.

@@ -76,11 +76,11 @@ func roundPack32(sign bool, exp int32, sig uint32, env Env, fl *Flags) uint32 {
 		}
 	}
 	if exp < 0 {
-		if env.FTZ {
+		isTiny := exp < -1 || sig+inc < f32SignMask
+		if env.FTZ && isTiny {
 			*fl |= FlagUnderflow | FlagInexact
 			return packZero32(sign)
 		}
-		isTiny := exp < -1 || sig+inc < f32SignMask
 		sig = shiftRightJam32(sig, uint(-exp))
 		exp = 0
 		roundBits = sig & 0x7F
@@ -101,152 +101,44 @@ func roundPack32(sign bool, exp int32, sig uint32, env Env, fl *Flags) uint32 {
 	return pack32(sign, exp, sig)
 }
 
-// normRoundPack32 left-normalizes sig to position 30 and rounds and packs.
-func normRoundPack32(sign bool, exp int32, sig uint32, env Env, fl *Flags) uint32 {
-	shift := int32(bits.LeadingZeros32(sig)) - 1
-	return roundPack32(sign, exp-shift, sig<<uint(shift), env, fl)
-}
-
-// daz32 applies denormals-are-zero or raises the Denormal flag.
-func daz32(x uint32, env Env, fl *Flags) uint32 {
-	if IsDenormal32(x) {
-		if env.DAZ {
-			return x & f32SignMask
-		}
-		*fl |= FlagDenormal
+// daz32 applies denormals-are-zero to an operand, as daz64 does.
+func daz32(x uint32, env Env) uint32 {
+	if env.DAZ && IsDenormal32(x) {
+		return x & f32SignMask
 	}
 	return x
 }
 
-// addSigs32 adds the magnitudes of a and b (same effective sign zSign).
-func addSigs32(a, b uint32, zSign bool, env Env, fl *Flags) uint32 {
-	aSig, bSig := frac32(a), frac32(b)
-	aExp, bExp := exp32(a), exp32(b)
-	expDiff := aExp - bExp
-	aSig <<= 6
-	bSig <<= 6
-	var zExp int32
-	var zSig uint32
-	switch {
-	case expDiff > 0:
-		if aExp == 0xFF {
-			if aSig != 0 {
-				return propagateNaN32(a, b, fl)
-			}
-			return a
-		}
-		if bExp == 0 {
-			expDiff--
-		} else {
-			bSig |= uint32(1) << 29
-		}
-		bSig = shiftRightJam32(bSig, uint(expDiff))
-		zExp = aExp
-	case expDiff < 0:
-		if bExp == 0xFF {
-			if bSig != 0 {
-				return propagateNaN32(a, b, fl)
-			}
-			return packInf32(zSign)
-		}
-		if aExp == 0 {
-			expDiff++
-		} else {
-			aSig |= uint32(1) << 29
-		}
-		aSig = shiftRightJam32(aSig, uint(-expDiff))
-		zExp = bExp
+// via64 is the integer code of every binary32 arithmetic op: DAZ
+// applies to the operands, which widen exactly (a signaling NaN stays
+// signaling, so the binary64 op raises Invalid for it); the binary64
+// op computes the result rounded to odd; and one roundPack32 narrows
+// it, deciding overflow, tininess and FTZ. Since 53 >= 24 + 2, a value
+// rounded to odd at 53 bits rounds to binary32 in every mode as the
+// exact value does, and binary32 operands can neither overflow nor
+// underflow binary64 (DESIGN §4.1). An op of one or two operands passes
+// a copy of one of them for the rest.
+func via64(op Op, a, b, c uint32, env Env) (uint32, Flags) {
+	x, y := widen32to64(daz32(a, env)), widen32to64(daz32(b, env))
+	odd := Env{RM: env.RM | roundOdd}
+	var z uint64
+	var fl Flags
+	switch op {
+	case OpAdd:
+		z, fl = add64(x, y, odd)
+	case OpSub:
+		z, fl = sub64(x, y, odd)
+	case OpMul:
+		z, fl = mul64(x, y, odd)
+	case OpDiv:
+		z, fl = div64(x, y, odd)
+	case OpSqrt:
+		z, fl = sqrt64(x, odd)
 	default:
-		if aExp == 0xFF {
-			if aSig|bSig != 0 {
-				return propagateNaN32(a, b, fl)
-			}
-			return a
-		}
-		if aExp == 0 {
-			return pack32(zSign, 0, (aSig+bSig)>>6)
-		}
-		zSig = uint32(1)<<30 + aSig + bSig
-		return roundPack32(zSign, aExp, zSig, env, fl)
+		z, fl = FMA64(x, y, widen32to64(daz32(c, env)), odd)
 	}
-	aSig |= uint32(1) << 29
-	zSig = (aSig + bSig) << 1
-	zExp--
-	if int32(zSig) < 0 {
-		zSig = aSig + bSig
-		zExp++
-	}
-	return roundPack32(zSign, zExp, zSig, env, fl)
-}
-
-// subSigs32 subtracts the magnitude of b from a.
-func subSigs32(a, b uint32, zSign bool, env Env, fl *Flags) uint32 {
-	aSig, bSig := frac32(a), frac32(b)
-	aExp, bExp := exp32(a), exp32(b)
-	expDiff := aExp - bExp
-	aSig <<= 7
-	bSig <<= 7
-	var zExp int32
-	var zSig uint32
-	switch {
-	case expDiff > 0:
-		if aExp == 0xFF {
-			if aSig != 0 {
-				return propagateNaN32(a, b, fl)
-			}
-			return a
-		}
-		if bExp == 0 {
-			expDiff--
-		} else {
-			bSig |= uint32(1) << 30
-		}
-		bSig = shiftRightJam32(bSig, uint(expDiff))
-		aSig |= uint32(1) << 30
-		zSig = aSig - bSig
-		zExp = aExp
-	case expDiff < 0:
-		if bExp == 0xFF {
-			if bSig != 0 {
-				return propagateNaN32(a, b, fl)
-			}
-			return packInf32(!zSign)
-		}
-		if aExp == 0 {
-			expDiff++
-		} else {
-			aSig |= uint32(1) << 30
-		}
-		aSig = shiftRightJam32(aSig, uint(-expDiff))
-		bSig |= uint32(1) << 30
-		zSig = bSig - aSig
-		zExp = bExp
-		zSign = !zSign
-	default:
-		if aExp == 0xFF {
-			if aSig|bSig != 0 {
-				return propagateNaN32(a, b, fl)
-			}
-			*fl |= FlagInvalid
-			return f32DefaultNaN
-		}
-		if aExp == 0 {
-			aExp = 1
-			bExp = 1
-		}
-		switch {
-		case bSig < aSig:
-			zSig = aSig - bSig
-			zExp = aExp
-		case aSig < bSig:
-			zSig = bSig - aSig
-			zExp = aExp
-			zSign = !zSign
-		default:
-			return packZero32(env.RM == RoundDown)
-		}
-	}
-	return normRoundPack32(zSign, zExp-1, zSig, env, fl)
+	r := narrow(z, env, &fl)
+	return r, denormal(fl, class32(a)|class32(b)|class32(c), env)
 }
 
 // Add32 computes a + b on binary32 bit patterns with SSE addss semantics.
@@ -258,21 +150,7 @@ func Add32(a, b uint32, env Env) (uint32, Flags) {
 			return z, inexactIf(widen(z) != s || twoSum(x, y, s) != 0)
 		}
 	}
-	return add32(a, b, env)
-}
-
-// add32 is Add32 in integer arithmetic.
-func add32(a, b uint32, env Env) (uint32, Flags) {
-	var fl Flags
-	a = daz32(a, env, &fl)
-	b = daz32(b, env, &fl)
-	var z uint32
-	if sign32(a) == sign32(b) {
-		z = addSigs32(a, b, sign32(a), env, &fl)
-	} else {
-		z = subSigs32(a, b, sign32(a), env, &fl)
-	}
-	return z, fl
+	return via64(OpAdd, a, b, b, env)
 }
 
 // Sub32 computes a - b with SSE subss semantics.
@@ -284,21 +162,7 @@ func Sub32(a, b uint32, env Env) (uint32, Flags) {
 			return z, inexactIf(widen(z) != s || twoSum(x, y, s) != 0)
 		}
 	}
-	return sub32(a, b, env)
-}
-
-// sub32 is Sub32 in integer arithmetic.
-func sub32(a, b uint32, env Env) (uint32, Flags) {
-	var fl Flags
-	a = daz32(a, env, &fl)
-	b = daz32(b, env, &fl)
-	var z uint32
-	if sign32(a) == sign32(b) {
-		z = subSigs32(a, b, sign32(a), env, &fl)
-	} else {
-		z = addSigs32(a, b, sign32(a), env, &fl)
-	}
-	return z, fl
+	return via64(OpSub, a, b, b, env)
 }
 
 // Mul32 computes a * b with SSE mulss semantics.
@@ -309,62 +173,7 @@ func Mul32(a, b uint32, env Env) (uint32, Flags) {
 			return z, inexactIf(widen(z) != p)
 		}
 	}
-	return mul32(a, b, env)
-}
-
-// mul32 is Mul32 in integer arithmetic.
-func mul32(a, b uint32, env Env) (uint32, Flags) {
-	var fl Flags
-	a = daz32(a, env, &fl)
-	b = daz32(b, env, &fl)
-	aSig, bSig := frac32(a), frac32(b)
-	aExp, bExp := exp32(a), exp32(b)
-	zSign := sign32(a) != sign32(b)
-	if aExp == 0xFF {
-		if aSig != 0 || (bExp == 0xFF && bSig != 0) {
-			return propagateNaN32(a, b, &fl), fl
-		}
-		if bExp|int32(bSig) == 0 {
-			fl |= FlagInvalid
-			return f32DefaultNaN, fl
-		}
-		return packInf32(zSign), fl
-	}
-	if bExp == 0xFF {
-		if bSig != 0 {
-			return propagateNaN32(a, b, &fl), fl
-		}
-		if aExp|int32(aSig) == 0 {
-			fl |= FlagInvalid
-			return f32DefaultNaN, fl
-		}
-		return packInf32(zSign), fl
-	}
-	if aExp == 0 {
-		if aSig == 0 {
-			return packZero32(zSign), fl
-		}
-		aExp, aSig = normSubnormal32(aSig)
-	}
-	if bExp == 0 {
-		if bSig == 0 {
-			return packZero32(zSign), fl
-		}
-		bExp, bSig = normSubnormal32(bSig)
-	}
-	zExp := aExp + bExp - 0x7F
-	a64 := uint64(aSig|uint32(1)<<23) << 7
-	b64 := uint64(bSig|uint32(1)<<23) << 8
-	prod := a64 * b64 // at most 62 bits
-	zSig := uint32(prod >> 32)
-	if uint32(prod) != 0 {
-		zSig |= 1
-	}
-	if int32(zSig<<1) >= 0 {
-		zSig <<= 1
-		zExp--
-	}
-	return roundPack32(zSign, zExp, zSig, env, &fl), fl
+	return via64(OpMul, a, b, b, env)
 }
 
 // Div32 computes a / b with SSE divss semantics.
@@ -375,69 +184,7 @@ func Div32(a, b uint32, env Env) (uint32, Flags) {
 			return z, inexactIf(widen(z)*y != x)
 		}
 	}
-	return div32(a, b, env)
-}
-
-// div32 is Div32 in integer arithmetic.
-func div32(a, b uint32, env Env) (uint32, Flags) {
-	var fl Flags
-	a = daz32(a, env, &fl)
-	b = daz32(b, env, &fl)
-	aSig, bSig := frac32(a), frac32(b)
-	aExp, bExp := exp32(a), exp32(b)
-	zSign := sign32(a) != sign32(b)
-	if aExp == 0xFF {
-		if aSig != 0 {
-			return propagateNaN32(a, b, &fl), fl
-		}
-		if bExp == 0xFF {
-			if bSig != 0 {
-				return propagateNaN32(a, b, &fl), fl
-			}
-			fl |= FlagInvalid
-			return f32DefaultNaN, fl
-		}
-		return packInf32(zSign), fl
-	}
-	if bExp == 0xFF {
-		if bSig != 0 {
-			return propagateNaN32(a, b, &fl), fl
-		}
-		return packZero32(zSign), fl
-	}
-	if bExp == 0 {
-		if bSig == 0 {
-			if aExp|int32(aSig) == 0 {
-				fl |= FlagInvalid
-				return f32DefaultNaN, fl
-			}
-			fl |= FlagDivideByZero
-			return packInf32(zSign), fl
-		}
-		bExp, bSig = normSubnormal32(bSig)
-	}
-	if aExp == 0 {
-		if aSig == 0 {
-			return packZero32(zSign), fl
-		}
-		aExp, aSig = normSubnormal32(aSig)
-	}
-	zExp := aExp - bExp + 0x7D
-	aS := uint64(aSig|uint32(1)<<23) << 7 // bit 30
-	bS := uint64(bSig|uint32(1)<<23) << 8 // bit 31
-	if bS <= aS+aS {
-		aS >>= 1
-		zExp++
-	}
-	// Exact quotient of (aS * 2^32) / bS lands in [2^30, 2^31).
-	num := aS << 32
-	q := num / bS
-	rem := num % bS
-	zSig := uint32(q)
-	if rem != 0 {
-		zSig |= 1
-	}
-	return roundPack32(zSign, zExp, zSig, env, &fl), fl
+	return via64(OpDiv, a, b, b, env)
 }
 
 // Sqrt32 computes sqrt(a) with SSE sqrtss semantics.
@@ -448,59 +195,5 @@ func Sqrt32(a uint32, env Env) (uint32, Flags) {
 			return z, inexactIf(widen(z)*widen(z) != x)
 		}
 	}
-	return sqrt32(a, env)
-}
-
-// sqrt32 is Sqrt32 in integer arithmetic.
-func sqrt32(a uint32, env Env) (uint32, Flags) {
-	var fl Flags
-	a = daz32(a, env, &fl)
-	aSig := frac32(a)
-	aExp := exp32(a)
-	aSign := sign32(a)
-	if aExp == 0xFF {
-		if aSig != 0 {
-			return propagateNaN32(a, a, &fl), fl
-		}
-		if !aSign {
-			return a, fl
-		}
-		fl |= FlagInvalid
-		return f32DefaultNaN, fl
-	}
-	if aSign {
-		if aExp|int32(aSig) == 0 {
-			return a, fl
-		}
-		fl |= FlagInvalid
-		return f32DefaultNaN, fl
-	}
-	if aExp == 0 {
-		if aSig == 0 {
-			return a, fl
-		}
-		aExp, aSig = normSubnormal32(aSig)
-	}
-	e := aExp - 0x7F
-	m := uint64(aSig | uint32(1)<<23)
-	if e&1 != 0 {
-		m <<= 1
-		e--
-	}
-	// Radicand R = m << 37 spans [2^60, 2^62); floor(sqrt(R)) lands in
-	// [2^30, 2^31), the hidden-bit position roundPack32 expects.
-	r := m << 37
-	q, exact := isqrt64(r)
-	zSig := uint32(q)
-	if !exact {
-		zSig |= 1
-	}
-	zExp := e/2 + 0x7E
-	return roundPack32(false, zExp, zSig, env, &fl), fl
-}
-
-// isqrt64 returns floor(sqrt(r)) and whether the root is exact.
-func isqrt64(r uint64) (uint64, bool) {
-	q, exact := isqrt128(0, r)
-	return q, exact
+	return via64(OpSqrt, a, a, a, env)
 }

@@ -2,6 +2,7 @@ package softfloat
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -99,37 +100,117 @@ func TestSqrt32MatchesHardware(t *testing.T) {
 	}
 }
 
-func TestFMA32MatchesReference(t *testing.T) {
-	// Reference: exact double-precision FMA narrowed to float32. A
-	// float64 FMA of float32 inputs is correctly rounded to 53 bits and
-	// narrowing to 24 bits is innocuous (53 >= 2*24+2), except that the
-	// doubly-rounded narrow can disagree on subnormal boundary cases, so
-	// denormal-result cases are cross-checked structurally instead.
-	for _, fma := range both("FMA32", FMA32, fma32) {
-		r := rand.New(rand.NewSource(54))
-		env := Env{RM: RoundNearestEven}
-		for i := 0; i < 200000; i++ {
-			a, b, c := randPattern32(r), randPattern32(r), randPattern32(r)
-			fa := float64(math.Float32frombits(a))
-			fb := float64(math.Float32frombits(b))
-			fc := float64(math.Float32frombits(c))
-			ref := math.FMA(fa, fb, fc)
-			got, _ := fma.op(a, b, c, env)
-			if math.Abs(ref) < float64(math.SmallestNonzeroFloat32)*0x1p24 && ref != 0 {
-				// Potential double-rounding hazard near the subnormal range;
-				// just require the result to be within one ulp of the
-				// reference narrowing.
-				want := math.Float32bits(float32(ref))
-				diff := int64(got&^f32SignMask) - int64(want&^f32SignMask)
-				if diff < -1 || diff > 1 {
-					t.Fatalf("%s(%#08x, %#08x, %#08x) = %#08x, reference %#08x (subnormal zone)",
-						fma.name, a, b, c, got, want)
-				}
-				continue
+// round32 rounds the exact nonzero value z to binary32 in mode rm as an
+// x64 FPU without FTZ does, and returns the pattern with the flags the
+// rounding raises: Inexact, Underflow (tiny after rounding and inexact)
+// and Overflow. Below 2^-126 every binary32 number is a multiple of
+// 2^-149, so z rounds there as z ± 2^-126 rounds in [2^-126, 2^-125),
+// where the ulp is 2^-149, less the 2^-126 again.
+func round32(z *big.Float, rm RoundingMode) (uint32, Flags) {
+	minNormal := new(big.Float).SetMantExp(big.NewFloat(1), -126)
+	tiny := func(x *big.Float) bool { return new(big.Float).Abs(x).Cmp(minNormal) < 0 }
+	r := new(big.Float).SetMode(bigMode(rm)).SetPrec(24)
+	if tiny(z) {
+		shift := new(big.Float).Copy(minNormal)
+		if z.Sign() < 0 {
+			shift.Neg(shift)
+		}
+		r.Set(new(big.Float).SetPrec(1000).Add(z, shift))
+		r.Sub(r, shift)
+		if r.Sign() == 0 {
+			r.Abs(r) // z rounded to a zero of its own sign
+			if z.Sign() < 0 {
+				r.Neg(r)
 			}
-			if !hwEquiv32(got, float32(ref)) {
-				t.Fatalf("%s(%#08x, %#08x, %#08x) = %#08x, reference %#08x",
-					fma.name, a, b, c, got, math.Float32bits(float32(ref)))
+		}
+	} else {
+		r.Set(z)
+	}
+	var fl Flags
+	if r.Cmp(z) != 0 {
+		fl = FlagInexact
+		if tiny(new(big.Float).SetMode(bigMode(rm)).SetPrec(24).Set(z)) {
+			fl |= FlagUnderflow
+		}
+	}
+	f, _ := r.Float32()
+	if math.IsInf(float64(f), 0) {
+		// Overflow gives the largest finite value in a mode that rounds
+		// toward zero from it, else infinity.
+		fl = FlagOverflow | FlagInexact
+		if rm == RoundToZero || rm == RoundDown && z.Sign() > 0 || rm == RoundUp && z.Sign() < 0 {
+			f = float32(math.Copysign(math.MaxFloat32, float64(z.Sign())))
+		}
+	}
+	return math.Float32bits(f), fl
+}
+
+// fmaCase32 draws FMA32 operands: random patterns, exact binary32
+// midpoint ties (a product of two 13-bit odd significands has 25 bits,
+// its last half a binary32 ulp) alone or broken by a far smaller
+// addend, and products and sums in the subnormal range, exact
+// subnormal midpoints among them.
+func fmaCase32(r *rand.Rand, i int) (a, b, c uint32) {
+	bits32 := func(m float64, e int) uint32 { return math.Float32bits(float32(math.Ldexp(m, e))) }
+	odd := func(n int) float64 { return float64(2*r.Intn(n) + 1) }
+	sign := func() float64 { return float64(1 - 2*r.Intn(2)) }
+	switch i % 5 {
+	case 0:
+		return randPattern32(r), randPattern32(r), randPattern32(r)
+	case 1, 2:
+		s := r.Intn(200) - 100
+		a, b = bits32(4096+odd(500), s-12), bits32(sign()*(4096+odd(500)), -12)
+		switch r.Intn(3) {
+		case 0:
+			return a, b, 0
+		case 1:
+			return a, b, bits32(sign()*float64(r.Intn(16)), s-23)
+		}
+		return a, b, bits32(sign(), s-24-[]int{2, 30, 54, 60, 80}[r.Intn(5)])
+	case 3:
+		// Odd m1*m2 < 2^24 times 2^-150 is an exact subnormal midpoint.
+		m1 := odd(2048)
+		a, b = bits32(m1, -75), bits32(sign()*odd(int(8192/m1)+1), -75-r.Intn(3))
+		return a, b, bits32(sign()*float64(r.Intn(4)), -149)
+	}
+	return bits32(sign()*(1+r.Float64()), -60-r.Intn(30)), bits32(1+r.Float64(), -40-r.Intn(30)), randPattern32(r) & 0x80FFFFFF
+}
+
+// TestFMA32MatchesReference checks FMA32 against the exact a*b + c,
+// rounded once to binary32 in each mode, in value and flags; specials
+// and exact zeros take the hardware's binary64 FMA narrowed, exact for
+// them.
+func TestFMA32MatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(54))
+	paths := both("FMA32", FMA32, fma32)
+	for i := 0; i < 40000; i++ {
+		a, b, c := fmaCase32(r, i)
+		fa, fb, fc := math.Float32frombits(a), math.Float32frombits(b), math.Float32frombits(c)
+		special := IsNaN32(a) || IsNaN32(b) || IsNaN32(c) || IsInf32(a) || IsInf32(b) || IsInf32(c)
+		exact := new(big.Float)
+		if !special {
+			exact.SetPrec(1000).Mul(big.NewFloat(float64(fa)), big.NewFloat(float64(fb)))
+			exact.Add(exact, big.NewFloat(float64(fc)))
+		}
+		var den Flags
+		if IsDenormal32(a) || IsDenormal32(b) || IsDenormal32(c) {
+			den = FlagDenormal
+		}
+		for _, rm := range []RoundingMode{RoundNearestEven, RoundDown, RoundUp, RoundToZero} {
+			for _, fma := range paths {
+				got, fl := fma.op(a, b, c, Env{RM: rm})
+				if special || exact.Sign() == 0 {
+					if rm == RoundNearestEven && !hwEquiv32(got, float32(math.FMA(float64(fa), float64(fb), float64(fc)))) {
+						t.Fatalf("%s(%#08x, %#08x, %#08x) = %#08x, reference %#08x",
+							fma.name, a, b, c, got, math.Float32bits(float32(math.FMA(float64(fa), float64(fb), float64(fc)))))
+					}
+					continue
+				}
+				want, wfl := round32(exact, rm)
+				if got != want || fl != wfl|den {
+					t.Fatalf("%s(%#08x, %#08x, %#08x) %v = %#08x %v, reference %#08x %v",
+						fma.name, a, b, c, rm, got, fl, want, wfl|den)
+				}
 			}
 		}
 	}

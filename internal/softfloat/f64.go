@@ -53,14 +53,13 @@ func normSubnormal64(frac uint64) (exp int32, sig uint64) {
 // guard/sticky bits in positions 9..0; the represented value is
 // (sig / 2^62) * 2^(exp+1-bias). Overflow, underflow (tininess after
 // rounding, masked semantics), inexactness and FTZ flushing are detected
-// here.
+// here. A mode with roundOdd truncates and then sets the last bit if
+// the result is inexact.
 func roundPack64(sign bool, exp int32, sig uint64, env Env, fl *Flags) uint64 {
-	var inc uint64
+	var inc uint64 // RZ and the round-to-odd modes truncate
 	switch env.RM {
 	case RoundNearestEven:
 		inc = 0x200
-	case RoundToZero:
-		inc = 0
 	case RoundDown:
 		if sign {
 			inc = 0x3FF
@@ -81,13 +80,13 @@ func roundPack64(sign bool, exp int32, sig uint64, env Env, fl *Flags) uint64 {
 		}
 	}
 	if exp < 0 {
-		if env.FTZ {
+		isTiny := exp < -1 || sig+inc < f64SignMask
+		if env.FTZ && isTiny {
 			// Flush-to-zero: tiny results become signed zero with
 			// underflow and inexact raised, matching masked-FTZ SSE.
 			*fl |= FlagUnderflow | FlagInexact
 			return packZero64(sign)
 		}
-		isTiny := exp < -1 || sig+inc < f64SignMask
 		sig = shiftRightJam64(sig, uint(-exp))
 		exp = 0
 		roundBits = sig & 0x3FF
@@ -99,6 +98,9 @@ func roundPack64(sign bool, exp int32, sig uint64, env Env, fl *Flags) uint64 {
 		*fl |= FlagInexact
 	}
 	sig = (sig + inc) >> 10
+	if roundBits != 0 && env.RM&roundOdd != 0 {
+		sig |= 1
+	}
 	if roundBits == 0x200 && env.RM == RoundNearestEven {
 		sig &^= 1
 	}
@@ -115,18 +117,19 @@ func normRoundPack64(sign bool, exp int32, sig uint64, env Env, fl *Flags) uint6
 	return roundPack64(sign, exp-shift, sig<<uint(shift), env, fl)
 }
 
-// daz64 applies denormals-are-zero to an operand, or raises the Denormal
-// flag when DAZ is off and the operand is denormal. It returns the
-// possibly substituted operand.
-func daz64(x uint64, env Env, fl *Flags) uint64 {
-	if IsDenormal64(x) {
-		if env.DAZ {
-			return x & f64SignMask
-		}
-		*fl |= FlagDenormal
+// daz64 applies denormals-are-zero to an operand: under DAZ a denormal
+// becomes a zero of its sign. Whether a denormal operand raises DE is
+// decided by denormal, once the op's other flags are known.
+func daz64(x uint64, env Env) uint64 {
+	if env.DAZ && IsDenormal64(x) {
+		return x & f64SignMask
 	}
 	return x
 }
+
+// zeroSum64 is the exact zero sum of two opposite-signed values, negative
+// only under RD.
+func zeroSum64(env Env) uint64 { return packZero64(env.RM&^roundOdd == RoundDown) }
 
 // addSigs64 adds the magnitudes of a and b (same effective sign zSign).
 func addSigs64(a, b uint64, zSign bool, env Env, fl *Flags) uint64 {
@@ -175,8 +178,14 @@ func addSigs64(a, b uint64, zSign bool, env Env, fl *Flags) uint64 {
 		}
 		if aExp == 0 {
 			// Both denormal (or zero): the sum cannot round and may
-			// carry naturally into the smallest normal exponent.
-			return pack64(zSign, 0, (aSig+bSig)>>9)
+			// carry naturally into the smallest normal exponent. FTZ
+			// flushes it when it stays denormal, exact or not.
+			z := pack64(zSign, 0, (aSig+bSig)>>9)
+			if env.FTZ && IsDenormal64(z) {
+				*fl |= FlagUnderflow | FlagInexact
+				return packZero64(zSign)
+			}
+			return z
 		}
 		zSig = uint64(1)<<62 + aSig + bSig
 		return roundPack64(zSign, aExp, zSig, env, fl)
@@ -257,8 +266,7 @@ func subSigs64(a, b uint64, zSign bool, env Env, fl *Flags) uint64 {
 			zExp = aExp
 			zSign = !zSign
 		default:
-			// Exact zero result: sign is negative only under RD.
-			return packZero64(env.RM == RoundDown)
+			return zeroSum64(env)
 		}
 	}
 	return normRoundPack64(zSign, zExp-1, zSig, env, fl)
@@ -279,15 +287,14 @@ func Add64(a, b uint64, env Env) (uint64, Flags) {
 // add64 is Add64 in integer arithmetic.
 func add64(a, b uint64, env Env) (uint64, Flags) {
 	var fl Flags
-	a = daz64(a, env, &fl)
-	b = daz64(b, env, &fl)
+	x, y := daz64(a, env), daz64(b, env)
 	var z uint64
-	if sign64(a) == sign64(b) {
-		z = addSigs64(a, b, sign64(a), env, &fl)
+	if sign64(x) == sign64(y) {
+		z = addSigs64(x, y, sign64(x), env, &fl)
 	} else {
-		z = subSigs64(a, b, sign64(a), env, &fl)
+		z = subSigs64(x, y, sign64(x), env, &fl)
 	}
-	return z, fl
+	return z, denormal(fl, class64(a)|class64(b), env)
 }
 
 // Sub64 computes a - b with SSE subsd semantics.
@@ -304,15 +311,14 @@ func Sub64(a, b uint64, env Env) (uint64, Flags) {
 // sub64 is Sub64 in integer arithmetic.
 func sub64(a, b uint64, env Env) (uint64, Flags) {
 	var fl Flags
-	a = daz64(a, env, &fl)
-	b = daz64(b, env, &fl)
+	x, y := daz64(a, env), daz64(b, env)
 	var z uint64
-	if sign64(a) == sign64(b) {
-		z = subSigs64(a, b, sign64(a), env, &fl)
+	if sign64(x) == sign64(y) {
+		z = subSigs64(x, y, sign64(x), env, &fl)
 	} else {
-		z = addSigs64(a, b, sign64(a), env, &fl)
+		z = addSigs64(x, y, sign64(x), env, &fl)
 	}
-	return z, fl
+	return z, denormal(fl, class64(a)|class64(b), env)
 }
 
 // Mul64 computes a * b with SSE mulsd semantics.
@@ -329,40 +335,44 @@ func Mul64(a, b uint64, env Env) (uint64, Flags) {
 // mul64 is Mul64 in integer arithmetic.
 func mul64(a, b uint64, env Env) (uint64, Flags) {
 	var fl Flags
-	a = daz64(a, env, &fl)
-	b = daz64(b, env, &fl)
+	z := mulSigs64(daz64(a, env), daz64(b, env), env, &fl)
+	return z, denormal(fl, class64(a)|class64(b), env)
+}
+
+// mulSigs64 multiplies a and b, DAZ applied.
+func mulSigs64(a, b uint64, env Env, fl *Flags) uint64 {
 	aSig, bSig := frac64(a), frac64(b)
 	aExp, bExp := exp64(a), exp64(b)
 	zSign := sign64(a) != sign64(b)
 	if aExp == 0x7FF {
 		if aSig != 0 || (bExp == 0x7FF && bSig != 0) {
-			return propagateNaN64(a, b, &fl), fl
+			return propagateNaN64(a, b, fl)
 		}
-		if bExp|int32(bSig) == 0 {
-			fl |= FlagInvalid
-			return f64DefaultNaN, fl
+		if bExp == 0 && bSig == 0 {
+			*fl |= FlagInvalid
+			return f64DefaultNaN
 		}
-		return packInf64(zSign), fl
+		return packInf64(zSign)
 	}
 	if bExp == 0x7FF {
 		if bSig != 0 {
-			return propagateNaN64(a, b, &fl), fl
+			return propagateNaN64(a, b, fl)
 		}
-		if aExp|int32(aSig) == 0 {
-			fl |= FlagInvalid
-			return f64DefaultNaN, fl
+		if aExp == 0 && aSig == 0 {
+			*fl |= FlagInvalid
+			return f64DefaultNaN
 		}
-		return packInf64(zSign), fl
+		return packInf64(zSign)
 	}
 	if aExp == 0 {
 		if aSig == 0 {
-			return packZero64(zSign), fl
+			return packZero64(zSign)
 		}
 		aExp, aSig = normSubnormal64(aSig)
 	}
 	if bExp == 0 {
 		if bSig == 0 {
-			return packZero64(zSign), fl
+			return packZero64(zSign)
 		}
 		bExp, bSig = normSubnormal64(bSig)
 	}
@@ -377,7 +387,7 @@ func mul64(a, b uint64, env Env) (uint64, Flags) {
 		zSig <<= 1
 		zExp--
 	}
-	return roundPack64(zSign, zExp, zSig, env, &fl), fl
+	return roundPack64(zSign, zExp, zSig, env, fl)
 }
 
 // Div64 computes a / b with SSE divsd semantics.
@@ -394,44 +404,48 @@ func Div64(a, b uint64, env Env) (uint64, Flags) {
 // div64 is Div64 in integer arithmetic.
 func div64(a, b uint64, env Env) (uint64, Flags) {
 	var fl Flags
-	a = daz64(a, env, &fl)
-	b = daz64(b, env, &fl)
+	z := divSigs64(daz64(a, env), daz64(b, env), env, &fl)
+	return z, denormal(fl, class64(a)|class64(b), env)
+}
+
+// divSigs64 divides a by b, DAZ applied.
+func divSigs64(a, b uint64, env Env, fl *Flags) uint64 {
 	aSig, bSig := frac64(a), frac64(b)
 	aExp, bExp := exp64(a), exp64(b)
 	zSign := sign64(a) != sign64(b)
 	if aExp == 0x7FF {
 		if aSig != 0 {
-			return propagateNaN64(a, b, &fl), fl
+			return propagateNaN64(a, b, fl)
 		}
 		if bExp == 0x7FF {
 			if bSig != 0 {
-				return propagateNaN64(a, b, &fl), fl
+				return propagateNaN64(a, b, fl)
 			}
-			fl |= FlagInvalid // inf / inf
-			return f64DefaultNaN, fl
+			*fl |= FlagInvalid // inf / inf
+			return f64DefaultNaN
 		}
-		return packInf64(zSign), fl
+		return packInf64(zSign)
 	}
 	if bExp == 0x7FF {
 		if bSig != 0 {
-			return propagateNaN64(a, b, &fl), fl
+			return propagateNaN64(a, b, fl)
 		}
-		return packZero64(zSign), fl
+		return packZero64(zSign)
 	}
 	if bExp == 0 {
 		if bSig == 0 {
-			if aExp|int32(aSig) == 0 {
-				fl |= FlagInvalid // 0 / 0
-				return f64DefaultNaN, fl
+			if aExp == 0 && aSig == 0 {
+				*fl |= FlagInvalid // 0 / 0
+				return f64DefaultNaN
 			}
-			fl |= FlagDivideByZero
-			return packInf64(zSign), fl
+			*fl |= FlagDivideByZero
+			return packInf64(zSign)
 		}
 		bExp, bSig = normSubnormal64(bSig)
 	}
 	if aExp == 0 {
 		if aSig == 0 {
-			return packZero64(zSign), fl
+			return packZero64(zSign)
 		}
 		aExp, aSig = normSubnormal64(aSig)
 	}
@@ -449,7 +463,7 @@ func div64(a, b uint64, env Env) (uint64, Flags) {
 	if rem != 0 {
 		zSig |= 1
 	}
-	return roundPack64(zSign, zExp, zSig, env, &fl), fl
+	return roundPack64(zSign, zExp, zSig, env, fl)
 }
 
 // Sqrt64 computes sqrt(a) with SSE sqrtsd semantics.
@@ -466,30 +480,35 @@ func Sqrt64(a uint64, env Env) (uint64, Flags) {
 // sqrt64 is Sqrt64 in integer arithmetic.
 func sqrt64(a uint64, env Env) (uint64, Flags) {
 	var fl Flags
-	a = daz64(a, env, &fl)
+	z := sqrtSig64(daz64(a, env), env, &fl)
+	return z, denormal(fl, class64(a), env)
+}
+
+// sqrtSig64 takes the square root of a, DAZ applied.
+func sqrtSig64(a uint64, env Env, fl *Flags) uint64 {
 	aSig := frac64(a)
 	aExp := exp64(a)
 	aSign := sign64(a)
 	if aExp == 0x7FF {
 		if aSig != 0 {
-			return propagateNaN64(a, a, &fl), fl
+			return propagateNaN64(a, a, fl)
 		}
 		if !aSign {
-			return a, fl // +inf
+			return a // +inf
 		}
-		fl |= FlagInvalid
-		return f64DefaultNaN, fl
+		*fl |= FlagInvalid
+		return f64DefaultNaN
 	}
 	if aSign {
-		if aExp|int32(aSig) == 0 {
-			return a, fl // -0
+		if aExp == 0 && aSig == 0 {
+			return a // -0
 		}
-		fl |= FlagInvalid
-		return f64DefaultNaN, fl
+		*fl |= FlagInvalid
+		return f64DefaultNaN
 	}
 	if aExp == 0 {
 		if aSig == 0 {
-			return a, fl // +0
+			return a // +0
 		}
 		aExp, aSig = normSubnormal64(aSig)
 	}
@@ -507,7 +526,7 @@ func sqrt64(a uint64, env Env) (uint64, Flags) {
 		q |= 1
 	}
 	zExp := e/2 + 0x3FE
-	return roundPack64(false, zExp, q, env, &fl), fl
+	return roundPack64(false, zExp, q, env, fl)
 }
 
 // shl128 shifts a 64-bit value left by count (0..127) into a 128-bit value.

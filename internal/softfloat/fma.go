@@ -5,53 +5,59 @@ import (
 	"math/bits"
 )
 
-// FMA64 computes a*b + c with a single rounding (vfmadd213sd semantics).
-// NaN propagation prefers a, then b, then c; a 0*inf product raises
-// Invalid even when c is a quiet NaN, matching x64 FMA behavior.
+// FMA64 computes a*b + c with a single rounding, as x64's FMA forms do
+// (vfmadd213sd computes xmm2*xmm1 + xmm3). NaN propagation follows the
+// expression: a, then b, then c. A 0*inf product raises Invalid unless
+// c is a quiet NaN, which x64 returns with no flag.
 func FMA64(a, b, c uint64, env Env) (uint64, Flags) {
 	var fl Flags
-	a = daz64(a, env, &fl)
-	b = daz64(b, env, &fl)
-	c = daz64(c, env, &fl)
-	pSign := sign64(a) != sign64(b)
-	zeroTimesInf := (IsZero64(a) && IsInf64(b)) || (IsInf64(a) && IsZero64(b))
+	z := fmaSigs64(daz64(a, env), daz64(b, env), daz64(c, env), env, &fl)
+	return z, denormal(fl, class64(a)|class64(b)|class64(c), env)
+}
+
+// fmaSigs64 computes a*b + c, DAZ applied.
+func fmaSigs64(a, b, c uint64, env Env, fl *Flags) uint64 {
 	if IsNaN64(a) || IsNaN64(b) || IsNaN64(c) {
-		if IsSNaN64(a) || IsSNaN64(b) || IsSNaN64(c) || zeroTimesInf {
-			fl |= FlagInvalid
+		if IsSNaN64(a) || IsSNaN64(b) || IsSNaN64(c) {
+			*fl |= FlagInvalid
 		}
 		switch {
 		case IsNaN64(a):
-			return quiet64(a), fl
+			return quiet64(a)
 		case IsNaN64(b):
-			return quiet64(b), fl
+			return quiet64(b)
 		default:
-			return quiet64(c), fl
+			return quiet64(c)
 		}
 	}
-	if zeroTimesInf {
-		fl |= FlagInvalid
-		return f64DefaultNaN, fl
+	pSign := sign64(a) != sign64(b)
+	if (IsZero64(a) && IsInf64(b)) || (IsInf64(a) && IsZero64(b)) {
+		*fl |= FlagInvalid
+		return f64DefaultNaN
 	}
 	if IsInf64(a) || IsInf64(b) {
 		if IsInf64(c) && sign64(c) != pSign {
-			fl |= FlagInvalid
-			return f64DefaultNaN, fl
+			*fl |= FlagInvalid
+			return f64DefaultNaN
 		}
-		return packInf64(pSign), fl
+		return packInf64(pSign)
 	}
 	if IsInf64(c) {
-		return c, fl
+		return c
 	}
 	if IsZero64(a) || IsZero64(b) {
 		// The product is an exact signed zero; only zero+zero sign rules
-		// can apply.
-		if IsZero64(c) {
-			if sign64(c) == pSign {
-				return packZero64(pSign), fl
-			}
-			return packZero64(env.RM == RoundDown), fl
+		// can apply, and FTZ flushes a denormal c, exact as it is.
+		switch {
+		case IsZero64(c) && sign64(c) == pSign:
+			return c
+		case IsZero64(c):
+			return zeroSum64(env)
+		case env.FTZ && IsDenormal64(c):
+			*fl |= FlagUnderflow | FlagInexact
+			return packZero64(sign64(c))
 		}
-		return c, fl
+		return c
 	}
 	aSig, aExp := frac64(a), exp64(a)
 	bSig, bExp := frac64(b), exp64(b)
@@ -80,7 +86,7 @@ func FMA64(a, b, c uint64, env Env) (uint64, Flags) {
 			zSig <<= 1
 			pExp--
 		}
-		return roundPack64(pSign, pExp, zSig, env, &fl), fl
+		return roundPack64(pSign, pExp, zSig, env, fl)
 	}
 	cSig, cExp := frac64(c), exp64(c)
 	cSign := sign64(c)
@@ -116,7 +122,7 @@ func FMA64(a, b, c uint64, env Env) (uint64, Flags) {
 			zSign = cSign
 			zHi, zLo = sub128(cHi, cLo, pHi, pLo)
 		default:
-			return packZero64(env.RM == RoundDown), fl
+			return zeroSum64(env)
 		}
 	}
 	// Normalize the leading bit to position 126 (bit 62 of zHi). Sticky
@@ -138,7 +144,7 @@ func FMA64(a, b, c uint64, env Env) (uint64, Flags) {
 	if zLo != 0 {
 		zSig |= 1
 	}
-	return roundPack64(zSign, zExp, zSig, env, &fl), fl
+	return roundPack64(zSign, zExp, zSig, env, fl)
 }
 
 // FMA32 computes a*b + c with a single rounding (vfmadd213ss semantics).
@@ -157,121 +163,5 @@ func FMA32(a, b, c uint32, env Env) (uint32, Flags) {
 			}
 		}
 	}
-	return fma32(a, b, c, env)
-}
-
-// fma32 is FMA32 in integer arithmetic.
-func fma32(a, b, c uint32, env Env) (uint32, Flags) {
-	var fl Flags
-	a = daz32(a, env, &fl)
-	b = daz32(b, env, &fl)
-	c = daz32(c, env, &fl)
-	pSign := sign32(a) != sign32(b)
-	zeroTimesInf := (IsZero32(a) && IsInf32(b)) || (IsInf32(a) && IsZero32(b))
-	if IsNaN32(a) || IsNaN32(b) || IsNaN32(c) {
-		if IsSNaN32(a) || IsSNaN32(b) || IsSNaN32(c) || zeroTimesInf {
-			fl |= FlagInvalid
-		}
-		switch {
-		case IsNaN32(a):
-			return quiet32(a), fl
-		case IsNaN32(b):
-			return quiet32(b), fl
-		default:
-			return quiet32(c), fl
-		}
-	}
-	if zeroTimesInf {
-		fl |= FlagInvalid
-		return f32DefaultNaN, fl
-	}
-	if IsInf32(a) || IsInf32(b) {
-		if IsInf32(c) && sign32(c) != pSign {
-			fl |= FlagInvalid
-			return f32DefaultNaN, fl
-		}
-		return packInf32(pSign), fl
-	}
-	if IsInf32(c) {
-		return c, fl
-	}
-	if IsZero32(a) || IsZero32(b) {
-		if IsZero32(c) {
-			if sign32(c) == pSign {
-				return packZero32(pSign), fl
-			}
-			return packZero32(env.RM == RoundDown), fl
-		}
-		return c, fl
-	}
-	aSig, aExp := frac32(a), exp32(a)
-	bSig, bExp := frac32(b), exp32(b)
-	if aExp == 0 {
-		aExp, aSig = normSubnormal32(aSig)
-	} else {
-		aSig |= uint32(1) << 23
-	}
-	if bExp == 0 {
-		bExp, bSig = normSubnormal32(bSig)
-	} else {
-		bSig |= uint32(1) << 23
-	}
-	// 64-bit fixed-point product with leading bit at position 62 or 61;
-	// the represented value is (P / 2^62) * 2^(pExp+1-bias).
-	pExp := aExp + bExp - 0x7F
-	p := (uint64(aSig) << 7) * (uint64(bSig) << 8)
-	if IsZero32(c) {
-		zSig := uint32(shiftRightJam64(p, 32))
-		if int32(zSig<<1) >= 0 {
-			zSig <<= 1
-			pExp--
-		}
-		return roundPack32(pSign, pExp, zSig, env, &fl), fl
-	}
-	cSig, cExp := frac32(c), exp32(c)
-	cSign := sign32(c)
-	if cExp == 0 {
-		cExp, cSig = normSubnormal32(cSig)
-	} else {
-		cSig |= uint32(1) << 23
-	}
-	cFix := uint64(cSig) << 39 // leading bit at position 62
-	cAdjExp := cExp - 1
-	zExp := pExp
-	expDiff := pExp - cAdjExp
-	switch {
-	case expDiff > 0:
-		cFix = shiftRightJam64(cFix, uint(expDiff))
-	case expDiff < 0:
-		p = shiftRightJam64(p, uint(-expDiff))
-		zExp = cAdjExp
-	}
-	var zSign bool
-	var z uint64
-	if pSign == cSign {
-		zSign = pSign
-		z = p + cFix
-	} else {
-		switch {
-		case cFix < p:
-			zSign = pSign
-			z = p - cFix
-		case p < cFix:
-			zSign = cSign
-			z = cFix - p
-		default:
-			return packZero32(env.RM == RoundDown), fl
-		}
-	}
-	// Normalize the leading bit to position 62.
-	lz := bits.LeadingZeros64(z)
-	if lz == 0 {
-		z = shiftRightJam64(z, 1)
-		zExp++
-	} else if lz > 1 {
-		z <<= uint(lz - 1)
-		zExp -= int32(lz - 1)
-	}
-	zSig := uint32(shiftRightJam64(z, 32))
-	return roundPack32(zSign, zExp, zSig, env, &fl), fl
+	return via64(OpFMAdd, a, b, c, env)
 }

@@ -18,7 +18,8 @@ import "math"
 //
 // Each of Add, Sub, Mul, Div, Sqrt (both widths) and FMA32 begins with
 // that guard, and everything it refuses runs the op's integer code
-// (add64 and kin), which stays the reference the tests compare against.
+// (add64 and kin; a binary32 op runs the binary64 one through via64),
+// which stays the reference the tests compare against.
 
 // The host path's exponent-field bands, for operands and results alike.
 // A binary32 field of at least 2 keeps the result from being tiny under

@@ -19,6 +19,15 @@ func both[F any](name string, exported, integer F) []path[F] {
 	return []path[F]{{name, exported}, {"integer " + name, integer}}
 }
 
+// add32 … fma32 name each guarded binary32 op's integer code, via64, as
+// add64 and kin name binary64's.
+func add32(a, b uint32, env Env) (uint32, Flags)    { return via64(OpAdd, a, b, b, env) }
+func sub32(a, b uint32, env Env) (uint32, Flags)    { return via64(OpSub, a, b, b, env) }
+func mul32(a, b uint32, env Env) (uint32, Flags)    { return via64(OpMul, a, b, b, env) }
+func div32(a, b uint32, env Env) (uint32, Flags)    { return via64(OpDiv, a, b, b, env) }
+func sqrt32(a uint32, env Env) (uint32, Flags)      { return via64(OpSqrt, a, a, a, env) }
+func fma32(a, b, c uint32, env Env) (uint32, Flags) { return via64(OpFMAdd, a, b, c, env) }
+
 // hostOp is one guarded op on patterns held in uint64 (a binary32
 // pattern in the low half), exported and as integer code.
 type hostOp struct {

@@ -157,18 +157,29 @@ func TestOracleF32AllModes(t *testing.T) {
 	modes := []RoundingMode{RoundNearestEven, RoundDown, RoundUp, RoundToZero}
 	type op struct {
 		name          string
-		soft, integer func(a, b uint32, env Env) (uint32, Flags)
-		exact         func(z, a, b *big.Float)
+		soft, integer func(a, b, c uint32, env Env) (uint32, Flags)
+		exact         func(z, a, b, c *big.Float)
+	}
+	bin := func(name string, soft, integer func(a, b uint32, env Env) (uint32, Flags), exact func(z, a, b *big.Float)) op {
+		return op{name,
+			func(a, b, _ uint32, env Env) (uint32, Flags) { return soft(a, b, env) },
+			func(a, b, _ uint32, env Env) (uint32, Flags) { return integer(a, b, env) },
+			func(z, a, b, _ *big.Float) { exact(z, a, b) }}
 	}
 	ops := []op{
-		{"Add32", Add32, add32, func(z, a, b *big.Float) { z.Add(a, b) }},
-		{"Sub32", Sub32, sub32, func(z, a, b *big.Float) { z.Sub(a, b) }},
-		{"Mul32", Mul32, mul32, func(z, a, b *big.Float) { z.Mul(a, b) }},
-		{"Div32", Div32, div32, func(z, a, b *big.Float) {
+		bin("Add32", Add32, add32, func(z, a, b *big.Float) { z.Add(a, b) }),
+		bin("Sub32", Sub32, sub32, func(z, a, b *big.Float) { z.Sub(a, b) }),
+		bin("Mul32", Mul32, mul32, func(z, a, b *big.Float) { z.Mul(a, b) }),
+		bin("Div32", Div32, div32, func(z, a, b *big.Float) {
 			if b.Sign() != 0 {
 				z.Quo(a, b)
 			}
-		}},
+		}),
+		bin("Sqrt32",
+			func(a, _ uint32, env Env) (uint32, Flags) { return Sqrt32(a&^f32SignMask, env) },
+			func(a, _ uint32, env Env) (uint32, Flags) { return sqrt32(a&^f32SignMask, env) },
+			func(z, a, _ *big.Float) { z.Sqrt(new(big.Float).Abs(a)) }),
+		{"FMA32", FMA32, fma32, func(z, a, b, c *big.Float) { z.Mul(a, b).Add(z, c) }},
 	}
 	normal32 := func() uint32 {
 		exp := uint32(127 + r.Intn(80) - 40)
@@ -186,23 +197,24 @@ func TestOracleF32AllModes(t *testing.T) {
 		return a > 0x1p-100 && a < 0x1p100
 	}
 	for i := 0; i < 30000; i++ {
-		a, b := normal32(), normal32()
+		a, b, c := normal32(), normal32(), normal32()
 		for _, o := range ops {
 			fa := new(big.Float).SetPrec(300).SetFloat64(float64(math.Float32frombits(a)))
 			fb := new(big.Float).SetPrec(300).SetFloat64(float64(math.Float32frombits(b)))
+			fc := new(big.Float).SetPrec(300).SetFloat64(float64(math.Float32frombits(c)))
 			z := new(big.Float).SetPrec(300)
-			o.exact(z, fa, fb)
+			o.exact(z, fa, fb, fc)
 			for _, rm := range modes {
 				for _, path := range both(o.name, o.soft, o.integer) {
-					got, fl := path.op(a, b, Env{RM: rm})
+					got, fl := path.op(a, b, c, Env{RM: rm})
 					if !safe32(got) {
 						continue
 					}
 					want := new(big.Float).Copy(z).SetMode(bigMode(rm)).SetPrec(24)
 					wf, _ := want.Float32()
 					if math.Float32bits(wf) != got || (fl == FlagInexact) != (want.Cmp(z) != 0) {
-						t.Fatalf("%s(%#08x, %#08x) %v = %#08x %v, oracle %#08x",
-							path.name, a, b, rm, got, fl, math.Float32bits(wf))
+						t.Fatalf("%s(%#08x, %#08x, %#08x) %v = %#08x %v, oracle %#08x",
+							path.name, a, b, c, rm, got, fl, math.Float32bits(wf))
 					}
 				}
 			}

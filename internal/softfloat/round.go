@@ -3,10 +3,11 @@ package softfloat
 // RoundToInt64 implements the roundsd round-to-integral operation: the
 // result is the floating point value of a rounded to an integer with the
 // given mode. Inexact is raised when the value changed unless
-// suppressInexact is set (the imm8 precision-suppress bit).
+// suppressInexact is set (the imm8 precision-suppress bit). roundsd
+// never raises Denormal.
 func RoundToInt64(a uint64, rm RoundingMode, suppressInexact bool, env Env) (uint64, Flags) {
 	var fl Flags
-	a = daz64(a, env, &fl)
+	a = daz64(a, env)
 	sign := sign64(a)
 	aExp := exp64(a)
 	if aExp == 0x7FF {
@@ -81,79 +82,11 @@ func RoundToInt64(a uint64, rm RoundingMode, suppressInexact bool, env Env) (uin
 	return z, fl
 }
 
-// RoundToInt32 implements roundss.
+// RoundToInt32 implements roundss through RoundToInt64: a binary32
+// number rounded to an integral value is a binary32 number, so the
+// result narrows exactly.
 func RoundToInt32(a uint32, rm RoundingMode, suppressInexact bool, env Env) (uint32, Flags) {
-	var fl Flags
-	a = daz32(a, env, &fl)
-	sign := sign32(a)
-	aExp := exp32(a)
-	if aExp == 0xFF {
-		if frac32(a) != 0 {
-			if IsSNaN32(a) {
-				fl |= FlagInvalid
-			}
-			return quiet32(a), fl
-		}
-		return a, fl
-	}
-	e := aExp - 127
-	if e >= 23 {
-		return a, fl
-	}
-	var z uint32
-	if e < 0 {
-		if IsZero32(a) {
-			return a, fl
-		}
-		half := e == -1
-		switch rm {
-		case RoundNearestEven:
-			if half && frac32(a) != 0 {
-				z = pack32(sign, 127, 0)
-			} else {
-				z = packZero32(sign)
-			}
-		case RoundDown:
-			if sign {
-				z = pack32(true, 127, 0)
-			} else {
-				z = packZero32(false)
-			}
-		case RoundUp:
-			if sign {
-				z = packZero32(true)
-			} else {
-				z = pack32(false, 127, 0)
-			}
-		case RoundToZero:
-			z = packZero32(sign)
-		}
-	} else {
-		mask := (uint32(1) << uint(23-e)) - 1
-		if a&mask == 0 {
-			return a, fl
-		}
-		z = a &^ mask
-		switch rm {
-		case RoundNearestEven:
-			rem := a & mask
-			halfBit := uint32(1) << uint(23-e-1)
-			if rem > halfBit || (rem == halfBit && z&(mask+1) != 0) {
-				z += mask + 1
-			}
-		case RoundDown:
-			if sign {
-				z += mask + 1
-			}
-		case RoundUp:
-			if !sign {
-				z += mask + 1
-			}
-		case RoundToZero:
-		}
-	}
-	if z != a && !suppressInexact {
-		fl |= FlagInexact
-	}
-	return z, fl
+	z, fl := RoundToInt64(widen32to64(daz32(a, env)), rm, suppressInexact, Env{})
+	r := narrow(z, Env{}, &fl)
+	return r, fl
 }

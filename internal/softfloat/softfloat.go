@@ -4,16 +4,19 @@
 // rounding modes of the RC field, the flush-to-zero (FTZ) and
 // denormals-are-zero (DAZ) controls, and the SNaN/QNaN signaling rules.
 //
-// Every operation has an implementation in integer operations. The
-// common case takes a shortcut: add, sub, mul, div and sqrt of either
-// width, and binary32 FMA, begin with a guard that passes only in the
-// default environment (RN, no FTZ, no DAZ), for normal operands and a
-// result well inside the normal range. There Inexact is the only flag
-// the op can raise, and the host FPU computes the value and that flag
-// exactly (host.go, DESIGN §4.1). Whatever the guard refuses runs the
-// integer code (add64 and kin), which the tests call directly so that
-// both paths stay pinned to the hardware and big.Float oracles and to
-// each other.
+// Every operation has an implementation in integer operations, and
+// there is one integer core: binary64's. A binary32 op widens its
+// operands exactly, runs the binary64 op rounding to odd, and narrows
+// the result once (via64, DESIGN §4.1). The common case takes a
+// shortcut: add, sub, mul, div and sqrt of either width, and binary32
+// FMA, begin with a guard that passes only in the default environment
+// (RN, no FTZ, no DAZ), for normal operands and a result well inside the
+// normal range. There Inexact is the only flag the op can raise, and the
+// host FPU computes the value and that flag exactly (host.go). Whatever
+// the guard refuses runs the op's integer code (add64 and kin), which
+// the tests call directly so that both paths stay pinned to the
+// hardware and big.Float oracles, to vectors captured on an x64 FPU and
+// to each other.
 //
 // The package is the foundation of the simulated FPU used by this
 // repository's FPSpy reproduction: every floating point instruction the
@@ -41,7 +44,9 @@ const (
 	// unrepresentable float-to-int conversion.
 	FlagInvalid Flags = 1 << 0
 	// FlagDenormal (DE) indicates a denormalized operand. This condition
-	// is x64-specific; it is suppressed when DAZ is in effect.
+	// is x64-specific; it is suppressed when DAZ is in effect and, by
+	// x64's exception priority, by a NaN operand, Invalid or
+	// DivideByZero.
 	FlagDenormal Flags = 1 << 1
 	// FlagDivideByZero (ZE) indicates division of a finite nonzero value
 	// by zero.
@@ -102,6 +107,11 @@ const (
 	// RoundToZero truncates toward zero (RC=11).
 	RoundToZero RoundingMode = 3
 )
+
+// roundOdd, OR'd into a rounding mode, makes roundPack64 round to odd:
+// truncate, then set the last bit when anything was discarded. The mode
+// it is OR'd into still signs an exact zero sum. Only via64 uses it.
+const roundOdd RoundingMode = 4
 
 // String returns the conventional abbreviation for the mode (RN, RD, RU, RZ).
 func (m RoundingMode) String() string {
@@ -228,13 +238,46 @@ func propagateNaN64(a, b uint64, fl *Flags) uint64 {
 	return quiet64(b)
 }
 
-// propagateNaN32 is the binary32 version of propagateNaN64.
-func propagateNaN32(a, b uint32, fl *Flags) uint32 {
-	if IsSNaN32(a) || IsSNaN32(b) {
-		*fl |= FlagInvalid
+// opClass is what the Denormal rule needs to know of an op's operands:
+// whether one is denormal, and whether one is a NaN.
+type opClass uint8
+
+const (
+	denormalOperand opClass = 1 << iota
+	nanOperand
+)
+
+// class64 classifies a binary64 operand for the Denormal rule.
+func class64(x uint64) opClass {
+	switch {
+	case IsNaN64(x):
+		return nanOperand
+	case IsDenormal64(x):
+		return denormalOperand
 	}
-	if IsNaN32(a) {
-		return quiet32(a)
+	return 0
+}
+
+// class32 classifies a binary32 operand for the Denormal rule.
+func class32(x uint32) opClass {
+	switch {
+	case IsNaN32(x):
+		return nanOperand
+	case IsDenormal32(x):
+		return denormalOperand
 	}
-	return quiet32(b)
+	return 0
+}
+
+// denormal returns fl, the flags an op on operands of class ops raised,
+// with Denormal added when x64 raises it. Intel's SIMD exception
+// priority ranks an SNaN's Invalid first, then a QNaN operand, then the
+// other Invalid cases and DivideByZero, then a denormal operand; so DE
+// is raised only when some operand is denormal, none is a NaN and the
+// op raised neither IE nor ZE. Under DAZ no operand is denormal.
+func denormal(fl Flags, ops opClass, env Env) Flags {
+	if ops == denormalOperand && !env.DAZ && fl&(FlagInvalid|FlagDivideByZero) == 0 {
+		return fl | FlagDenormal
+	}
+	return fl
 }
