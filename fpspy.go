@@ -286,10 +286,12 @@ func RunMitigated(prog *Program, prec uint, opts Options) (*Result, *MitigationS
 // Aggregates returns the aggregate-mode records.
 func (r *Result) Aggregates() []Aggregate { return r.Store.Aggregates() }
 
-// Records returns all individual-mode records across threads.
+// Records returns all individual-mode records across threads. The
+// slice is shared with the result's store, and every call returns the
+// same one: callers must not modify it (clone it first).
 func (r *Result) Records() ([]Record, error) { return r.Store.AllRecords() }
 
-// MustRecords is Records, panicking on decode failure (for examples).
+// MustRecords is Records, panicking on an error (for examples).
 func (r *Result) MustRecords() []Record {
 	recs, err := r.Records()
 	if err != nil {
@@ -299,7 +301,7 @@ func (r *Result) MustRecords() []Record {
 }
 
 // EventSet ORs all condition codes observed, from whichever mode ran.
-// It scans the in-memory traces in place; it decodes no record.
+// It reads the in-memory records in place; it copies none.
 func (r *Result) EventSet() Flags {
 	f := r.Store.Raised()
 	for _, a := range r.Store.Aggregates() {

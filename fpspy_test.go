@@ -37,8 +37,8 @@ func buildEventProgram(nInexact int) *fpspy.Program {
 // TestIndividualRunAllocationCeiling gates allocation as a layer: an
 // individual-mode run of the 2000-event program allocates under 2 MiB
 // in all. Guest memory allocates a page on its first write and the
-// trace store grows one fixed-size chunk at a time, so a flat 16 MiB
-// guest or a doubling trace buffer coming back fails it.
+// trace store grows one fixed-size staging block at a time, so a flat
+// 16 MiB guest or a doubling trace buffer coming back fails it.
 func TestIndividualRunAllocationCeiling(t *testing.T) {
 	prog := buildEventProgram(2000)
 	run := func() {

@@ -53,10 +53,10 @@ type threadState struct {
 	// when shadowing is off.
 	shadow *shadow.Channel
 	rng    *rand.Rand
-	// w is the thread's trace writer, fetched from the store on the
-	// first record or at teardown; appendFailed is set once an Append
-	// error has been recorded in the store.
-	w            *trace.Writer
+	// tt is the thread's trace, fetched from the store on the first
+	// record or at teardown; appendFailed is set once an append error
+	// has been recorded in the store.
+	tt           *threadTrace
 	appendFailed bool
 }
 
@@ -65,7 +65,7 @@ type Spy struct {
 	proc    *kernel.Process
 	cfg     Config
 	store   *Store
-	threads map[int]*threadState
+	threads []*threadState
 	// state is the degradation level; it only ever moves rightwards
 	// (Individual -> Aggregate -> Detached).
 	state DegradeState
@@ -104,13 +104,12 @@ func Factory(store *Store) kernel.ObjectFactory {
 func FactoryObs(store *Store, m *obs.Metrics) kernel.ObjectFactory {
 	return func(p *kernel.Process) *kernel.Object {
 		s := &Spy{
-			proc:    p,
-			store:   store,
-			threads: make(map[int]*threadState),
-			fights:  make(map[kernel.Signal]uint64),
-			om:      m.SpyMetricsOrNil(),
-			osh:     m.ShadowMetricsOrNil(),
-			otr:     m.TracerOrNil(),
+			proc:   p,
+			store:  store,
+			fights: make(map[kernel.Signal]uint64),
+			om:     m.SpyMetricsOrNil(),
+			osh:    m.ShadowMetricsOrNil(),
+			otr:    m.TracerOrNil(),
 		}
 		return s.object()
 	}
@@ -232,7 +231,7 @@ func (s *Spy) threadInit(k *kernel.Kernel, t *kernel.Task) {
 		return
 	}
 	ts := &threadState{task: t, samplerOn: true, rng: rand.New(rand.NewSource(int64(t.TID)*7919 + 13))}
-	s.threads[t.TID] = ts
+	s.threads = append(s.threads, ts)
 	t.OnExit = append(t.OnExit, s.threadTeardown)
 	if s.om != nil {
 		s.om.ThreadsMonitored.Inc()
@@ -286,7 +285,8 @@ func (s *Spy) threadTeardown(k *kernel.Kernel, t *kernel.Task) {
 	if s.inert {
 		return
 	}
-	if ts := s.threads[t.TID]; ts != nil && ts.shadow != nil {
+	ts := s.thread(t)
+	if ts != nil && ts.shadow != nil {
 		// Thread exit is the attribution flush point: the channel's
 		// per-site rows fold into the store. Float sums over three or
 		// more threads depend on the order they fold in; reports are
@@ -294,9 +294,9 @@ func (s *Spy) threadTeardown(k *kernel.Kernel, t *kernel.Task) {
 		// deterministic.
 		s.store.mergeShadowSites(ts.shadow.Sites())
 	}
-	if ts := s.threads[t.TID]; ts != nil && s.state == StateIndividual {
+	if ts != nil && s.state == StateIndividual {
 		if t.M.CPU.MXCSR.Masks() != s.expectedMasks(ts) {
-			s.detach(k, t, AbortMXCSRStomp, t.TID)
+			s.detach(k, t, AbortMXCSRStomp, t)
 		}
 	}
 	if s.cfg.Mode == ModeAggregate || s.state == StateAggregate {
@@ -317,11 +317,21 @@ func (s *Spy) threadTeardown(k *kernel.Kernel, t *kernel.Task) {
 		// A demoted individual-mode spy falls through: records captured
 		// before the demotion still need to reach the trace.
 	}
-	if ts := s.threads[t.TID]; ts != nil {
-		if err := s.traceWriter(ts).Flush(); err != nil {
+	if ts != nil {
+		if err := s.threadTrace(ts).flush(); err != nil {
 			s.store.recordFlushErr(s.traceKey(ts), err)
 		}
 	}
+}
+
+// thread returns t's monitoring state, or nil when t is not monitored.
+func (s *Spy) thread(t *kernel.Task) *threadState {
+	for _, ts := range s.threads {
+		if ts.task == t {
+			return ts
+		}
+	}
+	return nil
 }
 
 // traceKey names a thread's trace in the store.
@@ -329,13 +339,13 @@ func (s *Spy) traceKey(ts *threadState) ThreadKey {
 	return ThreadKey{PID: s.proc.PID, TID: ts.task.TID}
 }
 
-// traceWriter returns the thread's trace writer, fetching it from the
-// store the first time.
-func (s *Spy) traceWriter(ts *threadState) *trace.Writer {
-	if ts.w == nil {
-		ts.w = s.store.writer(s.traceKey(ts))
+// threadTrace returns the thread's trace, fetching it from the store
+// the first time.
+func (s *Spy) threadTrace(ts *threadState) *threadTrace {
+	if ts.tt == nil {
+		ts.tt = s.store.thread(s.traceKey(ts))
 	}
-	return ts.w
+	return ts.tt
 }
 
 // destruct runs after the last task exits; all per-thread teardown has
@@ -428,15 +438,15 @@ func (s *Spy) wrapFE(sym string) kernel.Symbol {
 // state to the masked default, disarm sampler timers, and stop touching
 // anything. The application keeps running.
 func (s *Spy) stepAside(k *kernel.Kernel, t *kernel.Task, reason AbortReason) {
-	s.detach(k, t, reason, -1)
+	s.detach(k, t, reason, nil)
 }
 
-// detach is the Detached transition. skipTID, when >= 0, names a thread
-// whose MXCSR must be left exactly as the application set it: after an
-// ldmxcsr stomp the register is entirely application state, and resetting
-// it would change behavior the application asked for (e.g. dying on a
-// divide it deliberately unmasked).
-func (s *Spy) detach(k *kernel.Kernel, t *kernel.Task, reason AbortReason, skipTID int) {
+// detach is the Detached transition. stomped, when non-nil, names a
+// thread whose MXCSR must be left exactly as the application set it:
+// after an ldmxcsr stomp the register is entirely application state,
+// and resetting it would change behavior the application asked for
+// (e.g. dying on a divide it deliberately unmasked).
+func (s *Spy) detach(k *kernel.Kernel, t *kernel.Task, reason AbortReason, stomped *kernel.Task) {
 	if s.inert || s.state == StateDetached {
 		return
 	}
@@ -461,25 +471,21 @@ func (s *Spy) detach(k *kernel.Kernel, t *kernel.Task, reason AbortReason, skipT
 		return
 	}
 	s.restoreHandlers(k)
+	s.disarm(stomped)
+}
+
+// disarm takes FPSpy's trap machinery off every monitored thread: all
+// events masked (except on stomped, see detach), no single-step, no
+// instruction still stubbed by the breakpoint protocol (leaving one
+// behind would kill the application later), no sampler timer.
+func (s *Spy) disarm(stomped *kernel.Task) {
 	for _, ts := range s.threads {
-		if ts.task.TID == skipTID {
-			continue
+		if ts.task != stomped {
+			ts.task.M.CPU.MXCSR.Mask(AllEvents)
 		}
-		cpu := &ts.task.M.CPU
-		cpu.MXCSR.Mask(AllEvents)
-		cpu.TF = false
-		// Restore any instruction still stubbed by the breakpoint
-		// protocol: leaving one behind would kill the application later.
+		ts.task.M.CPU.TF = false
 		ts.task.M.Breakpoints = nil
 		ts.task.SetTimer(s.timerKind(), 0)
-	}
-	if skipTID >= 0 {
-		// The stomping thread still must not keep FPSpy's trap machinery.
-		if ts := s.threads[skipTID]; ts != nil {
-			ts.task.M.CPU.TF = false
-			ts.task.M.Breakpoints = nil
-			ts.task.SetTimer(s.timerKind(), 0)
-		}
 	}
 }
 
@@ -515,13 +521,7 @@ func (s *Spy) demote(k *kernel.Kernel, t *kernel.Task, reason AbortReason) {
 		Reason: string(reason),
 	})
 	s.restoreHandlers(k)
-	for _, ts := range s.threads {
-		cpu := &ts.task.M.CPU
-		cpu.MXCSR.Mask(AllEvents)
-		cpu.TF = false
-		ts.task.M.Breakpoints = nil
-		ts.task.SetTimer(s.timerKind(), 0)
-	}
+	s.disarm(nil)
 }
 
 // expectedMasks is the mask set FPSpy believes it left on a monitored
@@ -538,7 +538,7 @@ func (s *Spy) expectedMasks(ts *threadState) softfloat.Flags {
 // for the faulting instruction to execute exactly once (mask + TF) — the
 // paper's AWAIT_FPE -> AWAIT_TRAP transition.
 func (s *Spy) onSIGFPE(k *kernel.Kernel, t *kernel.Task, info *kernel.SigInfo, mc *kernel.MContext) {
-	ts := s.threads[t.TID]
+	ts := s.thread(t)
 	if ts == nil || s.state != StateIndividual {
 		return
 	}
@@ -565,7 +565,7 @@ func (s *Spy) onSIGFPE(k *kernel.Kernel, t *kernel.Task, info *kernel.SigInfo, m
 			// under the restored (default) disposition, so an exception
 			// the application deliberately unmasked behaves as if FPSpy
 			// had never been loaded.
-			s.detach(k, t, AbortMXCSRStomp, t.TID)
+			s.detach(k, t, AbortMXCSRStomp, t)
 			return
 		}
 	}
@@ -610,7 +610,7 @@ func (s *Spy) onSIGFPE(k *kernel.Kernel, t *kernel.Task, info *kernel.SigInfo, m
 			copy(rec.InstrWord[:], enc[:])
 			rec.Opcode = uint16(t.M.Prog.Insts[idx].Op)
 		}
-		if err := s.traceWriter(ts).Append(&rec); err != nil && !ts.appendFailed {
+		if err := s.threadTrace(ts).append(&rec); err != nil && !ts.appendFailed {
 			// The writer dropped its buffered records; one error per
 			// thread is enough to fail the run's TraceErr.
 			ts.appendFailed = true
@@ -644,7 +644,7 @@ func (s *Spy) onSIGFPE(k *kernel.Kernel, t *kernel.Task, info *kernel.SigInfo, m
 // executed once; clear its condition codes and re-arm (or stay dormant
 // when sampling is off or capture is done).
 func (s *Spy) onSIGTRAP(k *kernel.Kernel, t *kernel.Task, info *kernel.SigInfo, mc *kernel.MContext) {
-	ts := s.threads[t.TID]
+	ts := s.thread(t)
 	if ts == nil || s.state != StateIndividual {
 		return
 	}
@@ -680,7 +680,7 @@ func (s *Spy) onSIGTRAP(k *kernel.Kernel, t *kernel.Task, info *kernel.SigInfo, 
 // drawing the next period (exponential under Poisson sampling — the
 // PASTA property makes the on-periods a valid random sample).
 func (s *Spy) onTimer(k *kernel.Kernel, t *kernel.Task, info *kernel.SigInfo, mc *kernel.MContext) {
-	ts := s.threads[t.TID]
+	ts := s.thread(t)
 	if ts == nil || s.state != StateIndividual {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/analysis"
@@ -20,11 +21,15 @@ type ThreadKey struct {
 // String renders the key the way FPSpy names trace files.
 func (k ThreadKey) String() string { return fmt.Sprintf("%d.%d.fpemon", k.PID, k.TID) }
 
-// Store collects FPSpy's output: one binary individual-mode trace per
-// thread and one aggregate record per thread. It stands in for the
-// per-thread log files of the real tool.
+// Store collects FPSpy's output: one individual-mode trace per thread
+// and one aggregate record per thread. It stands in for the per-thread
+// log files of the real tool.
 type Store struct {
-	traces     map[ThreadKey]*threadTrace
+	traces map[ThreadKey]*threadTrace
+	// all is the consolidated trace: every in-memory record, in Threads
+	// order, once a reader has asked for them; nil until then, and reset
+	// when a thread's trace is created.
+	all        []trace.Record
 	sink       func(ThreadKey) io.Writer
 	aggregates []trace.Aggregate
 	events     []trace.MonitorEvent
@@ -38,64 +43,62 @@ type Store struct {
 	Recorded uint64
 	// StepAsides counts processes where FPSpy got out of the way.
 	StepAsides int
-	// Decoded counts the records Records and AllRecords have decoded,
-	// over every call: the work a trace's readers pay for.
+	// Decoded counts the records readers have moved out of the staging
+	// blocks into the consolidated trace, over every call: the work a
+	// trace's readers pay for. A record is moved once.
 	Decoded atomic.Uint64
 }
 
-// threadTrace is one thread's individual-mode trace: the writer the spy
-// appends through and, unless the store has a sink, the in-memory
-// chunks the writer flushes into.
+// threadTrace is one thread's individual-mode trace. A sink-backed
+// store encodes each record through w. An in-memory one stages records
+// in pooled blocks until the first read moves them into the store's
+// consolidated trace, of which recs is this thread's part.
 type threadTrace struct {
-	w   *trace.Writer
-	mem *chunks
+	w      *trace.Writer
+	staged [][]trace.Record
+	recs   []trace.Record
 }
 
-// chunkBytes is the size of one in-memory trace chunk: 1,024 records.
-const chunkBytes = 1024 * trace.RecordSize
+// blockRecords is the size of one staging block.
+const blockRecords = 1024
 
-// chunks holds an in-memory trace, in the paper's on-disk format, as
-// fixed-size chunks that are all full except the last. Growing the trace
-// allocates a new chunk and never copies an old one. The trace writer
-// flushes whole records, and a chunk holds a whole number of them, so
-// no record straddles two chunks.
-type chunks [][]byte
+// block is a staging block's storage.
+type block [blockRecords]trace.Record
 
-// Write appends p to the trace; it never fails.
-func (c *chunks) Write(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 {
-		if len(*c) == 0 || len((*c)[len(*c)-1]) == chunkBytes {
-			*c = append(*c, make([]byte, 0, chunkBytes))
-		}
-		last := &(*c)[len(*c)-1]
-		k := min(len(p), chunkBytes-len(*last))
-		*last = append(*last, p[:k]...)
-		p = p[k:]
+// blockPool recycles staging blocks: a consolidated trace gives its
+// blocks back, and the next trace stages into them.
+var blockPool = sync.Pool{New: func() any { return new(block) }}
+
+// append adds one record to the thread's trace; only a sink's write
+// can fail.
+func (tt *threadTrace) append(r *trace.Record) error {
+	if tt.w != nil {
+		return tt.w.Append(r)
 	}
-	return n, nil
+	n := len(tt.staged)
+	if n == 0 || len(tt.staged[n-1]) == blockRecords {
+		tt.staged = append(tt.staged, blockPool.Get().(*block)[:0])
+		n++
+	}
+	tt.staged[n-1] = append(tt.staged[n-1], *r)
+	return nil
 }
 
-// records counts the records the chunks hold.
-func (c chunks) records() int {
-	n := 0
-	for _, b := range c {
-		n += len(b) / trace.RecordSize
+// count counts the thread's records, staged or not.
+func (tt *threadTrace) count() int {
+	n := len(tt.recs)
+	for _, b := range tt.staged {
+		n += len(b)
 	}
 	return n
 }
 
-// decodeInto decodes every record into the front of dst, which holds
-// at least c.records() entries, and returns how many it decoded.
-func (c chunks) decodeInto(dst []trace.Record) int {
-	i := 0
-	for _, b := range c {
-		for off := 0; off < len(b); off += trace.RecordSize {
-			dst[i].Decode(b[off:])
-			i++
-		}
+// flush writes a sink-backed trace's buffered records to the sink.
+func (tt *threadTrace) flush() error {
+	if tt.w == nil {
+		return nil
 	}
-	return i
+	return tt.w.Flush()
 }
 
 // NewStore creates an empty store.
@@ -104,31 +107,30 @@ func NewStore() *Store {
 }
 
 // NewStoreWithSink creates a store whose per-thread trace bytes go to
-// writers produced by sink instead of in-memory chunks. Used to model
-// trace files on failing media; Records/RawTrace return an error for
-// sink-backed threads, and Threads does not list them.
+// writers produced by sink instead of memory. Used to model trace files
+// on failing media; Records/RawTrace return an error for sink-backed
+// threads, and Threads does not list them.
 func NewStoreWithSink(sink func(ThreadKey) io.Writer) *Store {
 	s := NewStore()
 	s.sink = sink
 	return s
 }
 
-// writer returns (creating if needed) the trace writer for a thread.
-// The spy keeps it in its thread state, so the map is consulted once
-// per thread rather than once per record.
-func (s *Store) writer(key ThreadKey) *trace.Writer {
+// thread returns (creating if needed) a thread's trace. The spy keeps
+// it in its thread state, so the map is consulted once per thread
+// rather than once per record.
+func (s *Store) thread(key ThreadKey) *threadTrace {
 	if tt, ok := s.traces[key]; ok {
-		return tt.w
+		return tt
 	}
 	tt := &threadTrace{}
 	if s.sink != nil {
 		tt.w = trace.NewWriter(s.sink(key))
 	} else {
-		tt.mem = &chunks{}
-		tt.w = trace.NewWriter(tt.mem)
+		s.all = nil
 	}
 	s.traces[key] = tt
-	return tt.w
+	return tt
 }
 
 // recordFlushErr remembers a trace flush failure so the run result can
@@ -210,7 +212,7 @@ func (s *Store) Aggregates() []trace.Aggregate {
 func (s *Store) Threads() []ThreadKey {
 	keys := make([]ThreadKey, 0, len(s.traces))
 	for k, tt := range s.traces {
-		if tt.mem != nil {
+		if tt.w == nil {
 			keys = append(keys, k)
 		}
 	}
@@ -223,77 +225,76 @@ func (s *Store) Threads() []ThreadKey {
 	return keys
 }
 
-// flushed returns one thread's in-memory trace with every appended
-// record flushed into it.
-func (s *Store) flushed(key ThreadKey) (chunks, error) {
+// AllRecords returns every in-memory record, in Threads order. The
+// first call copies each thread's staged records into one slice, which
+// becomes the store's trace, and gives the blocks back to the pool;
+// later calls copy nothing unless records were appended since. The
+// slice is shared with the store: callers must not modify it.
+func (s *Store) AllRecords() ([]trace.Record, error) { return s.consolidate(), nil }
+
+// consolidate is AllRecords; it cannot fail.
+func (s *Store) consolidate() []trace.Record {
+	n, staged := 0, s.all == nil
+	for _, tt := range s.traces {
+		n += tt.count()
+		staged = staged || len(tt.staged) > 0
+	}
+	if !staged {
+		return s.all
+	}
+	all := make([]trace.Record, 0, n)
+	for _, key := range s.Threads() {
+		tt := s.traces[key]
+		start := len(all)
+		all = append(all, tt.recs...)
+		for _, b := range tt.staged {
+			all = append(all, b...)
+			s.Decoded.Add(uint64(len(b)))
+			blockPool.Put((*block)(b[:blockRecords]))
+		}
+		tt.staged = nil
+		tt.recs = all[start:len(all):len(all)]
+	}
+	s.all = all
+	return all
+}
+
+// Records returns one thread's records: its part of AllRecords, shared
+// with the store like the whole.
+func (s *Store) Records(key ThreadKey) ([]trace.Record, error) {
 	tt, ok := s.traces[key]
 	if !ok {
 		return nil, fmt.Errorf("fpspy: no trace for %v", key)
 	}
-	if tt.mem == nil {
+	if tt.w != nil {
 		return nil, fmt.Errorf("fpspy: trace %v went to the store's sink; its records are not kept", key)
 	}
-	if err := tt.w.Flush(); err != nil {
-		return nil, err
-	}
-	return *tt.mem, nil
+	s.consolidate()
+	return tt.recs, nil
 }
 
-// Records decodes the trace of one thread.
-func (s *Store) Records(key ThreadKey) ([]trace.Record, error) {
-	c, err := s.flushed(key)
-	if err != nil {
-		return nil, err
+// NumRecords counts every in-memory record without copying any.
+func (s *Store) NumRecords() int {
+	n := 0
+	for _, tt := range s.traces {
+		n += tt.count()
 	}
-	recs := make([]trace.Record, c.records())
-	s.Decoded.Add(uint64(c.decodeInto(recs)))
-	return recs, nil
-}
-
-// flushedAll returns every thread's trace, in Threads order, as one
-// chunk list.
-func (s *Store) flushedAll() (chunks, error) {
-	var all chunks
-	for _, key := range s.Threads() {
-		c, err := s.flushed(key)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, c...)
-	}
-	return all, nil
-}
-
-// AllRecords decodes every thread's trace, in Threads order, into one
-// slice sized to the total record count.
-func (s *Store) AllRecords() ([]trace.Record, error) {
-	all, err := s.flushedAll()
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]trace.Record, all.records())
-	s.Decoded.Add(uint64(all.decodeInto(recs)))
-	return recs, nil
-}
-
-// NumRecords counts every thread's records off the chunks, decoding
-// none of them.
-func (s *Store) NumRecords() (int, error) {
-	all, err := s.flushedAll()
-	return all.records(), err
+	return n
 }
 
 // Raised ORs the Raised condition codes of every in-memory record,
-// scanning the chunks in place instead of decoding them.
+// reading them in place.
 func (s *Store) Raised() softfloat.Flags {
 	var f softfloat.Flags
-	for _, tt := range s.traces {
-		if tt.mem == nil {
-			continue
+	or := func(recs []trace.Record) {
+		for i := range recs {
+			f |= recs[i].Raised
 		}
-		_ = tt.w.Flush() // flushes into chunks, which never fail a write
-		for _, b := range *tt.mem {
-			f |= trace.RaisedUnion(b)
+	}
+	for _, tt := range s.traces {
+		or(tt.recs)
+		for _, b := range tt.staged {
+			or(b)
 		}
 	}
 	return f
@@ -302,13 +303,13 @@ func (s *Store) Raised() softfloat.Flags {
 // RawTrace returns the encoded bytes of one thread's trace (what would
 // be the on-disk file).
 func (s *Store) RawTrace(key ThreadKey) ([]byte, error) {
-	c, err := s.flushed(key)
+	recs, err := s.Records(key)
 	if err != nil {
 		return nil, err
 	}
-	raw := make([]byte, 0, c.records()*trace.RecordSize)
-	for _, b := range c {
-		raw = append(raw, b...)
+	raw := make([]byte, len(recs)*trace.RecordSize)
+	for i := range recs {
+		recs[i].Encode(raw[i*trace.RecordSize:])
 	}
 	return raw, nil
 }

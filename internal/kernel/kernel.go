@@ -95,8 +95,9 @@ type Process struct {
 	Mem *machine.Memory
 	// Env is the process environment (FPSpy's whole interface).
 	Env map[string]string
-	// Handlers maps signals to dispositions.
-	Handlers map[Signal]*SigAction
+	// Handlers holds each signal's disposition, indexed by signal
+	// number; nil is the default.
+	Handlers [obs.NumSignals]*SigAction
 	// Linker resolves libc symbols through the preload chain.
 	Linker *Linker
 	// Prog is the program image all tasks execute.
@@ -173,10 +174,9 @@ func (k *Kernel) Spawn(prog *isa.Program, memSize int, env map[string]string) (*
 		env = make(map[string]string)
 	}
 	p := &Process{
-		PID:      k.nextPID,
-		Env:      env,
-		Handlers: make(map[Signal]*SigAction),
-		Prog:     prog,
+		PID:  k.nextPID,
+		Env:  env,
+		Prog: prog,
 	}
 	k.nextPID++
 	m := machine.New(prog, memSize)
@@ -239,7 +239,6 @@ func (k *Kernel) Fork(t *Task) *Process {
 	child := &Process{
 		PID:      k.nextPID,
 		Env:      copyEnv(parent.Env),
-		Handlers: make(map[Signal]*SigAction),
 		Prog:     parent.Prog,
 		Mem:      parent.Mem.Clone(),
 		stackTop: parent.stackTop,
@@ -247,8 +246,10 @@ func (k *Kernel) Fork(t *Task) *Process {
 	k.nextPID++
 	// Dispositions are inherited across fork.
 	for s, a := range parent.Handlers {
-		dup := *a
-		child.Handlers[s] = &dup
+		if a != nil {
+			dup := *a
+			child.Handlers[s] = &dup
+		}
 	}
 	m := &machine.Machine{Prog: child.Prog, Mem: child.Mem}
 	m.CPU = t.M.CPU // full register state, including MXCSR

@@ -145,6 +145,32 @@ func TestGuestSignalHandlerAndSigreturn(t *testing.T) {
 	}
 }
 
+// TestSignalNumberOutsideTable: signal() with a number outside the
+// disposition table installs nothing, so a second call reads back
+// SIG_DFL, while an in-range number reads back what the first call
+// installed.
+func TestSignalNumberOutsideTable(t *testing.T) {
+	b := isa.NewBuilder("badsig")
+	for i, sig := range []int64{int64(SIGFPE), 64, -1} {
+		b.Movi(isa.R1, sig)
+		b.Movi(isa.R2, 1) // SIG_IGN
+		b.CallC("signal")
+		b.Movi(isa.R1, sig)
+		b.Movi(isa.R2, 0) // SIG_DFL
+		b.CallC("signal")
+		b.Mov(isa.R9+i, isa.R1)
+	}
+	b.Hlt()
+	_, p := spawnAndRun(t, b.Build(), nil, 10000)
+	if p.ExitCode != 0 {
+		t.Fatalf("exit code = %d", p.ExitCode)
+	}
+	r := &p.Tasks[0].M.CPU.R
+	if r[isa.R9] != 1 || r[isa.R10] != 0 || r[isa.R11] != 0 {
+		t.Errorf("second signal() returned %d, %d, %d; want 1 (SIGFPE), 0, 0", r[isa.R9], r[isa.R10], r[isa.R11])
+	}
+}
+
 func TestDefaultSIGFPEKillsProcess(t *testing.T) {
 	b := isa.NewBuilder("die")
 	b.Movi(isa.R1, int64(softfloat.FlagDivideByZero))

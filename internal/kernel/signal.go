@@ -95,14 +95,15 @@ func (a *SigAction) Default() bool {
 }
 
 // SetSigAction installs a disposition for sig, returning the previous
-// one. It is the syscall under both signal() and sigaction().
+// one. It is the syscall under both signal() and sigaction(). A signal
+// number outside the disposition table installs nothing and returns
+// nil.
 func (k *Kernel) SetSigAction(p *Process, sig Signal, act *SigAction) *SigAction {
-	old := p.Handlers[sig]
-	if act == nil {
-		delete(p.Handlers, sig)
-	} else {
-		p.Handlers[sig] = act
+	if sig < 0 || int(sig) >= len(p.Handlers) {
+		return nil
 	}
+	old := p.Handlers[sig]
+	p.Handlers[sig] = act
 	return old
 }
 
@@ -110,10 +111,13 @@ func (k *Kernel) SetSigAction(p *Process, sig Signal, act *SigAction) *SigAction
 // disposition table. info may point into per-task scratch that is
 // reused by the next delivery; handlers must consume it synchronously.
 func (k *Kernel) deliverSignal(t *Task, sig Signal, info *SigInfo) {
-	if k.Obs != nil && sig >= 0 && int(sig) < obs.NumSignals {
-		k.Obs.Kernel.Signals[sig].Inc()
+	var act *SigAction
+	if sig >= 0 && int(sig) < obs.NumSignals {
+		act = t.Proc.Handlers[sig]
+		if k.Obs != nil {
+			k.Obs.Kernel.Signals[sig].Inc()
+		}
 	}
-	act := t.Proc.Handlers[sig]
 	switch {
 	case act != nil && act.Host != nil:
 		t.UserCycles += k.Cost.SignalHandler

@@ -133,20 +133,9 @@ func (r Reg) Env() softfloat.Env {
 
 // Priority returns the highest-priority exception among raised, following
 // the x64 priority encoding: Invalid and Denormal (pre-computation) first,
-// then DivideByZero, then Overflow, Underflow, and Precision.
+// then DivideByZero, then Overflow, Underflow, and Precision. That is the
+// flags' bit order, so it is the lowest of the six flag bits set.
 func Priority(raised softfloat.Flags) softfloat.Flags {
-	order := [...]softfloat.Flags{
-		softfloat.FlagInvalid,
-		softfloat.FlagDenormal,
-		softfloat.FlagDivideByZero,
-		softfloat.FlagOverflow,
-		softfloat.FlagUnderflow,
-		softfloat.FlagInexact,
-	}
-	for _, f := range order {
-		if raised&f != 0 {
-			return f
-		}
-	}
-	return 0
+	f := raised & softfloat.Flags(FlagBits)
+	return f & -f
 }

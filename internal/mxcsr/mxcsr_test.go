@@ -113,6 +113,25 @@ func TestFieldIndependenceQuick(t *testing.T) {
 	}
 }
 
+// priorityOrdered is x64's priority encoding as an ordered search, the
+// reference Priority's lowest-set-bit form must match.
+func priorityOrdered(raised softfloat.Flags) softfloat.Flags {
+	order := [...]softfloat.Flags{
+		softfloat.FlagInvalid,
+		softfloat.FlagDenormal,
+		softfloat.FlagDivideByZero,
+		softfloat.FlagOverflow,
+		softfloat.FlagUnderflow,
+		softfloat.FlagInexact,
+	}
+	for _, f := range order {
+		if raised&f != 0 {
+			return f
+		}
+	}
+	return 0
+}
+
 func TestPriorityEncoding(t *testing.T) {
 	cases := []struct {
 		raised, want softfloat.Flags
@@ -124,10 +143,22 @@ func TestPriorityEncoding(t *testing.T) {
 		{softfloat.FlagUnderflow | softfloat.FlagInexact, softfloat.FlagUnderflow},
 		{softfloat.FlagInexact, softfloat.FlagInexact},
 		{0, 0},
+		// Bits above the six flags are not exceptions.
+		{0x40, 0},
+		{0x40 | softfloat.FlagInexact, softfloat.FlagInexact},
+		{0xFFFFFFC0 | softfloat.FlagOverflow | softfloat.FlagInexact, softfloat.FlagOverflow},
 	}
 	for _, c := range cases {
 		if got := Priority(c.raised); got != c.want {
 			t.Errorf("Priority(%v) = %v, want %v", c.raised, got, c.want)
+		}
+	}
+	// Every set of the six flags, alone and with bits above them.
+	for set := softfloat.Flags(0); set <= 0x3F; set++ {
+		for _, high := range []softfloat.Flags{0, 0x40, 0x1F80, 0xFFFFFFC0} {
+			if got, want := Priority(set|high), priorityOrdered(set|high); got != want {
+				t.Errorf("Priority(%#x) = %v, want %v", set|high, got, want)
+			}
 		}
 	}
 }

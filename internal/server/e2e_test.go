@@ -138,8 +138,8 @@ func TestE2ESingleflightAcrossClients(t *testing.T) {
 	if outs[0].res.Summary.Records == 0 {
 		t.Error("individual pass captured no records")
 	}
-	// The daemon counts a non-probe job's records off the trace chunks
-	// without decoding them; the count is the decoded one.
+	// The daemon counts a non-probe job's records in place, copying
+	// none; the count is the one a read returns.
 	if want := decodedRecords(t, job, cfg); outs[0].res.Summary.Records != want {
 		t.Errorf("summary records = %d, want %d decoded", outs[0].res.Summary.Records, want)
 	}

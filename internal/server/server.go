@@ -426,17 +426,13 @@ func executePass(j *jobs.Job, cfg fpspy.Config, m *obs.Metrics) (*Outcome, error
 	if res.TraceErr != nil {
 		return nil, fmt.Errorf("trace flush: %w", res.TraceErr)
 	}
-	n, err := res.Store.NumRecords()
-	if err != nil {
-		return nil, fmt.Errorf("record count: %w", err)
-	}
 	out := &Outcome{
 		Events:     res.Store.MonitorEvents(),
 		Steps:      res.Steps,
 		WallCycles: res.WallCycles,
 		ExitCode:   res.ExitCode,
 		EventSet:   uint64(res.EventSet()),
-		Records:    n,
+		Records:    res.Store.NumRecords(),
 		Aggregates: len(res.Aggregates()),
 	}
 	// Only a probe's tree recovery reads the records themselves.

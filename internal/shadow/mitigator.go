@@ -163,6 +163,7 @@ type regShadow struct {
 }
 
 type mitThread struct {
+	task     *kernel.Task
 	regs     [isa.NumVecRegs]regShadow
 	stepping bool // trap flavor: single-step fallback in flight
 }
@@ -176,7 +177,7 @@ type Mitigator struct {
 	patched bool
 	sites   []uint64
 	stats   *MitigationStats
-	threads map[int]*mitThread
+	threads []*mitThread
 }
 
 // TrapFactory returns the trap-and-emulate flavor's preload factory;
@@ -195,8 +196,7 @@ func PatchedFactory(prec uint, sites []uint64, stats *MitigationStats) kernel.Ob
 
 func mitigatorFactory(prec uint, patched bool, sites []uint64, stats *MitigationStats) kernel.ObjectFactory {
 	return func(p *kernel.Process) *kernel.Object {
-		m := &Mitigator{proc: p, fpu: newFormat(prec), patched: patched, sites: sites,
-			stats: stats, threads: make(map[int]*mitThread)}
+		m := &Mitigator{proc: p, fpu: newFormat(prec), patched: patched, sites: sites, stats: stats}
 		obj := &kernel.Object{Name: m.preloadName(), Syms: map[string]kernel.Symbol{}}
 		obj.Constructor = m.construct
 		obj.Syms["pthread_create"] = m.wrapThreadCreate
@@ -226,7 +226,7 @@ func (m *Mitigator) construct(k *kernel.Kernel, t *kernel.Task) {
 // Inexact, the patched flavor plants its breakpoints in the thread's
 // view of the text.
 func (m *Mitigator) threadInit(t *kernel.Task) {
-	m.threads[t.TID] = &mitThread{}
+	m.thread(t)
 	if !m.patched {
 		t.M.CPU.MXCSR.Unmask(softfloat.FlagInexact)
 		return
@@ -250,12 +250,15 @@ func (m *Mitigator) wrapThreadCreate(k *kernel.Kernel, t *kernel.Task) {
 	}
 }
 
+// thread returns t's state, creating it on first use.
 func (m *Mitigator) thread(t *kernel.Task) *mitThread {
-	ts := m.threads[t.TID]
-	if ts == nil {
-		ts = &mitThread{}
-		m.threads[t.TID] = ts
+	for _, ts := range m.threads {
+		if ts.task == t {
+			return ts
+		}
 	}
+	ts := &mitThread{task: t}
+	m.threads = append(m.threads, ts)
 	return ts
 }
 
@@ -386,8 +389,8 @@ func (m *Mitigator) onSIGFPE(k *kernel.Kernel, t *kernel.Task, info *kernel.SigI
 }
 
 func (m *Mitigator) onSIGTRAP(k *kernel.Kernel, t *kernel.Task, info *kernel.SigInfo, mc *kernel.MContext) {
-	ts := m.threads[t.TID]
-	if ts == nil || !ts.stepping {
+	ts := m.thread(t)
+	if !ts.stepping {
 		return
 	}
 	ts.stepping = false

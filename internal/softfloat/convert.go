@@ -229,31 +229,33 @@ func f64ToInt(a uint64, rm RoundingMode, bound uint, fl *Flags) int64 {
 }
 
 // F64ToI32 implements cvtsd2si (rounding per env) on a binary64 pattern.
+// It and the other float-to-integer conversions raise no Denormal: x64
+// converts a denormal operand to 0 with Inexact alone (TestX64Vectors).
 func F64ToI32(a uint64, env Env) (int32, Flags) {
 	var fl Flags
 	z := int32(f64ToInt(daz64(a, env), env.RM, 31, &fl))
-	return z, denormal(fl, class64(a), env)
+	return z, fl
 }
 
 // F64ToI32Trunc implements cvttsd2si (truncation).
 func F64ToI32Trunc(a uint64, env Env) (int32, Flags) {
 	var fl Flags
 	z := int32(f64ToInt(daz64(a, env), RoundToZero, 31, &fl))
-	return z, denormal(fl, class64(a), env)
+	return z, fl
 }
 
 // F64ToI64 implements cvtsd2siq.
 func F64ToI64(a uint64, env Env) (int64, Flags) {
 	var fl Flags
 	z := f64ToInt(daz64(a, env), env.RM, 63, &fl)
-	return z, denormal(fl, class64(a), env)
+	return z, fl
 }
 
 // F64ToI64Trunc implements cvttsd2siq.
 func F64ToI64Trunc(a uint64, env Env) (int64, Flags) {
 	var fl Flags
 	z := f64ToInt(daz64(a, env), RoundToZero, 63, &fl)
-	return z, denormal(fl, class64(a), env)
+	return z, fl
 }
 
 // F32ToI32 implements cvtss2si. A NaN widens to a NaN, which f64ToInt
@@ -261,26 +263,26 @@ func F64ToI64Trunc(a uint64, env Env) (int64, Flags) {
 func F32ToI32(a uint32, env Env) (int32, Flags) {
 	var fl Flags
 	z := int32(f64ToInt(widen32to64(daz32(a, env)), env.RM, 31, &fl))
-	return z, denormal(fl, class32(a), env)
+	return z, fl
 }
 
 // F32ToI32Trunc implements cvttss2si.
 func F32ToI32Trunc(a uint32, env Env) (int32, Flags) {
 	var fl Flags
 	z := int32(f64ToInt(widen32to64(daz32(a, env)), RoundToZero, 31, &fl))
-	return z, denormal(fl, class32(a), env)
+	return z, fl
 }
 
 // F32ToI64 implements cvtss2siq.
 func F32ToI64(a uint32, env Env) (int64, Flags) {
 	var fl Flags
 	z := f64ToInt(widen32to64(daz32(a, env)), env.RM, 63, &fl)
-	return z, denormal(fl, class32(a), env)
+	return z, fl
 }
 
 // F32ToI64Trunc implements cvttss2siq.
 func F32ToI64Trunc(a uint32, env Env) (int64, Flags) {
 	var fl Flags
 	z := f64ToInt(widen32to64(daz32(a, env)), RoundToZero, 63, &fl)
-	return z, denormal(fl, class32(a), env)
+	return z, fl
 }

@@ -1,6 +1,9 @@
 package softfloat
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // result is an op's value, widened to 64 bits, and its flags.
 type result struct {
@@ -12,14 +15,17 @@ func r64(z uint64, fl Flags) result     { return result{z, fl} }
 func r32(z uint32, fl Flags) result     { return result{uint64(z), fl} }
 func rcmp(r CmpResult, fl Flags) result { return result{uint64(r), fl} }
 
+func rint[T int32 | int64](z T, fl Flags) result { return result{uint64(z), fl} }
+
 // TestX64Vectors pins values and flags to an x64 FPU (an Intel Xeon).
 // Each vector was captured by a C program that set %mxcsr (every
 // exception masked, the environment's RC, FTZ and DAZ) with ldmxcsr,
 // ran the one instruction, and read the flags back with stmxcsr; FMA
 // ran as vfmadd213 with the operands in the order its expression names
 // them, a*b + c. The vectors pin Denormal's priority, roundsd's missing
-// Denormal, FTZ by tininess after rounding, FMA's quiet 0*inf + QNaN
-// and the zero test of a denormal operand.
+// Denormal, FTZ by tininess after rounding, FMA's quiet 0*inf + QNaN,
+// the zero test of a denormal operand and the float-to-integer
+// conversions' missing Denormal.
 func TestX64Vectors(t *testing.T) {
 	const (
 		inf  = 0x7ff0000000000000
@@ -27,10 +33,11 @@ func TestX64Vectors(t *testing.T) {
 		one  = 0x3ff0000000000000
 	)
 	ftz := Env{FTZ: true}
-	for i, v := range []struct {
+	type vector struct {
 		name      string
 		got, want result
-	}{
+	}
+	vectors := []vector{
 		// A NaN operand, Invalid or DivideByZero suppresses Denormal.
 		{"Add64(den, QNaN)", r64(Add64(0x1, qnan, Env{})), result{qnan, 0}},
 		{"Add64(den, SNaN)", r64(Add64(0x1, 0x7ff0000000000001, Env{})), result{0x7ff8000000000001, FlagInvalid}},
@@ -81,7 +88,33 @@ func TestX64Vectors(t *testing.T) {
 		{"Mul64(inf, den)", r64(Mul64(inf, 0x0008000000000000, Env{})), result{inf, FlagDenormal}},
 		{"Div64(den, 0)", r64(Div64(0x0008000000000000, 0x0, Env{})), result{inf, FlagDivideByZero}},
 		{"Sqrt64(-den)", r64(Sqrt64(0x8008000000000000, Env{})), result{0xfff8000000000000, FlagInvalid}},
-	} {
+	}
+	// cvtsd2si, cvtss2si and their truncating and 64-bit forms raise no
+	// Denormal: a denormal converts to 0 with Inexact alone, or with no
+	// flag under DAZ.
+	for _, env := range []Env{{}, {DAZ: true}} {
+		want := result{0, FlagInexact}
+		if env.DAZ {
+			want.fl = 0
+		}
+		for _, a := range []uint64{0x1, 0x8000000000000001, 0x000fffffffffffff} {
+			name := fmt.Sprintf("(%#x) DAZ=%v", a, env.DAZ)
+			vectors = append(vectors,
+				vector{"F64ToI32" + name, rint(F64ToI32(a, env)), want},
+				vector{"F64ToI32Trunc" + name, rint(F64ToI32Trunc(a, env)), want},
+				vector{"F64ToI64" + name, rint(F64ToI64(a, env)), want},
+				vector{"F64ToI64Trunc" + name, rint(F64ToI64Trunc(a, env)), want})
+		}
+		for _, a := range []uint32{0x1, 0x80000001, 0x7fffff} {
+			name := fmt.Sprintf("(%#x) DAZ=%v", a, env.DAZ)
+			vectors = append(vectors,
+				vector{"F32ToI32" + name, rint(F32ToI32(a, env)), want},
+				vector{"F32ToI32Trunc" + name, rint(F32ToI32Trunc(a, env)), want},
+				vector{"F32ToI64" + name, rint(F32ToI64(a, env)), want},
+				vector{"F32ToI64Trunc" + name, rint(F32ToI64Trunc(a, env)), want})
+		}
+	}
+	for i, v := range vectors {
 		if v.got != v.want {
 			t.Errorf("%d %s = %#x %v, x64 %#x %v", i, v.name, v.got.z, v.got.fl, v.want.z, v.want.fl)
 		}

@@ -52,8 +52,9 @@ type passKey struct {
 // passEntry is a singleflight cell: the first caller executes the pass;
 // concurrent callers block on the Once and share the result. The cell
 // keeps the pass's outputs, not its simulator (runPass drops the
-// result's Kern and Proc). The trace decodes on its first read, under
-// its own Once, and every later reader shares the slice.
+// result's Kern and Proc). The trace is read once, under its own Once
+// because a read mutates the store, and every later reader shares the
+// store's slice.
 type passEntry struct {
 	once sync.Once
 	res  *fpspy.Result
@@ -146,7 +147,7 @@ func (s *Study) run(name string, cfg fpspy.Config, noSpy bool, size workload.Siz
 	return e.res, e.err
 }
 
-// records returns a spy pass's individual-mode records, decoding its
+// records returns a spy pass's individual-mode records, reading its
 // trace on the first request only.
 func (s *Study) records(name string, cfg fpspy.Config, size workload.Size) ([]trace.Record, error) {
 	e := s.pass(name, cfg, false, size)

@@ -154,7 +154,8 @@ func TestParallelStudyMatchesSerial(t *testing.T) {
 // TestPassCacheDecodesOnce pins the pass cache's work: a figure runs
 // only the passes it reads and decodes each of their traces once, so
 // `fpstudy -only N` does exactly that figure's work; a figure asked for
-// again decodes nothing; and no cached result keeps its simulator.
+// again decodes nothing; no cached result keeps its simulator; and a
+// cell keeps one form of its trace, the records its store holds.
 func TestPassCacheDecodesOnce(t *testing.T) {
 	s := NewWithWorkers(2)
 	s.Size = workload.SizeSmall
@@ -179,6 +180,12 @@ func TestPassCacheDecodesOnce(t *testing.T) {
 	for k, e := range s.results {
 		if e.res.Kern != nil || e.res.Proc != nil {
 			t.Errorf("cached pass %+v keeps its simulator", k)
+		}
+		if len(e.recs) == 0 {
+			continue
+		}
+		if recs, err := e.res.Records(); err != nil || &recs[0] != &e.recs[0] {
+			t.Errorf("cached pass %+v keeps its records apart from its store's (err %v)", k, err)
 		}
 	}
 }

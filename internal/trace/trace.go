@@ -17,9 +17,6 @@ import (
 // RecordSize is the encoded size of one individual-mode record.
 const RecordSize = 64
 
-// raisedOff is the offset of the Raised field within an encoded record.
-const raisedOff = 52
-
 // Record is one individual-mode trace record: the full context of a
 // floating point event, as captured by FPSpy's SIGFPE handler.
 type Record struct {
@@ -58,7 +55,7 @@ func (r *Record) Encode(buf []byte) {
 	le.PutUint32(buf[36:], r.TID)
 	le.PutUint64(buf[40:], r.Seq)
 	le.PutUint32(buf[48:], uint32(r.Event))
-	le.PutUint32(buf[raisedOff:], uint32(r.Raised))
+	le.PutUint32(buf[52:], uint32(r.Raised))
 	le.PutUint16(buf[56:], r.Opcode)
 	le.PutUint16(buf[58:], 0)
 	le.PutUint32(buf[60:], 0)
@@ -75,7 +72,7 @@ func (r *Record) Decode(buf []byte) {
 	r.TID = le.Uint32(buf[36:])
 	r.Seq = le.Uint64(buf[40:])
 	r.Event = softfloat.Flags(le.Uint32(buf[48:]))
-	r.Raised = softfloat.Flags(le.Uint32(buf[raisedOff:]))
+	r.Raised = softfloat.Flags(le.Uint32(buf[52:]))
 	r.Opcode = le.Uint16(buf[56:])
 }
 
@@ -126,16 +123,6 @@ func Decode(data []byte) ([]Record, error) {
 		recs[i].Decode(data[i*RecordSize:])
 	}
 	return recs, nil
-}
-
-// RaisedUnion ORs the Raised field over a trace image of whole records
-// without decoding them.
-func RaisedUnion(data []byte) softfloat.Flags {
-	var f softfloat.Flags
-	for off := 0; off+RecordSize <= len(data); off += RecordSize {
-		f |= softfloat.Flags(binary.LittleEndian.Uint32(data[off+raisedOff:]))
-	}
-	return f
 }
 
 // Render writes the human-readable form of a record, as produced by the
