@@ -273,6 +273,20 @@ func (s *Store) Records(key ThreadKey) ([]trace.Record, error) {
 	return tt.recs, nil
 }
 
+// Release is for a reader done with the store that never read its
+// trace: it drops the records still staged and gives their blocks back
+// to the pool. Records an earlier read moved stay where they are, and
+// afterwards NumRecords, Raised, AllRecords and Records see only them.
+// Counters, aggregates, the monitor log and shadow sites are kept.
+func (s *Store) Release() {
+	for _, tt := range s.traces {
+		for _, b := range tt.staged {
+			blockPool.Put((*block)(b[:blockRecords]))
+		}
+		tt.staged = nil
+	}
+}
+
 // NumRecords counts every in-memory record without copying any.
 func (s *Store) NumRecords() int {
 	n := 0

@@ -204,3 +204,88 @@ func TestTraceBlocksRecycled(t *testing.T) {
 		t.Errorf("a run with %d bytes of records allocated %d bytes, ceiling %d", records, got, records*5/4)
 	}
 }
+
+// TestReleaseDropsStagedRecords pins Release: the records still staged
+// are dropped and their blocks go back to the pool, where the next guest
+// stages into them without its records changing; records a read moved
+// before the call stay readable; and nothing else the store holds
+// changes.
+func TestReleaseDropsStagedRecords(t *testing.T) {
+	quietPool(t)
+	w, err := workload.ByName("canneal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := w.Build(workload.SizeSmall)
+	ref, _ := spawnWithEnv(t, prog, unfiltered())
+	refRecs, err := ref.AllRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(refRecs)
+
+	a, _ := spawnWithEnv(t, buildRounding(3*blockRecords), unfiltered())
+	key := a.Threads()[0]
+	var aBlocks []*block
+	for _, b := range a.traces[key].staged {
+		aBlocks = append(aBlocks, (*block)(b[:blockRecords]))
+	}
+	faults, recorded, events, aggs := a.Faults, a.Recorded, a.MonitorEvents(), a.Aggregates()
+	a.Release()
+	if n := a.NumRecords(); n != 0 {
+		t.Errorf("NumRecords = %d after Release, want 0", n)
+	}
+	if f := a.Raised(); f != 0 {
+		t.Errorf("Raised = %v after Release, want none", f)
+	}
+	if all, err := a.AllRecords(); err != nil || len(all) != 0 {
+		t.Errorf("AllRecords = %d records (err %v) after Release, want none", len(all), err)
+	}
+	if recs, err := a.Records(key); err != nil || len(recs) != 0 {
+		t.Errorf("Records(%v) = %d records (err %v) after Release, want none", key, len(recs), err)
+	}
+	if a.Faults != faults || a.Recorded != recorded || !slices.Equal(a.MonitorEvents(), events) ||
+		!slices.Equal(a.Aggregates(), aggs) || a.Decoded.Load() != 0 {
+		t.Error("Release changed the store's counters, monitor log or aggregates")
+	}
+
+	b, _ := spawnWithEnv(t, prog, unfiltered())
+	reused := 0
+	for _, tt := range b.traces {
+		for _, blk := range tt.staged {
+			if slices.Contains(aBlocks, (*block)(blk[:blockRecords])) {
+				reused++
+			}
+		}
+	}
+	if reused == 0 && !raceEnabled {
+		t.Error("the next guest staged none of its records in the released blocks")
+	}
+	if got, err := b.AllRecords(); err != nil || !slices.Equal(got, want) {
+		t.Errorf("the next guest's records changed in the released blocks (err %v)", err)
+	}
+
+	// Records a read moved before the call stay; only staged ones go.
+	s := NewStore()
+	tt := s.thread(ThreadKey{PID: 1, TID: 1})
+	var moved []trace.Record
+	for i := range 2*blockRecords + 10 {
+		flag := softfloat.FlagInexact
+		if i >= blockRecords+5 {
+			flag = softfloat.FlagInvalid
+		}
+		r := trace.Record{Seq: uint64(i), Raised: flag}
+		if err := tt.append(&r); err != nil {
+			t.Fatal(err)
+		}
+		if i == blockRecords+4 {
+			moved, _ = s.AllRecords()
+		}
+	}
+	s.Release()
+	if again, _ := s.AllRecords(); len(again) != blockRecords+5 || &again[0] != &moved[0] ||
+		s.NumRecords() != blockRecords+5 || s.Raised() != softfloat.FlagInexact {
+		t.Errorf("after Release: %d records, %d counted, raised %v; want the %d moved before it, inexact only",
+			len(again), s.NumRecords(), s.Raised(), blockRecords+5)
+	}
+}

@@ -385,6 +385,9 @@ type ServerMetrics struct {
 	// JobsCompleted and JobsFailed count finalized jobs by outcome.
 	JobsCompleted Counter
 	JobsFailed    Counter
+	// PassPanics counts passes that panicked; each failed its job and
+	// the daemon kept serving.
+	PassPanics Counter
 	// QueueDepth is the number of jobs waiting in shard queues.
 	QueueDepth Gauge
 	// SubmitNS, StatusNS, ResultNS, and FiguresNS are per-endpoint

@@ -211,6 +211,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	counter(NameServerShed, &sv.Shed)
 	counter("server.jobs.completed", &sv.JobsCompleted)
 	counter("server.jobs.failed", &sv.JobsFailed)
+	counter("server.pass-panics", &sv.PassPanics)
 	gauge(NameServerQueueDepth, &sv.QueueDepth)
 	hist("server.http.submit-ns", &sv.SubmitNS)
 	hist("server.http.status-ns", &sv.StatusNS)

@@ -426,7 +426,8 @@ func (c *Client) StreamResultContext(ctx context.Context, id string, fn func(ser
 	defer resp.Body.Close()
 	var summary *server.Summary
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	// Lines are short: grow from bufio's default buffer, to 16 MiB at most.
+	sc.Buffer(nil, 16<<20)
 	for sc.Scan() {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue

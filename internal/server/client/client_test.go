@@ -1,16 +1,23 @@
 package client
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	fpspy "repro"
+	"repro/internal/isa"
+	"repro/internal/jobs"
 	"repro/internal/server"
 )
 
@@ -175,5 +182,102 @@ func TestBackoffWaitHonorsHintAndCap(t *testing.T) {
 		if w := backoffWait(80, 0, base, maxWait); w <= 0 || w > maxWait {
 			t.Fatalf("attempt-80 wait %v outside (0, %v]", w, maxWait)
 		}
+	}
+}
+
+// TestResultStreamAllocation pins what reading a settled job's result
+// stream costs the client: under 8 KiB a stream beyond the HTTP exchange
+// itself, which a bare GET of the same stream measures (the daemon, the
+// server and the transport all allocate in this process). A scanner
+// that started from a 64 KiB buffer would cost at least that much for
+// lines under 1 KiB.
+func TestResultStreamAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under -race, and net/http pools its buffers")
+	}
+	srv, err := server.New(server.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Shutdown() //nolint:errcheck // test teardown
+	})
+	b := fpspy.NewProgram("stream")
+	b.Movi(isa.R1, int64(math.Float64bits(1)))
+	b.Movqx(isa.X0, isa.R1)
+	b.Movi(isa.R1, int64(math.Float64bits(3)))
+	b.Movqx(isa.X1, isa.R1)
+	b.FP2(isa.OpDIVSD, isa.X2, isa.X0, isa.X1)
+	b.Hlt()
+	c := New(ts.URL, "test")
+	resp, err := c.Submit(jobs.Capture("stream", b.Build(), nil, 1<<20), fpspy.Config{Mode: fpspy.ModeIndividual})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := resp.ID
+	if _, err := c.Watch(id, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	stream := func() {
+		if _, err := c.StreamResult(id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bare := func() {
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // test
+		resp.Body.Close()
+	}
+	perRead := func(read func()) uint64 {
+		const n = 50
+		read() // opens the keep-alive connection
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range n {
+			read()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	base, got := perRead(bare), perRead(stream)
+	if got >= base+8<<10 {
+		t.Errorf("reading a result stream allocated %d bytes, %d more than a bare GET of it; ceiling 8 KiB more", got, got-base)
+	}
+}
+
+// TestResultStreamLongLines: a line longer than bufio's 64 KiB default
+// still parses, and a line over the 16 MiB cap fails the stream with
+// bufio.ErrTooLong instead of growing the buffer without bound.
+func TestResultStreamLongLines(t *testing.T) {
+	const long = 100 << 10
+	var size atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"type":"summary","summary":{"id":"job-000001","name":"`)) //nolint:errcheck // test
+		chunk := bytes.Repeat([]byte("x"), 64<<10)
+		for n := size.Load(); n > 0; n -= int64(len(chunk)) {
+			w.Write(chunk[:min(n, int64(len(chunk)))]) //nolint:errcheck // test
+		}
+		w.Write([]byte(`","records":7}}` + "\n")) //nolint:errcheck // test
+	}))
+	defer srv.Close()
+	c := fastRetry(srv.URL)
+
+	size.Store(long)
+	sum, err := c.StreamResult("job-000001", nil)
+	if err != nil {
+		t.Fatalf("a %d-byte summary line: %v", long, err)
+	}
+	if len(sum.Name) != long || sum.Records != 7 {
+		t.Errorf("summary name of %d bytes and %d records, want %d and 7", len(sum.Name), sum.Records, long)
+	}
+
+	size.Store(16 << 20)
+	if _, err := c.StreamResult("job-000001", nil); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("a summary line over 16 MiB: err = %v, want bufio.ErrTooLong", err)
 	}
 }

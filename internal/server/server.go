@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -115,6 +116,9 @@ type Server struct {
 	// enters StateRunning and before its pass executes (tests gate here
 	// to hold a pass in flight).
 	testBeforeRun func(*jobRec)
+	// testInPass, when set, is called inside the pass's worker slot,
+	// where a panic fails the job (tests inject one here).
+	testInPass func(*jobRec)
 }
 
 // jobRec is the daemon's view of one submission. Mutable fields are
@@ -392,7 +396,9 @@ func (s *Server) dispatch(q chan *jobRec) {
 // runJob executes one primary submission's pass on the shared worker
 // pool and settles its cache entry. A primary whose entry already
 // settled while it waited in the queue (a peer-computed outcome arrived
-// via InstallOutcome) is skipped: the settle finalized it.
+// via InstallOutcome) is skipped: the settle finalized it. A pass that
+// panics fails its job with the panic and its stack; the daemon keeps
+// serving.
 func (s *Server) runJob(rec *jobRec) {
 	s.mu.Lock()
 	if rec.entry.settled {
@@ -401,7 +407,7 @@ func (s *Server) runJob(rec *jobRec) {
 	}
 	rec.state = StateRunning
 	rec.entry.started = true
-	j, hook := rec.job, s.testBeforeRun
+	j, hook, inPass := rec.job, s.testBeforeRun, s.testInPass
 	s.mu.Unlock()
 	if hook != nil {
 		hook(rec)
@@ -409,6 +415,17 @@ func (s *Server) runJob(rec *jobRec) {
 	var out *Outcome
 	var err error
 	s.study.Exec(func() {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("server: pass panicked: %v\n%s", p, debug.Stack())
+				if sv := s.obs.ServerMetricsOrNil(); sv != nil {
+					sv.PassPanics.Inc()
+				}
+			}
+		}()
+		if inPass != nil {
+			inPass(rec)
+		}
 		out, err = executePass(j, rec.cfg, s.obs)
 	})
 	s.settle(rec.entry, out, err)
@@ -448,6 +465,8 @@ func executePass(j *jobs.Job, cfg fpspy.Config, m *obs.Metrics) (*Outcome, error
 	if cfg.ShadowPrec > 0 {
 		out.RootCause = analysis.BuildRootCause(cfg.ShadowPrec, res.Store.ShadowSites())
 	}
+	// Nothing reads the trace now: its blocks go back for the next pass.
+	res.Store.Release()
 	return out, nil
 }
 

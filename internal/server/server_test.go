@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +19,8 @@ import (
 	"repro/internal/isa"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/study"
+	"repro/internal/workload"
 )
 
 // testJob builds a tiny faulting guest (1/3 rounds on every divide) and
@@ -459,5 +463,114 @@ func TestSettledTablesBounded(t *testing.T) {
 	s.mu.Unlock()
 	if _, err := s.Shutdown(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPassPanicFailsItsJob: a host panic inside a pass fails that pass's
+// job and every waiter attached to it, with the panic value and a stack
+// in the error; the counter records it, and the daemon goes on to run
+// the next job on the same worker slot.
+func TestPassPanicFailsItsJob(t *testing.T) {
+	om := obs.New(obs.Options{})
+	s, err := New(Options{Workers: 1, Shards: 1, QueueDepth: 8, Obs: om})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	s.mu.Lock()
+	s.testBeforeRun = func(rec *jobRec) {
+		if rec.name == "boom" {
+			<-gate // hold the pass until its waiter attaches
+		}
+	}
+	s.testInPass = func(rec *jobRec) {
+		if rec.name == "boom" {
+			panic("injected pass panic")
+		}
+	}
+	s.mu.Unlock()
+	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
+	submit := func(name string, divs int) *jobRec {
+		t.Helper()
+		rec, err := s.submit("c", name, encode(t, testJob(t, name, divs, nil)), cfg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	primary := submit("boom", 1)
+	waiter := submit("boom", 1)
+	if !waiter.cacheHit {
+		t.Fatal("the duplicate did not attach to the held pass")
+	}
+	close(gate)
+	for _, rec := range []*jobRec{primary, waiter} {
+		_, err := s.WaitOutcome(ctx, rec.id)
+		if err == nil || !strings.Contains(err.Error(), "injected pass panic") {
+			t.Fatalf("job %s: err = %v, want the injected panic", rec.id, err)
+		}
+		_, st, _ := s.lookup(rec.id)
+		if st.State != StateFailed || !strings.Contains(st.Error, "server.(*Server).runJob") {
+			t.Errorf("job %s: state %s, error %q; want failed with a stack through runJob", rec.id, st.State, st.Error)
+		}
+	}
+	if got := om.Server.PassPanics.Load(); got != 1 {
+		t.Errorf("pass panics = %d, want 1", got)
+	}
+
+	next := submit("next", 2)
+	if _, err := s.WaitOutcome(ctx, next.id); err != nil {
+		t.Fatalf("the job after the panic: %v", err)
+	}
+	if _, st, _ := s.lookup(next.id); st.State != StateDone {
+		t.Errorf("the job after the panic is %s, want done", st.State)
+	}
+	if _, err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMissPassReleasesTraceBlocks pins what a miss pass allocates. The
+// daemon reads only the count of a sampled pass's records, so the pass
+// gives its trace's staging blocks back unread and the next pass stages
+// into them. A pass that kept its blocks would allocate them afresh
+// each time: about 386 KB for this one.
+func TestMissPassReleasesTraceBlocks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under -race")
+	}
+	gc := debug.SetGCPercent(-1)
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+	})
+	w, err := workload.ByName("canneal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := jobs.Capture("canneal", w.Build(workload.SizeSmall), nil, 16<<20)
+	pass := func() *Outcome {
+		t.Helper()
+		out, err := executePass(j, study.SampledConfig(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	first := pass() // stocks the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := pass()
+	runtime.ReadMemStats(&after)
+	if out.Records == 0 || out.Records != first.Records {
+		t.Fatalf("the passes counted %d and %d records, want the same nonzero count", first.Records, out.Records)
+	}
+	const ceiling = 128 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got >= ceiling {
+		t.Errorf("a miss pass of %d records allocated %d bytes, ceiling %d", out.Records, got, ceiling)
 	}
 }
