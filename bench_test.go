@@ -1,23 +1,16 @@
 package fpspy_test
 
-// The benchmark harness regenerates every table and figure of the
-// paper's evaluation. Run with:
-//
-//	go test -bench=. -benchmem
-//
-// Each BenchmarkFigureN measures the cost of regenerating that artifact
-// and, under -v or test logging, emits the rendered table. Key scalar
-// results (slowdowns, coverage counts) are reported as benchmark metrics
-// so regressions in the *shape* of a result are visible in benchmark
-// diffs. BenchmarkAblation* cover the design choices called out in
-// DESIGN.md.
+// Microbenchmarks of one layer each: the soft FPU's scalar ops and lane
+// kernels, the spy's per-event path, the shadow-precision channel and
+// the Section 6 mitigator (go test -run '^$' -bench . -benchmem .).
+// `fpstudy -only N` regenerates the paper's figures, internal/study's
+// TestGoldenStudyOutput pins them and checks their claims, and bench/
+// measures the system end to end.
 
 import (
 	"math"
 	"runtime"
 	"strconv"
-	"strings"
-	"sync"
 	"testing"
 
 	fpspy "repro"
@@ -26,389 +19,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/shadow"
 	"repro/internal/softfloat"
-	"repro/internal/study"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
-
-// kernelDefaultCost exposes the kernel cost model for ablations.
-func kernelDefaultCost() kernel.CostModel { return kernel.DefaultCostModel() }
-
-// sharedStudy caches pass results across benchmarks so the full bench
-// suite stays fast.
-var (
-	sharedStudy     *study.Study
-	sharedStudyOnce sync.Once
-)
-
-func getStudy() *study.Study {
-	sharedStudyOnce.Do(func() { sharedStudy = study.New() })
-	return sharedStudy
-}
-
-// benchTable runs a figure generator b.N times and logs the rendering.
-func benchTable(b *testing.B, gen func() (*study.Table, error)) *study.Table {
-	b.Helper()
-	var t *study.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		t, err = gen()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + t.Render())
-	return t
-}
-
-// cell reads a table cell by row label and column name. The first
-// matching header wins (Figure 8 has repeated mechanism groups).
-func cell(t *study.Table, row, col string) string {
-	ci := -1
-	for i, h := range t.Header {
-		if h == col {
-			ci = i
-			break
-		}
-	}
-	if ci < 0 {
-		return ""
-	}
-	for _, r := range t.Rows {
-		if r[0] == row {
-			return r[ci]
-		}
-	}
-	return ""
-}
-
-func BenchmarkFigure6Overhead(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Figure6)
-	// Report the headline slowdowns as metrics.
-	for _, r := range t.Rows {
-		if strings.Contains(r[0], "50:100") {
-			v, _ := strconv.ParseFloat(strings.TrimSuffix(r[len(r)-1], "x"), 64)
-			b.ReportMetric(v, "max-slowdown-x")
-		}
-	}
-}
-
-func BenchmarkFigure7Inventory(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Figure7)
-	b.ReportMetric(float64(len(t.Rows)), "codes")
-}
-
-func BenchmarkFigure8SourceAnalysis(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Figure8)
-	// WRF is the only application with dynamic floating point control.
-	if cell(t, "wrf", "fesetenv") != "T" {
-		b.Error("WRF fesetenv reference missing")
-	}
-}
-
-func BenchmarkFigure9Aggregate(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Figure9)
-	if cell(t, "enzo", "Invalid") != "T" || cell(t, "laghos", "DivideByZero") != "T" {
-		b.Error("Figure 9 headline cells wrong")
-	}
-	if cell(t, "wrf", "Inexact") != "f" {
-		b.Error("WRF row should be empty (FPSpy stepped aside)")
-	}
-}
-
-func BenchmarkFigure10Parsec(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Figure10)
-	b.ReportMetric(float64(len(t.Rows)), "benchmarks")
-}
-
-func BenchmarkFigure11Filtered(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Figure11)
-	if cell(t, "miniaero", "Overflow") != "T" {
-		b.Error("miniaero Overflow not captured by filtered tracing")
-	}
-}
-
-func BenchmarkFigure12EnzoNaNs(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Figure12)
-	// The NaN rate must rise over the run (Figure 12's shape).
-	first, _ := strconv.ParseFloat(t.Rows[0][1], 64)
-	lastQuarter := t.Rows[3*len(t.Rows)/4]
-	later, _ := strconv.ParseFloat(lastQuarter[1], 64)
-	if later <= first {
-		b.Errorf("NaN rate did not rise: %v -> %v", first, later)
-	}
-	b.ReportMetric(later/first, "rate-growth-x")
-}
-
-func BenchmarkFigure13LaghosBursts(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Figure13)
-	// Bursty: both zero bins and high-rate bins exist.
-	zeros, busy := 0, 0
-	for _, r := range t.Rows {
-		v, _ := strconv.ParseFloat(r[1], 64)
-		if v == 0 {
-			zeros++
-		} else {
-			busy++
-		}
-	}
-	if zeros == 0 || busy == 0 {
-		b.Errorf("no burst structure: %d zero bins, %d busy bins", zeros, busy)
-	}
-	b.ReportMetric(float64(busy)/float64(zeros+busy), "burst-duty")
-}
-
-func BenchmarkFigure14Sampled(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Figure14)
-	// Sampling keeps the common events and misses the rare windows.
-	if cell(t, "enzo", "Invalid") != "T" || cell(t, "laghos", "DivideByZero") != "T" {
-		b.Error("sampling lost a persistent event class")
-	}
-	if cell(t, "miniaero", "Denorm") != "f" || cell(t, "gromacs", "Denorm") != "f" {
-		b.Error("sampling should miss the one-shot denormal windows")
-	}
-	if cell(t, "wrf", "Inexact") != "T" {
-		b.Error("WRF rounding should be visible under sampling")
-	}
-}
-
-func BenchmarkFigure15InexactRates(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Figure15)
-	rate := func(name string) float64 {
-		v, _ := strconv.ParseFloat(cell(t, name, "Inexact events/s"), 64)
-		return v
-	}
-	// The paper's rate ordering: MOOSE and Miniaero at the top, GROMACS
-	// at the bottom, LAMMPS and WRF in the low group.
-	if rate("gromacs") >= rate("laghos") || rate("lammps") >= rate("laghos") {
-		b.Error("rate ordering: low group not below laghos")
-	}
-	if rate("moose") <= rate("enzo") || rate("miniaero") <= rate("enzo") {
-		b.Error("rate ordering: FEM/CFD codes should lead")
-	}
-	b.ReportMetric(rate("moose")/rate("gromacs"), "rate-spread-x")
-}
-
-func BenchmarkFigure16Cumulative(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Figure16)
-	// Cumulative counts are monotone by construction; verify growth.
-	for _, r := range t.Rows {
-		q1, _ := strconv.ParseFloat(r[1], 64)
-		end, _ := strconv.ParseFloat(r[4], 64)
-		if end < q1 || end == 0 {
-			b.Errorf("%s: cumulative curve broken (%v .. %v)", r[0], q1, end)
-		}
-	}
-}
-
-func BenchmarkFigure17FormRank(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Figure17)
-	// The paper: fewer than 45 forms per code; a handful cover 99%.
-	for _, r := range t.Rows {
-		forms, _ := strconv.Atoi(r[2])
-		cover, _ := strconv.Atoi(r[4])
-		if forms >= 45 {
-			b.Errorf("%s uses %d forms (>45)", r[0], forms)
-		}
-		if cover > 20 {
-			b.Errorf("%s needs %d forms for 99%% coverage", r[0], cover)
-		}
-	}
-}
-
-func BenchmarkFigure18FormHistogram(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Figure18)
-	// GROMACS-only forms exist and no other single code contributes a
-	// comparable private vocabulary.
-	found := false
-	for _, n := range t.Notes {
-		if strings.Contains(n, "GROMACS-only forms") {
-			found = true
-			// The paper's headline: exactly 25 exclusive forms.
-			if !strings.Contains(n, "GROMACS-only forms (25)") {
-				b.Errorf("exclusive form count drifted: %s", n)
-			}
-			for _, f := range []string{"vdpps", "vfmaddps", "vucomiss", "vcvttss2si", "cvtsi2sdq", "vsqrtsd"} {
-				if !strings.Contains(n, f) {
-					b.Errorf("GROMACS-only list missing %s", f)
-				}
-			}
-		}
-	}
-	if !found {
-		b.Error("no GROMACS-only note")
-	}
-}
-
-func BenchmarkFigure19AddressRank(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Figure19)
-	for _, r := range t.Rows {
-		sites, _ := strconv.Atoi(r[1])
-		cover, _ := strconv.Atoi(r[2])
-		if sites >= 5000 {
-			b.Errorf("%s has %d sites (>5000)", r[0], sites)
-		}
-		if cover > 100 {
-			b.Errorf("%s needs %d sites for 99%%", r[0], cover)
-		}
-	}
-}
-
-func BenchmarkSection6Mitigation(b *testing.B) {
-	s := getStudy()
-	t := benchTable(b, s.Section6)
-	// Locality should make patching win for every application.
-	for _, r := range t.Rows {
-		if r[len(r)-1] != "true" {
-			b.Errorf("%s: patching does not win despite locality", r[0])
-		}
-	}
-}
-
-// --- Ablations (design choices from DESIGN.md) ---
-
-// BenchmarkAblationFlagDetection compares the soft-float engine against
-// a hardware-float + FMA-residual scheme for inexact detection (the
-// alternative design for the FPU substrate).
-func BenchmarkAblationFlagDetection(b *testing.B) {
-	env := softfloat.Env{RM: softfloat.RoundNearestEven}
-	xs := make([]uint64, 1024)
-	for i := range xs {
-		xs[i] = math.Float64bits(1.0 + float64(i)*0.3)
-	}
-	b.Run("softfloat", func(b *testing.B) {
-		var flags softfloat.Flags
-		for i := 0; i < b.N; i++ {
-			a, c := xs[i%1024], xs[(i+7)%1024]
-			_, fl := softfloat.Mul64(a, c, env)
-			flags |= fl
-		}
-		_ = flags
-	})
-	b.Run("hw-residual", func(b *testing.B) {
-		inexact := false
-		for i := 0; i < b.N; i++ {
-			a := math.Float64frombits(xs[i%1024])
-			c := math.Float64frombits(xs[(i+7)%1024])
-			p := a * c
-			// Residual-based detection: exact iff fma(a,c,-p) == 0.
-			inexact = math.FMA(a, c, -p) != 0 || inexact
-		}
-		_ = inexact
-	})
-}
-
-// BenchmarkAblationTrapStrategy compares the single-event mechanisms:
-// the TF single-step protocol, the *implemented* Section 3.8 breakpoint
-// protocol (stub the next instruction with an invalid opcode), and a
-// hypothetical one-crossing scheme modeled by zeroing the trap cost.
-func BenchmarkAblationTrapStrategy(b *testing.B) {
-	run := func(breakpoints, trapFree bool) float64 {
-		opts := fpspy.Options{Config: fpspy.Config{
-			Mode: fpspy.ModeIndividual, SampleOnUS: 50, SampleOffUS: 100,
-			Poisson: true, VirtualTimer: true, Breakpoints: breakpoints,
-		}}
-		if trapFree {
-			cm := kernelDefaultCost()
-			cm.Trap = 0
-			opts.CostModel = &cm
-		}
-		res, err := fpspy.Run(workload.BuildMiniaeroCalibrated(workload.SizeLarge), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return float64(res.WallCycles)
-	}
-	var tf, brk, oneCross float64
-	for i := 0; i < b.N; i++ {
-		tf = run(false, false)
-		brk = run(true, false)
-		oneCross = run(false, true)
-	}
-	b.ReportMetric(tf/oneCross, "two-vs-one-crossing-x")
-	b.ReportMetric(brk/tf, "breakpoint-vs-tf-x")
-	// Both real mechanisms take two kernel crossings per event; they
-	// must cost the same to within scheduling noise.
-	if brk/tf > 1.05 || brk/tf < 0.95 {
-		b.Errorf("breakpoint protocol cost diverged: %.3f", brk/tf)
-	}
-}
-
-// BenchmarkAblationSampling compares Poisson temporal sampling against
-// deterministic 1-in-N subsampling at matched capture budgets: the
-// temporal sampler preserves temporal structure, the subsampler
-// preserves per-event-type proportions.
-func BenchmarkAblationSampling(b *testing.B) {
-	w, err := workload.ByName("laghos")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var poisson, everyN int
-	for i := 0; i < b.N; i++ {
-		p, err := fpspy.Run(w.Build(workload.SizeLarge), fpspy.Options{
-			Config: fpspy.Config{Mode: fpspy.ModeIndividual,
-				SampleOnUS: 5, SampleOffUS: 100, Poisson: true, VirtualTimer: true},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		n, err := fpspy.Run(w.Build(workload.SizeLarge), fpspy.Options{
-			Config: fpspy.Config{Mode: fpspy.ModeIndividual, SampleEvery: 20},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		poisson = len(p.MustRecords())
-		everyN = len(n.MustRecords())
-	}
-	b.ReportMetric(float64(poisson), "poisson-records")
-	b.ReportMetric(float64(everyN), "subsample-records")
-}
-
-// BenchmarkAblationTraceWriter measures buffered record writing against
-// per-record writes.
-func BenchmarkAblationTraceWriter(b *testing.B) {
-	rec := trace.Record{Time: 1, Rip: 2, Rsp: 3, TID: 4}
-	b.Run("buffered", func(b *testing.B) {
-		w := trace.NewWriter(discard{})
-		for i := 0; i < b.N; i++ {
-			rec.Seq = uint64(i)
-			if err := w.Append(&rec); err != nil {
-				b.Fatal(err)
-			}
-		}
-		_ = w.Flush()
-	})
-	b.Run("unbuffered", func(b *testing.B) {
-		var buf [trace.RecordSize]byte
-		d := discard{}
-		for i := 0; i < b.N; i++ {
-			rec.Seq = uint64(i)
-			rec.Encode(buf[:])
-			if _, err := d.Write(buf[:]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkSpyCore measures the end-to-end cost of one traced floating
 // point event (fault, record, single-step, restore).
@@ -428,46 +39,17 @@ func BenchmarkSpyCore(b *testing.B) {
 	// Regression gate for the fast-path engine: before per-machine event
 	// scratch and per-task signal scratch, each of the 2000 traced events
 	// heap-allocated its event, siginfo, and mcontext (~12k allocs per
-	// run). The run sits at ~141 allocs: store, trace buffer, simulation
-	// setup, and the superblock region cache (one sbCache slice per machine plus one meta slice per
-	// distinct region start, regions that start at a branch included — a
-	// fixed cost per program shape, never per event, per region re-entry
-	// or per chained branch). The ceiling leaves headroom for
-	// those fixed costs but not for any per-event or per-dispatch
-	// allocation creeping back in.
+	// run). A run now makes about 135: the store, simulation setup and
+	// the superblock region cache, a fixed cost per program shape, never
+	// per event, region re-entry or chained branch. The ceiling leaves
+	// headroom for those fixed costs but not for any per-event or
+	// per-dispatch allocation creeping back in.
 	if allocs := testing.AllocsPerRun(1, spy); allocs > 500 {
 		b.Fatalf("spy core allocates %.0f times per run; per-event or per-region allocation has crept back in", allocs)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		spy()
-	}
-}
-
-// BenchmarkStudyFull regenerates the paper's entire evaluation from a
-// cold cache, serially and on the parallel pass scheduler. The two
-// produce byte-identical output (TestParallelStudyMatchesSerial); this
-// measures what the scheduler buys in wall clock on multi-core hosts.
-func BenchmarkStudyFull(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", 0}, // one worker per CPU
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := study.NewWithWorkers(bc.workers)
-				tables, err := s.All()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(tables) != 15 {
-					b.Fatalf("artifacts = %d, want 15", len(tables))
-				}
-			}
-		})
 	}
 }
 
@@ -508,70 +90,73 @@ func BenchmarkSoftFloatOps(b *testing.B) {
 	})
 }
 
-// BenchmarkSection37Scaling reproduces the paper's Section 3.7 claim:
-// FPSpy is embarrassingly parallel with a fixed overhead per thread, so
-// per-thread cost stays flat as thread count grows.
-func BenchmarkSection37Scaling(b *testing.B) {
-	build := func(threads int) *fpspy.Program {
-		pb := fpspy.NewProgram("scaling")
-		worker := pb.Label("worker")
-		for i := 0; i < threads; i++ {
-			pb.Lea(1, worker)
-			pb.Movi(2, int64(i))
-			pb.CallC("pthread_create")
+// BenchmarkSoftFloatLanes compares per-lane scalar dispatch (what the
+// machine's packed path did before lane batching: one exported-function
+// call and flag merge per lane) against the lane kernels, per lane
+// width; the binary32 kernel works on the packed register words. The
+// per-lane rounding work is identical by construction
+// (softfloat's TestLanesMatchScalar pins the kernels to the scalar ops
+// bit for bit).
+func BenchmarkSoftFloatLanes(b *testing.B) {
+	env := softfloat.Env{RM: softfloat.RoundNearestEven}
+
+	a64 := make([]uint64, isa.VecWords)
+	c64 := make([]uint64, isa.VecWords)
+	d64 := make([]uint64, isa.VecWords)
+	for i := range a64 {
+		a64[i] = math.Float64bits(0.1 + float64(i)*0.3)
+		c64[i] = math.Float64bits(0.2 + float64(i)*0.7)
+	}
+	b.Run("width64/scalar", func(b *testing.B) {
+		var fl softfloat.Flags
+		for i := 0; i < b.N; i++ {
+			for l := range d64 {
+				z, f := softfloat.Add64(a64[l], c64[l], env)
+				d64[l] = z
+				fl |= f
+			}
 		}
-		// Main waits for all workers via a shared counter.
-		pb.Movi(7, 1024)
-		wait := pb.Label("wait")
-		pb.Bind(wait)
-		pb.Ld(6, 7, 0)
-		pb.Movi(5, int64(threads))
-		pb.Bne(6, 5, wait)
-		pb.Hlt()
-		pb.Bind(worker)
-		// Each worker produces 200 rounding events.
-		pb.Movi(6, int64(math.Float64bits(1)))
-		pb.Movqx(0, 6)
-		pb.Movi(6, int64(math.Float64bits(3)))
-		pb.Movqx(1, 6)
-		pb.Movi(8, 0)
-		pb.Movi(9, 200)
-		top := pb.Label("top")
-		pb.Bind(top)
-		pb.FP2(isa.OpDIVSD, 2, 0, 1)
-		pb.Addi(8, 8, 1)
-		pb.Blt(8, 9, top)
-		// count++ (single-writer increments are serialized by the
-		// cooperative scheduler's quantum granularity; fine for a bench).
-		pb.Movi(7, 1024)
-		pb.Ld(6, 7, 0)
-		pb.Addi(6, 6, 1)
-		pb.St(7, 0, 6)
-		pb.CallC("pthread_exit")
-		return pb.Build()
-	}
-	perThread := map[int]float64{}
-	for _, threads := range []int{1, 4, 16} {
-		threads := threads
-		res, err := fpspy.Run(build(threads), fpspy.Options{
-			Config: fpspy.Config{Mode: fpspy.ModeIndividual},
-		})
-		if err != nil {
-			b.Fatal(err)
+		_ = fl
+	})
+	b.Run("width64/lanes", func(b *testing.B) {
+		var fl softfloat.Flags
+		for i := 0; i < b.N; i++ {
+			fl |= softfloat.Lanes64(softfloat.OpAdd, d64, a64, c64, c64, 1<<len(d64)-1, env)
 		}
-		if got := len(res.Store.Threads()); got != threads+1 {
-			b.Fatalf("%d threads: traced %d", threads, got)
+		_ = fl
+	})
+
+	lanes32 := 2 * isa.VecWords
+	a32 := make([]uint32, lanes32)
+	c32 := make([]uint32, lanes32)
+	d32 := make([]uint32, lanes32)
+	aw := make([]uint64, isa.VecWords)
+	cw := make([]uint64, isa.VecWords)
+	dw := make([]uint64, isa.VecWords)
+	for i := range a32 {
+		a32[i] = math.Float32bits(0.1 + float32(i)*0.3)
+		c32[i] = math.Float32bits(0.2 + float32(i)*0.7)
+		aw[i/2] |= uint64(a32[i]) << (32 * uint(i%2))
+		cw[i/2] |= uint64(c32[i]) << (32 * uint(i%2))
+	}
+	b.Run("width32/scalar", func(b *testing.B) {
+		var fl softfloat.Flags
+		for i := 0; i < b.N; i++ {
+			for l := range d32 {
+				z, f := softfloat.Add32(a32[l], c32[l], env)
+				d32[l] = z
+				fl |= f
+			}
 		}
-		perThread[threads] = float64(res.SysCycles) / float64(threads)
-	}
-	for i := 0; i < b.N; i++ {
-		_ = build(4)
-	}
-	ratio := perThread[16] / perThread[1]
-	b.ReportMetric(ratio, "per-thread-cost-16v1-x")
-	if ratio > 1.5 || ratio < 0.6 {
-		b.Errorf("per-thread overhead not flat: 1->%0.f 16->%0.f cycles", perThread[1], perThread[16])
-	}
+		_ = fl
+	})
+	b.Run("width32/lanes", func(b *testing.B) {
+		var fl softfloat.Flags
+		for i := 0; i < b.N; i++ {
+			fl |= softfloat.Lanes32(softfloat.OpAdd, dw, aw, cw, cw, 1<<lanes32-1, env)
+		}
+		_ = fl
+	})
 }
 
 // BenchmarkSection6MitigationFlavors validates the feasibility model's

@@ -23,9 +23,10 @@ func reportAbsint(name, sizeName string, recs []trace.Record) bool {
 		fmt.Fprintln(os.Stderr, "fpanalyze:", err)
 		os.Exit(1)
 	}
-	size := workload.SizeLarge
-	if sizeName == "small" {
-		size = workload.SizeSmall
+	size, err := workload.ParseSize(sizeName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fpanalyze:", err)
+		os.Exit(2)
 	}
 	prog := w.Build(size)
 	res := absint.Analyze(prog)

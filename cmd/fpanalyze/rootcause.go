@@ -25,9 +25,10 @@ func reportRootCause(name, sizeName string, prec uint64, mitPrec uint, top int) 
 		fmt.Fprintln(os.Stderr, "fpanalyze:", err)
 		os.Exit(1)
 	}
-	size := workload.SizeLarge
-	if sizeName == "small" {
-		size = workload.SizeSmall
+	size, err := workload.ParseSize(sizeName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fpanalyze:", err)
+		os.Exit(2)
 	}
 
 	run, err := fpspy.Run(w.Build(size), fpspy.Options{

@@ -103,13 +103,9 @@ func capture(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	sz := workload.SizeLarge
-	switch *size {
-	case "large":
-	case "small":
-		sz = workload.SizeSmall
-	default:
-		fatal(fmt.Errorf("unknown size %q", *size))
+	sz, err := workload.ParseSize(*size)
+	if err != nil {
+		fatal(err)
 	}
 	job := jobs.Capture(*name, w.Build(sz), env, *mem)
 	blob, err := job.Encode()

@@ -93,13 +93,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: fpmon [-interval DUR] <workload> | -study | -snapshot FILE")
 			os.Exit(2)
 		}
-		sz := workload.SizeLarge
-		switch *size {
-		case "large":
-		case "small":
-			sz = workload.SizeSmall
-		default:
-			fmt.Fprintf(os.Stderr, "fpmon: unknown size %q\n", *size)
+		sz, err := workload.ParseSize(*size)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "fpmon:", err)
 			os.Exit(2)
 		}
 		w, err := workload.ByName(flag.Arg(0))

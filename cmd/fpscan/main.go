@@ -54,13 +54,9 @@ func main() {
 		defer srv.Close()
 	}
 
-	size := workload.SizeLarge
-	switch *sizeFlag {
-	case "large":
-	case "small":
-		size = workload.SizeSmall
-	default:
-		fmt.Fprintf(os.Stderr, "fpscan: unknown size %q\n", *sizeFlag)
+	size, err := workload.ParseSize(*sizeFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fpscan:", err)
 		os.Exit(2)
 	}
 

@@ -82,14 +82,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: fpspy [-list] [-size small|large] [-out DIR] [-nospy] <workload>")
 		os.Exit(2)
 	}
-	var sz workload.Size
-	switch *size {
-	case "small":
-		sz = workload.SizeSmall
-	case "large":
-		sz = workload.SizeLarge
-	default:
-		fmt.Fprintf(os.Stderr, "fpspy: unknown size %q\n", *size)
+	sz, err := workload.ParseSize(*size)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fpspy:", err)
 		os.Exit(2)
 	}
 	w, err := workload.ByName(flag.Arg(0))

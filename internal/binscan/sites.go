@@ -37,10 +37,6 @@ type LibcRef struct {
 	ReachableSites int
 }
 
-// Present reports whether the symbol is referenced anywhere in the text
-// — the grep answer of the paper's Figure 8.
-func (r LibcRef) Present() bool { return r.Sites > 0 }
-
 // Reachable reports whether any referencing site is reachable — the
 // distinction the paper's grep pass cannot make.
 func (r LibcRef) Reachable() bool { return r.ReachableSites > 0 }

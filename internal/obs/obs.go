@@ -121,15 +121,6 @@ func (m *Metrics) SpyMetricsOrNil() *SpyMetrics {
 	return &m.Spy
 }
 
-// FlopMetricsOrNil returns the FLOP accounting group, or nil when
-// observability is disabled.
-func (m *Metrics) FlopMetricsOrNil() *FlopMetrics {
-	if m == nil {
-		return nil
-	}
-	return &m.Flop
-}
-
 // ShadowMetricsOrNil returns the shadow-channel instrument group, or
 // nil when observability is disabled.
 func (m *Metrics) ShadowMetricsOrNil() *ShadowMetrics {
@@ -274,16 +265,6 @@ func (f *FlopMetrics) Total() uint64 {
 			f.FMA[p].Load() + f.Convert[p].Load() + f.Compare[p].Load() + f.Round[p].Load()
 	}
 	return sum
-}
-
-// TotalByPrec returns the FLOP total for one precision index.
-func (f *FlopMetrics) TotalByPrec(p int) uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.Add[p].Load() + f.Sub[p].Load() + f.Mul[p].Load() +
-		f.Div[p].Load() + f.Sqrt[p].Load() + f.Min[p].Load() + f.Max[p].Load() +
-		f.FMA[p].Load() + f.Convert[p].Load() + f.Compare[p].Load() + f.Round[p].Load()
 }
 
 // SpyMetrics instruments FPSpy's monitoring core.

@@ -61,8 +61,7 @@ const (
 
 // Options configures a Server.
 type Options struct {
-	// Workers sizes the study worker pool (0 = one per CPU). Ignored
-	// when Study is supplied.
+	// Workers sizes the study worker pool (0 = one per CPU).
 	Workers int
 	// Shards is the number of queue shards (default 4).
 	Shards int
@@ -81,9 +80,6 @@ type Options struct {
 	// hit/miss, shed counters, per-endpoint latency) and is served on
 	// /metrics. The same registry is threaded through every pass.
 	Obs *obs.Metrics
-	// Study, when non-nil, is the shared pass scheduler; the daemon
-	// otherwise creates its own with Workers workers.
-	Study *study.Study
 	// BeforeRun, when set, is called after a job enters StateRunning and
 	// before its pass executes. Tests (here and in internal/cluster)
 	// gate on it to hold a pass in flight; production leaves it nil.
@@ -202,13 +198,8 @@ func New(o Options) (*Server, error) {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
-	st := o.Study
-	if st == nil {
-		st = study.NewWithWorkers(o.Workers)
-	}
-	if st.Obs == nil {
-		st.Obs = o.Obs
-	}
+	st := study.NewWithWorkers(o.Workers)
+	st.Obs = o.Obs
 	s := &Server{
 		opts:   o,
 		study:  st,

@@ -143,9 +143,6 @@ func (ch *Channel) Prec() uint { return ch.prec }
 // Stats returns the channel's scalar accounting so far.
 func (ch *Channel) Stats() Stats { return ch.stats }
 
-// SiteCount returns the number of distinct attributed sites.
-func (ch *Channel) SiteCount() int { return len(ch.sites) }
-
 // Sites converts the per-site aggregation into attribution rows,
 // ordered by address. Ranking is the aggregator's job
 // (analysis.BuildRootCause).

@@ -48,6 +48,10 @@ func (s *Study) work() studyWork {
 // fails here too. Regenerate both intentionally with:
 //
 //	go test ./internal/study -run Golden -update
+//
+// The paper's claims (claims_test.go) are checked on the same tables
+// first, so neither a comparison nor -update gets past a study that
+// breaks one.
 func TestGoldenStudyOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study in -short mode")
@@ -57,13 +61,10 @@ func TestGoldenStudyOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	for _, tbl := range tables {
-		sb.WriteString(tbl.Render())
-		sb.WriteString("\n")
+	if checkPaperClaims(t, tables); t.Failed() {
+		t.FailNow()
 	}
-	got := sb.String()
-
+	got := renderStudy(tables)
 	golden := filepath.Join("testdata", "study.golden")
 	workGolden := filepath.Join("testdata", "work.golden")
 	if *updateGolden {
@@ -90,16 +91,31 @@ func TestGoldenStudyOutput(t *testing.T) {
 	if w := s.work().String(); w != string(wantWork) {
 		t.Errorf("study work changed:\n got:\n%s want:\n%s", w, wantWork)
 	}
-	if got == string(want) {
-		return
+	if d := firstDiff(got, string(want)); d != "" {
+		t.Fatalf("study output %s", d)
 	}
-	// Report the first differing line for a usable failure message.
-	gl := strings.Split(got, "\n")
-	wl := strings.Split(string(want), "\n")
+}
+
+// renderStudy is the study as study.golden holds it.
+func renderStudy(tables []*Table) string {
+	var sb strings.Builder
+	for _, tbl := range tables {
+		sb.WriteString(tbl.Render())
+		sb.WriteString("\n")
+	}
+	return sb.String()
+}
+
+// firstDiff says where got first departs from want, or "" if they match.
+func firstDiff(got, want string) string {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("study output diverged at line %d:\n got  %q\n want %q", i+1, gl[i], wl[i])
+			return fmt.Sprintf("diverged at line %d:\n got  %q\n want %q", i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("study output length changed: %d vs %d lines", len(gl), len(wl))
+	if len(gl) != len(wl) {
+		return fmt.Sprintf("length changed: %d vs %d lines", len(gl), len(wl))
+	}
+	return ""
 }

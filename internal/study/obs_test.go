@@ -32,25 +32,12 @@ func TestGoldenStudyOutputUnderObs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	for _, tbl := range tables {
-		sb.WriteString(tbl.Render())
-		sb.WriteString("\n")
-	}
-	got := sb.String()
-
 	want, err := os.ReadFile(filepath.Join("testdata", "study.golden"))
 	if err != nil {
 		t.Fatalf("golden file missing (run TestGoldenStudyOutput with -update): %v", err)
 	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("instrumented study diverged from golden at line %d:\n got  %q\n want %q", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("instrumented study length changed: %d vs %d lines", len(gl), len(wl))
+	if d := firstDiff(renderStudy(tables), string(want)); d != "" {
+		t.Fatalf("instrumented study %s", d)
 	}
 	if om.Snapshot().Counters[obs.NameStudyPassesExecuted] == 0 {
 		t.Fatal("registry observed no passes; transparency test proved nothing")

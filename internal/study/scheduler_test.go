@@ -1,7 +1,6 @@
 package study
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -130,25 +129,11 @@ func TestParallelStudyMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sb strings.Builder
-		for _, tbl := range tables {
-			sb.WriteString(tbl.Render())
-			sb.WriteString("\n")
-		}
-		return sb.String()
+		return renderStudy(tables)
 	}
-	serial := render(1)
-	parallel := render(8)
-	if serial == parallel {
-		return
+	if d := firstDiff(render(8), render(1)); d != "" {
+		t.Fatalf("parallel output (got) against serial (want) %s", d)
 	}
-	sl, pl := strings.Split(serial, "\n"), strings.Split(parallel, "\n")
-	for i := 0; i < len(sl) && i < len(pl); i++ {
-		if sl[i] != pl[i] {
-			t.Fatalf("parallel output diverged at line %d:\n serial   %q\n parallel %q", i+1, sl[i], pl[i])
-		}
-	}
-	t.Fatalf("output length changed: %d vs %d lines", len(sl), len(pl))
 }
 
 // TestPassCacheDecodesOnce pins the pass cache's work: a figure runs

@@ -39,7 +39,7 @@ func TestMark(t *testing.T) {
 
 // TestFullStudyProducesAllArtifacts runs the entire Section 4
 // methodology end-to-end — the integration test behind cmd/fpstudy and
-// the benchmark harness.
+// bench/'s study workload.
 func TestFullStudyProducesAllArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study in -short mode")

@@ -1,8 +1,8 @@
 // Package study drives the paper's Section 4 methodology end-to-end over
 // the workload suite and renders every table and figure of the
 // evaluation (Figures 6 through 19, plus the Section 6 feasibility
-// analysis). It is shared by cmd/fpstudy and the benchmark harness in
-// bench_test.go.
+// analysis). It is shared by cmd/fpstudy, fpspyd and the benchmark in
+// bench/.
 package study
 
 import (

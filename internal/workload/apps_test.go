@@ -115,6 +115,15 @@ func TestAppsSmallSizeAlsoRun(t *testing.T) {
 	}
 }
 
+func TestParseSize(t *testing.T) {
+	small, err1 := workload.ParseSize("small")
+	large, err2 := workload.ParseSize("large")
+	_, err3 := workload.ParseSize("medium")
+	if small != workload.SizeSmall || large != workload.SizeLarge || err1 != nil || err2 != nil || err3 == nil {
+		t.Errorf("small: %v, %v; large: %v, %v; medium: %v", small, err1, large, err2, err3)
+	}
+}
+
 func TestStaticAnalysisMatchesFigure8(t *testing.T) {
 	// The Figure 8 matrix is now *computed* by binscan from the guest
 	// binaries, so the assertions are generated the same way: for each

@@ -50,6 +50,17 @@ const (
 	SizeLarge
 )
 
+// ParseSize reads a -size flag: "small" or "large".
+func ParseSize(s string) (Size, error) {
+	switch s {
+	case "small":
+		return SizeSmall, nil
+	case "large":
+		return SizeLarge, nil
+	}
+	return 0, fmt.Errorf("unknown size %q", s)
+}
+
 // Meta carries the Figure 7 and Figure 8 bookkeeping for a workload.
 type Meta struct {
 	// Name is the workload's name as the paper spells it.

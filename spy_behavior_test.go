@@ -8,6 +8,7 @@ import (
 	fpspy "repro"
 	"repro/internal/chaos"
 	"repro/internal/isa"
+	"repro/internal/workload"
 )
 
 // buildTimerUserProgram hooks SIGVTALRM (the virtual sampler signal) and
@@ -296,6 +297,85 @@ func TestBreakpointProtocolMatchesTF(t *testing.T) {
 	if code := legs[0].Procs[0].ExitCode; code != 0 {
 		t.Fatalf("exit %d", code)
 	}
+}
+
+// TestBreakpointProtocolCostsAsTF: the breakpoint protocol, like TF
+// single-stepping, takes two kernel crossings per event, so on the
+// calibrated Miniaero under Figure 6's 50:100 sampling the two cost the
+// same wall cycles to within 5%.
+func TestBreakpointProtocolCostsAsTF(t *testing.T) {
+	wall := func(breakpoints bool) float64 {
+		res, err := fpspy.Run(workload.BuildMiniaeroCalibrated(workload.SizeLarge), fpspy.Options{Config: fpspy.Config{
+			Mode: fpspy.ModeIndividual, SampleOnUS: 50, SampleOffUS: 100,
+			Poisson: true, VirtualTimer: true, Breakpoints: breakpoints,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Store.Recorded == 0 {
+			t.Fatal("no events traced")
+		}
+		return float64(res.WallCycles)
+	}
+	if r := wall(true) / wall(false); r < 0.95 || r > 1.05 {
+		t.Errorf("breakpoint/TF wall cycles = %.3f, want within [0.95, 1.05]", r)
+	}
+}
+
+// TestPerThreadCostFlat is Section 3.7's scaling claim: FPSpy costs a
+// fixed amount per thread, so the system cycles per worker thread stay
+// flat from 1 to 16 workers, each tracing 200 rounding events.
+func TestPerThreadCostFlat(t *testing.T) {
+	perThread := map[int]float64{}
+	for _, n := range []int{1, 4, 16} {
+		res, err := fpspy.Run(buildWorkersProgram(n), fpspy.Options{Config: fpspy.Config{Mode: fpspy.ModeIndividual}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(res.Store.Threads()); got != n+1 {
+			t.Fatalf("%d workers: %d traced threads, want %d", n, got, n+1)
+		}
+		perThread[n] = float64(res.SysCycles) / float64(n)
+	}
+	if r := perThread[16] / perThread[1]; r < 0.6 || r > 1.5 {
+		t.Errorf("per-thread sys cycles 16 vs 1 workers = %.3f (%.0f vs %.0f), want within [0.6, 1.5]", r, perThread[16], perThread[1])
+	}
+}
+
+// buildWorkersProgram starts n worker threads that each divide 1 by 3
+// 200 times and then bump a shared counter, which the main thread
+// waits on.
+func buildWorkersProgram(n int) *fpspy.Program {
+	b := fpspy.NewProgram("workers")
+	worker := b.Label("worker")
+	for range n {
+		b.Lea(isa.R1, worker)
+		b.CallC("pthread_create")
+	}
+	b.Movi(isa.R7, 1024)
+	wait := b.Label("wait")
+	b.Bind(wait)
+	b.Ld(isa.R6, isa.R7, 0)
+	b.Movi(isa.R5, int64(n))
+	b.Bne(isa.R6, isa.R5, wait)
+	b.Hlt()
+	b.Bind(worker)
+	divConsts(b)
+	b.Movi(isa.R8, 0)
+	b.Movi(isa.R9, 200)
+	top := b.Label("top")
+	b.Bind(top)
+	b.FP2(isa.OpDIVSD, isa.X2, isa.X0, isa.X1)
+	b.Addi(isa.R8, isa.R8, 1)
+	b.Blt(isa.R8, isa.R9, top)
+	// An unlocked increment: the deterministic scheduler's quanta do not
+	// split it at these thread counts.
+	b.Movi(isa.R7, 1024)
+	b.Ld(isa.R6, isa.R7, 0)
+	b.Addi(isa.R6, isa.R6, 1)
+	b.St(isa.R7, 0, isa.R6)
+	b.CallC("pthread_exit")
+	return b.Build()
 }
 
 // TestBreakpointProtocolWithThreads exercises per-thread breakpoint state.
