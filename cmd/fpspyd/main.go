@@ -1,13 +1,14 @@
 // Command fpspyd is the study-as-a-service daemon: it serves the
 // fpspy HTTP/JSON API (POST /v1/jobs, POST /v1/shadowjobs,
 // GET /v1/jobs/{id}, GET /v1/jobs/{id}/result, GET /v1/figures,
-// GET /metrics) backed by a sharded bounded job queue, a
-// content-addressed result cache, and per-client rate limiting,
-// replaying submission clones on the study scheduler's worker pool.
+// GET /metrics) backed by one bounded job queue, a content-addressed
+// result cache, and per-client rate limiting, replaying submission
+// clones on the study scheduler's worker pool. -workers alone sets how
+// many passes run at once: one dispatcher drains the queue per worker.
 //
 // Usage:
 //
-//	fpspyd [-addr 127.0.0.1:8765] [-workers N] [-shards 4] [-queue 64]
+//	fpspyd [-addr 127.0.0.1:8765] [-workers N] [-queue 256]
 //	       [-rate R -burst B] [-state queue.gob] [-addrfile FILE]
 //	       [-peers URL,URL,...] [-advertise URL] [-join URL]
 //
@@ -46,9 +47,8 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8765", "listen address (use :0 for an ephemeral port)")
 	addrFile := flag.String("addrfile", "", "write the bound address to this file (for scripts using :0)")
-	workers := flag.Int("workers", 0, "study worker pool size (0 = one per CPU)")
-	shards := flag.Int("shards", 4, "job queue shards")
-	queue := flag.Int("queue", 64, "queue depth per shard")
+	workers := flag.Int("workers", 0, "study worker pool size and passes run at once (0 = one per CPU)")
+	queue := flag.Int("queue", 256, "job queue depth")
 	rate := flag.Float64("rate", 0, "per-client submissions per second (0 = unlimited)")
 	burst := flag.Int("burst", 8, "rate limiter burst")
 	stateFile := flag.String("state", "", "persist queued jobs here across restarts")
@@ -60,7 +60,6 @@ func main() {
 	om := obs.New(obs.Options{TraceCapacity: 1 << 18})
 	srv, err := server.New(server.Options{
 		Workers:    *workers,
-		Shards:     *shards,
 		QueueDepth: *queue,
 		RatePerSec: *rate,
 		Burst:      *burst,

@@ -139,8 +139,6 @@ type Options struct {
 	MaxSteps uint64
 	// Env adds extra environment variables to the guest.
 	Env map[string]string
-	// CostModel overrides the kernel cycle cost model.
-	CostModel *kernel.CostModel
 	// NoFastPath forces the precise single-step engine, the reference
 	// the default superblock engine is checked against (the
 	// reproducibility suite and the engine differentials run both and
@@ -216,9 +214,6 @@ func launch(prog *Program, opts Options, store *Store, env map[string]string, na
 		opts.MaxSteps = 500_000_000
 	}
 	k := kernel.New()
-	if opts.CostModel != nil {
-		k.Cost = *opts.CostModel
-	}
 	k.NoFastPath = opts.NoFastPath
 	k.Inject = opts.Inject
 	k.Obs = opts.Obs

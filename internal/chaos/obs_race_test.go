@@ -32,7 +32,7 @@ func TestThreadStormSharedRegistryRace(t *testing.T) {
 				default:
 					snap := om.Snapshot()
 					_ = snap.Counters["spy.faults"]
-					_ = om.Tracer.ExportJSON(io.Discard)
+					_ = om.Tracer.ExportChromeTrace(io.Discard)
 				}
 			}
 		}()

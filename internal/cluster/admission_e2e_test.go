@@ -203,7 +203,7 @@ func TestForwardFailsOnFullQueue(t *testing.T) {
 	started := make(chan struct{}, 1)
 	peers := newTestCluster(t, 3, func(i int, so *server.Options, _ *cluster.Options) {
 		if i == 0 {
-			so.Workers, so.Shards, so.QueueDepth = 1, 1, 1
+			so.Workers, so.QueueDepth = 1, 1
 			prev := so.BeforeRun
 			so.BeforeRun = func(id string) {
 				prev(id)

@@ -115,7 +115,7 @@ func newTestCluster(t testing.TB, n int, mod func(i int, so *server.Options, co 
 			}
 		}
 		so := server.Options{
-			Workers: 2, Shards: 2, QueueDepth: 32, Obs: p.om,
+			Workers: 2, QueueDepth: 32, Obs: p.om,
 			BeforeRun: func(string) { p.passes.Add(1) },
 		}
 		co := cluster.Options{

@@ -46,7 +46,7 @@ func (rt *replayTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 // cache. The intact reply is then accepted and installed, proving the
 // rejections came from the digest and not from a broken harness.
 func TestCorruptReplyNeverInstalled(t *testing.T) {
-	srv, err := server.New(server.Options{Workers: 1, Shards: 1, QueueDepth: 4})
+	srv, err := server.New(server.Options{Workers: 1, QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCorruptReplyNeverInstalled(t *testing.T) {
 // body does not match its digest is answered 5xx (so the sender
 // retries) before any handler decodes it.
 func TestCorruptRequestRefused(t *testing.T) {
-	srv, err := server.New(server.Options{Workers: 1, Shards: 1, QueueDepth: 4})
+	srv, err := server.New(server.Options{Workers: 1, QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

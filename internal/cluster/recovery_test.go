@@ -99,7 +99,7 @@ func newScripted(t *testing.T, beforeRun func(id string)) *scripted {
 	t.Helper()
 	s := &scripted{om: obs.New(obs.Options{}), peer: &scriptPeer{}}
 	srv, err := server.New(server.Options{
-		Workers: 1, Shards: 1, QueueDepth: 4, Obs: s.om,
+		Workers: 1, QueueDepth: 4, Obs: s.om,
 		BeforeRun: func(id string) {
 			s.passes.Add(1)
 			if beforeRun != nil {

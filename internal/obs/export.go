@@ -1,89 +1,9 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 )
-
-// jsonEvent is the wire form of one tracer event. Phase travels as a
-// one-letter string so exported traces are self-describing.
-type jsonEvent struct {
-	TS      int64  `json:"ts"`
-	Dur     int64  `json:"dur,omitempty"`
-	PID     int    `json:"pid"`
-	TID     int    `json:"tid"`
-	Phase   string `json:"ph"`
-	Cat     string `json:"cat"`
-	Name    string `json:"name"`
-	ArgName string `json:"argName,omitempty"`
-	Arg     uint64 `json:"arg,omitempty"`
-}
-
-// jsonTrace is the wire form of a full trace export.
-type jsonTrace struct {
-	Events  []jsonEvent `json:"events"`
-	Emitted uint64      `json:"emitted"`
-	Dropped uint64      `json:"dropped"`
-}
-
-// ExportJSON writes the tracer's surviving events, plus emitted/dropped
-// accounting, in the package's own JSON schema (the format
-// ParseTraceJSON accepts).
-func (t *Tracer) ExportJSON(w io.Writer) error {
-	evs := t.Events()
-	out := jsonTrace{
-		Events:  make([]jsonEvent, len(evs)),
-		Emitted: t.Emitted(),
-		Dropped: t.Dropped(),
-	}
-	for i, ev := range evs {
-		out.Events[i] = jsonEvent{
-			TS: ev.TS, Dur: ev.Dur, PID: ev.PID, TID: ev.TID,
-			Phase: string(rune(ev.Phase)), Cat: ev.Cat, Name: ev.Name,
-			ArgName: ev.ArgName, Arg: ev.Arg,
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
-}
-
-// ParseTraceJSON parses an ExportJSON document back into events.
-// Malformed input — bad JSON, unknown fields, invalid phases, negative
-// timestamps or durations — returns an error; it never panics. Any
-// accepted document round-trips through ExportJSON bit-compatibly at
-// the event level.
-func ParseTraceJSON(data []byte) ([]Event, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var in jsonTrace
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("obs: trace parse: %w", err)
-	}
-	// Exactly one JSON document.
-	if dec.More() {
-		return nil, fmt.Errorf("obs: trace parse: trailing data after document")
-	}
-	evs := make([]Event, len(in.Events))
-	for i, je := range in.Events {
-		if len(je.Phase) != 1 || !validPhase(Phase(je.Phase[0])) {
-			return nil, fmt.Errorf("obs: trace parse: event %d: invalid phase %q", i, je.Phase)
-		}
-		if je.TS < 0 || je.Dur < 0 {
-			return nil, fmt.Errorf("obs: trace parse: event %d: negative time", i)
-		}
-		if je.Dur != 0 && Phase(je.Phase[0]) != PhaseComplete {
-			return nil, fmt.Errorf("obs: trace parse: event %d: duration on non-complete phase %q", i, je.Phase)
-		}
-		evs[i] = Event{
-			TS: je.TS, Dur: je.Dur, PID: je.PID, TID: je.TID,
-			Phase: Phase(je.Phase[0]), Cat: je.Cat, Name: je.Name,
-			ArgName: je.ArgName, Arg: je.Arg,
-		}
-	}
-	return evs, nil
-}
 
 // chromeEvent is one entry of a Chrome trace_event file. Timestamps and
 // durations are microseconds (float), as chrome://tracing and Perfetto

@@ -361,7 +361,8 @@ type ServerMetrics struct {
 	// RateLimited counts submissions rejected 429 by the per-client
 	// token bucket.
 	RateLimited Counter
-	// Shed counts submissions rejected 503 — full shard queue or drain.
+	// Shed counts submissions rejected 503 — full job queue or drain —
+	// and placed jobs handed back to a full queue.
 	Shed Counter
 	// JobsCompleted and JobsFailed count finalized jobs by outcome.
 	JobsCompleted Counter
@@ -369,7 +370,8 @@ type ServerMetrics struct {
 	// PassPanics counts passes that panicked; each failed its job and
 	// the daemon kept serving.
 	PassPanics Counter
-	// QueueDepth is the number of jobs waiting in shard queues.
+	// QueueDepth is the number of jobs in the job queue that no
+	// dispatcher has taken yet.
 	QueueDepth Gauge
 	// SubmitNS, StatusNS, ResultNS, and FiguresNS are per-endpoint
 	// request latency distributions in host nanoseconds.

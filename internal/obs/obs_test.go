@@ -210,50 +210,6 @@ func TestTracerNoDropsUnderCapacity(t *testing.T) {
 	}
 }
 
-func TestExportJSONRoundTrip(t *testing.T) {
-	tr := NewTracer(16)
-	tr.Instant("fpspy", "fault", 3, 7, "signal", 8)
-	tr.Complete("study", "pass", 0, 0, 100, 250, "cycles", 9000)
-	tr.Emit(Event{TS: 400, Phase: PhaseBegin, Cat: "proto", Name: "twotrap", PID: 3, TID: 7})
-	tr.Emit(Event{TS: 500, Phase: PhaseEnd, Cat: "proto", Name: "twotrap", PID: 3, TID: 7})
-
-	var buf bytes.Buffer
-	if err := tr.ExportJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseTraceJSON(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tr.Events()
-	if len(got) != len(want) {
-		t.Fatalf("round-trip length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d round-trip mismatch:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestParseTraceJSONRejects(t *testing.T) {
-	bad := []string{
-		``,
-		`{`,
-		`[]`,
-		`{"events":[{"ts":1,"pid":0,"tid":0,"ph":"Q","cat":"c","name":"n"}],"emitted":1,"dropped":0}`,
-		`{"events":[{"ts":-1,"pid":0,"tid":0,"ph":"i","cat":"c","name":"n"}],"emitted":1,"dropped":0}`,
-		`{"events":[{"ts":1,"dur":5,"pid":0,"tid":0,"ph":"i","cat":"c","name":"n"}],"emitted":1,"dropped":0}`,
-		`{"events":[],"emitted":0,"dropped":0,"bogus":1}`,
-		`{"events":[],"emitted":0,"dropped":0}{"events":[]}`,
-	}
-	for _, in := range bad {
-		if _, err := ParseTraceJSON([]byte(in)); err == nil {
-			t.Errorf("ParseTraceJSON(%q) accepted malformed input", in)
-		}
-	}
-}
-
 func TestExportChromeTrace(t *testing.T) {
 	tr := NewTracer(8)
 	tr.Complete("study", "pass", 0, 0, 2_000, 3_500, "cycles", 77)

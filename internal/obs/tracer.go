@@ -21,15 +21,6 @@ const (
 	PhaseComplete Phase = 'X'
 )
 
-// validPhase reports whether p is one of the defined phases.
-func validPhase(p Phase) bool {
-	switch p {
-	case PhaseInstant, PhaseBegin, PhaseEnd, PhaseComplete:
-		return true
-	}
-	return false
-}
-
 // Event is one tracer entry. Category and name are expected to be
 // static strings on hot paths so emission never allocates.
 type Event struct {

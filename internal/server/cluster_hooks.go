@@ -90,7 +90,7 @@ func (s *Server) CachedOutcome(key string) (out *Outcome, errMsg string, ok bool
 // InstallOutcome publishes an externally computed outcome (a peer's
 // pass) under key. The first settle wins: an already-settled entry
 // keeps its outcome and counts the install as a hit for eviction. An
-// unsettled entry — including one whose primary still waits in a shard
+// unsettled entry — including one whose primary still waits in the
 // queue — settles immediately, finalizing its waiters; the dispatcher
 // skips settled primaries, so the local pass never double-runs. With no
 // entry present, a settled one is created so future submissions hit.
@@ -167,7 +167,7 @@ func (s *Server) SetPlacer(p Placer) {
 }
 
 // RequeuePending takes back a job placed on a peer that could not be
-// reached and puts its primary back in its shard queue for a local pass.
+// reached and puts its primary on the queue for a local pass.
 // It does nothing when the entry settled in the meantime or is not
 // placed. On a full queue the job fails with ErrQueueFull and leaves the
 // cache, and the next identical submission starts afresh.
@@ -178,18 +178,10 @@ func (s *Server) RequeuePending(key string) {
 	if !ok || e.settled || !e.placed || e.primary == nil {
 		return
 	}
-	sv := s.obs.ServerMetricsOrNil()
-	select {
-	case s.shardOf(key) <- e.primary:
-		e.placed = false
-		if sv != nil {
-			sv.QueueDepth.Add(1)
-		}
-	default:
-		if sv != nil {
-			sv.Shed.Inc()
-		}
+	if err := s.enqueueLocked(e.primary); err != nil {
 		delete(s.cache, key)
-		s.settleLocked(e, nil, ErrQueueFull)
+		s.settleLocked(e, nil, err)
+		return
 	}
+	e.placed = false
 }

@@ -17,7 +17,6 @@ package server_test
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -32,22 +31,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/server/client"
 )
-
-// e2eJob builds a tiny guest whose every divide raises at least the
-// inexact condition, captured as a submission clone.
-func e2eJob(t testing.TB, name string, divs int, env map[string]string) *jobs.Job {
-	t.Helper()
-	b := fpspy.NewProgram(name)
-	b.Movi(isa.R1, int64(math.Float64bits(1)))
-	b.Movqx(isa.X0, isa.R1)
-	b.Movi(isa.R1, int64(math.Float64bits(3)))
-	b.Movqx(isa.X1, isa.R1)
-	for i := 0; i < divs; i++ {
-		b.FP2(isa.OpDIVSD, isa.X2, isa.X0, isa.X1)
-	}
-	b.Hlt()
-	return jobs.Capture(name, b.Build(), env, 4<<20)
-}
 
 // newDaemon stands up a daemon behind httptest and tears both down at
 // test end.
@@ -83,7 +66,7 @@ func TestE2ESingleflightAcrossClients(t *testing.T) {
 	om := obs.New(obs.Options{})
 	_, ts := newDaemon(t, server.Options{Workers: 2, Obs: om})
 
-	job := e2eJob(t, "shared", 4, map[string]string{"TENANT": "42"})
+	job := server.FaultingJob(t, "shared", 4, map[string]string{"TENANT": "42"})
 	cfg := fpspy.Config{Mode: fpspy.ModeIndividual}
 
 	// Two different clients submit the identical clone concurrently.
@@ -152,7 +135,7 @@ func TestE2ERateLimit429(t *testing.T) {
 	_, ts := newDaemon(t, server.Options{
 		Workers: 1, RatePerSec: 0.001, Burst: 1, // one token, glacial refill
 	})
-	job := e2eJob(t, "limited", 1, nil)
+	job := server.FaultingJob(t, "limited", 1, nil)
 	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
 
 	alice := client.New(ts.URL, "alice")
@@ -194,7 +177,7 @@ func TestE2ERateLimit429(t *testing.T) {
 // equals the event list of a direct in-process replay.
 func TestE2EResultStreamRoundTrip(t *testing.T) {
 	_, ts := newDaemon(t, server.Options{Workers: 1})
-	job := e2eJob(t, "stormy", 12, nil)
+	job := server.FaultingJob(t, "stormy", 12, nil)
 	// Individual mode with a hair-trigger storm watchdog: the divide
 	// storm demotes the process to aggregate mode, emitting monitor-log
 	// events.
@@ -307,7 +290,7 @@ func TestE2EUnexecutableCloneRejected(t *testing.T) {
 			t.Errorf("%s: shadow submit err = %v, want 400", name, err)
 		}
 	}
-	resp, err := c.Submit(e2eJob(t, "after", 2, nil), fpspy.Config{Mode: fpspy.ModeIndividual})
+	resp, err := c.Submit(server.FaultingJob(t, "after", 2, nil), fpspy.Config{Mode: fpspy.ModeIndividual})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,12 +315,12 @@ func TestE2EConcurrentClientsSoak(t *testing.T) {
 	)
 	om := obs.New(obs.Options{})
 	_, ts := newDaemon(t, server.Options{
-		Workers: 4, Shards: 4, QueueDepth: nClients*perClient + 1, Obs: om,
+		Workers: 4, QueueDepth: nClients*perClient + 1, Obs: om,
 	})
 	cfg := fpspy.Config{Mode: fpspy.ModeIndividual}
 	progs := make([]*jobs.Job, nPrograms)
 	for i := range progs {
-		progs[i] = e2eJob(t, fmt.Sprintf("soak-%d", i), i+1, nil)
+		progs[i] = server.FaultingJob(t, fmt.Sprintf("soak-%d", i), i+1, nil)
 	}
 
 	summaries := make([][]server.Summary, nClients)

@@ -94,7 +94,7 @@ func TestE2EProbeFingerprintGating(t *testing.T) {
 	c := client.New(ts.URL, "gating-client")
 
 	// A non-probe guest in individual mode.
-	resp, err := c.Submit(e2eJob(t, "not-a-probe", 3, nil), fpspy.Config{Mode: fpspy.ModeIndividual})
+	resp, err := c.Submit(server.FaultingJob(t, "not-a-probe", 3, nil), fpspy.Config{Mode: fpspy.ModeIndividual})
 	if err != nil {
 		t.Fatal(err)
 	}

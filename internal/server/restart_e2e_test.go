@@ -84,15 +84,15 @@ func TestTornStateWriteNeverLoaded(t *testing.T) {
 	gate := make(chan struct{})
 	running := make(chan struct{}, 1)
 	srv1, err := server.New(server.Options{
-		Workers: 1, Shards: 1, QueueDepth: 8, StateFile: state,
+		Workers: 1, QueueDepth: 8, StateFile: state,
 		BeforeRun: func(string) { running <- struct{}{}; <-gate },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
-	blobA, _ := e2eJob(t, "torn-a", 1, nil).Encode()
-	blobB, _ := e2eJob(t, "torn-b", 2, nil).Encode()
+	blobA, _ := server.FaultingJob(t, "torn-a", 1, nil).Encode()
+	blobB, _ := server.FaultingJob(t, "torn-b", 2, nil).Encode()
 	if _, err := srv1.Submit("tester", "torn-a", blobA, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTornStateWriteNeverLoaded(t *testing.T) {
 	if err := os.WriteFile(state+".tmp", torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := server.New(server.Options{Workers: 1, Shards: 1, QueueDepth: 8, StateFile: state})
+	srv2, err := server.New(server.Options{Workers: 1, QueueDepth: 8, StateFile: state})
 	if err != nil {
 		t.Fatalf("restart with committed state + torn temp: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestE2ERestartReadmissionConcurrentClients(t *testing.T) {
 	gate := make(chan struct{})
 	running := make(chan struct{}, 1)
 	srv1, err := server.New(server.Options{
-		Workers: 1, Shards: 1, QueueDepth: 16, StateFile: state,
+		Workers: 1, QueueDepth: 16, StateFile: state,
 		BeforeRun: func(string) { running <- struct{}{}; <-gate },
 	})
 	if err != nil {
@@ -162,14 +162,14 @@ func TestE2ERestartReadmissionConcurrentClients(t *testing.T) {
 
 	// Block the single worker, then queue jobs behind it.
 	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
-	blocker, _ := e2eJob(t, "restart-blocker", 1, nil).Encode()
+	blocker, _ := server.FaultingJob(t, "restart-blocker", 1, nil).Encode()
 	if _, err := newClient("c0").SubmitBlob("restart-blocker", blocker, cfg); err != nil {
 		t.Fatal(err)
 	}
 	<-running
 	ids := make([]string, queued)
 	for i := range ids {
-		blob, _ := e2eJob(t, fmt.Sprintf("restart-%d", i), i+2, nil).Encode()
+		blob, _ := server.FaultingJob(t, fmt.Sprintf("restart-%d", i), i+2, nil).Encode()
 		resp, err := newClient(fmt.Sprintf("c%d", i+1)).SubmitBlob(fmt.Sprintf("restart-%d", i), blob, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -215,7 +215,7 @@ func TestE2ERestartReadmissionConcurrentClients(t *testing.T) {
 	// one per re-admitted job, none duplicated by the retrying watchers.
 	var passes atomic.Int32
 	srv2, err := server.New(server.Options{
-		Workers: 2, Shards: 1, QueueDepth: 16, StateFile: state,
+		Workers: 2, QueueDepth: 16, StateFile: state,
 		BeforeRun: func(string) { passes.Add(1) },
 	})
 	if err != nil {

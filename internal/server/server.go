@@ -7,10 +7,10 @@
 //
 // Scaling comes from three mechanisms:
 //
-//   - a sharded, bounded job queue: submissions hash to a shard by
-//     content address, each shard dispatches in FIFO order, and a full
-//     shard sheds load with 503 + Retry-After instead of queueing
-//     without bound;
+//   - one bounded FIFO job queue, drained by one dispatcher per worker
+//     slot, so the worker count alone sets how many passes run at once;
+//     a full queue sheds load with 503 + Retry-After instead of
+//     queueing without bound;
 //   - a content-addressed result cache with singleflight semantics
 //     (the same discipline as the study scheduler's passKey cache):
 //     identical submissions — same program image, environment, memory
@@ -28,7 +28,6 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -51,7 +50,7 @@ const (
 	// StateQueued: admitted, waiting for a worker (or for an identical
 	// in-flight pass it attached to).
 	StateQueued State = "queued"
-	// StateRunning: its pass is executing on the worker pool.
+	// StateRunning: its pass holds a worker slot.
 	StateRunning State = "running"
 	// StateDone: finished; the result is streamable.
 	StateDone State = "done"
@@ -61,12 +60,12 @@ const (
 
 // Options configures a Server.
 type Options struct {
-	// Workers sizes the study worker pool (0 = one per CPU).
+	// Workers sizes the study worker pool (0 = one per CPU), and with it
+	// the number of dispatchers draining the job queue: a daemon runs at
+	// most one pass per worker.
 	Workers int
-	// Shards is the number of queue shards (default 4).
-	Shards int
-	// QueueDepth bounds each shard's queue (default 64). A submission
-	// arriving at a full shard is shed with 503.
+	// QueueDepth bounds the job queue (default 256). A submission
+	// arriving at a full queue is shed with 503.
 	QueueDepth int
 	// RatePerSec enables per-client token-bucket rate limiting at this
 	// many submissions per second (0 = unlimited).
@@ -80,9 +79,10 @@ type Options struct {
 	// hit/miss, shed counters, per-endpoint latency) and is served on
 	// /metrics. The same registry is threaded through every pass.
 	Obs *obs.Metrics
-	// BeforeRun, when set, is called after a job enters StateRunning and
-	// before its pass executes. Tests (here and in internal/cluster)
-	// gate on it to hold a pass in flight; production leaves it nil.
+	// BeforeRun, when set, is called in the job's worker slot, after it
+	// enters StateRunning and before its pass executes; a panic in it
+	// fails the job like a panicking pass. Tests gate on it to hold a
+	// pass in flight or to inject a panic; production leaves it nil.
 	BeforeRun func(jobID string)
 }
 
@@ -95,7 +95,7 @@ type Server struct {
 	lim   *limiter
 	mux   *http.ServeMux
 
-	shards      []chan *jobRec
+	queue       chan *jobRec
 	stopc       chan struct{}
 	dispatchers sync.WaitGroup
 
@@ -107,14 +107,6 @@ type Server struct {
 	seq      int
 	draining bool
 	placer   Placer // cluster placement hook; nil on a lone daemon
-
-	// testBeforeRun, when set, is called by a dispatcher after a job
-	// enters StateRunning and before its pass executes (tests gate here
-	// to hold a pass in flight).
-	testBeforeRun func(*jobRec)
-	// testInPass, when set, is called inside the pass's worker slot,
-	// where a panic fails the job (tests inject one here).
-	testInPass func(*jobRec)
 }
 
 // jobRec is the daemon's view of one submission. Mutable fields are
@@ -145,9 +137,9 @@ type jobRec struct {
 type cacheEntry struct {
 	key     string
 	done    chan struct{}
-	started bool // a dispatcher picked the primary up (guarded by mu)
+	started bool // the primary's pass holds a worker slot (guarded by mu)
 	settled bool // out/err valid (guarded by mu)
-	placed  bool // primary is with the Placer's peer, in no shard queue (guarded by mu)
+	placed  bool // primary is with the Placer's peer, not in the queue (guarded by mu)
 	out     *Outcome
 	err     error
 	primary *jobRec
@@ -187,35 +179,25 @@ type Outcome struct {
 	RootCause *analysis.RootCauseReport
 }
 
-// New builds and starts a Server: dispatchers are running and the
-// handler is ready to mount. When Options.StateFile names a queue
-// persisted by a previous Shutdown, its jobs are re-admitted before the
-// first request is served.
+// New builds and starts a Server: one dispatcher per worker slot is
+// running and the handler is ready to mount. When Options.StateFile
+// names a queue persisted by a previous Shutdown, its jobs are
+// re-admitted before the first request is served.
 func New(o Options) (*Server, error) {
-	if o.Shards <= 0 {
-		o.Shards = 4
-	}
 	if o.QueueDepth <= 0 {
-		o.QueueDepth = 64
+		o.QueueDepth = 256
 	}
 	st := study.NewWithWorkers(o.Workers)
 	st.Obs = o.Obs
 	s := &Server{
-		opts:   o,
-		study:  st,
-		obs:    o.Obs,
-		lim:    newLimiter(o.RatePerSec, o.Burst, time.Now),
-		shards: make([]chan *jobRec, o.Shards),
-		stopc:  make(chan struct{}),
-		jobs:   map[string]*jobRec{},
-		cache:  map[string]*cacheEntry{},
-	}
-	for i := range s.shards {
-		s.shards[i] = make(chan *jobRec, o.QueueDepth)
-	}
-	if o.BeforeRun != nil {
-		hook := o.BeforeRun
-		s.testBeforeRun = func(rec *jobRec) { hook(rec.id) }
+		opts:  o,
+		study: st,
+		obs:   o.Obs,
+		lim:   newLimiter(o.RatePerSec, o.Burst, time.Now),
+		queue: make(chan *jobRec, o.QueueDepth),
+		stopc: make(chan struct{}),
+		jobs:  map[string]*jobRec{},
+		cache: map[string]*cacheEntry{},
 	}
 	s.buildMux()
 	if o.StateFile != "" {
@@ -223,9 +205,9 @@ func New(o Options) (*Server, error) {
 			return nil, err
 		}
 	}
-	for i := range s.shards {
+	for range st.Workers() {
 		s.dispatchers.Add(1)
-		go s.dispatch(s.shards[i])
+		go s.dispatch()
 	}
 	return s, nil
 }
@@ -237,19 +219,11 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// shardOf maps a cache key to its queue shard, so identical submissions
-// always contend on the same FIFO.
-func (s *Server) shardOf(key string) chan *jobRec {
-	h := fnv.New32a()
-	h.Write([]byte(key)) //nolint:errcheck // hash.Hash never errors
-	return s.shards[int(h.Sum32())%len(s.shards)]
-}
-
 // ErrDraining and ErrQueueFull classify submission rejections for the
 // HTTP layer and for peers submitting through Submit.
 var (
 	ErrDraining  = errors.New("server: draining, not accepting submissions")
-	ErrQueueFull = errors.New("server: shard queue full")
+	ErrQueueFull = errors.New("server: queue full")
 )
 
 // submit admits one submission: decode and validate the clone and take
@@ -310,8 +284,8 @@ func jobSeq(id string) int {
 // finalizes rec at once (settled entry) or attaches it as a waiter (in
 // flight, queued, or placed); a miss makes rec the primary of a new
 // entry, which the Placer may take when offer is set and which
-// otherwise joins its shard queue. A full queue sheds the submission
-// with ErrQueueFull and leaves no trace. Caller holds s.mu.
+// otherwise joins the queue. A full queue sheds the submission with
+// ErrQueueFull and leaves no trace. Caller holds s.mu.
 func (s *Server) admitLocked(rec *jobRec, offer bool) error {
 	rec.state = StateQueued
 	sv := s.obs.ServerMetricsOrNil()
@@ -336,18 +310,8 @@ func (s *Server) admitLocked(rec *jobRec, offer bool) error {
 	e := &cacheEntry{key: rec.key, done: make(chan struct{}), primary: rec}
 	if offer && s.placer != nil && s.placer.Place(rec.pending()) {
 		e.placed = true
-	} else {
-		select {
-		case s.shardOf(rec.key) <- rec:
-			if sv != nil {
-				sv.QueueDepth.Add(1)
-			}
-		default:
-			if sv != nil {
-				sv.Shed.Inc()
-			}
-			return ErrQueueFull
-		}
+	} else if err := s.enqueueLocked(rec); err != nil {
+		return err
 	}
 	rec.entry = e
 	s.cache[rec.key] = e
@@ -359,12 +323,31 @@ func (s *Server) admitLocked(rec *jobRec, offer bool) error {
 	return nil
 }
 
-// dispatch is one shard's dispatcher: it pulls jobs in FIFO order and
-// runs each to completion before taking the next, so Shutdown's
-// dispatchers.Wait() doubles as the in-flight drain. The leading
-// non-blocking stop check makes drains deterministic: once stopc is
-// closed, no further queued job is started even if the queue is ready.
-func (s *Server) dispatch(q chan *jobRec) {
+// enqueueLocked puts a primary on the queue, or sheds it with
+// ErrQueueFull when the queue is full. Caller holds s.mu.
+func (s *Server) enqueueLocked(rec *jobRec) error {
+	sv := s.obs.ServerMetricsOrNil()
+	select {
+	case s.queue <- rec:
+		if sv != nil {
+			sv.QueueDepth.Add(1)
+		}
+		return nil
+	default:
+		if sv != nil {
+			sv.Shed.Inc()
+		}
+		return ErrQueueFull
+	}
+}
+
+// dispatch is one worker slot's dispatcher: it takes jobs off the queue
+// in FIFO order and runs each to completion before taking the next, so
+// Shutdown's dispatchers.Wait() doubles as the in-flight drain. The
+// leading non-blocking stop check makes drains deterministic: once
+// stopc is closed, no further queued job is started even if the queue
+// is ready.
+func (s *Server) dispatch() {
 	defer s.dispatchers.Done()
 	for {
 		select {
@@ -375,7 +358,7 @@ func (s *Server) dispatch(q chan *jobRec) {
 		select {
 		case <-s.stopc:
 			return
-		case rec := <-q:
+		case rec := <-s.queue:
 			if sv := s.obs.ServerMetricsOrNil(); sv != nil {
 				sv.QueueDepth.Add(-1)
 			}
@@ -384,42 +367,43 @@ func (s *Server) dispatch(q chan *jobRec) {
 	}
 }
 
-// runJob executes one primary submission's pass on the shared worker
-// pool and settles its cache entry. A primary whose entry already
-// settled while it waited in the queue (a peer-computed outcome arrived
-// via InstallOutcome) is skipped: the settle finalized it. A pass that
-// panics fails its job with the panic and its stack; the daemon keeps
-// serving.
+// runJob runs one primary submission's pass in a worker slot and
+// settles its cache entry. The job becomes running only once it holds
+// the slot, which /v1/figures may have kept it waiting for. A primary
+// whose entry settled while it waited (a peer-computed outcome arrived
+// via InstallOutcome) is skipped: the settle finalized it.
 func (s *Server) runJob(rec *jobRec) {
-	s.mu.Lock()
-	if rec.entry.settled {
-		s.mu.Unlock()
-		return
-	}
-	rec.state = StateRunning
-	rec.entry.started = true
-	j, hook, inPass := rec.job, s.testBeforeRun, s.testInPass
-	s.mu.Unlock()
-	if hook != nil {
-		hook(rec)
-	}
-	var out *Outcome
-	var err error
 	s.study.Exec(func() {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("server: pass panicked: %v\n%s", p, debug.Stack())
-				if sv := s.obs.ServerMetricsOrNil(); sv != nil {
-					sv.PassPanics.Inc()
-				}
-			}
-		}()
-		if inPass != nil {
-			inPass(rec)
+		s.mu.Lock()
+		if rec.entry.settled {
+			s.mu.Unlock()
+			return
 		}
-		out, err = executePass(j, rec.cfg, s.obs)
+		rec.state = StateRunning
+		rec.entry.started = true
+		j := rec.job
+		s.mu.Unlock()
+		out, err := s.pass(rec.id, j, rec.cfg)
+		s.settle(rec.entry, out, err)
 	})
-	s.settle(rec.entry, out, err)
+}
+
+// pass calls Options.BeforeRun and replays the clone. A panic in either
+// fails the job with the panic value and its stack; the daemon keeps
+// serving.
+func (s *Server) pass(id string, j *jobs.Job, cfg fpspy.Config) (out *Outcome, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("server: pass panicked: %v\n%s", p, debug.Stack())
+			if sv := s.obs.ServerMetricsOrNil(); sv != nil {
+				sv.PassPanics.Inc()
+			}
+		}
+	}()
+	if s.opts.BeforeRun != nil {
+		s.opts.BeforeRun(id)
+	}
+	return executePass(j, cfg, s.obs)
 }
 
 // executePass replays one clone under the given configuration and
@@ -531,10 +515,10 @@ func (s *Server) finalizeLocked(rec *jobRec, e *cacheEntry, sv *obs.ServerMetric
 
 // Shutdown drains the daemon: new submissions are rejected 503 with
 // Retry-After, dispatchers stop pulling work, every in-flight pass runs
-// to completion, and queued-but-unstarted jobs (primaries still in
-// shard queues or placed on a peer, plus waiters attached to them) are
-// persisted to Options.StateFile via their encoded clones. It returns
-// the number of jobs persisted.
+// to completion, and queued-but-unstarted jobs (primaries still queued
+// or placed on a peer, plus waiters attached to them) are persisted to
+// Options.StateFile via their encoded clones. It returns the number of
+// jobs persisted.
 func (s *Server) Shutdown() (int, error) {
 	s.mu.Lock()
 	if s.draining {
@@ -546,32 +530,30 @@ func (s *Server) Shutdown() (int, error) {
 
 	close(s.stopc)
 	// Dispatchers run jobs synchronously: once they have all returned,
-	// every started pass has settled.
+	// every pass a dispatcher took has settled.
 	s.dispatchers.Wait()
 
 	s.mu.Lock()
 	var pend []*jobRec
 	drained := 0
-	for _, q := range s.shards {
-	drain:
-		for {
-			select {
-			case rec := <-q:
-				drained++
-				if !rec.entry.settled { // a peer's outcome may have settled it
-					pend = append(pend, rec)
-				}
-			default:
-				break drain
+drain:
+	for {
+		select {
+		case rec := <-s.queue:
+			drained++
+			if !rec.entry.settled { // a peer's outcome may have settled it
+				pend = append(pend, rec)
 			}
+		default:
+			break drain
 		}
 	}
 	// Waiters attached to a never-started entry are queued-but-unstarted
 	// submissions too; their entry is removed so a restarted daemon
 	// re-creates it. A placed primary (its forward still in flight) is
-	// not in any shard queue, so it is captured here as well — the peer's
-	// late outcome has nowhere to land after shutdown, and the job must
-	// not be lost.
+	// not in the queue, so it is captured here as well — the peer's late
+	// outcome has nowhere to land after shutdown, and the job must not
+	// be lost.
 	for key, e := range s.cache {
 		if !e.started && !e.settled {
 			if e.placed && e.primary != nil {

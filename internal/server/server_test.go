@@ -182,20 +182,15 @@ func TestLimiterRefillAndIsolation(t *testing.T) {
 func TestGracefulShutdownPersistRestart(t *testing.T) {
 	state := filepath.Join(t.TempDir(), "queue.gob")
 	om := obs.New(obs.Options{})
+	gate := make(chan struct{})
+	started := make(chan string, 1)
 	s, err := New(Options{
-		Workers: 1, Shards: 1, QueueDepth: 8, StateFile: state, Obs: om,
+		Workers: 1, QueueDepth: 8, StateFile: state, Obs: om,
+		BeforeRun: func(id string) { started <- id; <-gate },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := make(chan struct{})
-	started := make(chan string, 1)
-	s.mu.Lock()
-	s.testBeforeRun = func(rec *jobRec) {
-		started <- rec.id
-		<-gate
-	}
-	s.mu.Unlock()
 
 	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
 	submit := func(name string, divs int) *jobRec {
@@ -259,7 +254,7 @@ func TestGracefulShutdownPersistRestart(t *testing.T) {
 	}
 
 	// Restart: the persisted queue is re-admitted and executed.
-	s2, err := New(Options{Workers: 1, Shards: 1, QueueDepth: 8, StateFile: state})
+	s2, err := New(Options{Workers: 1, QueueDepth: 8, StateFile: state})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,22 +282,19 @@ func TestGracefulShutdownPersistRestart(t *testing.T) {
 	}
 }
 
-// TestShedOnFullQueue pins the backpressure path: a full shard answers
+// TestShedOnFullQueue pins the backpressure path: a full queue answers
 // 503 and does not leak a cache entry for the rejected submission.
 func TestShedOnFullQueue(t *testing.T) {
 	om := obs.New(obs.Options{})
-	s, err := New(Options{Workers: 1, Shards: 1, QueueDepth: 1, Obs: om})
+	gate := make(chan struct{})
+	started := make(chan string, 1)
+	s, err := New(Options{
+		Workers: 1, QueueDepth: 1, Obs: om,
+		BeforeRun: func(id string) { started <- id; <-gate },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := make(chan struct{})
-	started := make(chan string, 1)
-	s.mu.Lock()
-	s.testBeforeRun = func(rec *jobRec) {
-		started <- rec.id
-		<-gate
-	}
-	s.mu.Unlock()
 	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
 	if _, err := s.submit("c", "a", encode(t, testJob(t, "a", 1, nil)), cfg, false); err != nil {
 		t.Fatal(err)
@@ -354,7 +346,14 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 // job's ID answers 410 Gone once its record is evicted, while an ID
 // never issued answers 404.
 func TestSettledTablesBounded(t *testing.T) {
-	s, err := New(Options{Workers: 1, Shards: 2, QueueDepth: 8})
+	// The held pass keeps one worker; the other runs the rest.
+	held, release := make(chan struct{}), make(chan struct{})
+	s, err := New(Options{Workers: 2, QueueDepth: 8, BeforeRun: func(id string) {
+		if id == jobID(1) {
+			close(held)
+			<-release
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,29 +375,14 @@ func TestSettledTablesBounded(t *testing.T) {
 
 	heldBlob := encode(t, testJob(t, "held", 1, nil))
 	heldKey := CacheKey(testJob(t, "held", 1, nil), cfg)
-	held, release := make(chan struct{}), make(chan struct{})
-	s.mu.Lock()
-	s.testBeforeRun = func(rec *jobRec) {
-		if rec.key == heldKey {
-			close(held)
-			<-release
-		}
-	}
-	s.mu.Unlock()
 	heldRec := submit(heldBlob)
 	<-held
 	waiter := submit(heldBlob)
 
-	// Distinct clones on the shard the held pass does not block.
 	nonce := 0
 	next := func() []byte {
-		for {
-			nonce++
-			j := testJob(t, "c", 1, map[string]string{"N": fmt.Sprint(nonce)})
-			if s.shardOf(CacheKey(j, cfg)) != s.shardOf(heldKey) {
-				return encode(t, j)
-			}
-		}
+		nonce++
+		return encode(t, testJob(t, "c", 1, map[string]string{"N": fmt.Sprint(nonce)}))
 	}
 	hot := next()
 	settle(submit(hot))
@@ -472,23 +456,16 @@ func TestSettledTablesBounded(t *testing.T) {
 // the next job on the same worker slot.
 func TestPassPanicFailsItsJob(t *testing.T) {
 	om := obs.New(obs.Options{})
-	s, err := New(Options{Workers: 1, Shards: 1, QueueDepth: 8, Obs: om})
+	gate := make(chan struct{})
+	s, err := New(Options{Workers: 1, QueueDepth: 8, Obs: om, BeforeRun: func(id string) {
+		if id == jobID(1) { // the "boom" primary
+			<-gate // hold the pass until its waiter attaches
+			panic("injected pass panic")
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := make(chan struct{})
-	s.mu.Lock()
-	s.testBeforeRun = func(rec *jobRec) {
-		if rec.name == "boom" {
-			<-gate // hold the pass until its waiter attaches
-		}
-	}
-	s.testInPass = func(rec *jobRec) {
-		if rec.name == "boom" {
-			panic("injected pass panic")
-		}
-	}
-	s.mu.Unlock()
 	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
 	submit := func(name string, divs int) *jobRec {
 		t.Helper()
@@ -527,6 +504,71 @@ func TestPassPanicFailsItsJob(t *testing.T) {
 	}
 	if _, st, _ := s.lookup(next.id); st.State != StateDone {
 		t.Errorf("the job after the panic is %s, want done", st.State)
+	}
+	if _, err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEveryWorkerRunsAPass: a daemon runs as many passes at once as it
+// has workers, whatever content addresses they have.
+func TestEveryWorkerRunsAPass(t *testing.T) {
+	const workers = 6
+	inside, release := make(chan string, workers), make(chan struct{})
+	s, err := New(Options{Workers: workers, BeforeRun: func(id string) {
+		inside <- id
+		<-release
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		close(release)
+		s.Shutdown() //nolint:errcheck // teardown
+	})
+	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
+	for i := range workers {
+		if _, err := s.submit("c", "", encode(t, testJob(t, "p", i+1, nil)), cfg, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	timeout := time.After(10 * time.Second)
+	for n := range workers {
+		select {
+		case <-inside:
+		case <-timeout:
+			t.Fatalf("%d distinct passes in flight at once, want one per worker (%d)", n, workers)
+		}
+	}
+}
+
+// TestRunningHoldsASlot: a job reads running only while it holds a
+// worker slot. BeforeRun, called in the slot, sees its job running and
+// the slot taken.
+func TestRunningHoldsASlot(t *testing.T) {
+	om := obs.New(obs.Options{})
+	type seen struct {
+		state State
+		busy  int64
+	}
+	saw := make(chan seen, 1)
+	var s *Server
+	s, err := New(Options{Workers: 1, Obs: om, BeforeRun: func(id string) {
+		_, st, _ := s.lookup(id)
+		saw <- seen{st.State, om.Study.WorkersBusy.Load()}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.submit("c", "", encode(t, testJob(t, "slot", 1, nil)), fpspy.Config{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := <-saw; got.state != StateRunning || got.busy != 1 {
+		t.Errorf("in BeforeRun: state %s, study.workers-busy %d; want running and 1", got.state, got.busy)
+	}
+	if _, err := s.WaitOutcome(context.Background(), rec.id); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := s.Shutdown(); err != nil {
 		t.Fatal(err)

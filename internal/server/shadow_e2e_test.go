@@ -37,7 +37,7 @@ func TestE2EShadowJobStreamsRankedSites(t *testing.T) {
 	c := client.New(ts.URL, "shadow-client")
 
 	// Four inexact divides at one address: exactly one attributable site.
-	job := e2eJob(t, "shadow-guest", 4, nil)
+	job := server.FaultingJob(t, "shadow-guest", 4, nil)
 	cfg := fpspy.Config{Mode: fpspy.ModeIndividual}
 	resp, err := c.SubmitShadow(job, cfg, 113)
 	if err != nil {
@@ -129,7 +129,7 @@ func TestE2EShadowJobStreamsRankedSites(t *testing.T) {
 func TestE2EShadowJobRejectsBadPrecision(t *testing.T) {
 	_, ts := newDaemon(t, server.Options{Workers: 1})
 	c := client.New(ts.URL, "shadow-bad")
-	job := e2eJob(t, "shadow-bad", 1, nil)
+	job := server.FaultingJob(t, "shadow-bad", 1, nil)
 	for _, prec := range []uint64{1, 23, fpspy.MaxShadowPrec + 1} {
 		if _, err := c.SubmitShadow(job, fpspy.Config{Mode: fpspy.ModeIndividual}, prec); err == nil {
 			t.Errorf("prec %d accepted, want rejection", prec)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -38,6 +39,32 @@ func (s *Study) work() studyWork {
 	return w
 }
 
+// regen is the one full-study regeneration the tests share.
+var regen struct {
+	once   sync.Once
+	s      *Study
+	tables []*Table
+	err    error
+}
+
+// fullStudy regenerates the whole study on its first call and returns
+// that study and its tables on every call, so the tests that read a
+// full regeneration pay for one.
+func fullStudy(t *testing.T) (*Study, []*Table) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("full study in -short mode")
+	}
+	regen.once.Do(func() {
+		regen.s = New()
+		regen.tables, regen.err = regen.s.All()
+	})
+	if regen.err != nil {
+		t.Fatal(regen.err)
+	}
+	return regen.s, regen.tables
+}
+
 // TestGoldenStudyOutput pins the entire rendered study — every figure
 // and table — against a golden file. The simulator, the workloads, the
 // sampler seeds, and the analyses are all deterministic, so any diff
@@ -53,14 +80,7 @@ func (s *Study) work() studyWork {
 // first, so neither a comparison nor -update gets past a study that
 // breaks one.
 func TestGoldenStudyOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full study in -short mode")
-	}
-	s := New()
-	tables, err := s.All()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, tables := fullStudy(t)
 	if checkPaperClaims(t, tables); t.Failed() {
 		t.FailNow()
 	}

@@ -2,6 +2,7 @@ package study
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -47,8 +48,8 @@ func TestGoldenStudyOutputUnderObs(t *testing.T) {
 // TestObsReconciliation is the end-to-end accounting contract: after a
 // set of instrumented passes, the snapshot's trap and pass counters must
 // reconcile exactly with the aggregate of the emitted trace records —
-// with the trace going through its JSON wire format, as `fpstudy
-// -metrics -traceout` ships it.
+// with the trace read back from the Chrome trace document that `fpstudy
+// -metrics -traceout` writes.
 func TestObsReconciliation(t *testing.T) {
 	s := NewWithWorkers(4)
 	s.Size = workload.SizeSmall
@@ -81,17 +82,19 @@ func TestObsReconciliation(t *testing.T) {
 		t.Fatalf("tracer dropped %d events; reconciliation needs the full stream", d)
 	}
 	var buf bytes.Buffer
-	if err := om.Tracer.ExportJSON(&buf); err != nil {
+	if err := om.Tracer.ExportChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := obs.ParseTraceJSON(buf.Bytes())
-	if err != nil {
+	var doc struct {
+		TraceEvents []struct{ Name, Cat, Ph string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
 	var passSpans, twoTrapSpans uint64
-	for _, ev := range evs {
+	for _, ev := range doc.TraceEvents {
 		switch {
-		case ev.Cat == "study" && ev.Phase == obs.PhaseComplete:
+		case ev.Cat == "study" && ev.Ph == string(obs.PhaseComplete):
 			passSpans++
 		case ev.Cat == "fpspy" && ev.Name == "two-trap":
 			twoTrapSpans++
@@ -154,7 +157,7 @@ func TestObsStudyRace(t *testing.T) {
 					snap := om.Snapshot()
 					_ = snap.Counters[obs.NameSpyFaults]
 					_ = om.Tracer.Events()
-					_ = om.Tracer.ExportJSON(io.Discard)
+					_ = om.Tracer.ExportChromeTrace(io.Discard)
 				}
 			}
 		}()

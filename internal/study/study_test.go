@@ -37,18 +37,12 @@ func TestMark(t *testing.T) {
 	}
 }
 
-// TestFullStudyProducesAllArtifacts runs the entire Section 4
+// TestFullStudyProducesAllArtifacts checks the entire Section 4
 // methodology end-to-end — the integration test behind cmd/fpstudy and
-// bench/'s study workload.
+// bench/'s study workload — on the regeneration TestGoldenStudyOutput
+// pins.
 func TestFullStudyProducesAllArtifacts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full study in -short mode")
-	}
-	s := New()
-	tables, err := s.All()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, tables := fullStudy(t)
 	if len(tables) != 15 {
 		t.Fatalf("artifacts = %d, want 15", len(tables))
 	}
@@ -68,13 +62,18 @@ func TestFullStudyProducesAllArtifacts(t *testing.T) {
 			t.Errorf("%s renders to %d bytes", want, len(out))
 		}
 	}
-	// The study is cached: regenerating a figure is cheap and identical.
+	// The study is cached: regenerating a figure runs no pass, decodes
+	// no trace, and is identical.
+	before := s.work()
 	again, err := s.Figure9()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Render() != tables[3].Render() {
 		t.Error("cached regeneration differs")
+	}
+	if w := s.work(); w != before {
+		t.Errorf("cached regeneration did work:\n%vthen\n%v", before, w)
 	}
 }
 
