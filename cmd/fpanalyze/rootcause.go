@@ -71,11 +71,7 @@ func reportRootCause(name, sizeName string, prec uint64, mitPrec uint, top int) 
 		fmt.Fprintln(os.Stderr, "fpanalyze:", err)
 		os.Exit(1)
 	}
-	recs, err := tr.Records()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fpanalyze:", err)
-		os.Exit(1)
-	}
+	recs := tr.Store.AllRecords()
 	inexact := map[uint64]bool{}
 	for i := range recs {
 		if recs[i].Raised&softfloat.FlagInexact != 0 {

@@ -166,7 +166,7 @@ func submit(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	resp, err := client.New(*srv, *cid).SubmitBlob(*name, blob, cfg)
+	resp, err := client.New(*srv, *cid).SubmitBlobContext(context.Background(), *name, blob, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -182,7 +182,7 @@ func status(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	st, err := client.New(*srv, *cid).Status(*id)
+	st, err := client.New(*srv, *cid).StatusContext(context.Background(), *id)
 	if err != nil {
 		fatal(err)
 	}
@@ -208,7 +208,7 @@ func result(args []string) {
 	}
 	// Stream the NDJSON through verbatim: event lines as the raw
 	// monitor-log text, then the summary.
-	sum, err := client.New(*srv, *cid).StreamResult(*id, func(line server.ResultLine) error {
+	sum, err := client.New(*srv, *cid).StreamResultContext(context.Background(), *id, func(line server.ResultLine) error {
 		if line.Type == "event" {
 			fmt.Println(line.Line)
 		}
@@ -231,7 +231,7 @@ func watch(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	st, err := client.New(*srv, *cid).Watch(*id, *interval)
+	st, err := client.New(*srv, *cid).WatchContext(context.Background(), *id, *interval)
 	if err != nil {
 		fatal(err)
 	}
@@ -266,7 +266,7 @@ func rootcause(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	st, err := c.Watch(resp.ID, *interval)
+	st, err := c.WatchContext(context.Background(), resp.ID, *interval)
 	if err != nil {
 		fatal(err)
 	}
@@ -275,7 +275,7 @@ func rootcause(args []string) {
 		os.Exit(1)
 	}
 	var sites []analysis.RootCauseSite
-	sum, err := c.StreamResult(resp.ID, func(line server.ResultLine) error {
+	sum, err := c.StreamResultContext(context.Background(), resp.ID, func(line server.ResultLine) error {
 		if line.Type == "site" && line.Site != nil {
 			sites = append(sites, *line.Site)
 		}

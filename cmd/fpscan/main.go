@@ -210,11 +210,7 @@ func scanRest(w *workload.Workload, prog *isa.Program, scan *binscan.Scan, js *j
 			fmt.Fprintf(os.Stderr, "fpscan: %s: %v\n", w.Meta.Name, err)
 			return false
 		}
-		recs, err := res.Records()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fpscan: %s: %v\n", w.Meta.Name, err)
-			return false
-		}
+		recs := res.Store.AllRecords()
 		v := scan.Validate(recs)
 		js.Validation = buildJSONValidation(v, absRes, recs)
 		if !jsonMode {

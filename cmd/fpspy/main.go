@@ -135,10 +135,6 @@ func main() {
 	if res.Store.StepAsides > 0 {
 		fmt.Printf("  FPSpy got out of the way in %d process(es)\n", res.Store.StepAsides)
 	}
-	if res.TraceErr != nil {
-		fmt.Fprintln(os.Stderr, "fpspy: trace flush:", res.TraceErr)
-	}
-
 	if *outDir != "" {
 		writeTraces(res.Store, *outDir)
 	}
@@ -207,7 +203,7 @@ func runMPI(w *workload.Workload, sz workload.Size, cfg core.Config, ranks int, 
 	store := core.NewStore()
 	env := map[string]string{}
 	if !noSpy {
-		k.RegisterPreload(core.PreloadName, core.Factory(store))
+		k.RegisterPreload(core.PreloadName, core.Factory(store, obs.Disabled))
 		env = cfg.EnvVars()
 	}
 	_, procs, err := mpi.Launch(k, w.Build(sz), ranks, 16<<20, env)

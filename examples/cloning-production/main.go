@@ -53,7 +53,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		recs := res.MustRecords()
+		recs := res.Store.AllRecords()
 		fmt.Printf("  %-14s %d problematic events", clone.Name, len(recs))
 		if len(recs) > 0 {
 			fmt.Printf(" (first: %s at %#x raised %v)",

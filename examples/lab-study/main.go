@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	recs := res.MustRecords()
+	recs := res.Store.AllRecords()
 	fmt.Printf("captured %d non-rounding events from enzo\n\n", len(recs))
 
 	// Which instructions?

@@ -78,7 +78,7 @@ func main() {
 	const ranks = 4
 	k := kernel.New()
 	store := core.NewStore()
-	k.RegisterPreload(core.PreloadName, core.Factory(store))
+	k.RegisterPreload(core.PreloadName, core.Factory(store, nil))
 
 	// The production launch path: mpirun inherits FPSpy's environment.
 	cfg := core.Config{

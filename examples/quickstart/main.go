@@ -35,7 +35,7 @@ func main() {
 	}
 
 	fmt.Println("FPSpy captured:")
-	for _, rec := range res.MustRecords() {
+	for _, rec := range res.Store.AllRecords() {
 		fmt.Printf("  %-8s at %#x raised %v (delivered %v)\n",
 			fpspy.Mnemonic(&rec), rec.Rip, rec.Raised, rec.Event)
 	}

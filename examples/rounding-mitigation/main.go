@@ -54,7 +54,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	recs := res.MustRecords()
+	recs := res.Store.AllRecords()
 	byAddr := analysis.RankByAddress(recs)
 	byForm := analysis.RankByForm(recs)
 	rep := analysis.Feasibility(byAddr, byForm, 50_000, 150, 4_000)

@@ -22,13 +22,11 @@
 //	res, err := fpspy.Run(prog.Build(), fpspy.Options{
 //		Config: fpspy.Config{Mode: fpspy.ModeIndividual},
 //	})
-//	for _, rec := range res.MustRecords() { ... }
+//	for _, rec := range res.Store.AllRecords() { ... }
 package fpspy
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"maps"
 
 	"repro/internal/analysis"
@@ -74,15 +72,6 @@ type (
 	// RootCauseSite is one attributed instruction site.
 	RootCauseSite = analysis.RootCauseSite
 )
-
-// NewStore creates an empty trace store for Options.Store.
-func NewStore() *Store { return core.NewStore() }
-
-// NewStoreWithSink creates a store whose per-thread trace bytes go to
-// writers produced by sink (e.g. to model failing trace files).
-func NewStoreWithSink(sink func(ThreadKey) io.Writer) *Store {
-	return core.NewStoreWithSink(sink)
-}
 
 // Re-exported mode and flag constants.
 const (
@@ -148,10 +137,6 @@ type Options struct {
 	// quantum jitter, signal delay) without changing guest semantics —
 	// the adversarial-schedule axis of the reproducibility suite.
 	Inject *kernel.Inject
-	// Store, when non-nil, receives the traces instead of a fresh
-	// in-memory store (e.g. one built with NewStoreWithSink to model
-	// failing trace files).
-	Store *Store
 	// Obs, when non-nil, receives observability data (metrics and trace
 	// events) from the kernel, machine, and spy. Leave nil
 	// (obs.Disabled) for a run with instrumentation compiled out; the
@@ -181,8 +166,9 @@ type Result struct {
 	Kern *kernel.Kernel
 	// Proc is the initial process.
 	Proc *kernel.Process
-	// TraceErr aggregates trace flush failures observed at thread
-	// teardown; nil when every trace reached its destination.
+	// TraceErr is always nil: a trace lives in the store, and appending
+	// to it cannot fail. It stays declared only because the benchmark
+	// reads it.
 	TraceErr error
 }
 
@@ -190,17 +176,14 @@ type Result struct {
 // attached via LD_PRELOAD unless opts.NoSpy is set. The Config's FPE_*
 // variables override same-named entries of opts.Env.
 func Run(prog *Program, opts Options) (*Result, error) {
-	store := opts.Store
-	if store == nil {
-		store = core.NewStore()
-	}
+	store := core.NewStore()
 	env := map[string]string{}
 	maps.Copy(env, opts.Env)
 	if opts.NoSpy {
 		return launch(prog, opts, store, env, "", nil)
 	}
 	maps.Copy(env, opts.Config.EnvVars())
-	return launch(prog, opts, store, env, core.PreloadName, core.FactoryObs(store, opts.Obs))
+	return launch(prog, opts, store, env, core.PreloadName, core.Factory(store, opts.Obs))
 }
 
 // launch is the set-up Run and RunMitigated share: a kernel configured
@@ -238,7 +221,6 @@ func launch(prog *Program, opts Options, store *Store, env map[string]string, na
 		ExitCode:   p.ExitCode,
 		Kern:       k,
 		Proc:       p,
-		TraceErr:   errors.Join(store.FlushErrs()...),
 	}, nil
 }
 
@@ -264,14 +246,10 @@ type MitigationStats = shadow.MitigationStats
 // back through the signal context. opts applies as in Run (Config and
 // NoSpy aside), and opts.Env overrides the mitigator's LD_PRELOAD.
 func RunMitigated(prog *Program, prec uint, opts Options) (*Result, *MitigationStats, error) {
-	store := opts.Store
-	if store == nil {
-		store = core.NewStore()
-	}
 	env := map[string]string{"LD_PRELOAD": shadow.TrapPreloadName}
 	maps.Copy(env, opts.Env)
 	stats := &MitigationStats{}
-	res, err := launch(prog, opts, store, env, shadow.TrapPreloadName, shadow.TrapFactory(prec, stats))
+	res, err := launch(prog, opts, core.NewStore(), env, shadow.TrapPreloadName, shadow.TrapFactory(prec, stats))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -281,19 +259,9 @@ func RunMitigated(prog *Program, prec uint, opts Options) (*Result, *MitigationS
 // Aggregates returns the aggregate-mode records.
 func (r *Result) Aggregates() []Aggregate { return r.Store.Aggregates() }
 
-// Records returns all individual-mode records across threads. The
-// slice is shared with the result's store, and every call returns the
-// same one: callers must not modify it (clone it first).
-func (r *Result) Records() ([]Record, error) { return r.Store.AllRecords() }
-
-// MustRecords is Records, panicking on an error (for examples).
-func (r *Result) MustRecords() []Record {
-	recs, err := r.Records()
-	if err != nil {
-		panic(err)
-	}
-	return recs
-}
+// Records is Store.AllRecords with an error that is always nil. It
+// stays only because the benchmark calls it; read Store.AllRecords.
+func (r *Result) Records() ([]Record, error) { return r.Store.AllRecords(), nil }
 
 // EventSet ORs all condition codes observed, from whichever mode ran.
 // It reads the in-memory records in place; it copies none.

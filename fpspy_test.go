@@ -91,7 +91,7 @@ func TestIndividualModeRecordsEveryEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := res.MustRecords()
+	recs := res.Store.AllRecords()
 	// n inexact + 1 dbz + 1 invalid.
 	if len(recs) != n+2 {
 		t.Fatalf("records = %d, want %d", len(recs), n+2)
@@ -135,7 +135,7 @@ func TestIndividualFilteringExcludesInexact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := res.MustRecords()
+	recs := res.Store.AllRecords()
 	if len(recs) != 2 {
 		t.Fatalf("records = %d, want 2 (dbz + invalid)", len(recs))
 	}
@@ -158,7 +158,7 @@ func TestSubsamplingRecordsEveryNth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := res.MustRecords()
+	recs := res.Store.AllRecords()
 	// 102 faults total -> every 10th recorded.
 	if len(recs) != 10 {
 		t.Errorf("records = %d, want 10", len(recs))
@@ -175,7 +175,7 @@ func TestMaxCountDisablesCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := res.MustRecords()
+	recs := res.Store.AllRecords()
 	if len(recs) != 7 {
 		t.Errorf("records = %d, want 7", len(recs))
 	}
@@ -234,7 +234,7 @@ func TestStepAsideOnFESetEnvIndividualKeepsEarlierRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := res.MustRecords()
+	recs := res.Store.AllRecords()
 	if len(recs) != 2 {
 		t.Fatalf("records = %d, want the 2 pre-fesetenv events", len(recs))
 	}
@@ -278,7 +278,7 @@ func TestStepAsideWhenAppHooksSIGFPE(t *testing.T) {
 	if res.Store.StepAsides != 1 {
 		t.Errorf("stepasides = %d, want 1", res.Store.StepAsides)
 	}
-	if len(res.MustRecords()) != 0 {
+	if len(res.Store.AllRecords()) != 0 {
 		t.Error("events recorded after handing SIGFPE to the app")
 	}
 }
@@ -293,7 +293,7 @@ func TestAggressiveModeKeepsSpying(t *testing.T) {
 	if res.Store.StepAsides != 0 {
 		t.Errorf("stepasides = %d, want 0 in aggressive mode", res.Store.StepAsides)
 	}
-	if got := len(res.MustRecords()); got != 2 {
+	if got := len(res.Store.AllRecords()); got != 2 {
 		t.Errorf("records = %d, want 2", got)
 	}
 }
@@ -436,8 +436,8 @@ func TestPoissonSamplingCapturesSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf := len(full.MustRecords())
-	ns := len(sampled.MustRecords())
+	nf := len(full.Store.AllRecords())
+	ns := len(sampled.Store.AllRecords())
 	if nf != n+2 {
 		t.Fatalf("full records = %d", nf)
 	}
@@ -493,7 +493,7 @@ func TestDisableMakesFPSpyInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Store.Faults != 0 || len(res.MustRecords()) != 0 {
+	if res.Store.Faults != 0 || len(res.Store.AllRecords()) != 0 {
 		t.Error("disabled FPSpy still captured events")
 	}
 }

@@ -35,7 +35,7 @@ func TestStaticScanSoundAgainstDynamicTraces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs := res.MustRecords()
+			recs := res.Store.AllRecords()
 			if len(recs) == 0 {
 				t.Fatal("no dynamic events captured; validation is vacuous")
 			}

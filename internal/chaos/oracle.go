@@ -35,8 +35,6 @@ type Observation struct {
 	Records    []trace.Record
 	Aggregates []trace.Aggregate
 	Events     []trace.MonitorEvent
-	// TraceErr reports whether a trace flush failed.
-	TraceErr bool
 }
 
 // Proc is one process at exit: its exit code, its memory (hashed by
@@ -174,17 +172,12 @@ func legName(checks []Check, set int) string {
 // Observe records what the oracle compares of a finished run. It fails
 // when a process has not exited (fpspy.Run checks only the first).
 func Observe(res *fpspy.Result) (*Observation, error) {
-	recs, err := res.Records()
-	if err != nil {
-		return nil, fmt.Errorf("records: %w", err)
-	}
 	o := &Observation{
 		Steps:      res.Steps,
 		UserCycles: res.UserCycles, SysCycles: res.SysCycles, WallCycles: res.WallCycles,
-		Records:    recs,
+		Records:    res.Store.AllRecords(),
 		Aggregates: res.Aggregates(),
 		Events:     res.Store.MonitorEvents(),
-		TraceErr:   res.TraceErr != nil,
 	}
 	for pid, p := range res.Kern.Procs {
 		if !p.Exited {

@@ -7,6 +7,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -135,7 +136,7 @@ func TestNodeForwardsOncePerAddress(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := fastClient(peers[0].url, fmt.Sprintf("dup-%d", i)).SubmitBlob(j.Name, blob, cfg)
+			resp, err := fastClient(peers[0].url, fmt.Sprintf("dup-%d", i)).SubmitBlobContext(context.Background(), j.Name, blob, cfg)
 			if err != nil {
 				errs <- err
 				return
@@ -151,7 +152,7 @@ func TestNodeForwardsOncePerAddress(t *testing.T) {
 	open()
 	cl := fastClient(peers[0].url, "dup-watch")
 	for _, id := range ids {
-		if st, err := cl.Watch(id, 5*time.Millisecond); err != nil {
+		if st, err := cl.WatchContext(context.Background(), id, 5*time.Millisecond); err != nil {
 			t.Fatal(err)
 		} else if st.State != server.StateDone {
 			t.Fatalf("job %s: state %s (%s)", id, st.State, st.Error)
@@ -175,11 +176,11 @@ func TestForwardedCacheHit(t *testing.T) {
 	blob := encodeJob(t, j)
 	for i, via := range []int{1, 0} {
 		cl := fastClient(peers[via].url, "forwarded-hit")
-		resp, err := cl.SubmitBlob(j.Name, blob, cfg)
+		resp, err := cl.SubmitBlobContext(context.Background(), j.Name, blob, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := cl.Watch(resp.ID, 5*time.Millisecond)
+		st, err := cl.WatchContext(context.Background(), resp.ID, 5*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,11 +233,11 @@ func TestForwardFailsOnFullQueue(t *testing.T) {
 	peers[2].kill()
 
 	cl := fastClient(peers[0].url, "full-queue")
-	resp, err := cl.SubmitBlob(j.Name, encodeJob(t, j), cfg)
+	resp, err := cl.SubmitBlobContext(context.Background(), j.Name, encodeJob(t, j), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := cl.Watch(resp.ID, 5*time.Millisecond)
+	st, err := cl.WatchContext(context.Background(), resp.ID, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

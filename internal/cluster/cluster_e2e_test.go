@@ -15,6 +15,7 @@ package cluster_test
 //     local-only service instead of failing submissions.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net/http"
@@ -209,12 +210,12 @@ func TestClusterSingleflight(t *testing.T) {
 			go func(pi, ci int, url string) {
 				defer wg.Done()
 				cl := fastClient(url, fmt.Sprintf("client-%d-%d", pi, ci))
-				resp, err := cl.SubmitBlob("singleflight", blob, cfg)
+				resp, err := cl.SubmitBlobContext(context.Background(), "singleflight", blob, cfg)
 				if err != nil {
 					errs <- fmt.Errorf("submit via peer %d: %w", pi, err)
 					return
 				}
-				if st, err := cl.Watch(resp.ID, 5*time.Millisecond); err != nil {
+				if st, err := cl.WatchContext(context.Background(), resp.ID, 5*time.Millisecond); err != nil {
 					errs <- fmt.Errorf("watch %s via peer %d: %w", resp.ID, pi, err)
 					return
 				} else if st.State != server.StateDone {
@@ -262,11 +263,11 @@ func TestClusterCacheEverywhere(t *testing.T) {
 	settle := func(url string) *server.StatusResponse {
 		t.Helper()
 		cl := fastClient(url, "cache-everywhere")
-		resp, err := cl.SubmitBlob(j.Name, blob, cfg)
+		resp, err := cl.SubmitBlobContext(context.Background(), j.Name, blob, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := cl.Watch(resp.ID, 5*time.Millisecond)
+		st, err := cl.WatchContext(context.Background(), resp.ID, 5*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +326,7 @@ func TestClusterKillRestartNoLoss(t *testing.T) {
 	blob := encodeJob(t, j)
 
 	cl := fastClient(peers[0].url, "kill-restart")
-	resp, err := cl.SubmitBlob(j.Name, blob, cfg)
+	resp, err := cl.SubmitBlobContext(context.Background(), j.Name, blob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestClusterKillRestartNoLoss(t *testing.T) {
 
 	// The job must still settle exactly once for the watcher: the
 	// forwarding peer's retries fail over to a degraded local run.
-	st, err := cl.Watch(resp.ID, 5*time.Millisecond)
+	st, err := cl.WatchContext(context.Background(), resp.ID, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,11 +387,11 @@ func TestClusterPartitionDegradesLocal(t *testing.T) {
 	cl := fastClient(peers[0].url, "partitioned")
 	// Foreign-owned and self-owned clones alike must settle locally.
 	for i, j := range clones {
-		resp, err := cl.SubmitBlob(j.Name, encodeJob(t, j), cfg)
+		resp, err := cl.SubmitBlobContext(context.Background(), j.Name, encodeJob(t, j), cfg)
 		if err != nil {
 			t.Fatalf("submit %d under partition: %v", i, err)
 		}
-		st, err := cl.Watch(resp.ID, 5*time.Millisecond)
+		st, err := cl.WatchContext(context.Background(), resp.ID, 5*time.Millisecond)
 		if err != nil {
 			t.Fatalf("watch %d under partition: %v", i, err)
 		}
@@ -416,11 +417,11 @@ func TestClusterPartitionDegradesLocal(t *testing.T) {
 			peers[0].node.Ring().Members())
 	}
 	j := cjob(t, "partition-after-evict", 2)
-	resp, err := cl.SubmitBlob(j.Name, encodeJob(t, j), cfg)
+	resp, err := cl.SubmitBlobContext(context.Background(), j.Name, encodeJob(t, j), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := cl.Watch(resp.ID, 5*time.Millisecond); err != nil || st.State != server.StateDone {
+	if st, err := cl.WatchContext(context.Background(), resp.ID, 5*time.Millisecond); err != nil || st.State != server.StateDone {
 		t.Fatalf("local-only submission: %v / %+v", err, st)
 	}
 }
@@ -457,12 +458,12 @@ func TestClusterFaultSweep(t *testing.T) {
 						defer wg.Done()
 						j := cjob(t, fmt.Sprintf("fault-%s-%d", sc.Name, c), c+2)
 						cl := fastClient(peers[(c+dup)%len(peers)].url, fmt.Sprintf("cl-%d-%d", c, dup))
-						resp, err := cl.SubmitBlob(j.Name, encodeJob(t, j), cfg)
+						resp, err := cl.SubmitBlobContext(context.Background(), j.Name, encodeJob(t, j), cfg)
 						if err != nil {
 							out <- res{c, nil, fmt.Errorf("submit clone %d dup %d: %w", c, dup, err)}
 							return
 						}
-						st, err := cl.Watch(resp.ID, 5*time.Millisecond)
+						st, err := cl.WatchContext(context.Background(), resp.ID, 5*time.Millisecond)
 						if err != nil {
 							out <- res{c, nil, fmt.Errorf("watch clone %d dup %d: %w", c, dup, err)}
 							return

@@ -9,6 +9,7 @@ package cluster_test
 // its presence) would change.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -36,11 +37,11 @@ func TestClusterRoutedProbeFingerprint(t *testing.T) {
 	owner := ownerIndex(t, peers, job, cfg)
 	via := (owner + 1) % len(peers)
 	cl := fastClient(peers[via].url, "probe-routed")
-	resp, err := cl.SubmitBlob(job.Name, blob, cfg)
+	resp, err := cl.SubmitBlobContext(context.Background(), job.Name, blob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := cl.Watch(resp.ID, 5*time.Millisecond); err != nil {
+	if st, err := cl.WatchContext(context.Background(), resp.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	} else if st.State != server.StateDone {
 		t.Fatalf("job state %s (%s)", st.State, st.Error)
@@ -57,11 +58,11 @@ func TestClusterRoutedProbeFingerprint(t *testing.T) {
 	// was installed cluster-wide) carrying the same fingerprint.
 	for i, p := range peers {
 		cl := fastClient(p.url, fmt.Sprintf("probe-cached-%d", i))
-		resp, err := cl.SubmitBlob(job.Name, blob, cfg)
+		resp, err := cl.SubmitBlobContext(context.Background(), job.Name, blob, cfg)
 		if err != nil {
 			t.Fatalf("peer %d: %v", i, err)
 		}
-		st, err := cl.Watch(resp.ID, 5*time.Millisecond)
+		st, err := cl.WatchContext(context.Background(), resp.ID, 5*time.Millisecond)
 		if err != nil {
 			t.Fatalf("peer %d: %v", i, err)
 		}

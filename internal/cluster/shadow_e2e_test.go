@@ -9,6 +9,7 @@ package cluster_test
 // distinct cache entry.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ import (
 func shadowResult(t testing.TB, c *client.Client, id string) ([]analysis.RootCauseSite, *server.Summary) {
 	t.Helper()
 	var sites []analysis.RootCauseSite
-	sum, err := c.StreamResult(id, func(line server.ResultLine) error {
+	sum, err := c.StreamResultContext(context.Background(), id, func(line server.ResultLine) error {
 		if line.Type == "site" && line.Site != nil {
 			sites = append(sites, *line.Site)
 		}
@@ -49,11 +50,11 @@ func TestClusterRoutedShadowJob(t *testing.T) {
 	owner := ownerIndex(t, peers, job, eff)
 	via := (owner + 1) % len(peers)
 	cl := fastClient(peers[via].url, "shadow-routed-a")
-	resp, err := cl.SubmitShadow(job, cfg, 113)
+	resp, err := cl.SubmitShadowContext(context.Background(), job, cfg, 113)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := cl.Watch(resp.ID, 5*time.Millisecond); err != nil {
+	if st, err := cl.WatchContext(context.Background(), resp.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	} else if st.State != server.StateDone {
 		t.Fatalf("job state %s (%s)", st.State, st.Error)
@@ -70,11 +71,11 @@ func TestClusterRoutedShadowJob(t *testing.T) {
 	// with the identical ranked table.
 	for i, p := range peers {
 		cl := fastClient(p.url, fmt.Sprintf("shadow-routed-%d", i))
-		resp2, err := cl.SubmitShadow(job, cfg, 113)
+		resp2, err := cl.SubmitShadowContext(context.Background(), job, cfg, 113)
 		if err != nil {
 			t.Fatalf("peer %d: %v", i, err)
 		}
-		st, err := cl.Watch(resp2.ID, 5*time.Millisecond)
+		st, err := cl.WatchContext(context.Background(), resp2.ID, 5*time.Millisecond)
 		if err != nil {
 			t.Fatalf("peer %d: %v", i, err)
 		}
@@ -102,7 +103,7 @@ func TestClusterRoutedShadowJob(t *testing.T) {
 
 	// A plain job over the same clone is a different content address: it
 	// runs its own (single) pass instead of hitting the shadow entry.
-	plain, err := fastClient(peers[0].url, "shadow-plain").Submit(job, cfg)
+	plain, err := fastClient(peers[0].url, "shadow-plain").SubmitContext(context.Background(), job, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

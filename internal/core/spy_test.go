@@ -32,7 +32,7 @@ func spawnWithEnv(t *testing.T, prog *isa.Program, env map[string]string) (*Stor
 	t.Helper()
 	k := kernel.New()
 	store := NewStore()
-	k.RegisterPreload(PreloadName, Factory(store))
+	k.RegisterPreload(PreloadName, Factory(store, nil))
 	if env == nil {
 		env = map[string]string{}
 	}

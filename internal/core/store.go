@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,14 +25,12 @@ func (k ThreadKey) String() string { return fmt.Sprintf("%d.%d.fpemon", k.PID, k
 // log files of the real tool.
 type Store struct {
 	traces map[ThreadKey]*threadTrace
-	// all is the consolidated trace: every in-memory record, in Threads
-	// order, once a reader has asked for them; nil until then, and reset
-	// when a thread's trace is created.
+	// all is the consolidated trace: every record, in Threads order,
+	// once a reader has asked for them; nil until then, and reset when a
+	// thread's trace is created.
 	all        []trace.Record
-	sink       func(ThreadKey) io.Writer
 	aggregates []trace.Aggregate
 	events     []trace.MonitorEvent
-	flushErrs  []error
 	// shadowSites accumulates per-site shadow attribution rows merged
 	// across threads (FPE_SHADOW); nil until the first merge.
 	shadowSites map[uint64]analysis.RootCauseSite
@@ -49,12 +46,10 @@ type Store struct {
 	Decoded atomic.Uint64
 }
 
-// threadTrace is one thread's individual-mode trace. A sink-backed
-// store encodes each record through w. An in-memory one stages records
+// threadTrace is one thread's individual-mode trace. It stages records
 // in pooled blocks until the first read moves them into the store's
 // consolidated trace, of which recs is this thread's part.
 type threadTrace struct {
-	w      *trace.Writer
 	staged [][]trace.Record
 	recs   []trace.Record
 }
@@ -69,19 +64,14 @@ type block [blockRecords]trace.Record
 // blocks back, and the next trace stages into them.
 var blockPool = sync.Pool{New: func() any { return new(block) }}
 
-// append adds one record to the thread's trace; only a sink's write
-// can fail.
-func (tt *threadTrace) append(r *trace.Record) error {
-	if tt.w != nil {
-		return tt.w.Append(r)
-	}
+// append adds one record to the thread's trace.
+func (tt *threadTrace) append(r *trace.Record) {
 	n := len(tt.staged)
 	if n == 0 || len(tt.staged[n-1]) == blockRecords {
 		tt.staged = append(tt.staged, blockPool.Get().(*block)[:0])
 		n++
 	}
 	tt.staged[n-1] = append(tt.staged[n-1], *r)
-	return nil
 }
 
 // count counts the thread's records, staged or not.
@@ -93,27 +83,9 @@ func (tt *threadTrace) count() int {
 	return n
 }
 
-// flush writes a sink-backed trace's buffered records to the sink.
-func (tt *threadTrace) flush() error {
-	if tt.w == nil {
-		return nil
-	}
-	return tt.w.Flush()
-}
-
 // NewStore creates an empty store.
 func NewStore() *Store {
 	return &Store{traces: make(map[ThreadKey]*threadTrace)}
-}
-
-// NewStoreWithSink creates a store whose per-thread trace bytes go to
-// writers produced by sink instead of memory. Used to model trace files
-// on failing media; Records/RawTrace return an error for sink-backed
-// threads, and Threads does not list them.
-func NewStoreWithSink(sink func(ThreadKey) io.Writer) *Store {
-	s := NewStore()
-	s.sink = sink
-	return s
 }
 
 // thread returns (creating if needed) a thread's trace. The spy keeps
@@ -124,23 +96,10 @@ func (s *Store) thread(key ThreadKey) *threadTrace {
 		return tt
 	}
 	tt := &threadTrace{}
-	if s.sink != nil {
-		tt.w = trace.NewWriter(s.sink(key))
-	} else {
-		s.all = nil
-	}
 	s.traces[key] = tt
+	s.all = nil
 	return tt
 }
-
-// recordFlushErr remembers a trace flush failure so the run result can
-// surface it instead of dropping records silently.
-func (s *Store) recordFlushErr(key ThreadKey, err error) {
-	s.flushErrs = append(s.flushErrs, fmt.Errorf("fpspy: flushing trace %v: %w", key, err))
-}
-
-// FlushErrs returns trace flush failures recorded during teardown.
-func (s *Store) FlushErrs() []error { return s.flushErrs }
 
 // addEvent appends a monitor-log entry.
 func (s *Store) addEvent(ev trace.MonitorEvent) { s.events = append(s.events, ev) }
@@ -208,13 +167,11 @@ func (s *Store) Aggregates() []trace.Aggregate {
 	return out
 }
 
-// Threads lists the threads with in-memory individual-mode traces.
+// Threads lists the threads with individual-mode traces.
 func (s *Store) Threads() []ThreadKey {
 	keys := make([]ThreadKey, 0, len(s.traces))
-	for k, tt := range s.traces {
-		if tt.w == nil {
-			keys = append(keys, k)
-		}
+	for k := range s.traces {
+		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].PID != keys[j].PID {
@@ -225,15 +182,12 @@ func (s *Store) Threads() []ThreadKey {
 	return keys
 }
 
-// AllRecords returns every in-memory record, in Threads order. The
-// first call copies each thread's staged records into one slice, which
-// becomes the store's trace, and gives the blocks back to the pool;
-// later calls copy nothing unless records were appended since. The
-// slice is shared with the store: callers must not modify it.
-func (s *Store) AllRecords() ([]trace.Record, error) { return s.consolidate(), nil }
-
-// consolidate is AllRecords; it cannot fail.
-func (s *Store) consolidate() []trace.Record {
+// AllRecords returns every record, in Threads order. The first call
+// copies each thread's staged records into one slice, which becomes the
+// store's trace, and gives the blocks back to the pool; later calls
+// copy nothing unless records were appended since. The slice is shared
+// with the store: callers must not modify it.
+func (s *Store) AllRecords() []trace.Record {
 	n, staged := 0, s.all == nil
 	for _, tt := range s.traces {
 		n += tt.count()
@@ -260,16 +214,13 @@ func (s *Store) consolidate() []trace.Record {
 }
 
 // Records returns one thread's records: its part of AllRecords, shared
-// with the store like the whole.
+// with the store like the whole. Only a key with no trace is an error.
 func (s *Store) Records(key ThreadKey) ([]trace.Record, error) {
 	tt, ok := s.traces[key]
 	if !ok {
 		return nil, fmt.Errorf("fpspy: no trace for %v", key)
 	}
-	if tt.w != nil {
-		return nil, fmt.Errorf("fpspy: trace %v went to the store's sink; its records are not kept", key)
-	}
-	s.consolidate()
+	s.AllRecords()
 	return tt.recs, nil
 }
 
@@ -287,7 +238,7 @@ func (s *Store) Release() {
 	}
 }
 
-// NumRecords counts every in-memory record without copying any.
+// NumRecords counts every record without copying any.
 func (s *Store) NumRecords() int {
 	n := 0
 	for _, tt := range s.traces {
@@ -296,8 +247,8 @@ func (s *Store) NumRecords() int {
 	return n
 }
 
-// Raised ORs the Raised condition codes of every in-memory record,
-// reading them in place.
+// Raised ORs the Raised condition codes of every record, reading them
+// in place.
 func (s *Store) Raised() softfloat.Flags {
 	var f softfloat.Flags
 	or := func(recs []trace.Record) {
@@ -314,8 +265,8 @@ func (s *Store) Raised() softfloat.Flags {
 	return f
 }
 
-// RawTrace returns the encoded bytes of one thread's trace (what would
-// be the on-disk file).
+// RawTrace returns the encoded bytes of one thread's trace: its
+// .fpemon file. Like Records, only a key with no trace is an error.
 func (s *Store) RawTrace(key ThreadKey) ([]byte, error) {
 	recs, err := s.Records(key)
 	if err != nil {

@@ -122,7 +122,7 @@ func TestCloneReplayAggressive(t *testing.T) {
 	if res.EventSet()&fpspy.FlagDivideByZero == 0 {
 		t.Error("offline replay missed the divide by zero")
 	}
-	if len(res.MustRecords()) == 0 {
+	if len(res.Store.AllRecords()) == 0 {
 		t.Error("no records from aggressive replay")
 	}
 }

@@ -67,7 +67,7 @@ func runMPIJob(t *testing.T, ranks int, env map[string]string, store *core.Store
 	t.Helper()
 	k := kernel.New()
 	if store != nil {
-		k.RegisterPreload(core.PreloadName, core.Factory(store))
+		k.RegisterPreload(core.PreloadName, core.Factory(store, nil))
 	}
 	w, procs, err := mpi.Launch(k, buildRingProgram(), ranks, 1<<21, env)
 	if err != nil {

@@ -182,13 +182,9 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// do issues one request and decodes a JSON response into out (when
-// non-nil), translating non-2xx statuses into typed errors.
-func (c *Client) do(method, path string, body, out any) error {
-	return c.doCtx(context.Background(), method, path, body, out)
-}
-
-func (c *Client) doCtx(ctx context.Context, method, path string, body, out any) error {
+// do issues one request under ctx and decodes a JSON response into out
+// (when non-nil), translating non-2xx statuses into typed errors.
+func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var data []byte
 	if body != nil {
 		var err error
@@ -287,14 +283,9 @@ func checkStatus(resp *http.Response) error {
 	return ae
 }
 
-// Submit captures-and-ships a clone: it encodes job and posts it with
-// the given FPSpy configuration.
-func (c *Client) Submit(job *jobs.Job, cfg fpspy.Config) (*server.SubmitResponse, error) {
-	return c.SubmitContext(context.Background(), job, cfg)
-}
-
-// SubmitContext is Submit with deadline/cancellation plumbing: the
-// context bounds the whole exchange, including backoff sleeps.
+// SubmitContext captures-and-ships a clone: it encodes job and posts it
+// with the given FPSpy configuration. The context bounds the whole
+// exchange, including backoff sleeps.
 func (c *Client) SubmitContext(ctx context.Context, job *jobs.Job, cfg fpspy.Config) (*server.SubmitResponse, error) {
 	blob, err := job.Encode()
 	if err != nil {
@@ -303,16 +294,11 @@ func (c *Client) SubmitContext(ctx context.Context, job *jobs.Job, cfg fpspy.Con
 	return c.SubmitBlobContext(ctx, job.Name, blob, cfg)
 }
 
-// SubmitBlob posts an already-encoded clone (e.g. read from a file
-// written by fpctl capture).
-func (c *Client) SubmitBlob(name string, blob []byte, cfg fpspy.Config) (*server.SubmitResponse, error) {
-	return c.SubmitBlobContext(context.Background(), name, blob, cfg)
-}
-
-// SubmitBlobContext is SubmitBlob under a context.
+// SubmitBlobContext posts an already-encoded clone (e.g. read from a
+// file written by fpctl capture).
 func (c *Client) SubmitBlobContext(ctx context.Context, name string, blob []byte, cfg fpspy.Config) (*server.SubmitResponse, error) {
 	var resp server.SubmitResponse
-	err := c.doCtx(ctx, http.MethodPost, "/v1/jobs",
+	err := c.do(ctx, http.MethodPost, "/v1/jobs",
 		server.SubmitRequest{Name: name, Clone: blob, Config: cfg}, &resp)
 	if err != nil {
 		return nil, err
@@ -320,15 +306,10 @@ func (c *Client) SubmitBlobContext(ctx context.Context, name string, blob []byte
 	return &resp, nil
 }
 
-// SubmitShadow posts a clone to /v1/shadowjobs: the pass runs with the
-// shadow-precision channel attached and the result stream carries the
-// ranked root-cause attribution. prec 0 defers to cfg.ShadowPrec, then
-// the server default.
-func (c *Client) SubmitShadow(job *jobs.Job, cfg fpspy.Config, prec uint64) (*server.SubmitResponse, error) {
-	return c.SubmitShadowContext(context.Background(), job, cfg, prec)
-}
-
-// SubmitShadowContext is SubmitShadow under a context.
+// SubmitShadowContext posts a clone to /v1/shadowjobs: the pass runs
+// with the shadow-precision channel attached and the result stream
+// carries the ranked root-cause attribution. prec 0 defers to
+// cfg.ShadowPrec, then the server default.
 func (c *Client) SubmitShadowContext(ctx context.Context, job *jobs.Job, cfg fpspy.Config, prec uint64) (*server.SubmitResponse, error) {
 	blob, err := job.Encode()
 	if err != nil {
@@ -340,7 +321,7 @@ func (c *Client) SubmitShadowContext(ctx context.Context, job *jobs.Job, cfg fps
 // SubmitShadowBlobContext posts an already-encoded clone as a shadow job.
 func (c *Client) SubmitShadowBlobContext(ctx context.Context, name string, blob []byte, cfg fpspy.Config, prec uint64) (*server.SubmitResponse, error) {
 	var resp server.SubmitResponse
-	err := c.doCtx(ctx, http.MethodPost, "/v1/shadowjobs",
+	err := c.do(ctx, http.MethodPost, "/v1/shadowjobs",
 		server.ShadowSubmitRequest{Name: name, Clone: blob, Config: cfg, Prec: prec}, &resp)
 	if err != nil {
 		return nil, err
@@ -348,23 +329,13 @@ func (c *Client) SubmitShadowBlobContext(ctx context.Context, name string, blob 
 	return &resp, nil
 }
 
-// Status fetches a job's lifecycle state.
-func (c *Client) Status(id string) (*server.StatusResponse, error) {
-	return c.StatusContext(context.Background(), id)
-}
-
-// StatusContext is Status under a context.
+// StatusContext fetches a job's lifecycle state.
 func (c *Client) StatusContext(ctx context.Context, id string) (*server.StatusResponse, error) {
 	var st server.StatusResponse
-	if err := c.doCtx(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
-}
-
-// Watch polls a job until it reaches a terminal state.
-func (c *Client) Watch(id string, interval time.Duration) (*server.StatusResponse, error) {
-	return c.WatchContext(context.Background(), id, interval)
 }
 
 // WatchContext polls a job until it reaches a terminal state, the
@@ -407,17 +378,12 @@ type Result struct {
 	Summary server.Summary
 }
 
-// StreamResult consumes a job's NDJSON result stream, invoking fn for
-// every line as it arrives, and returns the final summary. The call
-// blocks until the job settles server-side.
-func (c *Client) StreamResult(id string, fn func(server.ResultLine) error) (*server.Summary, error) {
-	return c.StreamResultContext(context.Background(), id, fn)
-}
-
-// StreamResultContext is StreamResult under a context. Retries cover
-// establishing the stream; once bytes flow, a broken stream surfaces as
-// an error (the caller re-issues, and the settled job replays from
-// cache).
+// StreamResultContext consumes a job's NDJSON result stream, invoking
+// fn for every line as it arrives, and returns the final summary. The
+// call blocks until the job settles server-side or ctx is done. Retries
+// cover establishing the stream; once bytes flow, a broken stream
+// surfaces as an error (the caller re-issues, and the settled job
+// replays from cache).
 func (c *Client) StreamResultContext(ctx context.Context, id string, fn func(server.ResultLine) error) (*server.Summary, error) {
 	resp, err := c.roundTrip(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, false)
 	if err != nil {
@@ -458,7 +424,7 @@ func (c *Client) StreamResultContext(ctx context.Context, id string, fn func(ser
 // plus the summary.
 func (c *Client) Result(id string) (*Result, error) {
 	var res Result
-	sum, err := c.StreamResult(id, func(line server.ResultLine) error {
+	sum, err := c.StreamResultContext(context.Background(), id, func(line server.ResultLine) error {
 		switch {
 		case line.Type == "event":
 			res.Lines = append(res.Lines, line.Line)
@@ -483,7 +449,7 @@ func (c *Client) Figures() ([]string, error) {
 	var out struct {
 		Figures []string `json:"figures"`
 	}
-	if err := c.do(http.MethodGet, "/v1/figures", nil, &out); err != nil {
+	if err := c.do(context.Background(), http.MethodGet, "/v1/figures", nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Figures, nil
@@ -492,7 +458,7 @@ func (c *Client) Figures() ([]string, error) {
 // Figure computes one aggregate study table on the daemon.
 func (c *Client) Figure(id string) (*server.FigureResponse, error) {
 	var fig server.FigureResponse
-	if err := c.do(http.MethodGet, "/v1/figures?id="+id, nil, &fig); err != nil {
+	if err := c.do(context.Background(), http.MethodGet, "/v1/figures?id="+id, nil, &fig); err != nil {
 		return nil, err
 	}
 	return &fig, nil

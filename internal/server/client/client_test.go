@@ -45,7 +45,7 @@ func TestRetryAbsorbs429(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := fastRetry(srv.URL)
-	resp, err := c.SubmitBlob("x", []byte("clone"), fpspy.Config{})
+	resp, err := c.SubmitBlobContext(context.Background(), "x", []byte("clone"), fpspy.Config{})
 	if err != nil {
 		t.Fatalf("SubmitBlob after 429s: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestRetryAbsorbs503Draining(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := fastRetry(srv.URL)
-	st, err := c.Status("job-000002")
+	st, err := c.StatusContext(context.Background(), "job-000002")
 	if err != nil {
 		t.Fatalf("Status through 503: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := fastRetry(srv.URL)
-	_, err := c.SubmitBlob("x", []byte("clone"), fpspy.Config{})
+	_, err := c.SubmitBlobContext(context.Background(), "x", []byte("clone"), fpspy.Config{})
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
 		t.Fatalf("want APIError 400, got %v", err)
@@ -111,7 +111,7 @@ func TestRetryDisabled(t *testing.T) {
 	defer srv.Close()
 	c := fastRetry(srv.URL)
 	c.RetryMax = -1
-	_, err := c.Status("job-000001")
+	_, err := c.StatusContext(context.Background(), "job-000001")
 	var rl *RateLimitError
 	if !errors.As(err, &rl) {
 		t.Fatalf("want RateLimitError surfaced, got %v", err)
@@ -154,7 +154,7 @@ func TestEndpointFailover(t *testing.T) {
 	if got := c.Endpoints(); len(got) != 2 {
 		t.Fatalf("Endpoints() = %v", got)
 	}
-	resp, err := c.SubmitBlob("x", []byte("clone"), fpspy.Config{})
+	resp, err := c.SubmitBlobContext(context.Background(), "x", []byte("clone"), fpspy.Config{})
 	if err != nil {
 		t.Fatalf("SubmitBlob with dead first peer: %v", err)
 	}
@@ -212,16 +212,16 @@ func TestResultStreamAllocation(t *testing.T) {
 	b.FP2(isa.OpDIVSD, isa.X2, isa.X0, isa.X1)
 	b.Hlt()
 	c := New(ts.URL, "test")
-	resp, err := c.Submit(jobs.Capture("stream", b.Build(), nil, 1<<20), fpspy.Config{Mode: fpspy.ModeIndividual})
+	resp, err := c.SubmitContext(context.Background(), jobs.Capture("stream", b.Build(), nil, 1<<20), fpspy.Config{Mode: fpspy.ModeIndividual})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := resp.ID
-	if _, err := c.Watch(id, time.Millisecond); err != nil {
+	if _, err := c.WatchContext(context.Background(), id, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	stream := func() {
-		if _, err := c.StreamResult(id, nil); err != nil {
+		if _, err := c.StreamResultContext(context.Background(), id, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +268,7 @@ func TestResultStreamLongLines(t *testing.T) {
 	c := fastRetry(srv.URL)
 
 	size.Store(long)
-	sum, err := c.StreamResult("job-000001", nil)
+	sum, err := c.StreamResultContext(context.Background(), "job-000001", nil)
 	if err != nil {
 		t.Fatalf("a %d-byte summary line: %v", long, err)
 	}
@@ -277,7 +277,7 @@ func TestResultStreamLongLines(t *testing.T) {
 	}
 
 	size.Store(16 << 20)
-	if _, err := c.StreamResult("job-000001", nil); !errors.Is(err, bufio.ErrTooLong) {
+	if _, err := c.StreamResultContext(context.Background(), "job-000001", nil); !errors.Is(err, bufio.ErrTooLong) {
 		t.Errorf("a summary line over 16 MiB: err = %v, want bufio.ErrTooLong", err)
 	}
 }

@@ -15,6 +15,7 @@ package server_test
 // under -race.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -55,11 +56,7 @@ func decodedRecords(t testing.TB, job *jobs.Job, cfg fpspy.Config) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := res.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return len(recs)
+	return len(res.Store.AllRecords())
 }
 
 func TestE2ESingleflightAcrossClients(t *testing.T) {
@@ -82,7 +79,7 @@ func TestE2ESingleflightAcrossClients(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			c := client.New(ts.URL, fmt.Sprintf("client-%d", i))
-			resp, err := c.Submit(job, cfg)
+			resp, err := c.SubmitContext(context.Background(), job, cfg)
 			if err != nil {
 				outs[i] = outcome{err: err}
 				return
@@ -142,10 +139,10 @@ func TestE2ERateLimit429(t *testing.T) {
 	// Surface the first 429 instead of sleeping out its Retry-After
 	// (client_test covers retry-on-429).
 	alice.RetryMax = -1
-	if _, err := alice.Submit(job, cfg); err != nil {
+	if _, err := alice.SubmitContext(context.Background(), job, cfg); err != nil {
 		t.Fatal(err)
 	}
-	_, err := alice.Submit(job, cfg)
+	_, err := alice.SubmitContext(context.Background(), job, cfg)
 	var rl *client.RateLimitError
 	if !errors.As(err, &rl) {
 		t.Fatalf("second submit err = %v, want RateLimitError", err)
@@ -166,7 +163,7 @@ func TestE2ERateLimit429(t *testing.T) {
 	}
 	// Bob is unaffected by alice's exhausted bucket.
 	bob := client.New(ts.URL, "bob")
-	if _, err := bob.Submit(job, cfg); err != nil {
+	if _, err := bob.SubmitContext(context.Background(), job, cfg); err != nil {
 		t.Fatalf("bob rate limited by alice's bucket: %v", err)
 	}
 }
@@ -197,7 +194,7 @@ func TestE2EResultStreamRoundTrip(t *testing.T) {
 	}
 
 	c := client.New(ts.URL, "analyst")
-	resp, err := c.Submit(job, cfg)
+	resp, err := c.SubmitContext(context.Background(), job, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +243,13 @@ func TestE2EFiguresAndErrors(t *testing.T) {
 
 	// Unknown routes and bad inputs are typed errors, not hangs.
 	var apiErr *client.APIError
-	if _, err := c.Status("job-999999"); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+	if _, err := c.StatusContext(context.Background(), "job-999999"); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Fatalf("unknown job status err = %v, want 404", err)
 	}
 	if _, err := c.Figure("99"); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Fatalf("unknown figure err = %v, want 404", err)
 	}
-	if _, err := c.SubmitBlob("bad", []byte("not a clone"), fpspy.Config{}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+	if _, err := c.SubmitBlobContext(context.Background(), "bad", []byte("not a clone"), fpspy.Config{}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 		t.Fatalf("garbage clone err = %v, want 400", err)
 	}
 
@@ -283,14 +280,14 @@ func TestE2EUnexecutableCloneRejected(t *testing.T) {
 		prog := &isa.Program{Name: name, Base: isa.DefaultCodeBase, Insts: []isa.Inst{inst, {Op: isa.OpHLT}}}
 		job := jobs.Capture(name, prog, nil, 1<<20)
 		var apiErr *client.APIError
-		if _, err := c.Submit(job, fpspy.Config{}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		if _, err := c.SubmitContext(context.Background(), job, fpspy.Config{}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 			t.Errorf("%s: submit err = %v, want 400", name, err)
 		}
-		if _, err := c.SubmitShadow(job, fpspy.Config{}, 113); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		if _, err := c.SubmitShadowContext(context.Background(), job, fpspy.Config{}, 113); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 			t.Errorf("%s: shadow submit err = %v, want 400", name, err)
 		}
 	}
-	resp, err := c.Submit(server.FaultingJob(t, "after", 2, nil), fpspy.Config{Mode: fpspy.ModeIndividual})
+	resp, err := c.SubmitContext(context.Background(), server.FaultingJob(t, "after", 2, nil), fpspy.Config{Mode: fpspy.ModeIndividual})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +330,7 @@ func TestE2EConcurrentClientsSoak(t *testing.T) {
 			c := client.New(ts.URL, fmt.Sprintf("soak-client-%d", ci))
 			for k := 0; k < perClient; k++ {
 				job := progs[(ci+k)%nPrograms]
-				resp, err := c.Submit(job, cfg)
+				resp, err := c.SubmitContext(context.Background(), job, cfg)
 				if err != nil {
 					errc <- fmt.Errorf("client %d submit %d: %w", ci, k, err)
 					return

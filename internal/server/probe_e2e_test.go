@@ -8,6 +8,7 @@ package server_test
 // leg lives in internal/cluster).
 
 import (
+	"context"
 	"testing"
 
 	fpspy "repro"
@@ -33,7 +34,7 @@ func TestE2EProbeFingerprintInSummary(t *testing.T) {
 
 	job, probe := probeJob(t, workload.ProbeBlocked)
 	c := client.New(ts.URL, "probe-client")
-	resp, err := c.Submit(job, cfg)
+	resp, err := c.SubmitContext(context.Background(), job, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestE2EProbeFingerprintInSummary(t *testing.T) {
 	}
 
 	// The cached resubmission carries the identical fingerprint.
-	resp2, err := c.Submit(job, cfg)
+	resp2, err := c.SubmitContext(context.Background(), job, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestE2EProbeFingerprintInSummary(t *testing.T) {
 	// The negative control's fingerprint must differ from its claim —
 	// the detection signal survives the service boundary too.
 	bjob, bprobe := probeJob(t, workload.ProbeBrokenReassoc)
-	bresp, err := c.Submit(bjob, cfg)
+	bresp, err := c.SubmitContext(context.Background(), bjob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestE2EProbeFingerprintGating(t *testing.T) {
 	c := client.New(ts.URL, "gating-client")
 
 	// A non-probe guest in individual mode.
-	resp, err := c.Submit(server.FaultingJob(t, "not-a-probe", 3, nil), fpspy.Config{Mode: fpspy.ModeIndividual})
+	resp, err := c.SubmitContext(context.Background(), server.FaultingJob(t, "not-a-probe", 3, nil), fpspy.Config{Mode: fpspy.ModeIndividual})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestE2EProbeFingerprintGating(t *testing.T) {
 
 	// A probe in aggregate mode: no record stream, no fingerprint.
 	job, _ := probeJob(t, workload.ProbeSerial)
-	resp2, err := c.Submit(job, fpspy.Config{Mode: fpspy.ModeAggregate})
+	resp2, err := c.SubmitContext(context.Background(), job, fpspy.Config{Mode: fpspy.ModeAggregate})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,14 +163,14 @@ func TestE2ERestartReadmissionConcurrentClients(t *testing.T) {
 	// Block the single worker, then queue jobs behind it.
 	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
 	blocker, _ := server.FaultingJob(t, "restart-blocker", 1, nil).Encode()
-	if _, err := newClient("c0").SubmitBlob("restart-blocker", blocker, cfg); err != nil {
+	if _, err := newClient("c0").SubmitBlobContext(context.Background(), "restart-blocker", blocker, cfg); err != nil {
 		t.Fatal(err)
 	}
 	<-running
 	ids := make([]string, queued)
 	for i := range ids {
 		blob, _ := server.FaultingJob(t, fmt.Sprintf("restart-%d", i), i+2, nil).Encode()
-		resp, err := newClient(fmt.Sprintf("c%d", i+1)).SubmitBlob(fmt.Sprintf("restart-%d", i), blob, cfg)
+		resp, err := newClient(fmt.Sprintf("c%d", i+1)).SubmitBlobContext(context.Background(), fmt.Sprintf("restart-%d", i), blob, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

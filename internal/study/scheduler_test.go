@@ -13,7 +13,7 @@ func TestWorkerPoolSizing(t *testing.T) {
 	if NewWithWorkers(3).Workers() != 3 {
 		t.Error("explicit worker count not honored")
 	}
-	if New().Workers() < 1 || NewWithWorkers(0).Workers() < 1 {
+	if NewWithWorkers(0).Workers() < 1 {
 		t.Error("default worker count must be at least 1")
 	}
 }
@@ -21,7 +21,7 @@ func TestWorkerPoolSizing(t *testing.T) {
 func TestPassListCoversAllFigures(t *testing.T) {
 	// Every pass the figures request must be in the prewarm list, or
 	// All() silently falls back to on-demand (serial) execution for it.
-	s := New()
+	s := NewWithWorkers(0)
 	listed := make(map[passKey]bool)
 	for _, k := range s.passList() {
 		listed[k] = true
@@ -169,8 +169,8 @@ func TestPassCacheDecodesOnce(t *testing.T) {
 		if len(e.recs) == 0 {
 			continue
 		}
-		if recs, err := e.res.Records(); err != nil || &recs[0] != &e.recs[0] {
-			t.Errorf("cached pass %+v keeps its records apart from its store's (err %v)", k, err)
+		if &e.res.Store.AllRecords()[0] != &e.recs[0] {
+			t.Errorf("cached pass %+v keeps its records apart from its store's", k)
 		}
 	}
 }

@@ -113,8 +113,8 @@ func runLeg(cell ShadowCell, mitigated bool, om *obs.Metrics) ShadowCellResult {
 		return res
 	}
 	run, err := fpspy.Run(w.Build(size), fpspy.Options{Config: ShadowConfig(prec), Obs: om})
-	if _, err = vetPass(cell.Workload, run, err); err != nil {
-		res.Err = err.Error()
+	if err != nil {
+		res.Err = fmt.Sprintf("%s: %v", cell.Workload, err)
 		return res
 	}
 	res.Steps = run.Steps

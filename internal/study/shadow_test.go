@@ -35,7 +35,7 @@ func TestShadowCorpusDifferential(t *testing.T) {
 // table per corpus cell, and the prec-53 leg — bit-exact to the
 // hardware by the conformance suite — reports zero divergence.
 func TestShadowMatrixCells(t *testing.T) {
-	s := study.New()
+	s := study.NewWithWorkers(0)
 	r := s.ShadowMatrix([]study.ShadowCell{
 		{Workload: "nas-cg", Prec: 113},
 		{Workload: "nas-cg", Prec: 53},

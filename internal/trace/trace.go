@@ -9,7 +9,6 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/softfloat"
 )
@@ -74,43 +73,6 @@ func (r *Record) Decode(buf []byte) {
 	r.Event = softfloat.Flags(le.Uint32(buf[48:]))
 	r.Raised = softfloat.Flags(le.Uint32(buf[52:]))
 	r.Opcode = le.Uint16(buf[56:])
-}
-
-// Writer appends records to an underlying stream with buffering.
-type Writer struct {
-	w   io.Writer
-	buf []byte
-	n   int
-	// Count is the number of records appended.
-	Count uint64
-}
-
-// NewWriter creates a buffered record writer.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w, buf: make([]byte, 256*RecordSize)}
-}
-
-// Append buffers one record, flushing as needed.
-func (w *Writer) Append(r *Record) error {
-	if w.n+RecordSize > len(w.buf) {
-		if err := w.Flush(); err != nil {
-			return err
-		}
-	}
-	r.Encode(w.buf[w.n:])
-	w.n += RecordSize
-	w.Count++
-	return nil
-}
-
-// Flush writes buffered records to the underlying stream.
-func (w *Writer) Flush() error {
-	if w.n == 0 {
-		return nil
-	}
-	_, err := w.w.Write(w.buf[:w.n])
-	w.n = 0
-	return err
 }
 
 // Decode parses a full trace image into records.

@@ -28,32 +28,50 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriterBuffersAndFlushes(t *testing.T) {
-	var sink bytes.Buffer
-	w := NewWriter(&sink)
-	const n = 1000
-	for i := 0; i < n; i++ {
-		if err := w.Append(&Record{Seq: uint64(i), TID: 7}); err != nil {
-			t.Fatal(err)
+// TestRecordLayout pins the .fpemon byte layout: one record's exact 64
+// bytes, field by field, little-endian, with the reserved tail zeroed.
+// Every byte of every field differs, so a moved, narrowed or reordered
+// field changes the image.
+func TestRecordLayout(t *testing.T) {
+	r := Record{
+		Time:      0x0807060504030201,
+		Rip:       0x1817161514131211,
+		Rsp:       0x2827262524232221,
+		InstrWord: [8]byte{0x31, 0x32, 0x33, 0x34, 0x35, 0x36, 0x37, 0x38},
+		MXCSR:     0x44434241,
+		TID:       0x48474645,
+		Seq:       0x5857565554535251,
+		Event:     0x64636261,
+		Raised:    0x68676665,
+		Opcode:    0x7271,
+	}
+	want := []byte{
+		0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, // 0: Time
+		0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, // 8: Rip
+		0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x28, // 16: Rsp
+		0x31, 0x32, 0x33, 0x34, 0x35, 0x36, 0x37, 0x38, // 24: InstrWord
+		0x41, 0x42, 0x43, 0x44, // 32: MXCSR
+		0x45, 0x46, 0x47, 0x48, // 36: TID
+		0x51, 0x52, 0x53, 0x54, 0x55, 0x56, 0x57, 0x58, // 40: Seq
+		0x61, 0x62, 0x63, 0x64, // 48: Event
+		0x65, 0x66, 0x67, 0x68, // 52: Raised
+		0x71, 0x72, // 56: Opcode
+		0, 0, 0, 0, 0, 0, // 58: reserved
+	}
+	if len(want) != RecordSize {
+		t.Fatalf("the pinned image is %d bytes, RecordSize is %d", len(want), RecordSize)
+	}
+	got := bytes.Repeat([]byte{0xFF}, RecordSize) // Encode must write the reserved tail too
+	r.Encode(got)
+	for off := range want {
+		if got[off] != want[off] {
+			t.Errorf("byte %d = %#02x, want %#02x", off, got[off], want[off])
 		}
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Decode(sink.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != n {
-		t.Fatalf("decoded %d records, want %d", len(recs), n)
-	}
-	for i, r := range recs {
-		if r.Seq != uint64(i) || r.TID != 7 {
-			t.Fatalf("record %d = %+v", i, r)
-		}
-	}
-	if w.Count != n {
-		t.Errorf("count = %d", w.Count)
+	var back Record
+	back.Decode(want)
+	if back != r {
+		t.Errorf("Decode of the pinned image = %+v, want %+v", back, r)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestAppsIndividualFilteredEventSets(t *testing.T) {
 				ExceptList: fpspy.AllEvents &^ fpspy.FlagInexact,
 			})
 			var got fpspy.Flags
-			for _, rec := range res.MustRecords() {
+			for _, rec := range res.Store.AllRecords() {
 				got |= rec.Event
 			}
 			if got != want {
@@ -147,7 +147,7 @@ func TestStaticAnalysisMatchesFigure8(t *testing.T) {
 
 	// The rendered Figure 8 rows must match cells generated from the
 	// scans and the source-macro metadata.
-	tab, err := study.New().Figure8()
+	tab, err := study.NewWithWorkers(0).Figure8()
 	if err != nil {
 		t.Fatal(err)
 	}

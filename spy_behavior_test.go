@@ -56,8 +56,8 @@ func TestTimerSignalConflictOnlyWhenSampling(t *testing.T) {
 	if res.Store.StepAsides != 0 {
 		t.Errorf("no sampling: step-asides = %d, want 0", res.Store.StepAsides)
 	}
-	if len(res.MustRecords()) != 1 {
-		t.Errorf("records = %d, want 1", len(res.MustRecords()))
+	if len(res.Store.AllRecords()) != 1 {
+		t.Errorf("records = %d, want 1", len(res.Store.AllRecords()))
 	}
 }
 
@@ -169,7 +169,7 @@ func TestExceptListInvalidOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := res.MustRecords()
+	recs := res.Store.AllRecords()
 	if len(recs) != 1 {
 		t.Fatalf("records = %d, want just the invalid", len(recs))
 	}
@@ -238,7 +238,7 @@ func TestRealTimerSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := len(res.MustRecords())
+	got := len(res.Store.AllRecords())
 	if got == 0 || got >= n {
 		t.Errorf("real-time sampled records = %d of %d", got, n)
 	}
@@ -265,7 +265,7 @@ func TestSubsampleComposesWithMaxCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.MustRecords()); got != 3 {
+	if got := len(res.Store.AllRecords()); got != 3 {
 		t.Errorf("records = %d, want 3", got)
 	}
 	// Faults stop shortly after the cap: 30 faults to fill the cap,
